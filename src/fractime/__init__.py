@@ -10,180 +10,33 @@ Three layers:
 * the bridge: Monte Carlo subordination of classical Hamiltonian flow and
   the statistical checks tying its ensemble means to the fractional
   canonical equations.
+
+The top level re-exports the names of the README's library tour and the
+base error; everything else is imported from its module, e.g.
+``from fractime.bridge import verify_compatibility``.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DegenerateSampleError,
-    DivergenceError,
-    FractimeError,
-    GammaPoleError,
-    GridError,
-    NonInvertibleError,
-    OutOfRangeError,
-    PrecisionLossError,
-    UnsupportedOperatorError,
-)
-from .grids import TimeGrid, Trajectory, trapezoid, write_csv, write_keyvalues
-from .special import Z_MAX, MLParams, gamma_fn, mittag_leffler
-from .fracops import (
-    FracOrder,
-    OperatorSpec,
-    OperatorTerm,
-    PhaseMap,
-    caputo_left,
-    caputo_right,
-    embed_operator,
-    ibp_residual,
-    rl_integral_left,
-    rl_integral_right,
-)
-from .systems import (
-    HamiltonianSystem,
-    LagrangianSystem,
-    NaturalForm,
-    SeparableForm,
-    free_particle,
-    harmonic,
-    quartic,
-)
-from .dynamics import (
-    FdeSolution,
-    flh_residual,
-    legendre_transform,
-    save_solution,
-    solve_classical,
-    solve_fde,
-    solve_fde_system,
-)
-from .variational import (
-    ActionValue,
-    VariationSpace,
-    action,
-    causal_el_residual,
-    classical_el_operator,
-    directional_derivative,
-    general_el_residual,
-    hamiltonian_action_residual,
-    k_alpha_apply,
-    sample_variation,
-    variation_space_check,
-)
-from .stochastic_time import (
-    EnsembleStats,
-    RenewalSample,
-    SubordinatorEnsemble,
-    SubordinatorPath,
-    WaitingTimeLaw,
-    ensemble_mean,
-    inverse_subordinator_paths,
-    renewal_counting_process,
-    rescale_factor,
-    sample_stable_subordinator_increment,
-    sample_subordinator_path,
-    scaling_limit_check,
-    scaling_samples,
-)
-from .bridge import (
-    CheckBand,
-    CommutationReport,
-    ComparisonReport,
-    CompatibilityReport,
-    SubordinatedObservable,
-    commutation_gap,
-    grad_along_paths,
-    subordinate_flow,
-    verify_compatibility,
-    verify_stanislavsky,
-)
-from .reports import ResidualReport, interior_window, make_report, save_report
+from .bridge import subordinate_flow, verify_stanislavsky
+from .dynamics import legendre_transform, solve_fde
+from .errors import FractimeError
+from .fracops import FracOrder
+from .grids import TimeGrid
+from .special import MLParams, mittag_leffler
+from .systems import harmonic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionValue",
-    "CheckBand",
-    "CommutationReport",
-    "ComparisonReport",
-    "CompatibilityReport",
-    "ConfigError",
-    "CoverageError",
-    "DegenerateSampleError",
-    "DivergenceError",
-    "EnsembleStats",
-    "FdeSolution",
     "FracOrder",
-    "FractimeError",
-    "GammaPoleError",
-    "GridError",
-    "HamiltonianSystem",
-    "LagrangianSystem",
-    "MLParams",
-    "NaturalForm",
-    "NonInvertibleError",
-    "OperatorSpec",
-    "OperatorTerm",
-    "OutOfRangeError",
-    "PhaseMap",
-    "PrecisionLossError",
-    "RenewalSample",
-    "ResidualReport",
-    "SeparableForm",
-    "SubordinatedObservable",
-    "SubordinatorEnsemble",
-    "SubordinatorPath",
     "TimeGrid",
-    "Trajectory",
-    "UnsupportedOperatorError",
-    "VariationSpace",
-    "WaitingTimeLaw",
-    "Z_MAX",
-    "action",
-    "caputo_left",
-    "caputo_right",
-    "causal_el_residual",
-    "classical_el_operator",
-    "commutation_gap",
-    "directional_derivative",
-    "embed_operator",
-    "ensemble_mean",
-    "flh_residual",
-    "free_particle",
-    "gamma_fn",
-    "general_el_residual",
-    "grad_along_paths",
-    "hamiltonian_action_residual",
-    "harmonic",
-    "ibp_residual",
-    "interior_window",
-    "inverse_subordinator_paths",
-    "k_alpha_apply",
-    "legendre_transform",
-    "make_report",
+    "MLParams",
     "mittag_leffler",
-    "quartic",
-    "renewal_counting_process",
-    "rescale_factor",
-    "rl_integral_left",
-    "rl_integral_right",
-    "sample_stable_subordinator_increment",
-    "sample_subordinator_path",
-    "sample_variation",
-    "save_report",
-    "save_solution",
-    "scaling_limit_check",
-    "scaling_samples",
-    "solve_classical",
+    "harmonic",
+    "legendre_transform",
     "solve_fde",
-    "solve_fde_system",
     "subordinate_flow",
-    "trapezoid",
-    "variation_space_check",
-    "verify_compatibility",
     "verify_stanislavsky",
-    "write_csv",
-    "write_keyvalues",
+    "FractimeError",
 ]

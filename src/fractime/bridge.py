@@ -25,7 +25,7 @@ import numpy as np
 from .dynamics import legendre_transform, solve_classical, solve_fde
 from .errors import ConfigError, CoverageError, OutOfRangeError
 from .fracops import FracOrder, caputo_left
-from .grids import TimeGrid, Trajectory, write_csv
+from .grids import TimeGrid, Trajectory, write_csv, write_text
 from .reports import interior_window
 from .stochastic_time import inverse_subordinator_paths
 from .systems import HamiltonianSystem, LagrangianSystem
@@ -208,22 +208,6 @@ class CommutationReport:
         )
 
 
-def _eval_grad(fn, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Evaluate a gradient callable over stacked points, broadcasting if it can."""
-    try:
-        out = np.asarray(fn(x, p), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except Exception:
-        pass
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_p = p.reshape(-1, p.shape[-1])
-    out = np.empty_like(flat_x)
-    for i in range(flat_x.shape[0]):
-        out[i] = np.asarray(fn(flat_x[i], flat_p[i]), dtype=float)
-    return out.reshape(x.shape)
-
-
 def grad_along_paths(
     H: HamiltonianSystem, obs: SubordinatedObservable
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +219,8 @@ def grad_along_paths(
     if obs.path_x is None or obs.path_p is None:
         raise ConfigError("commutation checks need subordinate_flow(keep_paths=True)")
     return (
-        _eval_grad(H.dHdx, obs.path_x, obs.path_p),
-        _eval_grad(H.dHdp, obs.path_x, obs.path_p),
+        np.asarray(H.dHdx(obs.path_x, obs.path_p), dtype=float),
+        np.asarray(H.dHdp(obs.path_x, obs.path_p), dtype=float),
     )
 
 
@@ -250,8 +234,8 @@ def commutation_gap(
         dh_paths = grad_along_paths(H, obs)
     dhx, dhp = dh_paths
     m = dhx.shape[0]
-    at_mean_x = _eval_grad(H.dHdx, obs.mean_x, obs.mean_p)
-    at_mean_p = _eval_grad(H.dHdp, obs.mean_x, obs.mean_p)
+    at_mean_x = np.asarray(H.dHdx(obs.mean_x, obs.mean_p), dtype=float)
+    at_mean_p = np.asarray(H.dHdp(obs.mean_x, obs.mean_p), dtype=float)
     scale = math.sqrt(m) if m > 1 else 1.0
     err_x = dhx.std(axis=0, ddof=1) / scale if m > 1 else np.zeros_like(at_mean_x)
     err_p = dhp.std(axis=0, ddof=1) / scale if m > 1 else np.zeros_like(at_mean_p)
@@ -282,29 +266,30 @@ class ComparisonReport:
 
     def save(self, out_dir: str, stem: str) -> list:
         """One CSV per phase component plus a verdict summary; returns paths."""
-        os.makedirs(out_dir, exist_ok=True)
-        paths = []
-        t = self.t_grid.nodes()
-        for k, label in enumerate(self.labels):
-            csv_path = os.path.join(out_dir, f"{stem}_{label}.csv")
-            write_csv(
-                csv_path,
-                ["t", "mc_mean", "mc_stderr", "fde_value", "gap"],
-                [t, self.mc_mean[:, k], self.mc_stderr[:, k], self.fde_values[:, k], self.gap[:, k]],
-            )
-            paths.append(csv_path)
-        summary = os.path.join(out_dir, f"{stem}_summary.txt")
-        lines = [
+        cols = (self.mc_mean, self.mc_stderr, self.fde_values, self.gap)
+        tables = [(label, [c[:, k] for c in cols]) for k, label in enumerate(self.labels)]
+        summary = [
             f"check: MC subordination vs fractional solve (alpha={self.alpha.alpha})",
             f"interior nodes within 3*stderr + scheme budget: {self.fraction_within:.4f}",
             f"required fraction: {_PASS_FRACTION}",
             f"max gap: {float(self.gap.max()):.6e}",
             f"verdict: {'PASS' if self.passed else 'FAIL'}",
         ]
-        with open(summary, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(summary)
-        return paths
+        return _save_tables(out_dir, stem, self.t_grid, tables, summary)
+
+
+def _save_tables(out_dir: str, stem: str, t_grid: TimeGrid, tables, summary) -> list:
+    """Write one t,mc_mean,mc_stderr,fde_value,gap CSV per table plus a summary."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for suffix, cols in tables:
+        paths.append(os.path.join(out_dir, f"{stem}_{suffix}.csv"))
+        write_csv(
+            paths[-1], ["t", "mc_mean", "mc_stderr", "fde_value", "gap"], [t_grid.nodes(), *cols]
+        )
+    paths.append(os.path.join(out_dir, f"{stem}_summary.txt"))
+    write_text(paths[-1], summary)
+    return paths
 
 
 def _phase_labels(d: int) -> tuple:
@@ -331,11 +316,7 @@ def verify_stanislavsky(
     fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, order)
     mc = obs.phase_mean()
     se = obs.phase_stderr()
-    gap = np.abs(mc - fde.y.values)
-    budget = 3.0 * se + scheme_tol
-    w = interior_window(t_grid.n)
-    ok = np.all(gap <= budget, axis=1)[w : len(t_grid) - w]
-    fraction = float(np.mean(ok))
+    band = _band_check("MC vs fractional solve", mc - fde.y.values, se, scheme_tol, t_grid.n)
     return ComparisonReport(
         t_grid=t_grid,
         alpha=order,
@@ -343,11 +324,11 @@ def verify_stanislavsky(
         mc_mean=mc,
         mc_stderr=se,
         fde_values=fde.y.values,
-        gap=gap,
-        budget=budget,
-        window=w,
-        fraction_within=fraction,
-        passed=fraction >= _PASS_FRACTION,
+        gap=band.values,
+        budget=band.budget,
+        window=band.window,
+        fraction_within=band.fraction_within,
+        passed=band.passed,
     )
 
 
@@ -381,6 +362,13 @@ def _band_check(name: str, values, stderr, scheme_tol: float, n: int) -> CheckBa
     )
 
 
+def _batch_band(name: str, values, per_group: list, scheme_tol: float, n: int) -> CheckBand:
+    """Band check whose stderr comes from batch means over path groups."""
+    stacked = np.stack(per_group)
+    stderr = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
+    return _band_check(name, values, stderr, scheme_tol, n)
+
+
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Momentum identity, causal residual, and commutation gap in one verdict."""
@@ -399,39 +387,16 @@ class CompatibilityReport:
         return self.momentum.passed and self.causal_el.passed and self.commutation_passed
 
     def save(self, out_dir: str, stem: str) -> list:
-        os.makedirs(out_dir, exist_ok=True)
-        paths = []
-        t = self.t_grid.nodes()
-        d = self.momentum_route.shape[1]
-        for k in range(d):
-            csv_path = os.path.join(out_dir, f"{stem}_momentum_x{k}.csv")
-            write_csv(
-                csv_path,
-                ["t", "mc_mean", "mc_stderr", "fde_value", "gap"],
-                [
-                    t,
-                    self.momentum_route[:, k],
-                    self.momentum.stderr[:, k],
-                    self.derivative_route[:, k],
-                    self.momentum.values[:, k],
-                ],
-            )
-            paths.append(csv_path)
-            csv_path = os.path.join(out_dir, f"{stem}_causal_el_x{k}.csv")
-            write_csv(
-                csv_path,
-                ["t", "mc_mean", "mc_stderr", "fde_value", "gap"],
-                [
-                    t,
-                    self.causal_el.values[:, k],
-                    self.causal_el.stderr[:, k],
-                    np.zeros_like(t),
-                    self.causal_el.values[:, k],
-                ],
-            )
-            paths.append(csv_path)
-        summary = os.path.join(out_dir, f"{stem}_summary.txt")
-        lines = [
+        m, e = self.momentum, self.causal_el
+        zero = np.zeros((len(self.t_grid), self.momentum_route.shape[1]))
+        tables = []
+        for k in range(self.momentum_route.shape[1]):
+            for name, cols in (
+                ("momentum", (self.momentum_route, m.stderr, self.derivative_route, m.values)),
+                ("causal_el", (e.values, e.stderr, zero, e.values)),
+            ):
+                tables.append((f"{name}_x{k}", [c[:, k] for c in cols]))
+        summary = [
             f"check: compatibility of subordinated means (alpha={self.alpha.alpha})",
             f"momentum identity interior fraction: {self.momentum.fraction_within:.4f}"
             f" -> {'PASS' if self.momentum.passed else 'FAIL'}",
@@ -441,10 +406,7 @@ class CompatibilityReport:
             f" (max significance {self.commutation.significance:.2f})",
             f"verdict: {'PASS' if self.passed else 'FAIL'}",
         ]
-        with open(summary, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(summary)
-        return paths
+        return _save_tables(out_dir, stem, self.t_grid, tables, summary)
 
 
 def verify_compatibility(
@@ -479,32 +441,29 @@ def verify_compatibility(
     )
     mass = L.natural.mass
     n = t_grid.n
+    groups = list(zip(obs.group_means_x, obs.group_means_p))
 
-    def momentum_profile(x_mean, p_mean):
-        dx = caputo_left(Trajectory(t_grid, x_mean.copy()), order).values
-        return p_mean - mass * dx, mass * dx
+    def derivative_route(x_mean):
+        return mass * caputo_left(Trajectory(t_grid, x_mean.copy()), order).values
 
-    gap_full, deriv_route = momentum_profile(obs.mean_x, obs.mean_p)
-    group_gaps = np.stack(
-        [
-            momentum_profile(obs.group_means_x[g], obs.group_means_p[g])[0]
-            for g in range(obs.group_means_x.shape[0])
-        ]
+    def causal_residual(x_mean):
+        return causal_el_residual(L, Trajectory(t_grid, x_mean.copy()), order).residual.values
+
+    deriv_route = derivative_route(obs.mean_x)
+    momentum = _batch_band(
+        "momentum identity",
+        obs.mean_p - deriv_route,
+        [gp - derivative_route(gx) for gx, gp in groups],
+        scheme_tol,
+        n,
     )
-    g_count = group_gaps.shape[0]
-    stderr_m = group_gaps.std(axis=0, ddof=1) / math.sqrt(g_count)
-    momentum = _band_check("momentum identity", gap_full, stderr_m, scheme_tol, n)
-
-    def causal_profile(x_mean):
-        rep = causal_el_residual(L, Trajectory(t_grid, x_mean.copy()), order)
-        return rep.residual.values
-
-    el_full = causal_profile(obs.mean_x)
-    group_el = np.stack(
-        [causal_profile(obs.group_means_x[g]) for g in range(g_count)]
+    causal = _batch_band(
+        "causal EL residual",
+        causal_residual(obs.mean_x),
+        [causal_residual(gx) for gx, _ in groups],
+        scheme_tol,
+        n,
     )
-    stderr_e = group_el.std(axis=0, ddof=1) / math.sqrt(g_count)
-    causal = _band_check("causal EL residual", el_full, stderr_e, scheme_tol, n)
 
     gap_grid = TimeGrid(0.0, t_grid.b, gap_grid_nodes)
     obs_gap = subordinate_flow(

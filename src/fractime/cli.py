@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .bridge import (
     commutation_gap,
@@ -29,13 +28,14 @@ from .bridge import (
 )
 from .dynamics import legendre_transform, solve_fde, save_solution
 from .errors import ConfigError, FractimeError
-from .fracops import FracOrder, caputo_left, caputo_right
+from .fracops import FracOrder, caputo_left, caputo_right, embed_operator
 from .grids import TimeGrid, Trajectory, write_csv
 from .special import MLParams, mittag_leffler
 from .stochastic_time import (
     WaitingTimeLaw,
     ensemble_mean,
     inverse_subordinator_paths,
+    ks_statistic,
     rescale_factor,
     scaling_samples,
 )
@@ -45,7 +45,6 @@ from .variational import (
     classical_el_operator,
     general_el_residual,
 )
-from .fracops import embed_operator
 from .reports import interior_window
 
 __all__ = ["main", "ExperimentConfig", "RunReport", "parse_config", "run_experiment"]
@@ -492,7 +491,7 @@ def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
     c = _to_float("c", cfg.extras["c"])
     counts, s1 = scaling_samples(law, c, cfg.m_paths, seed=cfg.seed)
     b_c = rescale_factor(counts, s1)
-    ks = float(ks_2samp(counts / b_c, s1).statistic)
+    ks = ks_statistic(counts / b_c, s1)
     probs = np.linspace(0.0, 1.0, 101)
     csv_path = _outpath(cfg, "scaling_limit.csv")
     write_csv(

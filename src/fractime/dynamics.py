@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, NonInvertibleError
-from .fracops import FracOrder, caputo_left
+from .fracops import FracOrder, _pt_corrector_weights, caputo_left
 from .grids import TimeGrid, Trajectory, write_keyvalues
 from .reports import ResidualReport, make_report
 from .systems import (
@@ -105,14 +105,14 @@ def legendre_transform(L: LagrangianSystem) -> HamiltonianSystem:
         return _pointwise(lambda xx, pp: _ham_point(L, velocity, xx, pp), x, p)
 
     def dhdx(x, p):
-        return _pointwise_vec(
+        return _pointwise(
             lambda xx, pp: -np.asarray(L.dLdx(xx, velocity(xx, pp), 0.0), dtype=float),
             x,
             p,
         )
 
     def dhdp(x, p):
-        return _pointwise_vec(lambda xx, pp: velocity(xx, pp), x, p)
+        return _pointwise(velocity, x, p)
 
     return HamiltonianSystem(
         dim=L.dim, hamiltonian=ham, dHdx=dhdx, dHdp=dhdp, separable=None, label=L.label
@@ -125,6 +125,7 @@ def _ham_point(L: LagrangianSystem, velocity, x: np.ndarray, p: np.ndarray) -> f
 
 
 def _pointwise(f, x, p):
+    """Apply the single-point map f(x, p) over stacked (..., d) points."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if x.ndim == 1:
@@ -132,18 +133,7 @@ def _pointwise(f, x, p):
     flat_x = x.reshape(-1, x.shape[-1])
     flat_p = p.reshape(-1, p.shape[-1])
     out = np.array([f(xx, pp) for xx, pp in zip(flat_x, flat_p)])
-    return out.reshape(x.shape[:-1])
-
-
-def _pointwise_vec(f, x, p):
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if x.ndim == 1:
-        return f(x, p)
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_p = p.reshape(-1, p.shape[-1])
-    out = np.array([f(xx, pp) for xx, pp in zip(flat_x, flat_p)])
-    return out.reshape(x.shape)
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def _invert_dldv(L: LagrangianSystem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -311,12 +301,7 @@ def solve_fde_system(
     h2 = h**alpha / math.gamma(alpha + 2.0)
     idx = np.arange(n + 2, dtype=float)
     bw = idx**alpha - np.maximum(idx - 1.0, 0.0) ** alpha
-    cw = np.empty(n + 1)
-    cw[0] = 1.0
-    mm = idx[1 : n + 1]
-    cw[1:] = (mm + 1.0) ** (alpha + 1.0) - 2.0 * mm ** (alpha + 1.0) + (mm - 1.0) ** (
-        alpha + 1.0
-    )
+    cw = _pt_corrector_weights(alpha, n + 1)
     y = np.empty((n + 1, m))
     fhist = np.empty((n + 1, m))
     y[0] = y0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GridError
 
-__all__ = ["TimeGrid", "Trajectory", "write_csv", "write_keyvalues", "trapezoid"]
+__all__ = ["TimeGrid", "Trajectory", "write_csv", "write_keyvalues", "write_text", "trapezoid"]
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,7 @@ def write_csv(
     header: Iterable[str],
     columns: Sequence[np.ndarray],
 ) -> None:
-    """Write aligned columns as CSV with 17 significant digits, atomically.
-
-    The file is written next to ``path`` and renamed into place so readers
-    never observe a partial file.  LF line endings regardless of platform.
-    """
+    """Write aligned columns as CSV with 17 significant digits, atomically."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
@@ -123,30 +119,25 @@ def write_csv(
     lines = [",".join(header)]
     for i in range(n):
         lines.append(",".join(f"{c[i]:.17g}" for c in cols))
-    body = "\n".join(lines) + "\n"
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".csv")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text(path, lines)
 
 
 def write_keyvalues(path, mapping: dict) -> None:
     """Write a flat key=value text file atomically, one pair per line."""
-    lines = [f"{k}={_fmt_value(v)}" for k, v in mapping.items()]
-    body = "\n".join(lines) + "\n"
+    write_text(path, [f"{k}={_fmt_value(v)}" for k, v in mapping.items()])
+
+
+def write_text(path: str | os.PathLike, lines: Iterable[str]) -> None:
+    """Write lines with LF endings, atomically.
+
+    The file is written next to ``path`` and renamed into place so readers
+    never observe a partial file.
+    """
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".txt")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(body)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Trajectory, write_csv
+from .grids import Trajectory
 
-__all__ = ["ResidualReport", "make_report", "interior_window", "save_report"]
+__all__ = ["ResidualReport", "make_report", "interior_window"]
 
 
 def interior_window(n: int) -> int:
@@ -56,20 +56,3 @@ def make_report(kind: str, residual: Trajectory) -> ResidualReport:
         component_max=comp,
     )
 
-
-def save_report(report: ResidualReport, csv_path: str, summary_path: str) -> None:
-    """Write the residual trajectory as CSV plus a plain-text norm summary."""
-    traj = report.residual
-    header = ["t"] + [f"residual{k}" for k in range(traj.dim)]
-    cols = [traj.grid.nodes()] + [traj.values[:, k] for k in range(traj.dim)]
-    write_csv(csv_path, header, cols)
-    lines = [
-        f"kind = {report.kind}",
-        f"max_norm = {report.max_norm:.17g}",
-        f"l2_norm = {report.l2_norm:.17g}",
-        f"interior_window_nodes = {report.window}",
-    ]
-    for k, v in enumerate(report.component_max):
-        lines.append(f"component_max{k} = {v:.17g}")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

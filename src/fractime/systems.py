@@ -46,23 +46,6 @@ class LagrangianSystem:
     natural: NaturalForm | None = None
     label: str = "custom"
 
-    def check_gradients(self, seed: int = 0, probes: int = 100) -> float:
-        """Max relative deviation of the gradients from central differences."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(probes):
-            x = rng.uniform(-2.0, 2.0, self.dim)
-            v = rng.uniform(-2.0, 2.0, self.dim)
-            t = float(rng.uniform(0.0, 2.0))
-            gx = np.asarray(self.dLdx(x, v, t), dtype=float)
-            gv = np.asarray(self.dLdv(x, v, t), dtype=float)
-            worst = max(
-                worst,
-                _fd_gap(lambda u: self.lagrangian(u, v, t), x, gx),
-                _fd_gap(lambda u: self.lagrangian(x, u, t), v, gv),
-            )
-        return worst
-
 
 @dataclass(frozen=True)
 class SeparableForm:
@@ -83,34 +66,6 @@ class HamiltonianSystem:
     dHdp: Callable[[Array, Array], Array]
     separable: SeparableForm | None = None
     label: str = "custom"
-
-    def check_gradients(self, seed: int = 0, probes: int = 100) -> float:
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(probes):
-            x = rng.uniform(-2.0, 2.0, self.dim)
-            p = rng.uniform(-2.0, 2.0, self.dim)
-            gx = np.asarray(self.dHdx(x, p), dtype=float)
-            gp = np.asarray(self.dHdp(x, p), dtype=float)
-            worst = max(
-                worst,
-                _fd_gap(lambda u: self.hamiltonian(u, p), x, gx),
-                _fd_gap(lambda u: self.hamiltonian(x, u), p, gp),
-            )
-        return worst
-
-
-def _fd_gap(f: Callable[[Array], Array], at: Array, grad: Array) -> float:
-    worst = 0.0
-    for k in range(at.size):
-        step = 1e-6 * (1.0 + abs(at[k]))
-        hi = at.copy()
-        lo = at.copy()
-        hi[k] += step
-        lo[k] -= step
-        fd = (float(f(hi)) - float(f(lo))) / (2.0 * step)
-        worst = max(worst, abs(fd - grad[k]) / (1.0 + abs(grad[k])))
-    return worst
 
 
 def _natural_pair(m: float, u, du, label: str, dim: int = 1) -> LagrangianSystem:

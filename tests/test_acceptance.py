@@ -13,38 +13,37 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
 from fractime import (
     FracOrder,
     MLParams,
     TimeGrid,
-    Trajectory,
-    WaitingTimeLaw,
-    action,
-    caputo_left,
-    causal_el_residual,
-    classical_el_operator,
-    commutation_gap,
-    directional_derivative,
-    embed_operator,
-    ensemble_mean,
-    general_el_residual,
     harmonic,
-    ibp_residual,
-    interior_window,
-    inverse_subordinator_paths,
     legendre_transform,
     mittag_leffler,
-    quartic,
-    sample_variation,
-    scaling_limit_check,
     solve_fde,
-    solve_fde_system,
     subordinate_flow,
-    trapezoid,
-    verify_compatibility,
     verify_stanislavsky,
+)
+from fractime.bridge import commutation_gap, verify_compatibility
+from fractime.dynamics import solve_fde_system
+from fractime.fracops import caputo_left, embed_operator, ibp_residual
+from fractime.grids import Trajectory, trapezoid
+from fractime.reports import interior_window
+from fractime.stochastic_time import (
+    WaitingTimeLaw,
+    ensemble_mean,
+    inverse_subordinator_paths,
+    scaling_limit_check,
+)
+from fractime.systems import quartic
+from fractime.variational import (
+    action,
+    causal_el_residual,
+    classical_el_operator,
+    directional_derivative,
+    general_el_residual,
+    sample_variation,
 )
 
 from conftest import record_acceptance

@@ -14,26 +14,29 @@ Statistical budgets are 3 standard errors plus the documented scheme
 terms; seeds are frozen.
 """
 
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from fractime import (
-    ConfigError,
     FracOrder,
-    OutOfRangeError,
     TimeGrid,
-    commutation_gap,
-    free_particle,
-    grad_along_paths,
     harmonic,
     legendre_transform,
-    quartic,
     subordinate_flow,
-    verify_compatibility,
     verify_stanislavsky,
 )
+from fractime.bridge import (
+    SubordinatedObservable,
+    commutation_gap,
+    grad_along_paths,
+    verify_compatibility,
+)
+from fractime.errors import ConfigError, OutOfRangeError
+from fractime.systems import LagrangianSystem, free_particle, quartic
 
 HALF = FracOrder(0.5)
 
@@ -190,8 +193,6 @@ def test_compatibility_check_passes_for_natural_harmonic():
 
 
 def test_compatibility_requires_natural_structure():
-    from fractime import LagrangianSystem
-
     odd = LagrangianSystem(
         dim=1,
         lagrangian=lambda x, v, t: np.sum(v, axis=-1) ** 3,
@@ -217,3 +218,97 @@ def test_compatibility_report_saves_expected_files(tmp_path):
     assert "compat_summary.txt" in names
     for f in files:
         assert open(f).read()
+
+
+def _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep, changed):
+    files = rep.save(str(tmp_path), "r")
+    summary = files[-1]
+    assert summary.endswith("r_summary.txt")
+    before = open(summary, "rb").read()
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith("_summary.txt"):
+            raise OSError("simulated failure while renaming into place")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        changed.save(str(tmp_path), "r")
+    assert open(summary, "rb").read() == before
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+
+
+def test_comparison_summary_is_written_atomically(tmp_path, monkeypatch):
+    H = legendre_transform(free_particle())
+    rep = verify_stanislavsky(
+        H, np.array([0.0, 1.0]), TimeGrid(0.0, 1.0, 32), HALF, M=200, seed=5
+    )
+    changed = dataclasses.replace(rep, fraction_within=0.5, passed=not rep.passed)
+    _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep, changed)
+
+
+def test_compatibility_summary_is_written_atomically(tmp_path, monkeypatch):
+    rep = verify_compatibility(
+        harmonic(), np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, 64), HALF, M=200, seed=5
+    )
+    changed = dataclasses.replace(rep, commutation_passed=not rep.commutation_passed)
+    _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep, changed)
+
+
+def _stiff_lagrangian() -> LagrangianSystem:
+    """L = v^4/4 + v^2/2 - x^2/2, given without natural-form data."""
+    return LagrangianSystem(
+        dim=1,
+        lagrangian=lambda x, v, t: np.sum(v**4 / 4 + v**2 / 2 - x**2 / 2, axis=-1),
+        dLdx=lambda x, v, t: -np.asarray(x, dtype=float),
+        dLdv=lambda x, v, t: np.asarray(v, dtype=float) ** 3 + np.asarray(v, dtype=float),
+        natural=None,
+        label="quartic-velocity",
+    )
+
+
+def test_non_natural_legendre_transform_evaluates_stacked_points_pointwise():
+    L = _stiff_lagrangian()
+    H = legendre_transform(L)
+    assert H.separable is None
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2.0, 2.0, size=(3, 5, 1))
+    p = rng.uniform(-2.0, 2.0, size=(3, 5, 1))
+    for fn, shape in ((H.dHdx, (3, 5, 1)), (H.dHdp, (3, 5, 1)), (H.hamiltonian, (3, 5))):
+        stacked = fn(x, p)
+        assert stacked.shape == shape
+        for i in range(3):
+            for j in range(5):
+                assert np.array_equal(stacked[i, j], fn(x[i, j], p[i, j]))
+    v = H.dHdp(x, p)
+    assert np.abs(L.dLdv(x, v, 0.0) - p).max() <= 1e-10
+
+
+def test_commutation_gap_runs_on_non_natural_hamiltonian():
+    H = legendre_transform(_stiff_lagrangian())
+    rng = np.random.default_rng(3)
+    grid = TimeGrid(0.0, 1.0, 4)
+    path_x = rng.normal(size=(6, len(grid), 1))
+    path_p = rng.normal(size=(6, len(grid), 1))
+    mean_x, mean_p = path_x.mean(axis=0), path_p.mean(axis=0)
+    obs = SubordinatedObservable(
+        t_grid=grid,
+        alpha=HALF,
+        mean_x=mean_x,
+        mean_p=mean_p,
+        stderr_x=np.zeros_like(mean_x),
+        stderr_p=np.zeros_like(mean_p),
+        m_paths=6,
+        seed=0,
+        tau_step=1e-3,
+        path_x=path_x,
+        path_p=path_p,
+    )
+    rep = commutation_gap(H, obs)
+    assert rep.gap_x.shape == rep.gap_p.shape == (len(grid), 1)
+    # dH/dx = x exactly, so that component commutes with averaging
+    assert rep.gap_x.max() <= 1e-12
+    # dH/dp inverts p = v^3 + v, which is nonlinear: a Jensen gap opens
+    assert rep.gap_p.max() > 1e-6
+    assert np.all(rep.stderr_p > 0.0)

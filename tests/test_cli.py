@@ -187,3 +187,20 @@ def test_stanislavsky_rejects_nonlinear_gradients(tmp_path):
     res = run_cli("verify-stanislavsky", "--system", "quartic", "--out", str(tmp_path))
     assert res.returncode == 2
     assert "linear gradients" in res.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy and mpmath only; scipy is a test-only extra
+    res = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import fractime.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

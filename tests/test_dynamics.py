@@ -12,21 +12,17 @@ import numpy as np
 import pytest
 
 from fractime import (
-    DivergenceError,
     FracOrder,
     MLParams,
     TimeGrid,
-    flh_residual,
-    free_particle,
     harmonic,
     legendre_transform,
     mittag_leffler,
-    quartic,
-    save_solution,
-    solve_classical,
     solve_fde,
-    solve_fde_system,
 )
+from fractime.dynamics import flh_residual, save_solution, solve_classical, solve_fde_system
+from fractime.errors import DivergenceError
+from fractime.systems import free_particle, quartic
 
 HALF = FracOrder(0.5)
 

@@ -17,22 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractime import (
-    FracOrder,
-    GridError,
+from fractime import FracOrder, TimeGrid
+from fractime.errors import GridError, OutOfRangeError
+from fractime.fracops import (
     OperatorSpec,
     OperatorTerm,
-    OutOfRangeError,
-    TimeGrid,
-    Trajectory,
     caputo_left,
     caputo_right,
     embed_operator,
     ibp_residual,
-    interior_window,
     rl_integral_left,
     rl_integral_right,
 )
+from fractime.grids import Trajectory
+from fractime.reports import interior_window
 
 HALF = FracOrder(0.5)
 
@@ -202,7 +200,7 @@ def test_embed_operator_replaces_time_derivative_with_caputo():
 
 
 def test_embed_operator_rejects_higher_powers():
-    from fractime import UnsupportedOperatorError
+    from fractime.errors import UnsupportedOperatorError
 
     spec = OperatorSpec(
         terms=(OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 2),),

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractime import GridError, TimeGrid, Trajectory, trapezoid, write_csv, write_keyvalues
+from fractime import TimeGrid
+from fractime.errors import GridError
+from fractime.grids import Trajectory, trapezoid, write_csv, write_keyvalues
 
 
 def test_grid_nodes_hit_endpoints_exactly():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fractime import MLParams, Z_MAX, gamma_fn, mittag_leffler
+from fractime import MLParams, mittag_leffler
+from fractime.special import Z_MAX, gamma_fn
 from fractime.errors import GammaPoleError, OutOfRangeError, PrecisionLossError
 
 # E_{1/2}(-1) = e * erfc(1) in the classical erfc closed form

@@ -17,19 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
 
-from fractime import (
-    DegenerateSampleError,
-    FracOrder,
-    GridError,
-    MLParams,
-    OutOfRangeError,
-    TimeGrid,
+from fractime import FracOrder, MLParams, TimeGrid, mittag_leffler
+from fractime.errors import DegenerateSampleError, GridError, OutOfRangeError
+from fractime.stochastic_time import (
     WaitingTimeLaw,
     ensemble_mean,
     inverse_subordinator_paths,
-    mittag_leffler,
+    ks_statistic,
     renewal_counting_process,
     rescale_factor,
     sample_stable_subordinator_increment,
@@ -175,7 +170,7 @@ def test_internal_time_is_self_similar_across_scales():
         b = inverse_subordinator_paths(order, grid, 4000, seed=1234).paths
         s_2t = a[:, 2]
         s_t_scaled = (2.0**alpha) * b[:, 1]
-        ks = ks_2samp(s_2t, s_t_scaled).statistic
+        ks = ks_statistic(s_2t, s_t_scaled)
         assert ks < 0.05
 
 
@@ -282,3 +277,44 @@ def test_inverse_paths_always_monotone(alpha, seed):
     ens = inverse_subordinator_paths(FracOrder(alpha), grid, 8, seed=seed)
     assert np.all(np.diff(ens.paths, axis=1) >= 0.0)
     assert np.all(ens.paths[:, 0] == 0.0)
+
+
+def _ks_pairs(rng, sizes):
+    """Continuous pairs, and tied integer pairs on small supports."""
+    for n1, n2 in sizes:
+        yield rng.normal(size=n1), rng.normal(0.1, 1.2, size=n2)
+        yield (
+            rng.integers(0, 12, size=n1).astype(float),
+            rng.integers(0, 15, size=n2).astype(float),
+        )
+
+
+def test_ks_statistic_equals_scipy_exact_mode():
+    # up to 10,000 samples scipy snaps d to h / lcm(n1, n2), as ks_statistic does
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(2024)
+    sizes = [(1, 1), (1, 7), (5, 5), (10000, 10000), (9973, 10000), (3, 10000)]
+    sizes += [tuple(int(v) for v in rng.integers(1, 10001, size=2)) for _ in range(60)]
+    for a, b in _ks_pairs(rng, sizes):
+        assert ks_statistic(a, b) == ks_2samp(a, b).statistic, (a.size, b.size)
+
+
+def test_ks_statistic_equals_scipy_on_scaling_limit_samples():
+    from scipy.stats import ks_2samp
+
+    for alpha in (0.5, 0.8):
+        law = WaitingTimeLaw(FracOrder(alpha), 1.0)
+        counts, s1 = scaling_samples(law, 1e4, 10000, seed=42)
+        rescaled = counts / rescale_factor(counts, s1)
+        assert ks_statistic(rescaled, s1) == ks_2samp(rescaled, s1).statistic
+
+
+def test_ks_statistic_tracks_scipy_asymptotic_mode():
+    # above 10,000 samples scipy keeps its float difference of CDFs
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(7)
+    sizes = [(10001, 10001), (20000, 30000), (12345, 500), (40000, 40000)]
+    for a, b in _ks_pairs(rng, sizes):
+        assert abs(ks_statistic(a, b) - ks_2samp(a, b).statistic) <= 2.3e-16

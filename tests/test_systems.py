@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fractime import free_particle, harmonic, legendre_transform, quartic
+from fractime import harmonic, legendre_transform
+from fractime.systems import free_particle, quartic
 
 
 def test_labels_carry_parameters():

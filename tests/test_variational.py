@@ -17,25 +17,20 @@ import math
 import numpy as np
 import pytest
 
-from fractime import (
-    FracOrder,
-    TimeGrid,
-    Trajectory,
+from fractime import FracOrder, TimeGrid, harmonic, legendre_transform, solve_fde
+from fractime.fracops import embed_operator
+from fractime.grids import Trajectory, trapezoid
+from fractime.systems import quartic
+from fractime.variational import (
     VariationSpace,
     action,
     causal_el_residual,
     classical_el_operator,
     directional_derivative,
-    embed_operator,
     general_el_residual,
     hamiltonian_action_residual,
-    harmonic,
     k_alpha_apply,
-    legendre_transform,
-    quartic,
     sample_variation,
-    solve_fde,
-    trapezoid,
     variation_space_check,
 )
 
@@ -55,7 +50,7 @@ def test_action_value_is_finite_and_labeled():
 
 
 def test_action_of_rest_state_is_zero_for_free_particle():
-    from fractime import free_particle
+    from fractime.systems import free_particle
 
     grid = TimeGrid(0.0, 1.0, 64)
     val = action(free_particle(), Trajectory.constant(grid, 2.0), HALF)
@@ -100,7 +95,7 @@ def test_two_sided_derivative_sum_preserves_symmetry():
     bump = Trajectory.from_callable(grid, lambda t: (t * (1.0 - t)) ** 2)
     combined = k_alpha_apply(bump, HALF).values[:, 0]
     np.testing.assert_array_equal(combined, combined[::-1])
-    from fractime import caputo_left
+    from fractime.fracops import caputo_left
 
     mid = grid.n // 2
     one_sided = caputo_left(bump, HALF).values[mid, 0]
