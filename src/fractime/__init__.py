@@ -24,6 +24,7 @@ from .errors import FractimeError
 from .fracops import FracOrder
 from .grids import TimeGrid
 from .special import MLParams, mittag_leffler
+from .stochastic_time import inverse_subordinator_paths
 from .systems import harmonic
 
 __version__ = "0.1.0"
@@ -36,6 +37,7 @@ __all__ = [
     "harmonic",
     "legendre_transform",
     "solve_fde",
+    "inverse_subordinator_paths",
     "subordinate_flow",
     "verify_stanislavsky",
     "FractimeError",

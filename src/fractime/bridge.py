@@ -9,6 +9,10 @@ residual.  The
 commutation hypothesis E[dH(x(S), p(S))] = dH(x_a, p_a) holds for linear
 gradients and is probed for failure on a quartic potential.
 
+Sampling is the caller's: one SubordinatorEnsemble from
+inverse_subordinator_paths serves every flow and check of a run, and the
+bridge only maps it through classical flows.
+
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
 bound added linearly; stderr for derived quantities (anything passed
 through a fractional operator) comes from batch means over path groups.
@@ -27,7 +31,7 @@ from .errors import ConfigError, CoverageError, OutOfRangeError
 from .fracops import FracOrder, caputo_left
 from .grids import TimeGrid, Trajectory, write_csv, write_text
 from .reports import interior_window
-from .stochastic_time import inverse_subordinator_paths
+from .stochastic_time import SubordinatorEnsemble
 from .systems import HamiltonianSystem, LagrangianSystem
 from .variational import causal_el_residual
 
@@ -45,6 +49,8 @@ __all__ = [
 
 _SCHEME_TOL = 5e-3
 _PASS_FRACTION = 0.95
+_N_GROUPS = 16
+_COMMUTATION_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,7 @@ class SubordinatedObservable:
     Node 0 is pinned to the initial data with zero stderr (S(0) = 0 on
     every path).  Group means support batch-means error bars for
     quantities derived from the mean curves; raw path values are kept
-    only on request.
+    only on request, at the commutation nodes.
     """
 
     t_grid: TimeGrid
@@ -85,21 +91,18 @@ class SubordinatedObservable:
 def subordinate_flow(
     H: HamiltonianSystem,
     y0,
-    t_grid: TimeGrid,
-    order: FracOrder,
-    M: int,
-    seed: int = 0,
-    tau_step: float | None = None,
+    ens: SubordinatorEnsemble,
     keep_paths: bool = False,
     n_groups: int = 0,
 ) -> SubordinatedObservable:
-    """Average the classical flow over M internal-time paths.
+    """Average the classical flow over the internal-time paths of ens.
 
     The classical system is solved once on [0, tau_max], where tau_max is
     the 99.9th percentile of the sampled S(b), extended once by 2x if any
     path lands beyond it; the solution is evaluated at random times by
     linear interpolation with a classical step of at most 1e-3, so the
-    interpolation error stays well below Monte Carlo noise.
+    interpolation error stays well below Monte Carlo noise.  With
+    keep_paths, raw path values are kept at the commutation nodes only.
 
     Raises:
         CoverageError: a sampled S exceeds the extended horizon.
@@ -111,7 +114,8 @@ def subordinate_flow(
             f"y0 must stack x and p ({2 * H.dim} values), got {y0.size}"
         )
     d = H.dim
-    ens = inverse_subordinator_paths(order, t_grid, M, tau_step=tau_step, seed=seed)
+    M = ens.m_paths
+    t_grid = ens.t_grid
     s_last = ens.paths[:, -1]
     s_max = float(s_last.max())
     tau_max = float(np.quantile(s_last, 0.999))
@@ -134,7 +138,8 @@ def subordinate_flow(
     group_sums = np.zeros((groups, n_nodes, 2 * d)) if groups else None
     group_counts = np.zeros(groups, dtype=int) if groups else None
     group_size = M // groups if groups else 0
-    stored = np.empty((M, n_nodes, 2 * d)) if keep_paths else None
+    kept = _commutation_nodes(t_grid.n)
+    stored = np.empty((M, len(kept), 2 * d)) if keep_paths else None
 
     for m in range(M):
         s = ens.paths[m]
@@ -148,7 +153,7 @@ def subordinate_flow(
             group_sums[g] += vals
             group_counts[g] += 1
         if keep_paths:
-            stored[m] = vals
+            stored[m] = vals[kept]
 
     mean = sums / M
     var = np.maximum(sumsq - M * mean * mean, 0.0) / (M - 1) if M > 1 else np.zeros_like(mean)
@@ -162,13 +167,13 @@ def subordinate_flow(
         gm[:, 0, :] = y0
     return SubordinatedObservable(
         t_grid=t_grid,
-        alpha=order,
+        alpha=ens.alpha,
         mean_x=mean[:, :d],
         mean_p=mean[:, d:],
         stderr_x=stderr[:, :d],
         stderr_p=stderr[:, d:],
         m_paths=M,
-        seed=seed,
+        seed=ens.seed,
         tau_step=ens.tau_step,
         group_means_x=gm[:, :, :d] if gm is not None else None,
         group_means_p=gm[:, :, d:] if gm is not None else None,
@@ -177,11 +182,18 @@ def subordinate_flow(
     )
 
 
+def _commutation_nodes(n: int) -> np.ndarray:
+    """Node indices of the commutation check: all when n <= 64, else the 65
+    nearest a 64-step grid (exactly that grid when n/64 is a power of two)."""
+    return np.unique(np.rint(np.linspace(0, n, _COMMUTATION_STEPS + 1)).astype(int))
+
+
 @dataclass(frozen=True)
 class CommutationReport:
-    """Gap between the gradient at the means and the mean of the gradient."""
+    """Gap between the gradient at the means and the mean of the gradient,
+    at the commutation node times t."""
 
-    t_grid: TimeGrid
+    t: np.ndarray
     gap_x: np.ndarray
     gap_p: np.ndarray
     stderr_x: np.ndarray
@@ -211,7 +223,8 @@ class CommutationReport:
 def grad_along_paths(
     H: HamiltonianSystem, obs: SubordinatedObservable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-path values of (dH/dx, dH/dp), shape (M, nodes, d) each.
+    """Raw-path values of (dH/dx, dH/dp) at the commutation nodes,
+    shape (M, kept nodes, d) each.
 
     Raises:
         ConfigError: the observable was built without keep_paths.
@@ -224,23 +237,19 @@ def grad_along_paths(
     )
 
 
-def commutation_gap(
-    H: HamiltonianSystem,
-    obs: SubordinatedObservable,
-    dh_paths: tuple[np.ndarray, np.ndarray] | None = None,
-) -> CommutationReport:
+def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> CommutationReport:
     """Per-node |dH(mean) - mean(dH)| for both gradient components."""
-    if dh_paths is None:
-        dh_paths = grad_along_paths(H, obs)
-    dhx, dhp = dh_paths
+    dhx, dhp = grad_along_paths(H, obs)
     m = dhx.shape[0]
-    at_mean_x = np.asarray(H.dHdx(obs.mean_x, obs.mean_p), dtype=float)
-    at_mean_p = np.asarray(H.dHdp(obs.mean_x, obs.mean_p), dtype=float)
+    kept = _commutation_nodes(obs.t_grid.n)
+    mean_x, mean_p = obs.mean_x[kept], obs.mean_p[kept]
+    at_mean_x = np.asarray(H.dHdx(mean_x, mean_p), dtype=float)
+    at_mean_p = np.asarray(H.dHdp(mean_x, mean_p), dtype=float)
     scale = math.sqrt(m) if m > 1 else 1.0
     err_x = dhx.std(axis=0, ddof=1) / scale if m > 1 else np.zeros_like(at_mean_x)
     err_p = dhp.std(axis=0, ddof=1) / scale if m > 1 else np.zeros_like(at_mean_p)
     return CommutationReport(
-        t_grid=obs.t_grid,
+        t=obs.t_grid.nodes()[kept],
         gap_x=np.abs(at_mean_x - dhx.mean(axis=0)),
         gap_p=np.abs(at_mean_p - dhp.mean(axis=0)),
         stderr_x=err_x,
@@ -296,30 +305,21 @@ def _phase_labels(d: int) -> tuple:
     return tuple([f"x{k}" for k in range(d)] + [f"p{k}" for k in range(d)])
 
 
-def verify_stanislavsky(
-    H: HamiltonianSystem,
-    y0,
-    t_grid: TimeGrid,
-    order: FracOrder,
-    M: int = 10_000,
-    seed: int = 42,
-    tau_step: float | None = None,
-    scheme_tol: float = _SCHEME_TOL,
-) -> ComparisonReport:
+def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> ComparisonReport:
     """Compare subordinated means against the Caputo canonical solution.
 
-    A node agrees when every phase component is within 3*stderr +
-    scheme_tol; the check passes when at least 95% of interior nodes
-    agree.
+    A node agrees when every phase component is within 3*stderr + 5e-3;
+    the check passes when at least 95% of interior nodes agree.
     """
-    obs = subordinate_flow(H, y0, t_grid, order, M, seed=seed, tau_step=tau_step)
-    fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, order)
+    t_grid = ens.t_grid
+    obs = subordinate_flow(H, y0, ens)
+    fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, ens.alpha)
     mc = obs.phase_mean()
     se = obs.phase_stderr()
-    band = _band_check("MC vs fractional solve", mc - fde.y.values, se, scheme_tol, t_grid.n)
+    band = _band_check("MC vs fractional solve", mc - fde.y.values, se, t_grid.n)
     return ComparisonReport(
         t_grid=t_grid,
-        alpha=order,
+        alpha=ens.alpha,
         labels=_phase_labels(H.dim),
         mc_mean=mc,
         mc_stderr=se,
@@ -334,7 +334,7 @@ def verify_stanislavsky(
 
 @dataclass(frozen=True)
 class CheckBand:
-    """One budgeted per-node check: |values| <= 3*stderr + scheme_tol."""
+    """One budgeted per-node check: |values| <= 3*stderr + 5e-3."""
 
     name: str
     values: np.ndarray
@@ -345,9 +345,9 @@ class CheckBand:
     passed: bool
 
 
-def _band_check(name: str, values, stderr, scheme_tol: float, n: int) -> CheckBand:
+def _band_check(name: str, values, stderr, n: int) -> CheckBand:
     values = np.abs(values)
-    budget = 3.0 * stderr + scheme_tol
+    budget = 3.0 * stderr + _SCHEME_TOL
     w = interior_window(n)
     ok = np.all(values <= budget, axis=1)[w : n + 1 - w]
     fraction = float(np.mean(ok))
@@ -362,11 +362,11 @@ def _band_check(name: str, values, stderr, scheme_tol: float, n: int) -> CheckBa
     )
 
 
-def _batch_band(name: str, values, per_group: list, scheme_tol: float, n: int) -> CheckBand:
+def _batch_band(name: str, values, per_group: list, n: int) -> CheckBand:
     """Band check whose stderr comes from batch means over path groups."""
     stacked = np.stack(per_group)
     stderr = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
-    return _band_check(name, values, stderr, scheme_tol, n)
+    return _band_check(name, values, stderr, n)
 
 
 @dataclass(frozen=True)
@@ -410,25 +410,16 @@ class CompatibilityReport:
 
 
 def verify_compatibility(
-    L: LagrangianSystem,
-    y0,
-    t_grid: TimeGrid,
-    order: FracOrder,
-    M: int = 10_000,
-    seed: int = 42,
-    tau_step: float | None = None,
-    scheme_tol: float = _SCHEME_TOL,
-    n_groups: int = 16,
-    gap_grid_nodes: int = 64,
+    L: LagrangianSystem, y0, ens: SubordinatorEnsemble
 ) -> CompatibilityReport:
     """Check the natural-Lagrangian compatibility identities on MC means.
 
     (i) p_a = m D^a x_a, (ii) causal EL residual of x_a vanishes, (iii)
     the commutation gap of the induced Hamiltonian stays within noise.
-    Batch means over n_groups path groups provide the stderr for the two
+    Batch means over 16 path groups provide the stderr for the two
     derived identities, since fractional operators amplify node-to-node
     Monte Carlo noise in a correlated way that per-path stderr cannot
-    describe.
+    describe.  All three checks read one flow of the one sample ens.
 
     Raises:
         ConfigError: L is not in natural form.
@@ -436,9 +427,8 @@ def verify_compatibility(
     if L.natural is None:
         raise ConfigError("compatibility checks need a natural Lagrangian")
     H = legendre_transform(L)
-    obs = subordinate_flow(
-        H, y0, t_grid, order, M, seed=seed, tau_step=tau_step, n_groups=n_groups
-    )
+    obs = subordinate_flow(H, y0, ens, keep_paths=True, n_groups=_N_GROUPS)
+    t_grid, order = ens.t_grid, ens.alpha
     mass = L.natural.mass
     n = t_grid.n
     groups = list(zip(obs.group_means_x, obs.group_means_p))
@@ -454,22 +444,15 @@ def verify_compatibility(
         "momentum identity",
         obs.mean_p - deriv_route,
         [gp - derivative_route(gx) for gx, gp in groups],
-        scheme_tol,
         n,
     )
     causal = _batch_band(
         "causal EL residual",
         causal_residual(obs.mean_x),
         [causal_residual(gx) for gx, _ in groups],
-        scheme_tol,
         n,
     )
-
-    gap_grid = TimeGrid(0.0, t_grid.b, gap_grid_nodes)
-    obs_gap = subordinate_flow(
-        H, y0, gap_grid, order, M, seed=seed, tau_step=tau_step, keep_paths=True
-    )
-    comm = commutation_gap(H, obs_gap)
+    comm = commutation_gap(H, obs)
     return CompatibilityReport(
         t_grid=t_grid,
         alpha=order,

@@ -20,11 +20,7 @@ from .errors import DivergenceError, NonInvertibleError
 from .fracops import FracOrder, _pt_corrector_weights, caputo_left
 from .grids import TimeGrid, Trajectory, write_keyvalues
 from .reports import ResidualReport, make_report
-from .systems import (
-    HamiltonianSystem,
-    LagrangianSystem,
-    SeparableForm,
-)
+from .systems import HamiltonianSystem, LagrangianSystem, NaturalForm
 
 __all__ = [
     "FdeSolution",
@@ -94,7 +90,7 @@ def legendre_transform(L: LagrangianSystem) -> HamiltonianSystem:
             hamiltonian=ham,
             dHdx=dhdx,
             dHdp=dhdp,
-            separable=SeparableForm(mass=m, potential=u, potential_grad=du),
+            separable=L.natural,
             label=L.label,
         )
 
@@ -232,7 +228,7 @@ def _check_state(y: np.ndarray, t: float) -> None:
         raise DivergenceError(f"solution diverged near t = {t:.6g}")
 
 
-def _verlet(form: SeparableForm, x, p, grid: TimeGrid) -> np.ndarray:
+def _verlet(form: NaturalForm, x, p, grid: TimeGrid) -> np.ndarray:
     n, h, m = grid.n, grid.h, form.mass
     du = form.potential_grad
     values = np.empty((n + 1, 2 * x.size))

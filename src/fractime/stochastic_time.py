@@ -43,6 +43,8 @@ __all__ = [
 
 # spawn-key namespace separating renewal streams from path streams
 _RENEWAL_KEY = 1
+# a path holds all its levels in memory at once; cap their expected number
+_MAX_LEVELS = 1e6
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,15 @@ def sample_subordinator_path(
     return SubordinatorPath(tau_grid=tau, d_values=np.concatenate(([0.0], d_cum)))
 
 
+def _expected_levels(alpha: float, tau_step: float, horizon: float) -> float:
+    """E[S(horizon)] / tau_step: the tau levels a path draws before D > horizon."""
+    return horizon**alpha / (math.gamma(1.0 + alpha) * tau_step)
+
+
 def _d_levels(alpha: float, tau_step: float, horizon: float, rng) -> np.ndarray:
     """Cumulative D values at tau = tau_step, 2 tau_step, ... past horizon."""
     scale = tau_step ** (1.0 / alpha)
-    expected = horizon**alpha / (math.gamma(1.0 + alpha) * tau_step)
+    expected = _expected_levels(alpha, tau_step, horizon)
     first = max(64, int(1.2 * expected) + 1)
     chunks = []
     last = 0.0
@@ -183,7 +190,8 @@ def inverse_subordinator_paths(
 
     Raises:
         GridError: t_grid does not start at 0.
-        OutOfRangeError: M < 1 or tau_step <= 0.
+        OutOfRangeError: M < 1, tau_step <= 0, or a path would draw more
+            than 1e6 levels on average (checked before any allocation).
     """
     if t_grid.a != 0.0:
         raise GridError(f"internal-time grids start at 0, got a = {t_grid.a}")
@@ -193,6 +201,12 @@ def inverse_subordinator_paths(
         tau_step = 1e-3 * t_grid.b**order.alpha
     if not (math.isfinite(tau_step) and tau_step > 0.0):
         raise OutOfRangeError(f"tau_step must be positive, got {tau_step}")
+    levels = _expected_levels(order.alpha, tau_step, t_grid.b)
+    if levels > _MAX_LEVELS:
+        raise OutOfRangeError(
+            f"tau_step = {tau_step:g} needs about {levels:.3g} levels per path"
+            f" (at most {_MAX_LEVELS:.0e}); raise tau_step"
+        )
     t_nodes = t_grid.nodes()
     paths = np.empty((M, len(t_grid)))
     for m in range(M):

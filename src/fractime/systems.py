@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "NaturalForm",
     "LagrangianSystem",
-    "SeparableForm",
     "HamiltonianSystem",
     "free_particle",
     "harmonic",
@@ -28,7 +27,9 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class NaturalForm:
-    """Data of a natural Lagrangian: mass and potential with its gradient."""
+    """Mass and potential with its gradient: L = 1/2 m v^2 - U(x), or its
+    Legendre partner H = p^2/(2m) + U(x), the shape symplectic splitting
+    relies on."""
 
     mass: float
     potential: Callable[[Array], Array]
@@ -48,15 +49,6 @@ class LagrangianSystem:
 
 
 @dataclass(frozen=True)
-class SeparableForm:
-    """H = p^2/(2m) + U(x): the shape symplectic splitting relies on."""
-
-    mass: float
-    potential: Callable[[Array], Array]
-    potential_grad: Callable[[Array], Array]
-
-
-@dataclass(frozen=True)
 class HamiltonianSystem:
     """H(x, p) with partial derivatives; separable carries splitting data."""
 
@@ -64,7 +56,7 @@ class HamiltonianSystem:
     hamiltonian: Callable[[Array, Array], Array]
     dHdx: Callable[[Array, Array], Array]
     dHdp: Callable[[Array, Array], Array]
-    separable: SeparableForm | None = None
+    separable: NaturalForm | None = None
     label: str = "custom"
 
 

@@ -24,7 +24,6 @@ from .fracops import (
     OperatorTerm,
     caputo_left,
     caputo_right,
-    embed_operator,
     rl_integral_left,
 )
 from .grids import TimeGrid, Trajectory, trapezoid

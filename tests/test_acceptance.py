@@ -208,7 +208,8 @@ def test_acceptance_07_subordination_equals_fractional_solve():
     with _Timer() as tm:
         H = legendre_transform(harmonic())
         grid = TimeGrid(0.0, 2.0, 2048)
-        rep = verify_stanislavsky(H, np.array([1.0, 0.0]), grid, HALF, M=10000, seed=42)
+        ens = inverse_subordinator_paths(HALF, grid, 10000, seed=42)
+        rep = verify_stanislavsky(H, np.array([1.0, 0.0]), ens)
     _verdict(
         7, rep.passed, tm.elapsed, 120.0,
         f"subordinated means vs fractional solve: {rep.fraction_within:.3f} of interior "
@@ -262,15 +263,10 @@ def test_acceptance_09_variational_identity():
 
 def test_acceptance_10_compatibility_and_commutation():
     with _Timer() as tm:
-        rep = verify_compatibility(
-            harmonic(), np.array([1.0, 0.0]), TimeGrid(0.0, 2.0, 2048), HALF,
-            M=10000, seed=42,
-        )
+        ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 2048), 10000, seed=42)
+        rep = verify_compatibility(harmonic(), np.array([1.0, 0.0]), ens)
         Hq = legendre_transform(quartic())
-        obs = subordinate_flow(
-            Hq, np.array([1.0, 0.0]), TimeGrid(0.0, 2.0, 64), HALF, 10000,
-            seed=42, keep_paths=True,
-        )
+        obs = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, keep_paths=True)
         quartic_rep = commutation_gap(Hq, obs)
     ok = rep.momentum.passed and rep.causal_el.passed and quartic_rep.significance > 10.0
     _verdict(

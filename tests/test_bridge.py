@@ -25,12 +25,14 @@ from fractime import (
     FracOrder,
     TimeGrid,
     harmonic,
+    inverse_subordinator_paths,
     legendre_transform,
     subordinate_flow,
     verify_stanislavsky,
 )
 from fractime.bridge import (
     SubordinatedObservable,
+    _commutation_nodes,
     commutation_gap,
     grad_along_paths,
     verify_compatibility,
@@ -44,7 +46,8 @@ HALF = FracOrder(0.5)
 def _free_obs(m_paths=10000, n=8, seed=42, **kw):
     H = legendre_transform(free_particle())
     grid = TimeGrid(0.0, 1.0, n)
-    return subordinate_flow(H, np.array([0.0, 1.0]), grid, HALF, m_paths, seed=seed, **kw)
+    ens = inverse_subordinator_paths(HALF, grid, m_paths, seed=seed)
+    return subordinate_flow(H, np.array([0.0, 1.0]), ens, **kw)
 
 
 def test_subordinated_free_particle_mean_matches_power_law():
@@ -75,7 +78,9 @@ def test_subordinated_free_particle_mean_is_monotone_concave():
 def test_subordinated_harmonic_mean_matches_mittag_leffler():
     H = legendre_transform(harmonic())
     grid = TimeGrid(0.0, 1.0, 8)
-    obs = subordinate_flow(H, np.array([1.0, 0.0]), grid, HALF, 10000, seed=42)
+    obs = subordinate_flow(
+        H, np.array([1.0, 0.0]), inverse_subordinator_paths(HALF, grid, 10000, seed=42)
+    )
     dev = abs(obs.mean_x[-1, 0] - math.exp(-1.0))
     assert dev <= 3.0 * obs.stderr_x[-1, 0] + 5e-3
 
@@ -95,7 +100,9 @@ def test_phase_views_stack_position_and_momentum():
 def test_initial_state_size_is_validated():
     H = legendre_transform(harmonic())
     with pytest.raises(OutOfRangeError):
-        subordinate_flow(H, np.array([1.0]), TimeGrid(0.0, 1.0, 4), HALF, 16, seed=0)
+        subordinate_flow(
+            H, np.array([1.0]), inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 4), 16, seed=0)
+        )
 
 
 def test_observable_is_reproducible():
@@ -107,16 +114,16 @@ def test_observable_is_reproducible():
 
 def test_commutation_needs_retained_paths():
     H = legendre_transform(harmonic())
-    obs = subordinate_flow(H, np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, 4), HALF, 16, seed=0)
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 4), 16, seed=0)
+    obs = subordinate_flow(H, np.array([1.0, 0.0]), ens)
     with pytest.raises(ConfigError, match="keep_paths"):
         grad_along_paths(H, obs)
 
 
 def test_single_path_commutation_gap_is_bitwise_zero():
     H = legendre_transform(harmonic())
-    obs = subordinate_flow(
-        H, np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, 16), HALF, 1, seed=3, keep_paths=True
-    )
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 1, seed=3)
+    obs = subordinate_flow(H, np.array([1.0, 0.0]), ens, keep_paths=True)
     rep = commutation_gap(H, obs)
     assert rep.max_gap == 0.0
 
@@ -129,10 +136,9 @@ def test_quadratic_gradients_commute_with_averaging():
             obs = subordinate_flow(
                 H,
                 np.array([1.0, 0.0]),
-                TimeGrid(0.0, 2.0, 32),
-                FracOrder(alpha),
-                2000,
-                seed=42,
+                inverse_subordinator_paths(
+                    FracOrder(alpha), TimeGrid(0.0, 2.0, 32), 2000, seed=42
+                ),
                 keep_paths=True,
             )
             rep = commutation_gap(H, obs)
@@ -141,17 +147,42 @@ def test_quadratic_gradients_commute_with_averaging():
 
 def test_quartic_gradient_opens_significant_gap():
     H = legendre_transform(quartic())
-    obs = subordinate_flow(
-        H, np.array([1.0, 0.0]), TimeGrid(0.0, 2.0, 64), HALF, 10000, seed=42, keep_paths=True
-    )
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 64), 10000, seed=42)
+    obs = subordinate_flow(H, np.array([1.0, 0.0]), ens, keep_paths=True)
     rep = commutation_gap(H, obs)
     assert rep.significance > 10.0
+
+
+def test_commutation_nodes_thin_fine_grids_to_a_64_step_grid():
+    for n in range(2, 3000):
+        kept = _commutation_nodes(n)
+        assert kept[0] == 0 and kept[-1] == n
+        assert len(kept) <= 65
+        assert np.all(np.diff(kept) > 0)
+        if n <= 64:
+            np.testing.assert_array_equal(kept, np.arange(n + 1))
+    np.testing.assert_array_equal(_commutation_nodes(2048), 32 * np.arange(65))
+
+
+def test_commutation_report_on_fine_grid_equals_64_step_grid_bitwise():
+    H = legendre_transform(quartic())
+    y0 = np.array([1.0, 0.0])
+    reports = []
+    for n in (512, 64):
+        ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, n), 500, seed=42)
+        reports.append(commutation_gap(H, subordinate_flow(H, y0, ens, keep_paths=True)))
+    fine, coarse = reports
+    assert fine.significance > 0.0
+    for field in ("t", "gap_x", "gap_p", "stderr_x", "stderr_p"):
+        assert np.array_equal(getattr(fine, field), getattr(coarse, field)), field
 
 
 def test_equivalence_check_passes_for_harmonic_oscillator():
     H = legendre_transform(harmonic())
     grid = TimeGrid(0.0, 2.0, 512)
-    rep = verify_stanislavsky(H, np.array([1.0, 0.0]), grid, HALF, M=4000, seed=42)
+    rep = verify_stanislavsky(
+        H, np.array([1.0, 0.0]), inverse_subordinator_paths(HALF, grid, 4000, seed=42)
+    )
     assert rep.passed
     assert rep.fraction_within >= 0.95
     assert rep.alpha.alpha == 0.5
@@ -160,11 +191,15 @@ def test_equivalence_check_passes_for_harmonic_oscillator():
 def test_equivalence_report_serializes_and_reruns_identically(tmp_path):
     H = legendre_transform(free_particle())
     grid = TimeGrid(0.0, 1.0, 64)
-    rep = verify_stanislavsky(H, np.array([0.0, 1.0]), grid, HALF, M=1000, seed=7)
+    rep = verify_stanislavsky(
+        H, np.array([0.0, 1.0]), inverse_subordinator_paths(HALF, grid, 1000, seed=7)
+    )
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     files_a = rep.save(str(out_a), "eq")
-    rep2 = verify_stanislavsky(H, np.array([0.0, 1.0]), grid, HALF, M=1000, seed=7)
+    rep2 = verify_stanislavsky(
+        H, np.array([0.0, 1.0]), inverse_subordinator_paths(HALF, grid, 1000, seed=7)
+    )
     files_b = rep2.save(str(out_b), "eq")
     assert [f.split("/")[-1] for f in files_a] == [f.split("/")[-1] for f in files_b]
     for fa, fb in zip(files_a, files_b):
@@ -175,7 +210,7 @@ def test_near_unit_order_collapses_to_classical_flow():
     H = legendre_transform(harmonic())
     grid = TimeGrid(0.0, 2.0, 512)
     obs = subordinate_flow(
-        H, np.array([1.0, 0.0]), grid, FracOrder(0.999), 4000, seed=42
+        H, np.array([1.0, 0.0]), inverse_subordinator_paths(FracOrder(0.999), grid, 4000, seed=42)
     )
     dev = np.abs(obs.mean_x[:, 0] - np.cos(grid.nodes()))
     budget = 2e-2 + 3.0 * obs.stderr_x[:, 0]
@@ -184,7 +219,9 @@ def test_near_unit_order_collapses_to_classical_flow():
 
 def test_compatibility_check_passes_for_natural_harmonic():
     rep = verify_compatibility(
-        harmonic(), np.array([1.0, 0.0]), TimeGrid(0.0, 2.0, 512), HALF, M=4000, seed=42
+        harmonic(),
+        np.array([1.0, 0.0]),
+        inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 512), 4000, seed=42),
     )
     assert rep.momentum.passed
     assert rep.causal_el.passed
@@ -203,13 +240,17 @@ def test_compatibility_requires_natural_structure():
     )
     with pytest.raises(ConfigError):
         verify_compatibility(
-            odd, np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, 64), HALF, M=100, seed=0
+            odd,
+            np.array([1.0, 0.0]),
+            inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 64), 100, seed=0),
         )
 
 
 def test_compatibility_report_saves_expected_files(tmp_path):
     rep = verify_compatibility(
-        harmonic(), np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, 128), HALF, M=500, seed=1
+        harmonic(),
+        np.array([1.0, 0.0]),
+        inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 128), 500, seed=1),
     )
     files = rep.save(str(tmp_path), "compat")
     names = sorted(f.split("/")[-1] for f in files)
@@ -241,16 +282,17 @@ def _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep, changed)
 
 def test_comparison_summary_is_written_atomically(tmp_path, monkeypatch):
     H = legendre_transform(free_particle())
-    rep = verify_stanislavsky(
-        H, np.array([0.0, 1.0]), TimeGrid(0.0, 1.0, 32), HALF, M=200, seed=5
-    )
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 32), 200, seed=5)
+    rep = verify_stanislavsky(H, np.array([0.0, 1.0]), ens)
     changed = dataclasses.replace(rep, fraction_within=0.5, passed=not rep.passed)
     _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep, changed)
 
 
 def test_compatibility_summary_is_written_atomically(tmp_path, monkeypatch):
     rep = verify_compatibility(
-        harmonic(), np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, 64), HALF, M=200, seed=5
+        harmonic(),
+        np.array([1.0, 0.0]),
+        inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 64), 200, seed=5),
     )
     changed = dataclasses.replace(rep, commutation_passed=not rep.commutation_passed)
     _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep, changed)

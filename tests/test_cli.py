@@ -117,6 +117,15 @@ def test_subordinator_requires_zero_origin(tmp_path):
     assert "a must be 0" in res.stderr
 
 
+def test_subordinator_rejects_oversized_level_count(tmp_path):
+    res = run_cli("subordinator", "--tau-step", "1e-9", "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "levels per path" in lines[0]
+
+
 def test_config_file_fills_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha=0.3\nn=256\nseed=11\n")
@@ -204,3 +213,25 @@ def test_cli_import_loads_no_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_verify_compatibility_samples_internal_time_once(tmp_path, monkeypatch, capsys):
+    from fractime import cli, stochastic_time
+
+    calls = []
+    real = stochastic_time._path_rng
+
+    def counting(seed, key):
+        calls.append(key)
+        return real(seed, key)
+
+    monkeypatch.setattr(stochastic_time, "_path_rng", counting)
+    code = cli.main(
+        ["verify-compatibility", "--n", "128", "--m-paths", "200", "--out", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    # 200 paths are too few for the quartic gap to reach 10 stderr: exit 1
+    assert code in (0, 1), out
+    assert len(calls) == 200
+    assert sum(line.startswith("check [") for line in out.splitlines()) == 4
+    assert len((tmp_path / "quartic_gap.csv").read_text().splitlines()) == 66

@@ -128,6 +128,16 @@ def test_inverse_paths_validate_counts_and_step():
         inverse_subordinator_paths(HALF, grid, 8, tau_step=0.0, seed=0)
 
 
+def test_inverse_paths_cap_expected_levels_per_path():
+    # at b = 1, alpha = 1/2 a path draws about 1/(Gamma(1.5) tau_step) levels
+    grid = TimeGrid(0.0, 1.0, 2)
+    edge = 1.0 / (math.gamma(1.5) * 1e6)
+    with pytest.raises(OutOfRangeError, match="levels per path"):
+        inverse_subordinator_paths(HALF, grid, 1, tau_step=0.99 * edge, seed=0)
+    ens = inverse_subordinator_paths(HALF, grid, 1, tau_step=1.01 * edge, seed=0)
+    assert ens.paths.shape == (1, 3)
+
+
 def test_inverse_paths_are_reproducible_and_seed_sensitive():
     grid = TimeGrid(0.0, 1.0, 6)
     a = inverse_subordinator_paths(HALF, grid, 16, seed=5)
