@@ -129,7 +129,9 @@ def subordinate_flow(
     n_classical = max(2048, int(math.ceil(tau_max / 1e-3)))
     classical = solve_classical(H, y0, TimeGrid(0.0, tau_max, n_classical))
     tau_nodes = classical.grid.nodes()
-    cols = classical.values
+    # accumulate in coordinates shifted by y0 (exact at node 0), so the
+    # one-pass variance does not cancel away when |y0| >> the spread
+    cols = classical.values - y0
 
     n_nodes = len(t_grid)
     sums = np.zeros((n_nodes, 2 * d))
@@ -155,16 +157,20 @@ def subordinate_flow(
         if keep_paths:
             stored[m] = vals[kept]
 
-    mean = sums / M
-    var = np.maximum(sumsq - M * mean * mean, 0.0) / (M - 1) if M > 1 else np.zeros_like(mean)
+    shifted = sums / M
+    var = np.maximum(sumsq - M * shifted * shifted, 0.0)
+    var = var / (M - 1) if M > 1 else np.zeros_like(shifted)
     stderr = np.sqrt(var) / math.sqrt(M)
+    mean = shifted + y0
     # node 0 is y0 on every path; remove the summation rounding artifact
     mean[0] = y0
     stderr[0] = 0.0
     gm = None
     if groups:
-        gm = group_sums / group_counts[:, None, None]
+        gm = group_sums / group_counts[:, None, None] + y0
         gm[:, 0, :] = y0
+    if keep_paths:
+        stored += y0
     return SubordinatedObservable(
         t_grid=t_grid,
         alpha=ens.alpha,

@@ -10,7 +10,8 @@ Evaluation routes, tried in order, each carrying its own error estimate and
 returning only when that estimate clears the target:
 
 1. Taylor series with compensated summation.  When alpha and beta are small
-   integers the terms are formed in exact rational arithmetic and summed
+   integers each term is one correctly rounded ratio of exact integers,
+   from ``z.as_integer_ratio()`` and the factorial, and the terms are summed
    with ``math.fsum``, which removes the term-rounding error that otherwise
    dominates alternating sums such as E_1(-10).
 2. For z <= -15, the algebraic tail expansion -sum_k z^{-k}/Gamma(b - a k)
@@ -18,10 +19,11 @@ returning only when that estimate clears the target:
    the exponentially small oscillatory contribution that the negative axis
    carries for a >= 2/3; for a < 2/3 no such term exists.
 3. For remaining z < 0 with a in (0,1), b = 1: the completely monotone
-   spectral representation, integrated by high-precision tanh-sinh
+   spectral representation, integrated by double-precision tanh-sinh
    quadrature after the substitution v = u^a removes the endpoint
-   singularity.  This covers the band of moderate negative z where neither
-   double-precision route can certify 1e-10.
+   singularity; the step is halved until successive levels agree, and the
+   route raises if they never do.  This covers the band of moderate
+   negative z where neither series route can certify 1e-10.
 4. Otherwise a high-precision Taylor fallback with a hard work cap.
 """
 
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .errors import GammaPoleError, OutOfRangeError, PrecisionLossError
 
@@ -44,6 +47,13 @@ _ASYM_CUTOFF = 15.0
 _LOG_PI = math.log(math.pi)
 # exp() overflows just above 709; stay clear of it
 _EXP_CAP = 705.0
+# tanh-sinh: at t = 4 the nodes lie within 6e-38 of the panel ends (relative
+# to the panel), so the truncated tails are nil; the step is 2^-k for
+# k <= _TS_LEVELS.  The halving estimate measures the coarser of two levels,
+# so it is held well below _TOL and the finer level is accurate to roundoff.
+_TS_TMAX = 4.0
+_TS_LEVELS = 8
+_SPECTRAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,18 +87,22 @@ def gamma_fn(x: float) -> float:
 def _taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
     """Taylor route for integer (alpha, beta): exact terms, fsum total.
 
-    Each term z^k/(ia k + ib - 1)! is a ratio of exact rationals rounded
-    once to double, so term error is half an ulp and the only other error
-    is the final fsum rounding.  Returns (value, error estimate, converged).
+    With z = n/d exactly, each term z^k/(ia k + ib - 1)! is the integer
+    ratio n^k / (d^k (ia k + ib - 1)!), rounded once to double by Python's
+    correctly rounded int/int division, so term error is half an ulp and
+    the only other error is the final fsum rounding.  Returns (value,
+    error estimate, converged).
     """
-    zq = Fraction(z)
-    num = Fraction(1)
+    n, d = z.as_integer_ratio()
+    num = 1
+    den = math.factorial(ib - 1)
+    m = ib - 1
     terms: list[float] = []
     s = 0.0
     absum = 0.0
     for k in range(_MAX_TERMS):
         try:
-            t = float(num / math.factorial(ia * k + ib - 1))
+            t = num / den
         except OverflowError:
             return s, math.inf, False
         if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)):
@@ -97,7 +111,9 @@ def _taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
         terms.append(t)
         s += t
         absum += abs(t)
-        num *= zq
+        num *= n
+        m += ia
+        den *= d * math.perm(m, ia)
     return s, math.inf, False
 
 
@@ -193,46 +209,77 @@ def _asymptotic_neg(alpha: float, beta: float, z: float) -> tuple[float, float]:
     return s, est
 
 
+def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of tanh-sinh level k (step h = 2^-k) on [0, 1], right half.
+
+    For t >= 0 on the level's new points, r = 1/(1 + exp(pi sinh t)) is the
+    distance of the mirrored nodes r and 1 - r from the ends of [0, 1],
+    formed directly so that nodes hugging an end keep full precision; w is
+    h times the Jacobian pi cosh(t) r (1 - r).  Level 0 includes t = 0,
+    whose weight is halved because it is its own mirror.
+    """
+    h = 2.0**-k
+    t = np.arange(0.0 if k == 0 else h, _TS_TMAX + 0.5 * h, h if k == 0 else 2.0 * h)
+    r = 1.0 / (1.0 + np.exp(math.pi * np.sinh(t)))
+    w = h * math.pi * np.cosh(t) * r * (1.0 - r)
+    if k == 0:
+        w[0] *= 0.5
+    return r, w
+
+
+_TS_NODES = [_tanh_sinh_level(k) for k in range(_TS_LEVELS + 1)]
+
+
 def _spectral_neg(alpha: float, x: float) -> float:
     """E_alpha(-x) via its completely monotone spectral representation.
 
     With v = u^alpha the weight's endpoint singularity disappears:
 
         E_a(-x) = sin(a pi)/(pi x a) *
-                  int_0^inf exp(-v^{1/a}) / (v^2/x^2 + 2 v cos(a pi)/x + 1) dv
+                  int_0^inf exp(-v^{1/a}) / ((v - v0)^2/x^2 + sin^2(a pi)) dv
 
-    The denominator is bounded below by sin^2(a pi) > 0; for a > 1/2 it
-    dips near v0 = -x cos(a pi), which gets explicit quadrature
-    breakpoints.  tanh-sinh quadrature at modest precision then delivers
-    errors far below the 1e-10 target (validated against exact series).
+    with v0 = -x cos(a pi).  The denominator is bounded below by
+    sin^2(a pi) > 0; for a > 1/2 it dips at v0 > 0, which gets quadrature
+    breakpoints v0/2, v0, 2 v0, and (v - v0) is formed from the offset of
+    each node from its panel's end so the dip keeps full precision.  The
+    integral stops at the last breakpoint, at least 80^a, past which the
+    integrand is below e^-80/sin^2(a pi).  Each panel is integrated by
+    double-precision tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 1974),
+    halving the step until successive levels agree to _SPECTRAL_TOL.
+
+    Raises:
+        PrecisionLossError: no level up to _TS_LEVELS clears the target.
     """
-    import mpmath as mp
+    # sin and cos of pi a from exactly reduced arguments (Sterbenz), so
+    # a near 1/2 or 1 does not lose digits to the rounding of pi a
+    sin_api = math.sin(math.pi * (1.0 - alpha if alpha > 0.5 else alpha))
+    cos_api = math.sin(math.pi * (0.5 - alpha))
+    v0 = -x * cos_api
+    pts = {0.0, 80.0**alpha}
+    if cos_api < 0.0:
+        pts |= {0.5 * v0, v0, 2.0 * v0}
+    ends = np.array(sorted(pts))
+    lo, hi = ends[:-1, None], ends[1:, None]
+    width = hi - lo
+    inv_a = 1.0 / alpha
+    ssq = sin_api * sin_api
 
-    with mp.workdps(40):
-        a = mp.mpf(alpha)
-        big_x = mp.mpf(x)
-        cos_api = mp.cos(a * mp.pi)
-        inv_a = 1.0 / a
+    def f(v, off):
+        return np.exp(-(v**inv_a)) / ((off / x) ** 2 + ssq)
 
-        def f(v):
-            return mp.exp(-(v ** inv_a)) / ((v / big_x) ** 2 + 2 * v * cos_api / big_x + 1)
+    def level_sum(r, w):
+        dr = width * r
+        return float(np.sum((f(lo + dr, lo - v0 + dr) + f(hi - dr, hi - v0 - dr)) * (width * w)))
 
-        pts = [0.0]
-        if cos_api < 0:
-            v0 = float(-big_x * cos_api)
-            pts += [v0 / 2, v0, 2 * v0]
-        pts.append(float(mp.mpf(80) ** a))
-        points = [mp.mpf(p) for p in sorted(set(pts))] + [mp.inf]
-        val, qerr = mp.quad(f, points, error=True, maxdegree=8)
-        result = mp.sin(a * mp.pi) / mp.pi / big_x / a * val
-        if qerr > mp.mpf("1e-16") * (1 + abs(val)):
-            val, qerr = mp.quad(f, points, error=True, maxdegree=10)
-            result = mp.sin(a * mp.pi) / mp.pi / big_x / a * val
-            if qerr > mp.mpf("1e-16") * (1 + abs(val)):
-                raise PrecisionLossError(
-                    f"spectral quadrature for E_{alpha}({-x}) did not converge"
-                )
-        return float(result)
+    scale = sin_api / (math.pi * x * alpha)
+    total = level_sum(*_TS_NODES[0])
+    for k in range(1, _TS_LEVELS + 1):
+        prev = total
+        total = 0.5 * total + level_sum(*_TS_NODES[k])
+        value = scale * total
+        if scale * abs(total - prev) <= _SPECTRAL_TOL * (1.0 + value):
+            return value
+    raise PrecisionLossError(f"spectral quadrature for E_{alpha}({-x}) did not converge")
 
 
 def _mp_series(alpha: float, beta: float, z: float) -> float:

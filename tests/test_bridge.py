@@ -206,6 +206,23 @@ def test_equivalence_report_serializes_and_reruns_identically(tmp_path):
         assert open(fa, "rb").read() == open(fb, "rb").read()
 
 
+def test_free_particle_statistics_are_translation_invariant():
+    # A one-pass variance about 0 cancels away at x0 = 1e8 and clamps the
+    # stderr to 0; shifted by y0 it matches x0 = 0.  What is left is the
+    # classical solve's own rounding at 1e8: each Verlet step adds h
+    # rounded to a multiple of ulp(1e8) = 1.5e-8, a relative velocity
+    # error of up to 7.5e-9/h (7.5e-6 at h = 1e-3; 1.8e-7 on this sample).
+    H = legendre_transform(free_particle())
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 256), 4000, seed=42)
+    near = subordinate_flow(H, np.array([0.0, 1.0]), ens)
+    far = subordinate_flow(H, np.array([1e8, 1.0]), ens)
+    assert far.stderr_x[-1, 0] > 0.0
+    np.testing.assert_allclose(far.stderr_x, near.stderr_x, rtol=1e-5, atol=0.0)
+    np.testing.assert_allclose(far.mean_x - 1e8, near.mean_x, rtol=0.0, atol=1e-4)
+    for x0 in (0.0, 1e8):
+        assert verify_stanislavsky(H, np.array([x0, 1.0]), ens).passed
+
+
 def test_near_unit_order_collapses_to_classical_flow():
     H = legendre_transform(harmonic())
     grid = TimeGrid(0.0, 2.0, 512)

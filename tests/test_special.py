@@ -3,16 +3,22 @@
 Every tolerance here is absolute.  The closed forms used as references
 (exp, cos, cosh, erfc, the geometric series at alpha = beta = 1 shortcut)
 are computed with the standard library, not with the code under test.
+Two internal routes are also held against slow references kept here: the
+spectral quadrature against 40-digit mpmath quadrature of the same
+integral, and the integer-ratio Taylor terms against Fraction arithmetic.
 """
 
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fractime import MLParams, mittag_leffler
+import fractime.special as special
+from fractime import MLParams, TimeGrid, mittag_leffler
 from fractime.special import Z_MAX, gamma_fn
 from fractime.errors import GammaPoleError, OutOfRangeError, PrecisionLossError
 
@@ -149,9 +155,7 @@ def test_gamma_helper_matches_stdlib_and_flags_poles():
         gamma_fn(-3.0)
 
 
-def test_runtime_budget_for_oracle_suite():
-    import time
-
+def test_runtime_budget_for_oracle_suite(monkeypatch):
     start = time.perf_counter()
     for z in np.linspace(-10.0, 5.0, 151):
         mittag_leffler(MLParams(1.0), float(z))
@@ -159,3 +163,121 @@ def test_runtime_budget_for_oracle_suite():
         mittag_leffler(MLParams(2.0), float(-z * z))
     mittag_leffler(MLParams(0.5), -1.0)
     assert time.perf_counter() - start < 1.0
+
+    # the 2049-node oracle of `solve-fde --alpha 0.4 --b 10`,
+    # E_0.8(-t^0.8) on [0, 10], which crosses the spectral band
+    spectral_calls = []
+    route = special._spectral_neg
+    monkeypatch.setattr(
+        special, "_spectral_neg", lambda a, x: spectral_calls.append(x) or route(a, x)
+    )
+    start = time.perf_counter()
+    for t in TimeGrid(0.0, 10.0, 2048).nodes():
+        mittag_leffler(MLParams(2.0 * 0.4), -(t ** (2.0 * 0.4)))
+    assert time.perf_counter() - start < 1.5
+    assert len(spectral_calls) > 100
+
+
+def _mpmath_spectral_neg(alpha: float, x: float) -> float:
+    """Reference: E_alpha(-x) from the same spectral integral by 40-digit
+    mpmath tanh-sinh quadrature (the package's former route 3).
+
+    With v = u^alpha the weight's endpoint singularity disappears:
+
+        E_a(-x) = sin(a pi)/(pi x a) *
+                  int_0^inf exp(-v^{1/a}) / (v^2/x^2 + 2 v cos(a pi)/x + 1) dv
+
+    The denominator is bounded below by sin^2(a pi) > 0; for a > 1/2 it
+    dips near v0 = -x cos(a pi), which gets explicit quadrature
+    breakpoints.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        big_x = mp.mpf(x)
+        cos_api = mp.cos(a * mp.pi)
+        inv_a = 1.0 / a
+
+        def f(v):
+            return mp.exp(-(v ** inv_a)) / ((v / big_x) ** 2 + 2 * v * cos_api / big_x + 1)
+
+        pts = [0.0]
+        if cos_api < 0:
+            v0 = float(-big_x * cos_api)
+            pts += [v0 / 2, v0, 2 * v0]
+        pts.append(float(mp.mpf(80) ** a))
+        points = [mp.mpf(p) for p in sorted(set(pts))] + [mp.inf]
+        val, qerr = mp.quad(f, points, error=True, maxdegree=8)
+        result = mp.sin(a * mp.pi) / mp.pi / big_x / a * val
+        if qerr > mp.mpf("1e-16") * (1 + abs(val)):
+            val, qerr = mp.quad(f, points, error=True, maxdegree=10)
+            result = mp.sin(a * mp.pi) / mp.pi / big_x / a * val
+            if qerr > mp.mpf("1e-16") * (1 + abs(val)):
+                raise PrecisionLossError(
+                    f"spectral quadrature for E_{alpha}({-x}) did not converge"
+                )
+        return float(result)
+
+
+def test_spectral_route_matches_mpmath_reference(monkeypatch):
+    # sweep the (alpha, x) plane through the dispatcher and check every
+    # point it actually sends to the spectral route
+    sent = []
+    route = special._spectral_neg
+    monkeypatch.setattr(
+        special, "_spectral_neg", lambda a, x: sent.append((a, x)) or route(a, x)
+    )
+    for alpha in np.linspace(0.05, 0.9999, 20):
+        for x in np.linspace(0.0, Z_MAX, 51)[1:]:
+            mittag_leffler(MLParams(float(alpha)), -float(x))
+    alphas = {a for a, _ in sent}
+    assert len(sent) > 200 and min(alphas) == 0.05 and max(alphas) == 0.9999
+    worst = max(abs(route(a, x) - _mpmath_spectral_neg(a, x)) for a, x in sent)
+    assert worst <= 1e-12
+
+
+def test_spectral_route_raises_when_halving_never_clears(monkeypatch):
+    # one halving cannot resolve the dip at v0 = -x cos(a pi)
+    monkeypatch.setattr(special, "_TS_LEVELS", 1)
+    with pytest.raises(PrecisionLossError, match="did not converge"):
+        special._spectral_neg(0.9, 10.0)
+    with pytest.raises(PrecisionLossError):
+        mittag_leffler(MLParams(0.9), -10.0)
+
+
+def _fraction_taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
+    """Reference: the integer-order Taylor route with Fraction terms."""
+    eps = 2.220446049250313e-16
+    zq = Fraction(z)
+    num = Fraction(1)
+    terms = []
+    s = 0.0
+    absum = 0.0
+    for k in range(400):
+        try:
+            t = float(num / math.factorial(ia * k + ib - 1))
+        except OverflowError:
+            return s, math.inf, False
+        if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)):
+            value = math.fsum(terms)
+            return value, eps * (0.5 * absum + abs(value) + abs(t)), True
+        terms.append(t)
+        s += t
+        absum += abs(t)
+        num *= zq
+    return s, math.inf, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ia=st.sampled_from([1, 2]),
+    ib=st.integers(1, 5),
+    z=st.floats(-Z_MAX, Z_MAX),
+)
+def test_integer_ratio_taylor_terms_are_bitwise_fraction_terms(ia, ib, z):
+    value, est, converged = special._taylor_exact(ia, ib, z)
+    ref_value, ref_est, ref_converged = _fraction_taylor_exact(ia, ib, z)
+    assert value.hex() == ref_value.hex()
+    assert est.hex() == ref_est.hex()
+    assert converged is ref_converged
