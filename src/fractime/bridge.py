@@ -41,7 +41,6 @@ __all__ = [
     "ComparisonReport",
     "CompatibilityReport",
     "subordinate_flow",
-    "grad_along_paths",
     "commutation_gap",
     "verify_stanislavsky",
     "verify_compatibility",
@@ -51,6 +50,9 @@ _SCHEME_TOL = 5e-3
 _PASS_FRACTION = 0.95
 _N_GROUPS = 16
 _COMMUTATION_STEPS = 64
+# a commutation gap is within noise at 3 stderr, plus rounding
+_COMMUTATION_SIGMA = 3.0
+_COMMUTATION_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,14 +66,11 @@ class SubordinatedObservable:
     """
 
     t_grid: TimeGrid
-    alpha: FracOrder
     mean_x: np.ndarray
     mean_p: np.ndarray
     stderr_x: np.ndarray
     stderr_p: np.ndarray
     m_paths: int
-    seed: int
-    tau_step: float
     group_means_x: np.ndarray | None = None
     group_means_p: np.ndarray | None = None
     path_x: np.ndarray | None = None
@@ -173,14 +172,11 @@ def subordinate_flow(
         stored += y0
     return SubordinatedObservable(
         t_grid=t_grid,
-        alpha=ens.alpha,
         mean_x=mean[:, :d],
         mean_p=mean[:, d:],
         stderr_x=stderr[:, :d],
         stderr_p=stderr[:, d:],
         m_paths=M,
-        seed=ens.seed,
-        tau_step=ens.tau_step,
         group_means_x=gm[:, :, :d] if gm is not None else None,
         group_means_p=gm[:, :, d:] if gm is not None else None,
         path_x=stored[:, :, :d] if keep_paths else None,
@@ -206,10 +202,6 @@ class CommutationReport:
     stderr_p: np.ndarray
 
     @property
-    def max_gap(self) -> float:
-        return float(max(self.gap_x.max(), self.gap_p.max()))
-
-    @property
     def significance(self) -> float:
         """Largest gap in stderr units over nodes with positive stderr."""
         out = 0.0
@@ -219,33 +211,24 @@ class CommutationReport:
                 out = max(out, float((gap[mask] / err[mask]).max()))
         return out
 
-    def within(self, sigma: float = 3.0, atol: float = 1e-12) -> bool:
+    def within(self) -> bool:
         return bool(
-            np.all(self.gap_x <= sigma * self.stderr_x + atol)
-            and np.all(self.gap_p <= sigma * self.stderr_p + atol)
+            np.all(self.gap_x <= _COMMUTATION_SIGMA * self.stderr_x + _COMMUTATION_ATOL)
+            and np.all(self.gap_p <= _COMMUTATION_SIGMA * self.stderr_p + _COMMUTATION_ATOL)
         )
 
 
-def grad_along_paths(
-    H: HamiltonianSystem, obs: SubordinatedObservable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-path values of (dH/dx, dH/dp) at the commutation nodes,
-    shape (M, kept nodes, d) each.
+def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> CommutationReport:
+    """Per-node |dH(mean) - mean(dH)| for both gradient components, with
+    dH evaluated on the raw paths kept at the commutation nodes.
 
     Raises:
         ConfigError: the observable was built without keep_paths.
     """
     if obs.path_x is None or obs.path_p is None:
         raise ConfigError("commutation checks need subordinate_flow(keep_paths=True)")
-    return (
-        np.asarray(H.dHdx(obs.path_x, obs.path_p), dtype=float),
-        np.asarray(H.dHdp(obs.path_x, obs.path_p), dtype=float),
-    )
-
-
-def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> CommutationReport:
-    """Per-node |dH(mean) - mean(dH)| for both gradient components."""
-    dhx, dhp = grad_along_paths(H, obs)
+    dhx = np.asarray(H.dHdx(obs.path_x, obs.path_p), dtype=float)
+    dhp = np.asarray(H.dHdp(obs.path_x, obs.path_p), dtype=float)
     m = dhx.shape[0]
     kept = _commutation_nodes(obs.t_grid.n)
     mean_x, mean_p = obs.mean_x[kept], obs.mean_p[kept]
@@ -274,8 +257,6 @@ class ComparisonReport:
     mc_stderr: np.ndarray
     fde_values: np.ndarray
     gap: np.ndarray
-    budget: np.ndarray
-    window: int
     fraction_within: float
     passed: bool
 
@@ -322,7 +303,7 @@ def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> 
     fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, ens.alpha)
     mc = obs.phase_mean()
     se = obs.phase_stderr()
-    band = _band_check("MC vs fractional solve", mc - fde.y.values, se, t_grid.n)
+    band = _band_check(mc - fde.y.values, se, t_grid.n)
     return ComparisonReport(
         t_grid=t_grid,
         alpha=ens.alpha,
@@ -331,8 +312,6 @@ def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> 
         mc_stderr=se,
         fde_values=fde.y.values,
         gap=band.values,
-        budget=band.budget,
-        window=band.window,
         fraction_within=band.fraction_within,
         passed=band.passed,
     )
@@ -342,37 +321,31 @@ def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> 
 class CheckBand:
     """One budgeted per-node check: |values| <= 3*stderr + 5e-3."""
 
-    name: str
     values: np.ndarray
     stderr: np.ndarray
-    budget: np.ndarray
-    window: int
     fraction_within: float
     passed: bool
 
 
-def _band_check(name: str, values, stderr, n: int) -> CheckBand:
+def _band_check(values, stderr, n: int) -> CheckBand:
     values = np.abs(values)
     budget = 3.0 * stderr + _SCHEME_TOL
     w = interior_window(n)
     ok = np.all(values <= budget, axis=1)[w : n + 1 - w]
     fraction = float(np.mean(ok))
     return CheckBand(
-        name=name,
         values=values,
         stderr=stderr,
-        budget=budget,
-        window=w,
         fraction_within=fraction,
         passed=fraction >= _PASS_FRACTION,
     )
 
 
-def _batch_band(name: str, values, per_group: list, n: int) -> CheckBand:
+def _batch_band(values, per_group: list, n: int) -> CheckBand:
     """Band check whose stderr comes from batch means over path groups."""
     stacked = np.stack(per_group)
     stderr = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
-    return _band_check(name, values, stderr, n)
+    return _band_check(values, stderr, n)
 
 
 @dataclass(frozen=True)
@@ -447,13 +420,11 @@ def verify_compatibility(
 
     deriv_route = derivative_route(obs.mean_x)
     momentum = _batch_band(
-        "momentum identity",
         obs.mean_p - deriv_route,
         [gp - derivative_route(gx) for gx, gp in groups],
         n,
     )
     causal = _batch_band(
-        "causal EL residual",
         causal_residual(obs.mean_x),
         [causal_residual(gx) for gx, _ in groups],
         n,

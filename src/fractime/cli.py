@@ -417,7 +417,7 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
     y0 = _parse_phase_point(cfg, L.dim)
     sol = solve_fde(H, y0, grid, order)
     csv_path = _outpath(cfg, "solution.csv")
-    sidecar = save_solution(sol, csv_path, seed=None)
+    sidecar = save_solution(sol, csv_path)
     report.files.extend([csv_path, sidecar])
     peak = float(np.abs(sol.y.values).max())
     report.add_check("solution finite", math.isfinite(peak), f"max |y| = {peak:.6g}")

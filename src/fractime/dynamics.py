@@ -47,7 +47,6 @@ class FdeSolution:
     grid: TimeGrid
     y: Trajectory
     alpha: FracOrder
-    y0: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -205,7 +204,7 @@ def flh_residual(
     )
     c3 = np.asarray(H.dHdp(xv, pv), dtype=float) - v
     residual = Trajectory(x.grid, np.hstack([c1, c2, c3]))
-    return make_report("FLH", residual)
+    return make_report(residual)
 
 
 def solve_classical(H: HamiltonianSystem, y0, grid: TimeGrid) -> Trajectory:
@@ -333,12 +332,10 @@ def solve_fde(
         )
 
     y = solve_fde_system(rhs, y0, grid, order)
-    return FdeSolution(grid=grid, y=y, alpha=order, y0=y0)
+    return FdeSolution(grid=grid, y=y, alpha=order)
 
 
-def save_solution(
-    sol: FdeSolution, csv_path: str, scheme: str = "fractional-adams", seed=None
-) -> str:
+def save_solution(sol: FdeSolution, csv_path: str) -> str:
     """Write the solution CSV plus a key=value sidecar; returns sidecar path."""
     sol.y.save_csv(csv_path)
     meta = {
@@ -346,10 +343,8 @@ def save_solution(
         "n": sol.grid.n,
         "a": sol.grid.a,
         "b": sol.grid.b,
-        "scheme": scheme,
+        "scheme": "fractional-adams",
     }
-    if seed is not None:
-        meta["seed"] = seed
     sidecar = f"{csv_path}.meta"
     write_keyvalues(sidecar, meta)
     return sidecar

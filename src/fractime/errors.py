@@ -9,10 +9,6 @@ class GridError(FractimeError):
     """Invalid time grid, or operands living on incompatible grids."""
 
 
-class GammaPoleError(FractimeError):
-    """Gamma function requested at a nonpositive integer."""
-
-
 class OutOfRangeError(FractimeError):
     """Argument outside the validated evaluation domain."""
 

@@ -1,4 +1,4 @@
-"""Two-parameter Mittag-Leffler function and Gamma helpers.
+"""Two-parameter Mittag-Leffler function.
 
 E_{a,b}(z) = sum_{k>=0} z^k / Gamma(a k + b) generalizes the exponential
 (a = b = 1) and solves linear Caputo equations, so it serves as the analytic
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GammaPoleError, OutOfRangeError, PrecisionLossError
+from .errors import OutOfRangeError, PrecisionLossError
 
-__all__ = ["MLParams", "Z_MAX", "gamma_fn", "mittag_leffler"]
+__all__ = ["MLParams", "Z_MAX", "mittag_leffler"]
 
 Z_MAX = 50.0
 
@@ -68,20 +68,6 @@ class MLParams:
             raise OutOfRangeError(f"alpha must be positive, got {self.alpha}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise OutOfRangeError(f"beta must be positive, got {self.beta}")
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x away from the poles at 0, -1, -2, ...
-
-    Raises:
-        GammaPoleError: at nonpositive integers.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise OutOfRangeError(f"gamma argument must be finite, got {x}")
-    if x <= 0.0 and x == math.floor(x):
-        raise GammaPoleError(f"gamma pole at x = {x}")
-    return math.gamma(x)
 
 
 def _taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:

@@ -26,14 +26,9 @@ from .grids import TimeGrid, write_csv
 
 __all__ = [
     "WaitingTimeLaw",
-    "SubordinatorPath",
     "SubordinatorEnsemble",
     "EnsembleStats",
-    "sample_stable_subordinator_increment",
-    "sample_subordinator_path",
     "inverse_subordinator_paths",
-    "renewal_counting_process",
-    "RenewalSample",
     "scaling_samples",
     "rescale_factor",
     "scaling_limit_check",
@@ -73,36 +68,6 @@ def _stable_block(alpha: float, size: int, rng) -> np.ndarray:
     ) ** ((1.0 - alpha) / alpha)
 
 
-def sample_stable_subordinator_increment(order: FracOrder, dt: float, rng) -> float:
-    """One subordinator increment over operational step dt: dt^(1/alpha) W."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise OutOfRangeError(f"dt must be positive, got {dt}")
-    return dt ** (1.0 / order.alpha) * float(_stable_block(order.alpha, 1, rng)[0])
-
-
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """One discretized subordinator path: D(0) = 0, strictly increasing."""
-
-    tau_grid: np.ndarray
-    d_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.d_values[0] != 0.0:
-            raise GridError("subordinator paths start at D(0) = 0")
-        if np.any(np.diff(self.d_values) <= 0.0):
-            raise GridError("subordinator increments must be positive")
-
-
-def sample_subordinator_path(
-    order: FracOrder, tau_step: float, horizon: float, rng
-) -> SubordinatorPath:
-    """Simulate D on a tau grid of step tau_step until D exceeds horizon."""
-    d_cum = _d_levels(order.alpha, tau_step, horizon, rng)
-    tau = tau_step * np.arange(len(d_cum) + 1)
-    return SubordinatorPath(tau_grid=tau, d_values=np.concatenate(([0.0], d_cum)))
-
-
 def _expected_levels(alpha: float, tau_step: float, horizon: float) -> float:
     """E[S(horizon)] / tau_step: the tau levels a path draws before D > horizon."""
     return horizon**alpha / (math.gamma(1.0 + alpha) * tau_step)
@@ -133,7 +98,6 @@ class SubordinatorEnsemble:
 
     t_grid: TimeGrid
     paths: np.ndarray
-    seed: int
     alpha: FracOrder
     tau_step: float
 
@@ -142,7 +106,7 @@ class SubordinatorEnsemble:
             raise GridError("paths must have one row per sample, one column per node")
         if np.any(self.paths[:, 0] != 0.0):
             raise GridError("S(0) must be 0 on every path")
-        if np.any(np.diff(self.paths, axis=1) < 0.0):
+        if np.any(self.paths[:, 1:] < self.paths[:, :-1]):
             raise GridError("S(t) paths must be nondecreasing")
 
     @property
@@ -215,38 +179,13 @@ def inverse_subordinator_paths(
         counts = np.searchsorted(d_cum, t_nodes, side="right")
         paths[m] = tau_step * counts
     return SubordinatorEnsemble(
-        t_grid=t_grid, paths=paths, seed=seed, alpha=order, tau_step=tau_step
-    )
-
-
-@dataclass(frozen=True)
-class RenewalSample:
-    """One counting-process path: N_t = number of arrivals up to t."""
-
-    jump_times: np.ndarray
-    horizon: float
-
-    def count_at(self, t) -> np.ndarray:
-        return np.searchsorted(self.jump_times, np.asarray(t, dtype=float), side="right")
-
-
-def renewal_counting_process(
-    law: WaitingTimeLaw, horizon: float, seed: int = 0
-) -> RenewalSample:
-    """Simulate arrival times T(n) <= horizon with i.i.d. waiting times.
-
-    Waiting times are at least law.scale, so the simulation always
-    terminates after at most horizon/scale arrivals.
-    """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise OutOfRangeError(f"horizon must be positive, got {horizon}")
-    rng = _path_rng(seed, (_RENEWAL_KEY, 0))
-    return RenewalSample(
-        jump_times=_arrivals(law, horizon, rng), horizon=float(horizon)
+        t_grid=t_grid, paths=paths, alpha=order, tau_step=tau_step
     )
 
 
 def _arrivals(law: WaitingTimeLaw, horizon: float, rng) -> np.ndarray:
+    """Renewal arrival times T(n) <= horizon; waits are at least law.scale,
+    so this stops after at most horizon/scale arrivals."""
     expected = max(1.0, horizon**law.alpha.alpha / law.scale**law.alpha.alpha)
     block = max(32, int(1.5 * expected) + 1)
     chunks = []

@@ -58,13 +58,13 @@ class ActionValue:
 class VariationSpace:
     """Marker for the admissible-variation space used by membership checks.
 
-    kind "V_alpha" demands h(b) = 0 and a vanishing left integral of
-    complementary order at a (identically zero for the discrete operator;
-    the computed value is reported).  kind "V_alpha_tilde" additionally
+    V_alpha demands h(b) = 0 and a vanishing left integral of complementary
+    order at a (identically zero for the discrete operator; the computed
+    value is reported).  strict selects V_alpha_tilde, which additionally
     demands that left and right derivatives of h cancel.
     """
 
-    kind: str
+    strict: bool
     tol: float = 1e-8
 
 
@@ -105,7 +105,7 @@ def general_el_residual(
     p1 = np.broadcast_to(np.asarray(L.dLdx(xv, v, t), dtype=float), xv.shape)
     p2 = np.broadcast_to(np.asarray(L.dLdv(xv, v, t), dtype=float), xv.shape)
     res = p1 + caputo_right(Trajectory(x.grid, p2.copy()), order).values
-    return make_report("general_EL", Trajectory(x.grid, res))
+    return make_report(Trajectory(x.grid, res))
 
 
 def causal_el_residual(
@@ -116,7 +116,7 @@ def causal_el_residual(
     p1 = np.broadcast_to(np.asarray(L.dLdx(xv, v, t), dtype=float), xv.shape)
     p2 = np.broadcast_to(np.asarray(L.dLdv(xv, v, t), dtype=float), xv.shape)
     res = p1 - caputo_left(Trajectory(x.grid, p2.copy()), order).values
-    return make_report("causal_EL", Trajectory(x.grid, res))
+    return make_report(Trajectory(x.grid, res))
 
 
 def classical_el_operator(L: LagrangianSystem) -> OperatorSpec:
@@ -154,7 +154,7 @@ def hamiltonian_action_residual(
     xv, pv = x.values, p.values
     c1 = -np.asarray(H.dHdx(xv, pv), dtype=float) - caputo_left(p, order).values
     c2 = caputo_left(x, order).values - np.asarray(H.dHdp(xv, pv), dtype=float)
-    return make_report("canonical", Trajectory(x.grid, np.hstack([c1, c2])))
+    return make_report(Trajectory(x.grid, np.hstack([c1, c2])))
 
 
 def variation_space_check(
@@ -177,7 +177,7 @@ def variation_space_check(
         "endpoint_value": endpoint,
         "left_integral_at_a": left_integral_at_a,
     }
-    if space.kind == "V_alpha_tilde":
+    if space.strict:
         profile = np.max(np.abs(k_alpha_apply(h, order).values), axis=1)
         tol = 10.0 * h.grid.h ** (2.0 - order.alpha)
         diag["k_alpha_profile"] = profile

@@ -34,7 +34,6 @@ from fractime.bridge import (
     SubordinatedObservable,
     _commutation_nodes,
     commutation_gap,
-    grad_along_paths,
     verify_compatibility,
 )
 from fractime.errors import ConfigError, OutOfRangeError
@@ -51,10 +50,11 @@ def _free_obs(m_paths=10000, n=8, seed=42, **kw):
 
 
 def test_subordinated_free_particle_mean_matches_power_law():
-    obs = _free_obs()
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 8), 10000, seed=42)
+    obs = subordinate_flow(legendre_transform(free_particle()), np.array([0.0, 1.0]), ens)
     oracle = 1.0 / math.gamma(1.5)
     dev = abs(obs.mean_x[-1, 0] - oracle)
-    assert dev <= 3.0 * obs.stderr_x[-1, 0] + obs.tau_step
+    assert dev <= 3.0 * obs.stderr_x[-1, 0] + ens.tau_step
 
 
 def test_initial_node_is_pinned_exactly():
@@ -117,7 +117,7 @@ def test_commutation_needs_retained_paths():
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 4), 16, seed=0)
     obs = subordinate_flow(H, np.array([1.0, 0.0]), ens)
     with pytest.raises(ConfigError, match="keep_paths"):
-        grad_along_paths(H, obs)
+        commutation_gap(H, obs)
 
 
 def test_single_path_commutation_gap_is_bitwise_zero():
@@ -125,7 +125,8 @@ def test_single_path_commutation_gap_is_bitwise_zero():
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 1, seed=3)
     obs = subordinate_flow(H, np.array([1.0, 0.0]), ens, keep_paths=True)
     rep = commutation_gap(H, obs)
-    assert rep.max_gap == 0.0
+    assert rep.gap_x.max() == 0.0
+    assert rep.gap_p.max() == 0.0
 
 
 def test_quadratic_gradients_commute_with_averaging():
@@ -142,7 +143,7 @@ def test_quadratic_gradients_commute_with_averaging():
                 keep_paths=True,
             )
             rep = commutation_gap(H, obs)
-            assert rep.within(sigma=3.0), (omega, alpha, rep.significance)
+            assert rep.within(), (omega, alpha, rep.significance)
 
 
 def test_quartic_gradient_opens_significant_gap():
@@ -353,14 +354,11 @@ def test_commutation_gap_runs_on_non_natural_hamiltonian():
     mean_x, mean_p = path_x.mean(axis=0), path_p.mean(axis=0)
     obs = SubordinatedObservable(
         t_grid=grid,
-        alpha=HALF,
         mean_x=mean_x,
         mean_p=mean_p,
         stderr_x=np.zeros_like(mean_x),
         stderr_p=np.zeros_like(mean_p),
         m_paths=6,
-        seed=0,
-        tau_step=1e-3,
         path_x=path_x,
         path_p=path_p,
     )

@@ -125,14 +125,14 @@ def test_save_solution_writes_data_and_sidecar(tmp_path):
     grid = TimeGrid(0.0, 1.0, 32)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
     csv_path = tmp_path / "sol.csv"
-    sidecar = save_solution(sol, str(csv_path), seed=7)
+    sidecar = save_solution(sol, str(csv_path))
     assert csv_path.exists()
     meta = dict(
         line.split("=", 1) for line in open(sidecar).read().splitlines() if "=" in line
     )
     assert meta["alpha"] == "0.5"
     assert meta["n"] == "32"
-    assert meta["seed"] == "7"
+    assert meta["scheme"] == "fractional-adams"
 
 
 def test_save_solution_reruns_byte_identical(tmp_path):

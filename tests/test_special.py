@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import fractime.special as special
 from fractime import MLParams, TimeGrid, mittag_leffler
-from fractime.special import Z_MAX, gamma_fn
-from fractime.errors import GammaPoleError, OutOfRangeError, PrecisionLossError
+from fractime.special import Z_MAX
+from fractime.errors import OutOfRangeError, PrecisionLossError
 
 # E_{1/2}(-1) = e * erfc(1) in the classical erfc closed form
 ERFC_ORACLE = math.exp(1.0) * math.erfc(1.0)
@@ -144,15 +144,6 @@ def test_unreachable_accuracy_is_reported_not_fudged():
     # overflow any double-precision series
     with pytest.raises(PrecisionLossError):
         mittag_leffler(MLParams(0.5), 49.0)
-
-
-def test_gamma_helper_matches_stdlib_and_flags_poles():
-    for x in (0.5, 1.0, 2.5, 7.0):
-        assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-14)
-    with pytest.raises(GammaPoleError):
-        gamma_fn(0.0)
-    with pytest.raises(GammaPoleError):
-        gamma_fn(-3.0)
 
 
 def test_runtime_budget_for_oracle_suite(monkeypatch):

@@ -21,14 +21,15 @@ from hypothesis import strategies as st
 from fractime import FracOrder, MLParams, TimeGrid, mittag_leffler
 from fractime.errors import DegenerateSampleError, GridError, OutOfRangeError
 from fractime.stochastic_time import (
+    SubordinatorEnsemble,
     WaitingTimeLaw,
+    _arrivals,
+    _d_levels,
+    _stable_block,
     ensemble_mean,
     inverse_subordinator_paths,
     ks_statistic,
-    renewal_counting_process,
     rescale_factor,
-    sample_stable_subordinator_increment,
-    sample_subordinator_path,
     scaling_limit_check,
     scaling_samples,
 )
@@ -41,17 +42,8 @@ def _mean_stderr(samples):
     return m, samples.std(ddof=1) / math.sqrt(samples.size)
 
 
-def test_stable_increment_rejects_nonpositive_duration():
-    rng = np.random.default_rng(0)
-    with pytest.raises(OutOfRangeError):
-        sample_stable_subordinator_increment(HALF, 0.0, rng)
-
-
 def test_stable_increment_laplace_transform():
-    rng = np.random.default_rng(42)
-    w = np.array(
-        [sample_stable_subordinator_increment(HALF, 1.0, rng) for _ in range(20000)]
-    )
+    w = _stable_block(0.5, 20000, np.random.default_rng(42))
     assert np.all(w > 0.0)
     for lam in (0.5, 1.0, 2.0):
         mean, err = _mean_stderr(np.exp(-lam * w))
@@ -60,20 +52,13 @@ def test_stable_increment_laplace_transform():
 
 def test_stable_increment_laplace_transform_across_orders():
     for alpha in (0.3, 0.8):
-        rng = np.random.default_rng(42)
-        order = FracOrder(alpha)
-        w = np.array(
-            [sample_stable_subordinator_increment(order, 1.0, rng) for _ in range(20000)]
-        )
+        w = _stable_block(alpha, 20000, np.random.default_rng(42))
         mean, err = _mean_stderr(np.exp(-w))
         assert abs(mean - math.exp(-1.0)) <= 3.0 * err
 
 
 def test_stable_half_order_cdf_matches_erfc():
-    rng = np.random.default_rng(42)
-    w = np.array(
-        [sample_stable_subordinator_increment(HALF, 1.0, rng) for _ in range(50000)]
-    )
+    w = _stable_block(0.5, 50000, np.random.default_rng(42))
     frac = float(np.mean(w <= 1.0))
     p = math.erfc(0.5)
     err = math.sqrt(p * (1.0 - p) / w.size)
@@ -81,29 +66,25 @@ def test_stable_half_order_cdf_matches_erfc():
 
 
 def test_increment_scales_self_similarly():
-    # dt enters only through the factor dt^(1/a)
-    r1 = np.random.default_rng(9)
-    r2 = np.random.default_rng(9)
-    a = sample_stable_subordinator_increment(HALF, 1.0, r1)
-    b = sample_stable_subordinator_increment(HALF, 4.0, r2)
-    assert b == pytest.approx(16.0 * a, rel=1e-12)
+    # D(c tau) has the law of c^(1/a) D(tau): at a = 1/2, 4x the step and
+    # 16x the horizon draw the same blocks scaled by exactly 16
+    a = _d_levels(0.5, 0.01, 2.0, np.random.default_rng(9))
+    b = _d_levels(0.5, 0.04, 32.0, np.random.default_rng(9))
+    np.testing.assert_array_equal(b, 16.0 * a)
 
 
 def test_near_unit_order_increments_degenerate_to_duration():
-    rng = np.random.default_rng(3)
-    order = FracOrder(0.999)
-    w = np.array(
-        [sample_stable_subordinator_increment(order, 1.0, rng) for _ in range(4000)]
-    )
+    w = _stable_block(0.999, 4000, np.random.default_rng(3))
     # medians of the stable law collapse to 1 as a -> 1
     assert abs(np.median(w) - 1.0) < 0.05
 
 
 def test_subordinator_path_starts_at_zero_and_increases():
-    path = sample_subordinator_path(HALF, 0.01, 2.0, np.random.default_rng(1))
-    assert path.d_values[0] == 0.0
-    assert np.all(np.diff(path.d_values) > 0.0)
-    assert path.d_values[-1] > 2.0
+    # the levels start after D(0) = 0, at D(tau_step)
+    d = _d_levels(0.5, 0.01, 2.0, np.random.default_rng(1))
+    assert d[0] > 0.0
+    assert np.all(np.diff(d) > 0.0)
+    assert d[-1] > 2.0
 
 
 def test_inverse_paths_shape_and_pinning():
@@ -113,6 +94,14 @@ def test_inverse_paths_shape_and_pinning():
     assert np.all(ens.paths[:, 0] == 0.0)
     assert np.all(np.diff(ens.paths, axis=1) >= 0.0)
     assert ens.m_paths == 32
+
+
+def test_ensemble_rejects_a_decreasing_path():
+    grid = TimeGrid(0.0, 1.0, 4)
+    paths = np.array([[0.0, 0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.3, 0.2, 0.4]])
+    with pytest.raises(GridError, match="nondecreasing"):
+        SubordinatorEnsemble(grid, paths, alpha=HALF, tau_step=0.1)
+    SubordinatorEnsemble(grid, paths[:1], alpha=HALF, tau_step=0.1)
 
 
 def test_inverse_paths_require_grid_anchored_at_zero():
@@ -238,16 +227,16 @@ def test_waiting_time_quantiles_match_pareto_inverse_cdf():
 
 def test_renewal_process_with_long_waits_never_jumps():
     law = WaitingTimeLaw(HALF, 10.0)
-    sample = renewal_counting_process(law, 1.0, seed=0)
-    assert sample.jump_times.size == 0
-    assert sample.count_at(1.0) == 0
+    assert _arrivals(law, 1.0, np.random.default_rng(0)).size == 0
 
 
 def test_renewal_counts_are_monotone_in_time():
     law = WaitingTimeLaw(HALF, 0.05)
-    sample = renewal_counting_process(law, 50.0, seed=4)
-    counts = [sample.count_at(t) for t in np.linspace(0.0, 50.0, 21)]
-    assert counts == sorted(counts)
+    times = _arrivals(law, 50.0, np.random.default_rng(4))
+    assert np.all(np.diff(times) > 0.0)
+    assert 0.05 <= times[0] and times[-1] <= 50.0
+    counts = np.searchsorted(times, np.linspace(0.0, 50.0, 21), side="right")
+    assert np.all(np.diff(counts) >= 0)
     assert counts[-1] > 0
 
 

@@ -16,11 +16,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractime import FracOrder, TimeGrid, harmonic, legendre_transform, solve_fde
 from fractime.fracops import embed_operator
 from fractime.grids import Trajectory, trapezoid
-from fractime.systems import quartic
+from fractime.systems import free_particle, quartic
 from fractime.variational import (
     VariationSpace,
     action,
@@ -50,8 +52,6 @@ def test_action_value_is_finite_and_labeled():
 
 
 def test_action_of_rest_state_is_zero_for_free_particle():
-    from fractime.systems import free_particle
-
     grid = TimeGrid(0.0, 1.0, 64)
     val = action(free_particle(), Trajectory.constant(grid, 2.0), HALF)
     assert val.value == 0.0
@@ -76,14 +76,14 @@ def test_sampled_variations_are_admissible():
     grid = TimeGrid(0.0, 1.0, 256)
     for s in range(3):
         h = sample_variation(grid, HALF, np.random.default_rng(s))
-        ok, diag = variation_space_check(h, VariationSpace("V_alpha"), HALF)
+        ok, diag = variation_space_check(h, VariationSpace(strict=False), HALF)
         assert ok, diag
 
 
 def test_strict_variation_space_rejects_generic_bump():
     grid = TimeGrid(0.0, 1.0, 512)
     bump = Trajectory.from_callable(grid, lambda t: (t * (1.0 - t)) ** 2)
-    ok, diag = variation_space_check(bump, VariationSpace("V_alpha_tilde"), HALF)
+    ok, diag = variation_space_check(bump, VariationSpace(strict=True), HALF)
     assert not ok
     assert diag["k_alpha_max"] > diag["k_alpha_tol"]
 
@@ -129,6 +129,28 @@ def test_causal_branch_is_embedded_classical_operator_bitwise():
         causal = causal_el_residual(L, x, HALF).residual.values
         embedded = embed_operator(classical_el_operator(L), HALF)(x).values
         np.testing.assert_array_equal(causal, embedded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.one_of(
+        st.builds(free_particle, m=st.floats(0.1, 10.0)),
+        st.builds(harmonic, m=st.floats(0.1, 10.0), omega=st.floats(0.1, 10.0)),
+        st.builds(quartic, lam=st.floats(0.1, 10.0)),
+    ),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    c=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    n=st.integers(2, 256),
+)
+def test_causal_branch_is_embedded_classical_operator_for_random_systems(L, alpha, c, n):
+    grid = TimeGrid(0.0, 2.0, n)
+    x = Trajectory.from_callable(
+        grid, lambda t: c[0] + c[1] * t + c[2] * np.sin(t) + c[3] * np.cos(3.0 * t)
+    )
+    order = FracOrder(alpha)
+    causal = causal_el_residual(L, x, order).residual.values
+    embedded = embed_operator(classical_el_operator(L), order)(x).values
+    np.testing.assert_array_equal(causal, embedded)
 
 
 def test_canonical_action_residual_small_on_fractional_solution():
