@@ -4,9 +4,9 @@ Each subcommand assembles an experiment from flags, an optional flat
 key=value config file (flags win), and documented defaults; runs it; writes
 CSV outputs atomically into --out; and prints a run report echoing the
 config, one pass/fail line per check, every output file path, and the wall
-time.  Exit status is 0 iff all checks pass, 2 on configuration or
-validation errors.  Given the same config, outputs are byte-identical
-across reruns.
+time.  Exit status is 0 iff all checks pass, 1 when a check fails, 2 on
+configuration or validation errors, and 3 on any other error.  Given the
+same config, outputs are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -471,7 +471,8 @@ def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
         float(np.abs(ens.paths[:, 0]).max()) == 0.0,
         f"max |S(0)| = {float(np.abs(ens.paths[:, 0]).max()):.3e}",
     )
-    min_step = float(np.diff(ens.paths, axis=1).min())
+    # row by row: an ensemble-sized np.diff would double the peak memory
+    min_step = min(float(np.diff(row).min()) for row in ens.paths)
     report.add_check(
         "paths nondecreasing", min_step >= 0.0, f"min increment = {min_step:.3e}"
     )
@@ -677,6 +678,10 @@ def main(argv=None) -> int:
     except FractimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means only that a check failed
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(report.render())
     return 0 if report.passed else 1
 

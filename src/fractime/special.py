@@ -6,25 +6,25 @@ oracle for most of this package.  Evaluation is real-only and restricted to
 |z| <= Z_MAX; the accuracy target is 1e-10 absolute, relaxing to relative
 once |E| exceeds 1.
 
-Evaluation routes, tried in order, each carrying its own error estimate and
-returning only when that estimate clears the target:
+Evaluation routes, tried in order:
 
-1. Taylor series with compensated summation.  When alpha and beta are small
-   integers each term is one correctly rounded ratio of exact integers,
-   from ``z.as_integer_ratio()`` and the factorial, and the terms are summed
+1. Exact Taylor series, when alpha and beta are small integers.  Each term
+   is one correctly rounded ratio of exact integers, from
+   ``z.as_integer_ratio()`` and the factorial, and the terms are summed
    with ``math.fsum``, which removes the term-rounding error that otherwise
    dominates alternating sums such as E_1(-10).
-2. For z <= -15, the algebraic tail expansion -sum_k z^{-k}/Gamma(b - a k)
-   truncated where its term envelope is smallest.  The error estimate adds
-   the exponentially small oscillatory contribution that the negative axis
-   carries for a >= 2/3; for a < 2/3 no such term exists.
-3. For remaining z < 0 with a in (0,1), b = 1: the completely monotone
-   spectral representation, integrated by double-precision tanh-sinh
-   quadrature after the substitution v = u^a removes the endpoint
-   singularity; the step is halved until successive levels agree, and the
-   route raises if they never do.  This covers the band of moderate
-   negative z where neither series route can certify 1e-10.
-4. Otherwise a high-precision Taylor fallback with a hard work cap.
+2. General Taylor series with compensated summation and a running error
+   bound.
+3. Otherwise, Garrappa's optimal parabolic contour (OPC): the inverse
+   Laplace transform of s^(alpha-beta)/(s^alpha - z), a trapezoid sum on a
+   parabola chosen between the transform's singularities plus the residues
+   of the poles right of it, for every alpha in (0, 2] and beta > 0.  When
+   beta is too large for any parabola, the recurrence in beta moves the
+   inversion to a smaller beta.
+
+The Taylor routes return only when their error estimate clears the target;
+the contour route raises PrecisionLossError when its optimal parameters
+cannot reach it or the value overflows.
 """
 
 from __future__ import annotations
@@ -43,17 +43,14 @@ Z_MAX = 50.0
 _EPS = 2.220446049250313e-16
 _TOL = 1e-10
 _MAX_TERMS = 400
-_ASYM_CUTOFF = 15.0
-_LOG_PI = math.log(math.pi)
 # exp() overflows just above 709; stay clear of it
 _EXP_CAP = 705.0
-# tanh-sinh: at t = 4 the nodes lie within 6e-38 of the panel ends (relative
-# to the panel), so the truncated tails are nil; the step is 2^-k for
-# k <= _TS_LEVELS.  The halving estimate measures the coarser of two levels,
-# so it is held well below _TOL and the finer level is accurate to roundoff.
-_TS_TMAX = 4.0
-_TS_LEVELS = 8
-_SPECTRAL_TOL = 1e-12
+_LOG_EPS = math.log(_EPS)
+# contour targets: 1e-15, loosened by factors of 10 down to _TOL
+_OPC_TOLS = [10.0**-d for d in range(15, 9, -1)]
+_OPC_MAX_NODES = 200
+# beta recurrence steps the contour route may take, one gamma call each
+_OPC_MAX_SHIFTS = 1000
 
 
 @dataclass(frozen=True)
@@ -135,172 +132,169 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
     return s, math.inf, False
 
 
-def _asymptotic_neg(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """Algebraic tail series for large negative z, optimally truncated.
+def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
+    """Optimal (mu, h, N) for a parabola between two singularities.
 
-    Truncation tracks the sine-free term envelope x^{-k} / |Gamma(b - a k)|
-    so the oscillating reflection factor cannot fake an early minimum.
-    Returns (value, error estimate); the estimate is the envelope at the
-    break point plus, for a >= 2/3, the exponentially small contribution
-    (2/a) exp(x^{1/a} cos(pi/a)) present on the negative real axis.
+    The left singularity (the origin, of strength p, or a simple pole) sits
+    at sqrt(mu) = sqrt(phi_l), the simple pole on the right at
+    sqrt(phi_r); the right end is capped where round-off exp(mu) eps would
+    exceed the target.  Both ends are pulled inward by the factor f_bar
+    that the strengths allow, which spends log f_bar of the target, and the
+    fit balances discretization against truncation on the shrunk strip.
+    Returns None when the strip is too narrow for the target.
     """
-    x = -z
-    logx = math.log(x)
-    s = 0.0
-    c = 0.0
-    absum = 0.0
-    prev_env = math.inf
-    tail = None
-    for k in range(1, 201):
-        y = beta - alpha * k
-        if y > 0.5:
-            lenv = -k * logx - math.lgamma(y)
-            sign = 1.0
-            sin_f = 1.0
-        else:
-            n = round(y)
-            f = y - n
-            lenv = -k * logx + math.lgamma(1.0 - y) - _LOG_PI
-            if f == 0.0:
-                sign = 0.0
-                sin_f = 0.0
-            else:
-                sv = math.sin(math.pi * f)
-                sin_f = abs(sv)
-                sign = math.copysign(1.0, sv) * (1.0 if n % 2 == 0 else -1.0)
-        if lenv > _EXP_CAP:
-            return s, math.inf
-        env = math.exp(lenv)
-        if env > prev_env:
-            tail = env
-            break
-        prev_env = env
-        if sign != 0.0:
-            mag = env * sin_f
-            t = sign * mag * (1.0 if k & 1 else -1.0)
-            yk = t - c
-            u = s + yk
-            c = (u - s) - yk
-            s = u
-            absum += mag
-        if env < 1e-17 * (1.0 + abs(s)):
-            tail = env
-            break
-    if tail is None:
-        tail = prev_env
-    est = 3.0 * tail + 4.0 * _EPS * absum
-    if alpha >= 2.0 / 3.0 - 1e-12:
-        arg = x ** (1.0 / alpha) * math.cos(math.pi / alpha)
-        est += (2.0 / alpha) * math.exp(min(arg, _EXP_CAP))
-    return s, est
+    sl = math.sqrt(phi_l)
+    sr = min(math.sqrt(phi_r), 2.0 * math.sqrt(log_tol - _LOG_EPS) - sl)
+    f_max = math.exp(log_tol - _LOG_EPS)
+    if p < 1e-14:
+        f_min = 1.01
+    else:
+        f_min = max(1.01 * (sl + sr) / (sr - sl) ** max(p, 1.0), 1.5)
+    if f_min >= f_max:
+        return None
+    f_bar = f_min + f_min / f_max * (f_max - f_min)
+    fq = 1.0 / f_bar
+    if p < 1e-14:
+        bl, br = sl, (2.0 * sr - fq * sl) / (2.0 + fq)
+    else:
+        fp = f_bar ** (-1.0 / p)
+        w = -phi_r / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        bl = ((2.0 + w + fq) * sl + fp * sr) / den
+        br = (-(1.0 + w) * fq * sl + (2.0 + w - (1.0 + w) * fp) * sr) / den
+    log_tol -= math.log(f_bar)
+    w = -br * br / log_tol
+    mu = (((1.0 + w) * bl + br) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (br - bl) / ((1.0 + w) * bl + br)
+    return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
 
 
-def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of tanh-sinh level k (step h = 2^-k) on [0, 1], right half.
+def _unbounded_fit(phi_l: float, p: float, log_tol: float):
+    """Optimal (mu, h, N) for a parabola right of every singularity.
 
-    For t >= 0 on the level's new points, r = 1/(1 + exp(pi sinh t)) is the
-    distance of the mirrored nodes r and 1 - r from the ends of [0, 1],
-    formed directly so that nodes hugging an end keep full precision; w is
-    h times the Jacobian pi cosh(t) r (1 - r).  Level 0 includes t = 0,
-    whose weight is halved because it is its own mirror.
+    The distance to the last singularity, of strength p, is tuned until
+    its error factor lies in (1, 10); if the resulting mu would let
+    round-off exp(mu) eps exceed the target, mu is lowered to that bound
+    and (h, N) refit.  Returns None when no such parabola exists.
     """
-    h = 2.0**-k
-    t = np.arange(0.0 if k == 0 else h, _TS_TMAX + 0.5 * h, h if k == 0 else 2.0 * h)
-    r = 1.0 / (1.0 + np.exp(math.pi * np.sinh(t)))
-    w = h * math.pi * np.cosh(t) * r * (1.0 - r)
-    if k == 0:
-        w[0] *= 0.5
-    return r, w
+    sl = math.sqrt(phi_l)
+    phi = 1.01 * phi_l if phi_l > 0.0 else 0.01
+    sb = math.sqrt(phi)
+    # settles in a few steps; the cap only rules out an endless loop
+    for _ in range(100):
+        r = log_tol / phi
+        n = math.ceil(phi / math.pi * (1.0 - 1.5 * r + math.sqrt(1.0 - 2.0 * r)))
+        a = math.pi * n / phi
+        smu = sb * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        if p < 1e-14 or 1.0 < ((sb - sl) / smu) ** -p < 10.0:
+            break
+        sb = 5.0 ** (-1.0 / p) * smu + sl
+        phi = sb * sb
+    else:
+        return None
+    mu = smu * smu
+    h = (2.0 * math.sqrt(1.0 + 12.0 * a) - 3.0 * a - 2.0) / (4.0 - a) / n
+    cap = log_tol - _LOG_EPS
+    if mu > cap:
+        reach = (0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * smu) + sl
+        if reach * reach >= cap:
+            return None
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = reach * math.sqrt(-1.0 / _LOG_EPS)
+        n = math.ceil(w * log_tol / (2.0 * math.pi * (u * w - 1.0)))
+        mu, h = cap, w / n
+    return mu, h, n
 
 
-_TS_NODES = [_tanh_sinh_level(k) for k in range(_TS_LEVELS + 1)]
+def _contour(alpha: float, beta: float, z: float) -> float | None:
+    """E_{alpha,beta}(z) by inverting its Laplace transform on a parabola.
+
+    E_{a,b}(z) is the inverse Laplace transform of s^(a-b)/(s^a - z) at
+    t = 1.  Its singularities are the branch point s = 0, of strength
+    2(b - a - 1) when that is positive, and the poles
+    s* = |z|^(1/a) e^{i(arg z + 2 k pi)/a} on the principal sheet, with
+    residues (1/a) s*^(1-b) e^{s*}.  A parabola s(u) = mu (1 + iu)^2
+    passes through s when mu = phi(s) = (Re s + |s|)/2, so the values of
+    phi split the plane into regions between singularities; in each the
+    optimal (mu, h, N) of Garrappa (SIAM J. Numer. Anal. 53(3), 2015)
+    reach the target with a trapezoid sum over u = h k, |k| <= N, and the
+    poles right of the parabola add their residues.  The region with the
+    fewest nodes wins.  The target is 1e-15, loosened by factors of 10
+    down to _TOL while every region needs more than _OPC_MAX_NODES nodes.
+    For real z the sum over k < 0 mirrors k > 0, so only k >= 0 is summed.
+    Returns None when no region reaches _TOL within _OPC_MAX_NODES nodes.
+    """
+    if z > 0.0 and math.log(z) > alpha * _EXP_CAP:
+        return math.inf  # E grows like exp(z^(1/a)) / a
+    theta = math.pi if z < 0.0 else 0.0
+    k = np.arange(
+        math.ceil(-0.5 * alpha - theta / (2.0 * math.pi)),
+        math.floor(0.5 * alpha - theta / (2.0 * math.pi)) + 1,
+    )
+    ang = (theta + 2.0 * math.pi * k) / alpha
+    # without poles, |z|^(1/a) may overflow unused
+    r = abs(z) ** (1.0 / alpha) if k.size else 0.0
+    # phi = r cos^2(ang/2) keeps poles on the cut |ang| = pi at phi ~ 0
+    phi = r * np.cos(0.5 * ang) ** 2
+    order = np.argsort(phi, kind="stable")
+    order = order[phi[order] > 1e-15]
+    poles = r * np.exp(1j * ang[order])
+    phis = [0.0, *phi[order].tolist(), math.inf]
+    strength = [max(0.0, 2.0 * (beta - alpha - 1.0))] + [1.0] * len(poles)
+    for tol in _OPC_TOLS:
+        log_tol = math.log(tol)
+        fits = {}
+        for j in range(len(poles) + 1):
+            if phis[j] < log_tol - _LOG_EPS and phis[j] < phis[j + 1]:
+                fit = (
+                    _bounded_fit(phis[j], phis[j + 1], strength[j], log_tol)
+                    if j < len(poles)
+                    else _unbounded_fit(phis[j], strength[j], log_tol)
+                )
+                if fit is not None and fit[2] <= _OPC_MAX_NODES:
+                    fits[j] = fit
+        if fits:
+            break
+    else:
+        return None
+    j = min(fits, key=lambda i: fits[i][2])
+    mu, h, n = fits[j]
+    u = h * np.arange(n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    terms = np.exp(s) * s ** (alpha - beta) / (s**alpha - z) * (2.0 * mu * (1j - u))
+    terms[0] *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        residues = poles[j:] ** (1.0 - beta) * np.exp(poles[j:]) / alpha
+        return h / math.pi * float(np.sum(terms.imag)) + float(np.sum(residues.real))
 
 
-def _spectral_neg(alpha: float, x: float) -> float:
-    """E_alpha(-x) via its completely monotone spectral representation.
+def _opc(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) by the contour route, lowering beta if it must.
 
-    With v = u^alpha the weight's endpoint singularity disappears:
-
-        E_a(-x) = sin(a pi)/(pi x a) *
-                  int_0^inf exp(-v^{1/a}) / ((v - v0)^2/x^2 + sin^2(a pi)) dv
-
-    with v0 = -x cos(a pi).  The denominator is bounded below by
-    sin^2(a pi) > 0; for a > 1/2 it dips at v0 > 0, which gets quadrature
-    breakpoints v0/2, v0, 2 v0, and (v - v0) is formed from the offset of
-    each node from its panel's end so the dip keeps full precision.  The
-    integral stops at the last breakpoint, at least 80^a, past which the
-    integrand is below e^-80/sin^2(a pi).  Each panel is integrated by
-    double-precision tanh-sinh (Takahasi & Mori, Publ. RIMS 9, 1974),
-    halving the step until successive levels agree to _SPECTRAL_TOL.
+    The origin's strength grows with beta until no parabola meets the
+    target.  Then E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, applied
+    s times, moves the inversion to beta - s a in (1, 1 + a], where the
+    origin is regular; for |z| >= 1 each step shrinks the error.
 
     Raises:
-        PrecisionLossError: no level up to _TS_LEVELS clears the target.
+        PrecisionLossError: no region reaches _TOL within _OPC_MAX_NODES
+            nodes, or the value overflows.
     """
-    # sin and cos of pi a from exactly reduced arguments (Sterbenz), so
-    # a near 1/2 or 1 does not lose digits to the rounding of pi a
-    sin_api = math.sin(math.pi * (1.0 - alpha if alpha > 0.5 else alpha))
-    cos_api = math.sin(math.pi * (0.5 - alpha))
-    v0 = -x * cos_api
-    pts = {0.0, 80.0**alpha}
-    if cos_api < 0.0:
-        pts |= {0.5 * v0, v0, 2.0 * v0}
-    ends = np.array(sorted(pts))
-    lo, hi = ends[:-1, None], ends[1:, None]
-    width = hi - lo
-    inv_a = 1.0 / alpha
-    ssq = sin_api * sin_api
-
-    def f(v, off):
-        return np.exp(-(v**inv_a)) / ((off / x) ** 2 + ssq)
-
-    def level_sum(r, w):
-        dr = width * r
-        return float(np.sum((f(lo + dr, lo - v0 + dr) + f(hi - dr, hi - v0 - dr)) * (width * w)))
-
-    scale = sin_api / (math.pi * x * alpha)
-    total = level_sum(*_TS_NODES[0])
-    for k in range(1, _TS_LEVELS + 1):
-        prev = total
-        total = 0.5 * total + level_sum(*_TS_NODES[k])
-        value = scale * total
-        if scale * abs(total - prev) <= _SPECTRAL_TOL * (1.0 + value):
-            return value
-    raise PrecisionLossError(f"spectral quadrature for E_{alpha}({-x}) did not converge")
-
-
-def _mp_series(alpha: float, beta: float, z: float) -> float:
-    """Arbitrary-precision Taylor fallback with a hard work cap.
-
-    Used for alpha in [1, 2] (where the largest term is at most e^50, so
-    the working precision stays small) and for off-axis beta cases; raises
-    rather than grind through astronomically scaled series.
-    """
-    import mpmath as mp
-
-    x = abs(z)
-    peak = x ** (1.0 / alpha)
-    dps = 60 + int(peak / 2.302585)
-    if dps > 320:
+    value = _contour(alpha, beta, z)
+    steps = math.ceil((beta - alpha - 1.0) / alpha)
+    if value is None and 0 < steps <= _OPC_MAX_SHIFTS and abs(z) >= 1.0:
+        value = _contour(alpha, beta - steps * alpha, z)
+        if value is not None:
+            for k in range(steps, 0, -1):
+                value = (value - 1.0 / math.gamma(beta - k * alpha)) / z
+    if value is None:
         raise PrecisionLossError(
-            f"E_({alpha},{beta})({z}) is outside the certified evaluation range"
+            f"contour inversion for E_({alpha},{beta})({z}) needs more than"
+            f" {_OPC_MAX_NODES} nodes"
         )
-    k_min = int(peak / alpha) + 2
-    with mp.workdps(dps):
-        zz = mp.mpf(z)
-        a = mp.mpf(alpha)
-        b = mp.mpf(beta)
-        s = mp.mpf(0)
-        cutoff = mp.mpf("1e-25")
-        k = 0
-        while True:
-            t = zz ** k / mp.gamma(a * k + b)
-            s += t
-            if k > k_min and abs(t) < cutoff * (1 + abs(s)):
-                break
-            k += 1
-            if k > 50000:
-                raise PrecisionLossError("high-precision series did not terminate")
-        return float(s)
+    if not math.isfinite(value):
+        raise PrecisionLossError(f"E_({alpha},{beta})({z}) exceeds double range")
+    return value
 
 
 def mittag_leffler(p: MLParams, z: float) -> float:
@@ -308,9 +302,9 @@ def mittag_leffler(p: MLParams, z: float) -> float:
 
     Raises:
         OutOfRangeError: alpha > 2 or |z| > Z_MAX.
-        PrecisionLossError: the accuracy target is unreachable (large
-            positive z with slow convergence, overflowing values, or
-            uncertified corners of the (alpha, beta) plane).
+        PrecisionLossError: the accuracy target is unreachable (overflowing
+            values, or corners of the (alpha, beta) plane where no parabola
+            meets it).
     """
     z = float(z)
     if not math.isfinite(z):
@@ -331,19 +325,4 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     if converged and math.isfinite(val) and est <= _TOL * (1.0 + abs(val)):
         return val
 
-    if z < 0.0:
-        if -z >= _ASYM_CUTOFF:
-            aval, aest = _asymptotic_neg(alpha, beta, z)
-            if aest <= _TOL * (1.0 + abs(aval)):
-                return aval
-        if alpha < 1.0 and beta == 1.0:
-            return _spectral_neg(alpha, -z)
-        return _mp_series(alpha, beta, z)
-
-    if not converged:
-        raise PrecisionLossError(
-            f"series for E_({alpha},{beta})({z}) did not converge in {_MAX_TERMS} terms"
-        )
-    # z > 0 never cancels, so a converged sum that misses the target can
-    # only mean an overflowed value
-    raise PrecisionLossError(f"E_({alpha},{beta})({z}) exceeds double range")
+    return _opc(alpha, beta, z)

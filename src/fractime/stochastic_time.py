@@ -40,6 +40,8 @@ __all__ = [
 _RENEWAL_KEY = 1
 # a path holds all its levels in memory at once; cap their expected number
 _MAX_LEVELS = 1e6
+# the ensemble holds M x nodes float64 values at once: 1 GiB at most
+_MAX_VALUES = 2**27
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,9 @@ def inverse_subordinator_paths(
 
     Raises:
         GridError: t_grid does not start at 0.
-        OutOfRangeError: M < 1, tau_step <= 0, or a path would draw more
-            than 1e6 levels on average (checked before any allocation).
+        OutOfRangeError: M < 1, tau_step <= 0, a path would draw more
+            than 1e6 levels on average, or the ensemble would hold more than
+            2^27 values (both checked before any allocation).
     """
     if t_grid.a != 0.0:
         raise GridError(f"internal-time grids start at 0, got a = {t_grid.a}")
@@ -170,6 +173,11 @@ def inverse_subordinator_paths(
         raise OutOfRangeError(
             f"tau_step = {tau_step:g} needs about {levels:.3g} levels per path"
             f" (at most {_MAX_LEVELS:.0e}); raise tau_step"
+        )
+    if M * len(t_grid) > _MAX_VALUES:
+        raise OutOfRangeError(
+            f"{M} paths x {len(t_grid)} nodes exceed the ensemble cap of"
+            f" {_MAX_VALUES} values; lower m_paths or n"
         )
     t_nodes = t_grid.nodes()
     paths = np.empty((M, len(t_grid)))
@@ -283,8 +291,12 @@ def ensemble_mean(values, t_grid: TimeGrid | None = None) -> EnsembleStats:
     m = values.shape[0]
     if m < 2:
         raise DegenerateSampleError("need at least two paths for mean and stderr")
+    mean = values.mean(axis=0)
+    # row by row, in the order of numpy's own axis-0 sum: values.std(ddof=1)
+    # bit for bit, without its ensemble-sized temporary
+    sq = np.zeros_like(mean)
+    for row in values:
+        sq += (row - mean) ** 2
     return EnsembleStats(
-        t_grid=t_grid,
-        mean=values.mean(axis=0),
-        stderr=values.std(axis=0, ddof=1) / math.sqrt(m),
+        t_grid=t_grid, mean=mean, stderr=np.sqrt(sq / (m - 1)) / math.sqrt(m)
     )

@@ -126,6 +126,27 @@ def test_subordinator_rejects_oversized_level_count(tmp_path):
     assert "levels per path" in lines[0]
 
 
+def test_subordinator_rejects_oversized_ensemble(tmp_path):
+    # 10^7 paths on 2049 nodes would ask for 164 GB; the cap fires first
+    res = run_cli("subordinator", "--m-paths", "10000000", "--out", str(tmp_path))
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and "ensemble cap" in lines[0]
+
+
+def test_unexpected_exception_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    from fractime import cli
+
+    def broken(cfg, report):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(cli._RUNNERS, "ml-eval", broken)
+    assert cli.main(["ml", "--z", "1", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: RuntimeError: runner broke"]
+
+
 def test_config_file_fills_defaults_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha=0.3\nn=256\nseed=11\n")
@@ -199,13 +220,17 @@ def test_stanislavsky_rejects_nonlinear_gradients(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # the runtime needs numpy and mpmath only; scipy is a test-only extra,
-    # and mpmath is imported lazily by the one route that uses it
+    # the runtime needs numpy only: scipy and mpmath are test-only extras.
+    # The evaluations cover a former high-precision series corner and a
+    # former asymptotic-series point, so no route may import either.
     res = subprocess.run(
         [
             sys.executable,
             "-c",
             "import fractime.cli, sys; "
+            "from fractime import MLParams, mittag_leffler; "
+            "mittag_leffler(MLParams(0.27, 1.4), -5.5); "
+            "mittag_leffler(MLParams(0.5), -30.0); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))",
         ],
         capture_output=True,

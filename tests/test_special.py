@@ -4,8 +4,9 @@ Every tolerance here is absolute.  The closed forms used as references
 (exp, cos, cosh, erfc, the geometric series at alpha = beta = 1 shortcut)
 are computed with the standard library, not with the code under test.
 Two internal routes are also held against slow references kept here: the
-spectral quadrature against 40-digit mpmath quadrature of the same
-integral, and the integer-ratio Taylor terms against Fraction arithmetic.
+contour route against 40-digit mpmath, by quadrature of the spectral
+integral for beta = 1 and by the Taylor series elsewhere, and the
+integer-ratio Taylor terms against Fraction arithmetic.
 """
 
 import math
@@ -156,22 +157,22 @@ def test_runtime_budget_for_oracle_suite(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
     # the 2049-node oracle of `solve-fde --alpha 0.4 --b 10`,
-    # E_0.8(-t^0.8) on [0, 10], which crosses the spectral band
-    spectral_calls = []
-    route = special._spectral_neg
+    # E_0.8(-t^0.8) on [0, 10], which crosses into the contour route
+    contour_calls = []
+    route = special._opc
     monkeypatch.setattr(
-        special, "_spectral_neg", lambda a, x: spectral_calls.append(x) or route(a, x)
+        special, "_opc", lambda a, b, z: contour_calls.append(z) or route(a, b, z)
     )
     start = time.perf_counter()
     for t in TimeGrid(0.0, 10.0, 2048).nodes():
         mittag_leffler(MLParams(2.0 * 0.4), -(t ** (2.0 * 0.4)))
     assert time.perf_counter() - start < 1.5
-    assert len(spectral_calls) > 100
+    assert len(contour_calls) > 100
 
 
 def _mpmath_spectral_neg(alpha: float, x: float) -> float:
-    """Reference: E_alpha(-x) from the same spectral integral by 40-digit
-    mpmath tanh-sinh quadrature (the package's former route 3).
+    """Reference: E_alpha(-x) from its spectral integral by 40-digit
+    mpmath tanh-sinh quadrature.
 
     With v = u^alpha the weight's endpoint singularity disappears:
 
@@ -211,28 +212,83 @@ def _mpmath_spectral_neg(alpha: float, x: float) -> float:
         return float(result)
 
 
-def test_spectral_route_matches_mpmath_reference(monkeypatch):
-    # sweep the (alpha, x) plane through the dispatcher and check every
-    # point it actually sends to the spectral route
-    sent = []
-    route = special._spectral_neg
-    monkeypatch.setattr(
-        special, "_spectral_neg", lambda a, x: sent.append((a, x)) or route(a, x)
-    )
+def test_contour_route_matches_mpmath_spectral_reference():
+    # every point of the (alpha, x) sweep, whichever route the dispatcher
+    # would pick for it
+    worst = 0.0
     for alpha in np.linspace(0.05, 0.9999, 20):
         for x in np.linspace(0.0, Z_MAX, 51)[1:]:
-            mittag_leffler(MLParams(float(alpha)), -float(x))
-    alphas = {a for a, _ in sent}
-    assert len(sent) > 200 and min(alphas) == 0.05 and max(alphas) == 0.9999
-    worst = max(abs(route(a, x) - _mpmath_spectral_neg(a, x)) for a, x in sent)
+            a, x = float(alpha), float(x)
+            worst = max(worst, abs(special._opc(a, 1.0, -x) - _mpmath_spectral_neg(a, x)))
     assert worst <= 1e-12
 
 
-def test_spectral_route_raises_when_halving_never_clears(monkeypatch):
-    # one halving cannot resolve the dip at v0 = -x cos(a pi)
-    monkeypatch.setattr(special, "_TS_LEVELS", 1)
-    with pytest.raises(PrecisionLossError, match="did not converge"):
-        special._spectral_neg(0.9, 10.0)
+def _mpmath_taylor(alpha: float, beta: float, z: float) -> float:
+    """Reference: E_{alpha,beta}(z) from its Taylor series in mpmath, with
+    40 digits beyond those the largest term, about exp(|z|^(1/alpha)),
+    cancels."""
+    import mpmath as mp
+
+    peak = abs(z) ** (1.0 / alpha)
+    with mp.workdps(40 + int(peak / math.log(10.0))):
+        zz, a, b = mp.mpf(z), mp.mpf(alpha), mp.mpf(beta)
+        s = mp.mpf(0)
+        k = 0
+        while True:
+            t = zz**k / mp.gamma(a * k + b)
+            s += t
+            if k > peak / alpha + 2 and abs(t) < mp.mpf("1e-45") * (1 + abs(s)):
+                return float(s)
+            k += 1
+
+
+def test_contour_route_matches_mpmath_taylor_reference():
+    worst = 0.0
+    for alpha in np.linspace(1.0, 2.0, 11):
+        for beta in (0.5, 1.0, 1.7, 3.0):
+            for z in np.linspace(-Z_MAX, 0.0, 26)[:-1]:
+                a, z = float(alpha), float(z)
+                ref = _mpmath_taylor(a, beta, z)
+                err = abs(special._opc(a, beta, z) - ref) / max(1.0, abs(ref))
+                worst = max(worst, err)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, z", [(0.9, 7.0, -20.0), (0.45, 10.0, -6.0), (0.3, 5.5, -2.5)]
+)
+def test_contour_route_lowers_beta_past_the_strength_limit(alpha, beta, z):
+    # the origin's strength 2(beta - alpha - 1) is too large for any
+    # parabola here; the route shifts beta down by the recurrence
+    assert special._contour(alpha, beta, z) is None
+    ref = _mpmath_taylor(alpha, beta, z)
+    assert abs(mittag_leffler(MLParams(alpha, beta), z) - ref) <= 1e-12
+
+
+# (alpha, beta, z, value by _mpmath_taylor) where neither Taylor route
+# certifies the target: a high-precision series once took seconds on the
+# first two, the third (about 0.128397569276213) raised
+# PrecisionLossError, and the fourth went to an asymptotic series
+FALLBACK_CORNERS = [
+    (0.27, 1.4, -5.5, 0.1670682895868367),
+    (0.35, 0.7, -8.4, 0.04637683371950777),
+    (0.3, 1.3, -7.0, 0.12839756927621343),
+    (0.5, 1.0, -30.0, 0.01879588886141675),
+]
+
+
+def test_former_fallback_corners_are_fast_and_accurate():
+    start = time.perf_counter()
+    for alpha, beta, z, ref in FALLBACK_CORNERS:
+        assert mittag_leffler(MLParams(alpha, beta), z) == pytest.approx(ref, abs=1e-12)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_contour_route_raises_when_node_cap_is_too_small(monkeypatch):
+    # E_0.9(-10) needs a few dozen nodes even at the loosest target
+    monkeypatch.setattr(special, "_OPC_MAX_NODES", 5)
+    with pytest.raises(PrecisionLossError, match="needs more than 5 nodes"):
+        special._opc(0.9, 1.0, -10.0)
     with pytest.raises(PrecisionLossError):
         mittag_leffler(MLParams(0.9), -10.0)
 

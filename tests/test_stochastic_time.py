@@ -127,6 +127,32 @@ def test_inverse_paths_cap_expected_levels_per_path():
     assert ens.paths.shape == (1, 3)
 
 
+def test_inverse_paths_cap_ensemble_size_before_allocating(monkeypatch):
+    import fractime.stochastic_time as stochastic_time
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the ensemble was allocated")
+
+    # 10^7 paths on 2049 nodes would ask for 164 GB
+    monkeypatch.setattr(stochastic_time.np, "empty", no_allocation)
+    with pytest.raises(OutOfRangeError, match="ensemble cap"):
+        inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 2048), 10**7, seed=0)
+    monkeypatch.undo()
+    # the cap counts M x nodes values
+    monkeypatch.setattr(stochastic_time, "_MAX_VALUES", 100)
+    grid = TimeGrid(0.0, 1.0, 9)
+    assert inverse_subordinator_paths(HALF, grid, 10, seed=0).paths.shape == (10, 10)
+    with pytest.raises(OutOfRangeError, match="ensemble cap"):
+        inverse_subordinator_paths(HALF, grid, 11, seed=0)
+
+
+def test_ensemble_stderr_is_bitwise_numpy_std():
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 64), 300, seed=5)
+    stats = ensemble_mean(ens)
+    assert np.array_equal(stats.mean, ens.paths.mean(axis=0))
+    assert np.array_equal(stats.stderr, ens.paths.std(axis=0, ddof=1) / math.sqrt(300))
+
+
 def test_inverse_paths_are_reproducible_and_seed_sensitive():
     grid = TimeGrid(0.0, 1.0, 6)
     a = inverse_subordinator_paths(HALF, grid, 16, seed=5)
