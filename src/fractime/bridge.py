@@ -203,19 +203,16 @@ class CommutationReport:
 
     @property
     def significance(self) -> float:
-        """Largest gap in stderr units over nodes with positive stderr."""
-        out = 0.0
-        for gap, err in ((self.gap_x, self.stderr_x), (self.gap_p, self.stderr_p)):
-            mask = err > 0.0
-            if np.any(mask):
-                out = max(out, float((gap[mask] / err[mask]).max()))
-        return out
+        """Largest gap over all nodes in units of stderr + rounding allowance,
+        so within() reads gap <= 3 stderr + 1e-12 off this one number."""
+        floor = _COMMUTATION_ATOL / _COMMUTATION_SIGMA
+        return max(
+            float((gap / (err + floor)).max())
+            for gap, err in ((self.gap_x, self.stderr_x), (self.gap_p, self.stderr_p))
+        )
 
     def within(self) -> bool:
-        return bool(
-            np.all(self.gap_x <= _COMMUTATION_SIGMA * self.stderr_x + _COMMUTATION_ATOL)
-            and np.all(self.gap_p <= _COMMUTATION_SIGMA * self.stderr_p + _COMMUTATION_ATOL)
-        )
+        return self.significance <= _COMMUTATION_SIGMA
 
 
 def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> CommutationReport:
@@ -357,13 +354,12 @@ class CompatibilityReport:
     momentum: CheckBand
     causal_el: CheckBand
     commutation: CommutationReport
-    commutation_passed: bool
     derivative_route: np.ndarray
     momentum_route: np.ndarray
 
     @property
     def passed(self) -> bool:
-        return self.momentum.passed and self.causal_el.passed and self.commutation_passed
+        return self.momentum.passed and self.causal_el.passed and self.commutation.within()
 
     def save(self, out_dir: str, stem: str) -> list:
         m, e = self.momentum, self.causal_el
@@ -381,7 +377,7 @@ class CompatibilityReport:
             f" -> {'PASS' if self.momentum.passed else 'FAIL'}",
             f"causal EL residual interior fraction: {self.causal_el.fraction_within:.4f}"
             f" -> {'PASS' if self.causal_el.passed else 'FAIL'}",
-            f"commutation gap within 3*stderr: {'PASS' if self.commutation_passed else 'FAIL'}"
+            f"commutation gap within 3*stderr: {'PASS' if self.commutation.within() else 'FAIL'}"
             f" (max significance {self.commutation.significance:.2f})",
             f"verdict: {'PASS' if self.passed else 'FAIL'}",
         ]
@@ -429,14 +425,12 @@ def verify_compatibility(
         [causal_residual(gx) for gx, _ in groups],
         n,
     )
-    comm = commutation_gap(H, obs)
     return CompatibilityReport(
         t_grid=t_grid,
         alpha=order,
         momentum=momentum,
         causal_el=causal,
-        commutation=comm,
-        commutation_passed=comm.within(),
+        commutation=commutation_gap(H, obs),
         derivative_route=deriv_route,
         momentum_route=obs.mean_p,
     )

@@ -115,8 +115,9 @@ class SubordinatorEnsemble:
     def m_paths(self) -> int:
         return int(self.paths.shape[0])
 
-    def save_csv(self, path, max_paths: int | None = None) -> None:
-        k = self.m_paths if max_paths is None else min(max_paths, self.m_paths)
+    def save_csv(self, path) -> None:
+        """Write the grid and the first 16 paths (all when fewer)."""
+        k = min(16, self.m_paths)
         header = ["t"] + [f"path{i}" for i in range(k)]
         cols = [self.t_grid.nodes()] + [self.paths[i] for i in range(k)]
         write_csv(path, header, cols)
@@ -273,21 +274,13 @@ def ks_statistic(a, b) -> float:
     return h / ((a.size // g) * b.size)
 
 
-def ensemble_mean(values, t_grid: TimeGrid | None = None) -> EnsembleStats:
-    """Pointwise mean and stderr (= sample std / sqrt(M)) over path rows.
-
-    Accepts a SubordinatorEnsemble or a raw (M, nodes) array of mapped
-    path values with its grid.
+def ensemble_mean(ens: SubordinatorEnsemble) -> EnsembleStats:
+    """Pointwise mean and stderr (= sample std / sqrt(M)) over the paths.
 
     Raises:
         DegenerateSampleError: fewer than two paths.
     """
-    if isinstance(values, SubordinatorEnsemble):
-        t_grid = values.t_grid
-        values = values.paths
-    if t_grid is None:
-        raise GridError("raw value arrays need an explicit grid")
-    values = np.asarray(values, dtype=float)
+    values = ens.paths
     m = values.shape[0]
     if m < 2:
         raise DegenerateSampleError("need at least two paths for mean and stderr")
@@ -298,5 +291,5 @@ def ensemble_mean(values, t_grid: TimeGrid | None = None) -> EnsembleStats:
     for row in values:
         sq += (row - mean) ** 2
     return EnsembleStats(
-        t_grid=t_grid, mean=mean, stderr=np.sqrt(sq / (m - 1)) / math.sqrt(m)
+        t_grid=ens.t_grid, mean=mean, stderr=np.sqrt(sq / (m - 1)) / math.sqrt(m)
     )

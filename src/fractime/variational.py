@@ -14,8 +14,6 @@ sides of that dichotomy use interior norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fracops import (
@@ -31,8 +29,6 @@ from .reports import ResidualReport, make_report
 from .systems import HamiltonianSystem, LagrangianSystem
 
 __all__ = [
-    "ActionValue",
-    "VariationSpace",
     "action",
     "directional_derivative",
     "general_el_residual",
@@ -45,27 +41,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ActionValue:
-    """Value of the fractional action for one Lagrangian on one grid."""
-
-    value: float
-    grid: TimeGrid
-    lagrangian: str
-
-
-@dataclass(frozen=True)
-class VariationSpace:
-    """Marker for the admissible-variation space used by membership checks.
-
-    V_alpha demands h(b) = 0 and a vanishing left integral of complementary
-    order at a (identically zero for the discrete operator; the computed
-    value is reported).  strict selects V_alpha_tilde, which additionally
-    demands that left and right derivatives of h cancel.
-    """
-
-    strict: bool
-    tol: float = 1e-8
+# membership tolerance on the boundary data of an admissible variation
+_VARIATION_TOL = 1e-8
 
 
 def _phase_eval(L: LagrangianSystem, x: Trajectory, order: FracOrder):
@@ -74,13 +51,10 @@ def _phase_eval(L: LagrangianSystem, x: Trajectory, order: FracOrder):
     return x.values, v, t
 
 
-def action(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> ActionValue:
+def action(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> float:
     """Trapezoid quadrature of L(x, D^a_left x, t) over the grid."""
     xv, v, t = _phase_eval(L, x, order)
-    integrand = np.asarray(L.lagrangian(xv, v, t), dtype=float)
-    return ActionValue(
-        value=trapezoid(integrand, x.grid.h), grid=x.grid, lagrangian=L.label
-    )
+    return trapezoid(np.asarray(L.lagrangian(xv, v, t), dtype=float), x.grid.h)
 
 
 def directional_derivative(
@@ -92,8 +66,8 @@ def directional_derivative(
 ) -> float:
     """Central difference of the action along h: [A(x+eh) - A(x-eh)]/(2e)."""
     x.same_grid(h)
-    up = action(L, Trajectory(x.grid, x.values + eps * h.values), order).value
-    dn = action(L, Trajectory(x.grid, x.values - eps * h.values), order).value
+    up = action(L, Trajectory(x.grid, x.values + eps * h.values), order)
+    dn = action(L, Trajectory(x.grid, x.values - eps * h.values), order)
     return (up - dn) / (2.0 * eps)
 
 
@@ -158,9 +132,14 @@ def hamiltonian_action_residual(
 
 
 def variation_space_check(
-    h: Trajectory, space: VariationSpace, order: FracOrder
+    h: Trajectory, order: FracOrder, strict: bool = False
 ) -> tuple[bool, dict]:
     """Membership test with diagnostics for the admissible-variation spaces.
+
+    V_alpha demands h(b) = 0 and a vanishing left integral of complementary
+    order at a (identically zero for the discrete operator; the computed
+    value is reported).  strict selects V_alpha_tilde, which additionally
+    demands that left and right derivatives of h cancel.
 
     Returns (member, diagnostics).  Diagnostics always report the endpoint
     value and the left integral of complementary order at a; the stricter
@@ -172,12 +151,12 @@ def variation_space_check(
     left_integral_at_a = float(
         np.max(np.abs(rl_integral_left(h, comp).values[0]))
     )
-    ok = endpoint <= space.tol and left_integral_at_a <= space.tol
+    ok = endpoint <= _VARIATION_TOL and left_integral_at_a <= _VARIATION_TOL
     diag = {
         "endpoint_value": endpoint,
         "left_integral_at_a": left_integral_at_a,
     }
-    if space.strict:
+    if strict:
         profile = np.max(np.abs(k_alpha_apply(h, order).values), axis=1)
         tol = 10.0 * h.grid.h ** (2.0 - order.alpha)
         diag["k_alpha_profile"] = profile

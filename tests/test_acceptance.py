@@ -245,7 +245,7 @@ def test_acceptance_09_variational_identity():
         L = harmonic()
         grid = TimeGrid(0.0, 1.0, 256)
         x = Trajectory.from_callable(grid, lambda t: np.cos(t) + 0.3 * t)
-        a_val = action(L, x, HALF).value
+        a_val = action(L, x, HALF)
         res = general_el_residual(L, x, HALF).residual.values[:, 0]
         budget = 1e-4 * (1.0 + abs(a_val))
         worst = 0.0

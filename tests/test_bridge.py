@@ -243,7 +243,7 @@ def test_compatibility_check_passes_for_natural_harmonic():
     )
     assert rep.momentum.passed
     assert rep.causal_el.passed
-    assert rep.commutation_passed
+    assert rep.commutation.within()
     assert rep.passed
 
 
@@ -312,7 +312,8 @@ def test_compatibility_summary_is_written_atomically(tmp_path, monkeypatch):
         np.array([1.0, 0.0]),
         inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 64), 200, seed=5),
     )
-    changed = dataclasses.replace(rep, commutation_passed=not rep.commutation_passed)
+    flipped = dataclasses.replace(rep.momentum, passed=not rep.momentum.passed)
+    changed = dataclasses.replace(rep, momentum=flipped)
     _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep, changed)
 
 

@@ -213,10 +213,82 @@ def test_scaling_limit_small_run(tmp_path):
     assert header == "p,rescaled_counts_quantile,internal_time_quantile"
 
 
-def test_stanislavsky_rejects_nonlinear_gradients(tmp_path):
-    res = run_cli("verify-stanislavsky", "--system", "quartic", "--out", str(tmp_path))
-    assert res.returncode == 2
-    assert "linear gradients" in res.stderr
+def _checks(out: str) -> dict:
+    """Check name -> (verdict, detail) from a run report."""
+    rows = [line[len("check ["):] for line in out.splitlines() if line.startswith("check [")]
+    verdicts = [row.split("] ", 1) for row in rows]
+    return {rest.split(": ", 1)[0]: (v, rest.split(": ", 1)[1]) for v, rest in verdicts}
+
+
+def test_stanislavsky_band_check_fails_quartic(tmp_path, capsys):
+    # no refusal by label: the quartic mean leaves the FDE solution's band
+    from fractime import cli
+
+    code = cli.main(
+        ["verify-stanislavsky", "--system", "quartic", "--n", "256", "--m-paths", "2000",
+         "--out", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert code == 1, out
+    verdict, detail = _checks(out)["MC subordination matches fractional solve"]
+    assert verdict == "FAIL"
+    assert float(detail.split(": ")[1].split()[0]) < 0.95
+
+
+def test_commutation_line_prints_the_number_its_verdict_reads(tmp_path, capsys):
+    # the free particle's gradient is constant in x: gaps and stderr sit at
+    # rounding level, where only the 1e-12 allowance decides
+    from fractime import cli
+
+    code = cli.main(
+        ["verify-compatibility", "--system", "free-particle", "--p0", "0.1", "--n", "64",
+         "--m-paths", "2000", "--out", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert code in (0, 1), out
+    verdict, detail = _checks(out)["commutation gap within noise for quadratic H"]
+    significance = float(detail.split("= ")[1].split()[0])
+    assert (verdict == "PASS") == (significance <= 3.0), detail
+
+
+def test_frac_deriv_t2_power_rule_holds_off_the_origin(tmp_path, capsys):
+    from fractime import cli
+
+    code = cli.main(["frac-deriv", "--a", "0.5", "--n", "512", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    verdict, detail = _checks(out)["matches power-rule oracle"]
+    assert verdict == "PASS", detail
+
+
+def test_frac_deriv_self_convergence_aligns_odd_grids(tmp_path, capsys):
+    # at odd n the coarse grid covers [a, t_{n-1}], so the gap stays near
+    # the gap at n - 1 instead of comparing nodes at different times
+    from fractime import cli
+
+    gaps = {}
+    for n in (512, 513):
+        code = cli.main(
+            ["frac-deriv", "--function", "sin", "--n", str(n), "--out", str(tmp_path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        _, detail = _checks(out)["self-convergence under grid refinement"]
+        gaps[n] = float(detail.split("= ")[1].split()[0])
+    assert gaps[513] <= 2.0 * gaps[512], gaps
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="caputo_left maps node 0 to 0 although D^a x(0+) = p0/m, so the outer"
+    " Caputo derivative of the causal residual sees a jump of p0 near t = 0",
+)
+def test_verify_coherence_passes_with_initial_momentum(tmp_path, capsys):
+    from fractime import cli
+
+    code = cli.main(["verify-coherence", "--p0", "1", "--n", "256", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
 
 
 def test_cli_import_loads_no_scipy():

@@ -5,11 +5,13 @@ Every tolerance here is absolute.  The closed forms used as references
 are computed with the standard library, not with the code under test.
 Two internal routes are also held against slow references kept here: the
 contour route against 40-digit mpmath, by quadrature of the spectral
-integral for beta = 1 and by the Taylor series elsewhere, and the
+integral for beta = 1 (a checked-in table of its values, a few of them
+recomputed live) and by the Taylor series elsewhere, and the
 integer-ratio Taylor terms against Fraction arithmetic.
 """
 
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -212,15 +214,40 @@ def _mpmath_spectral_neg(alpha: float, x: float) -> float:
         return float(result)
 
 
+# E_alpha(-x) by _mpmath_spectral_neg on the (alpha, x) sweep, one row
+# "alpha,x,value" per point; each reference costs 30-120 ms, so the 1,000
+# values are computed once by running this module as a script
+SPECTRAL_TABLE = os.path.join(os.path.dirname(__file__), "ml_spectral_reference.csv")
+
+
+def _spectral_sweep() -> list:
+    return [
+        (float(alpha), float(x))
+        for alpha in np.linspace(0.05, 0.9999, 20)
+        for x in np.linspace(0.0, Z_MAX, 51)[1:]
+    ]
+
+
+def _spectral_table() -> list:
+    with open(SPECTRAL_TABLE) as fh:
+        rows = [line.split(",") for line in fh if not line.startswith("#")]
+    return [tuple(float(v) for v in row) for row in rows]
+
+
 def test_contour_route_matches_mpmath_spectral_reference():
     # every point of the (alpha, x) sweep, whichever route the dispatcher
     # would pick for it
-    worst = 0.0
-    for alpha in np.linspace(0.05, 0.9999, 20):
-        for x in np.linspace(0.0, Z_MAX, 51)[1:]:
-            a, x = float(alpha), float(x)
-            worst = max(worst, abs(special._opc(a, 1.0, -x) - _mpmath_spectral_neg(a, x)))
+    table = _spectral_table()
+    assert [(a, x) for a, x, _ in table] == _spectral_sweep()
+    worst = max(abs(special._opc(a, 1.0, -x) - ref) for a, x, ref in table)
     assert worst <= 1e-12
+
+
+def test_spectral_reference_table_matches_live_mpmath():
+    # a few entries across alpha, recomputed, so the table cannot drift
+    # from its generator
+    for a, x, ref in _spectral_table()[::249]:
+        assert abs(_mpmath_spectral_neg(a, x) - ref) <= 1e-15 * max(1.0, abs(ref)), (a, x)
 
 
 def _mpmath_taylor(alpha: float, beta: float, z: float) -> float:
@@ -328,3 +355,13 @@ def test_integer_ratio_taylor_terms_are_bitwise_fraction_terms(ia, ib, z):
     assert value.hex() == ref_value.hex()
     assert est.hex() == ref_est.hex()
     assert converged is ref_converged
+
+
+if __name__ == "__main__":
+    # regenerate the spectral reference table: PYTHONPATH=src python tests/test_special.py
+    with open(SPECTRAL_TABLE, "w", newline="\n") as fh:
+        fh.write("# E_alpha(-x) by _mpmath_spectral_neg (40-digit mpmath) on the sweep of\n")
+        fh.write("# test_contour_route_matches_mpmath_spectral_reference; columns alpha,x,value\n")
+        fh.write("# generated by: PYTHONPATH=src python tests/test_special.py\n")
+        for a, x in _spectral_sweep():
+            fh.write(f"{a!r},{x!r},{_mpmath_spectral_neg(a, x)!r}\n")

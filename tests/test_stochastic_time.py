@@ -207,15 +207,15 @@ def test_near_unit_order_internal_time_tracks_real_time():
 
 
 def test_ensemble_mean_rejects_single_path():
-    grid = TimeGrid(0.0, 1.0, 4)
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 4), 1, seed=0)
     with pytest.raises(DegenerateSampleError):
-        ensemble_mean(np.zeros((1, 5)), grid)
+        ensemble_mean(ens)
 
 
 def test_ensemble_mean_matches_manual_formulas():
     grid = TimeGrid(0.0, 1.0, 2)
     vals = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0]])
-    stats = ensemble_mean(vals, grid)
+    stats = ensemble_mean(SubordinatorEnsemble(grid, vals, HALF, 1e-3))
     np.testing.assert_allclose(stats.mean, [0.0, 2.0, 3.0])
     expect = np.std(vals, axis=0, ddof=1) / math.sqrt(2.0)
     np.testing.assert_allclose(stats.stderr, expect)
@@ -223,11 +223,11 @@ def test_ensemble_mean_matches_manual_formulas():
 
 def test_ensemble_csv_roundtrip(tmp_path):
     grid = TimeGrid(0.0, 1.0, 4)
-    ens = inverse_subordinator_paths(HALF, grid, 8, seed=3)
+    ens = inverse_subordinator_paths(HALF, grid, 20, seed=3)
     p = tmp_path / "paths.csv"
-    ens.save_csv(p, max_paths=4)
+    ens.save_csv(p)
     header = p.read_text().splitlines()[0]
-    assert header == "t,path0,path1,path2,path3"
+    assert header == "t," + ",".join(f"path{i}" for i in range(16))
     stats = ensemble_mean(ens)
     q = tmp_path / "stats.csv"
     stats.save_csv(q)
