@@ -11,7 +11,9 @@ gradients and is probed for failure on a quartic potential.
 
 Sampling is the caller's: one SubordinatorEnsemble from
 inverse_subordinator_paths serves every flow and check of a run, and the
-bridge only maps it through classical flows.
+bridge only maps it through classical flows, each solved once on
+[0, max(largest sampled S(b), tau_step)].  Fewer than two paths are
+refused, since they have no standard error.
 
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
 bound added linearly; stderr for derived quantities (anything passed
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import legendre_transform, solve_classical, solve_fde
-from .errors import ConfigError, CoverageError, OutOfRangeError
+from .errors import ConfigError, DegenerateSampleError, OutOfRangeError
 from .fracops import FracOrder, caputo_left
 from .grids import TimeGrid, Trajectory, write_csv, write_text
 from .reports import interior_window
@@ -76,16 +78,6 @@ class SubordinatedObservable:
     path_x: np.ndarray | None = None
     path_p: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        return int(self.mean_x.shape[1])
-
-    def phase_mean(self) -> np.ndarray:
-        return np.hstack([self.mean_x, self.mean_p])
-
-    def phase_stderr(self) -> np.ndarray:
-        return np.hstack([self.stderr_x, self.stderr_p])
-
 
 def subordinate_flow(
     H: HamiltonianSystem,
@@ -97,14 +89,14 @@ def subordinate_flow(
     """Average the classical flow over the internal-time paths of ens.
 
     The classical system is solved once on [0, tau_max], where tau_max is
-    the 99.9th percentile of the sampled S(b), extended once by 2x if any
-    path lands beyond it; the solution is evaluated at random times by
-    linear interpolation with a classical step of at most 1e-3, so the
+    the largest sampled S(b) (ens.tau_step if larger), so every sampled
+    time lies on it; the solution is evaluated at those times by linear
+    interpolation with a classical step of at most 1e-3, so the
     interpolation error stays well below Monte Carlo noise.  With
     keep_paths, raw path values are kept at the commutation nodes only.
 
     Raises:
-        CoverageError: a sampled S exceeds the extended horizon.
+        DegenerateSampleError: fewer than two paths.
         OutOfRangeError: y0 does not stack x and p for H.dim.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
@@ -114,17 +106,10 @@ def subordinate_flow(
         )
     d = H.dim
     M = ens.m_paths
+    if M < 2:
+        raise DegenerateSampleError("need at least two paths for mean and stderr")
     t_grid = ens.t_grid
-    s_last = ens.paths[:, -1]
-    s_max = float(s_last.max())
-    tau_max = float(np.quantile(s_last, 0.999))
-    if s_max > tau_max:
-        tau_max *= 2.0
-    if s_max > tau_max:
-        raise CoverageError(
-            f"sampled internal time {s_max:.6g} exceeds the extended horizon {tau_max:.6g}"
-        )
-    tau_max = max(tau_max, ens.tau_step)
+    tau_max = max(float(ens.paths[:, -1].max()), ens.tau_step)
     n_classical = max(2048, int(math.ceil(tau_max / 1e-3)))
     classical = solve_classical(H, y0, TimeGrid(0.0, tau_max, n_classical))
     tau_nodes = classical.grid.nodes()
@@ -157,8 +142,7 @@ def subordinate_flow(
             stored[m] = vals[kept]
 
     shifted = sums / M
-    var = np.maximum(sumsq - M * shifted * shifted, 0.0)
-    var = var / (M - 1) if M > 1 else np.zeros_like(shifted)
+    var = np.maximum(sumsq - M * shifted * shifted, 0.0) / (M - 1)
     stderr = np.sqrt(var) / math.sqrt(M)
     mean = shifted + y0
     # node 0 is y0 on every path; remove the summation rounding artifact
@@ -226,20 +210,17 @@ def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> Commut
         raise ConfigError("commutation checks need subordinate_flow(keep_paths=True)")
     dhx = np.asarray(H.dHdx(obs.path_x, obs.path_p), dtype=float)
     dhp = np.asarray(H.dHdp(obs.path_x, obs.path_p), dtype=float)
-    m = dhx.shape[0]
+    scale = math.sqrt(dhx.shape[0])
     kept = _commutation_nodes(obs.t_grid.n)
     mean_x, mean_p = obs.mean_x[kept], obs.mean_p[kept]
     at_mean_x = np.asarray(H.dHdx(mean_x, mean_p), dtype=float)
     at_mean_p = np.asarray(H.dHdp(mean_x, mean_p), dtype=float)
-    scale = math.sqrt(m) if m > 1 else 1.0
-    err_x = dhx.std(axis=0, ddof=1) / scale if m > 1 else np.zeros_like(at_mean_x)
-    err_p = dhp.std(axis=0, ddof=1) / scale if m > 1 else np.zeros_like(at_mean_p)
     return CommutationReport(
         t=obs.t_grid.nodes()[kept],
         gap_x=np.abs(at_mean_x - dhx.mean(axis=0)),
         gap_p=np.abs(at_mean_p - dhp.mean(axis=0)),
-        stderr_x=err_x,
-        stderr_p=err_p,
+        stderr_x=dhx.std(axis=0, ddof=1) / scale,
+        stderr_p=dhp.std(axis=0, ddof=1) / scale,
     )
 
 
@@ -298,8 +279,8 @@ def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> 
     t_grid = ens.t_grid
     obs = subordinate_flow(H, y0, ens)
     fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, ens.alpha)
-    mc = obs.phase_mean()
-    se = obs.phase_stderr()
+    mc = np.hstack([obs.mean_x, obs.mean_p])
+    se = np.hstack([obs.stderr_x, obs.stderr_p])
     band = _band_check(mc - fde.y.values, se, t_grid.n)
     return ComparisonReport(
         t_grid=t_grid,

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -49,18 +50,6 @@ from .reports import interior_window
 
 __all__ = ["main", "ExperimentConfig", "RunReport", "parse_config", "run_experiment"]
 
-_COMMANDS = (
-    "ml",
-    "frac-deriv",
-    "solve-fde",
-    "subordinator",
-    "scaling-limit",
-    "verify-stanislavsky",
-    "verify-coherence",
-    "verify-compatibility",
-)
-_KIND_BY_COMMAND = {"ml": "ml-eval"}
-
 _COMMON_DEFAULTS = {
     "alpha": "0.5",
     "a": "0.0",
@@ -71,19 +60,15 @@ _COMMON_DEFAULTS = {
     "system": "harmonic",
     "out": ".",
 }
-_EXTRA_DEFAULTS = {
-    "ml-eval": {"beta": "1.0", "z": None},
-    "frac-deriv": {"function": "t2"},
-    "solve-fde": {"x0": "1", "p0": "0"},
-    "subordinator": {"tau_step": None},
-    "scaling-limit": {"c": "10000", "scale": "1.0"},
-    "verify-stanislavsky": {"x0": "1", "p0": "0"},
-    "verify-coherence": {"x0": "1", "p0": "0"},
-    "verify-compatibility": {"x0": "1", "p0": "0"},
-}
-_ALL_KEYS = set(_COMMON_DEFAULTS) | {
-    k for extras in _EXTRA_DEFAULTS.values() for k in extras
-}
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand's runner, its extra keys with defaults, and its aliases."""
+
+    run: Callable
+    extras: dict
+    aliases: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -186,7 +171,7 @@ def _to_int(key: str, text: str) -> int:
 
 def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
     """Merge flags over config-file values over defaults and validate."""
-    kind = _KIND_BY_COMMAND.get(ns.command, ns.command)
+    kind = ns.kind
     file_values = _read_config_file(ns.config) if ns.config else {}
 
     def pick(key: str, default):
@@ -218,7 +203,7 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
 
     extras = {}
-    for key, default in _EXTRA_DEFAULTS[kind].items():
+    for key, default in _COMMANDS[kind].extras.items():
         extras[key] = pick(key, default)
     return ExperimentConfig(
         kind=kind,
@@ -232,6 +217,14 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         out=out,
         extras=extras,
     )
+
+
+# system name -> (factory, its parameter names in positional order)
+_SYSTEMS = {
+    "free-particle": (free_particle, ["m"]),
+    "harmonic": (harmonic, ["m", "omega"]),
+    "quartic": (quartic, ["lam"]),
+}
 
 
 def parse_system(text: str) -> LagrangianSystem:
@@ -254,30 +247,22 @@ def parse_system(text: str) -> LagrangianSystem:
                 values[key] = _to_float(f"system parameter {key}", val.strip())
             else:
                 order.append(_to_float("system parameter", part))
-    if name == "free-particle":
-        named = _bind(order, values, ["m"], {"m": 1.0})
-        return free_particle(m=named["m"])
-    if name == "harmonic":
-        named = _bind(order, values, ["m", "omega"], {"m": 1.0, "omega": 1.0})
-        return harmonic(m=named["m"], omega=named["omega"])
-    if name == "quartic":
-        named = _bind(order, values, ["lam"], {"lam": 1.0})
-        return quartic(lam=named["lam"])
-    raise ConfigError(
-        f"unknown system '{name}'; expected free-particle | harmonic(m, omega) | quartic(lambda)"
-    )
+    if name not in _SYSTEMS:
+        raise ConfigError(
+            f"unknown system '{name}'; expected free-particle | harmonic(m, omega) | quartic(lambda)"
+        )
+    factory, param_names = _SYSTEMS[name]
+    return factory(**_bind(order, values, param_names))
 
 
-def _bind(positional, named, param_names, defaults) -> dict:
+def _bind(positional, named, param_names) -> dict:
     if len(positional) > len(param_names):
         raise ConfigError(
             f"too many system parameters; expected at most {param_names}"
         )
-    out = dict(defaults)
-    for i, value in enumerate(positional):
-        out[param_names[i]] = value
+    out = dict(zip(param_names, positional))
     for key, value in named.items():
-        if key not in defaults:
+        if key not in param_names:
             raise ConfigError(f"unknown system parameter '{key}'; expected {param_names}")
         out[key] = value
     for key, value in out.items():
@@ -299,11 +284,6 @@ def _parse_phase_point(cfg: ExperimentConfig, dim: int) -> np.ndarray:
 
 def _grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid(cfg.a, cfg.b, cfg.n)
-
-
-def _require_start_zero(cfg: ExperimentConfig) -> None:
-    if cfg.a != 0.0:
-        raise ConfigError(f"a must be 0 for internal-time experiments, got {cfg.a}")
 
 
 def _sample(cfg: ExperimentConfig, tau_step: float | None = None):
@@ -453,7 +433,6 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
 
 
 def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
-    _require_start_zero(cfg)
     tau_step = (
         _to_float("tau_step", cfg.extras["tau_step"])
         if cfg.extras["tau_step"] is not None
@@ -512,7 +491,6 @@ def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
 
 
 def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
-    _require_start_zero(cfg)
     L = parse_system(cfg.system)
     H = legendre_transform(L)
     y0 = _parse_phase_point(cfg, L.dim)
@@ -571,7 +549,6 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
 
 
 def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
-    _require_start_zero(cfg)
     L = parse_system(cfg.system)
     y0 = _parse_phase_point(cfg, L.dim)
     ens = _sample(cfg)
@@ -616,23 +593,25 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     )
 
 
-_RUNNERS = {
-    "ml-eval": _run_ml,
-    "frac-deriv": _run_frac_deriv,
-    "solve-fde": _run_solve_fde,
-    "subordinator": _run_subordinator,
-    "scaling-limit": _run_scaling_limit,
-    "verify-stanislavsky": _run_verify_stanislavsky,
-    "verify-coherence": _run_verify_coherence,
-    "verify-compatibility": _run_verify_compatibility,
+_PHASE_POINT = {"x0": "1", "p0": "0"}
+_COMMANDS = {
+    "ml-eval": _Command(_run_ml, {"beta": "1.0", "z": None}, aliases=("ml",)),
+    "frac-deriv": _Command(_run_frac_deriv, {"function": "t2"}),
+    "solve-fde": _Command(_run_solve_fde, _PHASE_POINT),
+    "subordinator": _Command(_run_subordinator, {"tau_step": None}),
+    "scaling-limit": _Command(_run_scaling_limit, {"c": "10000", "scale": "1.0"}),
+    "verify-stanislavsky": _Command(_run_verify_stanislavsky, _PHASE_POINT),
+    "verify-coherence": _Command(_run_verify_coherence, _PHASE_POINT),
+    "verify-compatibility": _Command(_run_verify_compatibility, _PHASE_POINT),
 }
+_ALL_KEYS = set(_COMMON_DEFAULTS) | {k for c in _COMMANDS.values() for k in c.extras}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run a validated config; returns the report (raises FractimeError)."""
     report = RunReport(kind=cfg.kind, config=cfg)
     start = time.perf_counter()
-    _RUNNERS[cfg.kind](cfg, report)
+    _COMMANDS[cfg.kind].run(cfg, report)
     report.duration = time.perf_counter() - start
     return report
 
@@ -643,10 +622,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractional dynamics driven by stochastic internal time.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        kind = _KIND_BY_COMMAND.get(command, command)
-        aliases = [kind] if kind != command else []
-        p = sub.add_parser(command, aliases=aliases)
+    for kind, command in _COMMANDS.items():
+        p = sub.add_parser(kind, aliases=list(command.aliases))
+        p.set_defaults(kind=kind)
         p.add_argument("--alpha")
         p.add_argument("--a")
         p.add_argument("--b")
@@ -656,7 +634,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--system")
         p.add_argument("--out")
         p.add_argument("--config")
-        for key in _EXTRA_DEFAULTS[kind]:
+        for key in command.extras:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key)
     return parser
 

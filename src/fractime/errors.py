@@ -29,10 +29,6 @@ class DivergenceError(FractimeError):
     """A time stepper produced non-finite or exploding state."""
 
 
-class CoverageError(FractimeError):
-    """A sampled internal time exceeded the solved classical horizon."""
-
-
 class DegenerateSampleError(FractimeError):
     """A Monte Carlo sample is degenerate (e.g. all counts zero)."""
 

@@ -56,6 +56,11 @@ def _l1_weights(alpha: float, n: int) -> np.ndarray:
     return (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
 
 
+def _history_sums(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per column c, the history sums sum_{j<=i} w_j c_{i-j} for i < len(w)."""
+    return np.stack([np.convolve(c, w)[: len(w)] for c in cols.T], axis=1)
+
+
 def caputo_left(x: Trajectory, order: FracOrder) -> Trajectory:
     """Left Caputo derivative, L1 scheme, componentwise.
 
@@ -67,10 +72,8 @@ def caputo_left(x: Trajectory, order: FracOrder) -> Trajectory:
     n = grid.n
     w = _l1_weights(order.alpha, n)
     scale = grid.h ** (-order.alpha) / math.gamma(2.0 - order.alpha)
-    dx = np.diff(x.values, axis=0)
     out = np.zeros_like(x.values)
-    for k in range(x.values.shape[1]):
-        out[1:, k] = scale * np.convolve(dx[:, k], w)[:n]
+    out[1:] = scale * _history_sums(np.diff(x.values, axis=0), w)
     return Trajectory(grid, out)
 
 
@@ -105,9 +108,7 @@ def rl_integral_left(x: Trajectory, order: FracOrder) -> Trajectory:
     a0 = (i - 1.0) ** (alpha + 1.0) - (i - 1.0 - alpha) * i ** alpha
     c = _pt_corrector_weights(alpha, n)
     out = np.zeros_like(x.values)
-    for k in range(x.values.shape[1]):
-        conv = np.convolve(x.values[1:, k], c)[:n]
-        out[1:, k] = scale * (a0 * x.values[0, k] + conv)
+    out[1:] = scale * (a0[:, None] * x.values[0] + _history_sums(x.values[1:], c))
     return Trajectory(grid, out)
 
 

@@ -162,7 +162,7 @@ def inverse_subordinator_paths(
             2^27 values (both checked before any allocation).
     """
     if t_grid.a != 0.0:
-        raise GridError(f"internal-time grids start at 0, got a = {t_grid.a}")
+        raise GridError(f"a must be 0 for internal-time experiments, got a = {t_grid.a}")
     if M < 1:
         raise OutOfRangeError(f"M must be at least 1, got {M}")
     if tau_step is None:

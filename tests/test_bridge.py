@@ -36,7 +36,8 @@ from fractime.bridge import (
     commutation_gap,
     verify_compatibility,
 )
-from fractime.errors import ConfigError, OutOfRangeError
+from fractime import bridge
+from fractime.errors import ConfigError, DegenerateSampleError, OutOfRangeError
 from fractime.systems import LagrangianSystem, free_particle, quartic
 
 HALF = FracOrder(0.5)
@@ -91,10 +92,13 @@ def test_momentum_mean_is_tracked_alongside_position():
 
 
 def test_phase_views_stack_position_and_momentum():
-    obs = _free_obs(m_paths=64)
-    assert obs.phase_mean().shape == (9, 2)
-    assert obs.phase_stderr().shape == (9, 2)
-    np.testing.assert_array_equal(obs.phase_mean()[:, 0], obs.mean_x[:, 0])
+    H = legendre_transform(free_particle())
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 8), 64, seed=42)
+    obs = subordinate_flow(H, np.array([0.0, 1.0]), ens)
+    rep = verify_stanislavsky(H, np.array([0.0, 1.0]), ens)
+    assert rep.mc_mean.shape == rep.mc_stderr.shape == (9, 2)
+    np.testing.assert_array_equal(rep.mc_mean, np.hstack([obs.mean_x, obs.mean_p]))
+    np.testing.assert_array_equal(rep.mc_stderr, np.hstack([obs.stderr_x, obs.stderr_p]))
 
 
 def test_initial_state_size_is_validated():
@@ -120,13 +124,32 @@ def test_commutation_needs_retained_paths():
         commutation_gap(H, obs)
 
 
-def test_single_path_commutation_gap_is_bitwise_zero():
+def test_single_path_ensemble_is_refused():
+    # one path has no standard error; a flow over it must not report 0
     H = legendre_transform(harmonic())
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 1, seed=3)
-    obs = subordinate_flow(H, np.array([1.0, 0.0]), ens, keep_paths=True)
-    rep = commutation_gap(H, obs)
-    assert rep.gap_x.max() == 0.0
-    assert rep.gap_p.max() == 0.0
+    with pytest.raises(DegenerateSampleError, match="two paths"):
+        subordinate_flow(H, np.array([1.0, 0.0]), ens, keep_paths=True)
+
+
+@pytest.mark.parametrize("tau_step", [None, 10.0])
+def test_classical_horizon_is_the_largest_sampled_internal_time(monkeypatch, tau_step):
+    # tau_step = 10 puts every S(1) at 0, so the horizon falls back to tau_step
+    grids = []
+    real = bridge.solve_classical
+
+    def spy(H, y0, grid):
+        grids.append(grid)
+        return real(H, y0, grid)
+
+    monkeypatch.setattr(bridge, "solve_classical", spy)
+    ens = inverse_subordinator_paths(
+        HALF, TimeGrid(0.0, 1.0, 16), 2000, tau_step=tau_step, seed=42
+    )
+    subordinate_flow(legendre_transform(harmonic()), np.array([1.0, 0.0]), ens)
+    assert len(grids) == 1
+    assert grids[0].a == 0.0
+    assert grids[0].b == max(float(ens.paths[:, -1].max()), ens.tau_step)
 
 
 def test_quadratic_gradients_commute_with_averaging():

@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, exit codes, artifacts."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -89,6 +90,27 @@ def test_system_parsing_accepts_parameters(tmp_path):
     )
     assert res2.returncode == 0
 
+    from fractime.cli import parse_system
+    from fractime.errors import ConfigError
+    from fractime.systems import free_particle, harmonic, quartic
+
+    for text, system in (
+        ("free-particle", free_particle()),
+        ("free-particle(3)", free_particle(m=3.0)),
+        ("free-particle(m=3)", free_particle(m=3.0)),
+        ("harmonic", harmonic()),
+        ("harmonic(2, 0.5)", harmonic(m=2.0, omega=0.5)),
+        ("harmonic(m=2, omega=0.5)", harmonic(m=2.0, omega=0.5)),
+        ("harmonic(omega=0.5)", harmonic(omega=0.5)),
+        ("quartic", quartic()),
+        ("quartic(2)", quartic(lam=2.0)),
+        ("quartic(lambda=2)", quartic(lam=2.0)),
+    ):
+        assert parse_system(text).label == system.label, text
+    for text in ("free-particle(1, 2)", "harmonic(1, 2, 3)", "quartic(1, 2)"):
+        with pytest.raises(ConfigError, match="too many system parameters"):
+            parse_system(text)
+
 
 def test_unknown_system_is_rejected(tmp_path):
     res = run_cli("solve-fde", "--system", "pendulum", "--out", str(tmp_path))
@@ -117,6 +139,18 @@ def test_subordinator_requires_zero_origin(tmp_path):
     assert "a must be 0" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["verify-stanislavsky", "verify-compatibility"])
+def test_internal_time_checks_require_zero_origin(tmp_path, capsys, command):
+    from fractime import cli
+
+    assert cli.main([command, "--a", "0.5", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "a must be 0" in lines[0]
+
+
 def test_subordinator_rejects_oversized_level_count(tmp_path):
     res = run_cli("subordinator", "--tau-step", "1e-9", "--out", str(tmp_path))
     assert res.returncode == 2
@@ -140,7 +174,9 @@ def test_unexpected_exception_exits_3_with_one_error_line(tmp_path, monkeypatch,
     def broken(cfg, report):
         raise RuntimeError("runner broke")
 
-    monkeypatch.setitem(cli._RUNNERS, "ml-eval", broken)
+    monkeypatch.setitem(
+        cli._COMMANDS, "ml-eval", dataclasses.replace(cli._COMMANDS["ml-eval"], run=broken)
+    )
     assert cli.main(["ml", "--z", "1", "--out", str(tmp_path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
