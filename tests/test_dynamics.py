@@ -22,6 +22,7 @@ from fractime import (
 )
 from fractime.dynamics import flh_residual, save_solution, solve_classical, solve_fde_system
 from fractime.errors import DivergenceError
+from fractime.fracops import _pt_corrector_weights
 from fractime.systems import free_particle, quartic
 
 HALF = FracOrder(0.5)
@@ -102,6 +103,71 @@ def test_divergent_dynamics_are_reported():
     grid = TimeGrid(0.0, 3.0, 512)
     with pytest.raises(DivergenceError):
         solve_fde_system(lambda t, y: y * y, np.array([2.0]), grid, HALF)
+
+
+def _direct_fde(rhs, y0, grid, order):
+    # the quadratic fractional Adams loop the blocked history replaces
+    y0 = np.asarray(y0, dtype=float).ravel()
+    n, h, alpha = grid.n, grid.h, order.alpha
+    t = grid.nodes()
+    m = y0.size
+    h1 = h**alpha / math.gamma(alpha + 1.0)
+    h2 = h**alpha / math.gamma(alpha + 2.0)
+    idx = np.arange(n + 2, dtype=float)
+    bw = idx**alpha - np.maximum(idx - 1.0, 0.0) ** alpha
+    cw = _pt_corrector_weights(alpha, n + 1)
+    y = np.empty((n + 1, m))
+    fhist = np.empty((n + 1, m))
+    y[0] = y0
+    fhist[0] = np.asarray(rhs(t[0], y0), dtype=float)
+    for k in range(n):
+        pred = y0 + h1 * (bw[1 : k + 2][::-1] @ fhist[: k + 1])
+        fpred = np.asarray(rhs(t[k + 1], pred), dtype=float)
+        a0 = k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha
+        hist = a0 * fhist[0]
+        if k >= 1:
+            hist = hist + cw[1 : k + 1][::-1] @ fhist[1 : k + 1]
+        y[k + 1] = y0 + h2 * (hist + fpred)
+        fhist[k + 1] = np.asarray(rhs(t[k + 1], y[k + 1]), dtype=float)
+    return y
+
+
+def _canonical_rhs(L):
+    H = legendre_transform(L)
+    return lambda t, y: np.concatenate([H.dHdp(y[:1], y[1:]), -H.dHdx(y[:1], y[1:])])
+
+
+def _coupled_rhs(t, y):
+    return np.array([y[1], -np.sin(y[0]), y[3] + 0.1 * t, -y[2] - 0.3 * y[0] * y[1]])
+
+
+# TimeGrid needs two steps, so n = 1 has no solve; 127..129 straddle the leaf
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 1000, 4097])
+@pytest.mark.parametrize(
+    "rhs, y0",
+    [
+        (_canonical_rhs(harmonic()), [1.0, 0.0]),
+        (_canonical_rhs(quartic(1)), [1.0, 0.0]),
+        (_coupled_rhs, [0.5, 0.0, 1.0, 0.2]),
+    ],
+    ids=["harmonic", "quartic", "coupled4"],
+)
+def test_blocked_history_matches_direct_sums(n, rhs, y0):
+    grid = TimeGrid(0.0, 2.0, n)
+    got = solve_fde_system(rhs, y0, grid, HALF).values
+    want = _direct_fde(rhs, y0, grid, HALF)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_stiff_quartic_divergence_keeps_its_step(tmp_path, capsys):
+    from fractime import cli
+
+    code = cli.main(
+        ["solve-fde", "--system", "quartic(100)", "--b", "50", "--out", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "error: fractional solution diverged near t = 0.0976562"
 
 
 def test_legendre_link_residual_small_along_fractional_flow():

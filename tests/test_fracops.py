@@ -22,6 +22,9 @@ from fractime.errors import GridError, OutOfRangeError
 from fractime.fracops import (
     OperatorSpec,
     OperatorTerm,
+    _history_sums,
+    _l1_weights,
+    _pt_corrector_weights,
     caputo_left,
     caputo_right,
     embed_operator,
@@ -48,6 +51,27 @@ def test_order_validation_names_open_interval():
     with pytest.raises(OutOfRangeError):
         FracOrder(1.0)
     assert FracOrder(0.5).alpha == 0.5
+
+
+def _direct_history_sums(cols, w):
+    # the direct quadratic sums the FFT primitive replaces
+    return np.stack([np.convolve(c, w)[: len(w)] for c in cols.T], axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 4097])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_history_sums_match_direct_convolution(n, d, alpha):
+    rng = np.random.default_rng(n * 10 + d)
+    # full history, and a block of the first rows feeding every target
+    for k in sorted({n, max(1, n // 3)}):
+        cols = rng.standard_normal((k, d))
+        for w in (_l1_weights(alpha, n), _pt_corrector_weights(alpha, n)):
+            got = _history_sums(cols, w)
+            want = _direct_history_sums(cols, w)
+            assert got.shape == (n, d)
+            bound = 1e-13 * np.abs(w).sum() * np.abs(cols).max()
+            assert np.abs(got - want).max() <= bound
 
 
 def test_left_derivative_annihilates_constants_exactly():
