@@ -5,8 +5,9 @@ Three layers:
 * deterministic calculus: Mittag-Leffler evaluation, Caputo derivatives and
   Riemann-Liouville integrals on uniform grids, a fractional
   Adams-Bashforth-Moulton solver, and fractional variational residuals;
-* stochastic internal time: positive stable subordinators, their inverses,
-  and heavy-tailed renewal processes with their scaling limit;
+* stochastic internal time: positive stable subordinators, their inverses
+  (sampled paths, or the exact one-time law), and heavy-tailed renewal
+  processes with their scaling limit;
 * the bridge: Monte Carlo subordination of classical Hamiltonian flow and
   the statistical checks tying its ensemble means to the fractional
   canonical equations.
@@ -24,7 +25,7 @@ from .errors import FractimeError
 from .fracops import FracOrder
 from .grids import TimeGrid
 from .special import MLParams, mittag_leffler
-from .stochastic_time import inverse_subordinator_paths
+from .stochastic_time import exact_marginal_ensemble, inverse_subordinator_paths
 from .systems import harmonic
 
 __version__ = "0.1.0"
@@ -38,6 +39,7 @@ __all__ = [
     "legendre_transform",
     "solve_fde",
     "inverse_subordinator_paths",
+    "exact_marginal_ensemble",
     "subordinate_flow",
     "verify_stanislavsky",
     "FractimeError",

@@ -9,10 +9,12 @@ residual.  The
 commutation hypothesis E[dH(x(S), p(S))] = dH(x_a, p_a) holds for linear
 gradients and is probed for failure on a quartic potential.
 
-Sampling is the caller's: one SubordinatorEnsemble from
-inverse_subordinator_paths serves every flow and check of a run, and the
-bridge only maps it through classical flows, each solved once on
-[0, max(largest sampled S(b), tau_step)].  Fewer than two paths are
+Sampling is the caller's: one SubordinatorEnsemble serves every flow and
+check of a run, and the bridge only maps it through classical flows, each
+solved once on [0, max(largest sampled S(b), tau_step)].  Every check here
+reads one node at a time, so the command line passes rows of the exact
+one-time law (exact_marginal_ensemble); sampled paths of
+inverse_subordinator_paths map the same way.  Fewer than two rows are
 refused, since they have no standard error.
 
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
@@ -49,6 +51,13 @@ __all__ = [
 ]
 
 _SCHEME_TOL = 5e-3
+# the classical flow is read by linear interpolation on steps of at most
+# 1e-3; it and its shifted copy hold 2 x steps x 2d floats, 512 MiB at d = 1
+_CLASSICAL_STEP = 1e-3
+_MAX_CLASSICAL_STEPS = 2**24
+# rows interpolated per np.interp call (one MiB at n = 2048); a block
+# never straddles two batch-means groups
+_FLOW_BLOCK = 64
 _PASS_FRACTION = 0.95
 _N_GROUPS = 16
 _COMMUTATION_STEPS = 64
@@ -92,12 +101,15 @@ def subordinate_flow(
     the largest sampled S(b) (ens.tau_step if larger), so every sampled
     time lies on it; the solution is evaluated at those times by linear
     interpolation with a classical step of at most 1e-3, so the
-    interpolation error stays well below Monte Carlo noise.  With
+    interpolation error stays well below Monte Carlo noise.  Rows are
+    interpolated in blocks of 64, each inside one batch-means group.  With
     keep_paths, raw path values are kept at the commutation nodes only.
 
     Raises:
         DegenerateSampleError: fewer than two paths.
-        OutOfRangeError: y0 does not stack x and p for H.dim.
+        OutOfRangeError: y0 does not stack x and p for H.dim, or the
+            classical horizon would need more than 2^24 steps (checked
+            before the classical solve).
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     if y0.size != 2 * H.dim:
@@ -110,39 +122,43 @@ def subordinate_flow(
         raise DegenerateSampleError("need at least two paths for mean and stderr")
     t_grid = ens.t_grid
     tau_max = max(float(ens.paths[:, -1].max()), ens.tau_step)
-    n_classical = max(2048, int(math.ceil(tau_max / 1e-3)))
+    n_classical = max(2048, math.ceil(tau_max / _CLASSICAL_STEP))
+    if n_classical > _MAX_CLASSICAL_STEPS:
+        raise OutOfRangeError(
+            f"the largest sampled S(b) = {tau_max:.6g} needs {n_classical:.3g} classical"
+            f" steps of {_CLASSICAL_STEP:g} (at most {_MAX_CLASSICAL_STEPS}); lower b"
+        )
     classical = solve_classical(H, y0, TimeGrid(0.0, tau_max, n_classical))
     tau_nodes = classical.grid.nodes()
     # accumulate in coordinates shifted by y0 (exact at node 0), so the
     # one-pass variance does not cancel away when |y0| >> the spread
-    cols = classical.values - y0
+    cols = (classical.values - y0).T
 
     n_nodes = len(t_grid)
-    sums = np.zeros((n_nodes, 2 * d))
-    sumsq = np.zeros((n_nodes, 2 * d))
+    sums = np.zeros((2 * d, n_nodes))
+    sumsq = np.zeros((2 * d, n_nodes))
     groups = min(n_groups, M) if n_groups > 0 else 0
-    group_sums = np.zeros((groups, n_nodes, 2 * d)) if groups else None
-    group_counts = np.zeros(groups, dtype=int) if groups else None
-    group_size = M // groups if groups else 0
+    # group g holds rows starts[g]:starts[g + 1]; the last takes the remainder
+    starts = [g * (M // groups) for g in range(groups)] + [M] if groups else [0, M]
+    group_sums = np.zeros((groups, 2 * d, n_nodes))
     kept = _commutation_nodes(t_grid.n)
     stored = np.empty((M, len(kept), 2 * d)) if keep_paths else None
 
-    for m in range(M):
-        s = ens.paths[m]
-        vals = np.empty((n_nodes, 2 * d))
-        for c in range(2 * d):
-            vals[:, c] = np.interp(s, tau_nodes, cols[:, c])
-        sums += vals
-        sumsq += vals * vals
-        if groups:
-            g = min(m // group_size, groups - 1)
-            group_sums[g] += vals
-            group_counts[g] += 1
-        if keep_paths:
-            stored[m] = vals[kept]
+    for g in range(len(starts) - 1):
+        for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK):
+            hi = min(lo + _FLOW_BLOCK, starts[g + 1])
+            for c, col in enumerate(cols):
+                vals = np.interp(ens.paths[lo:hi], tau_nodes, col)
+                block_sum = vals.sum(axis=0)
+                sums[c] += block_sum
+                sumsq[c] += np.einsum("mj,mj->j", vals, vals)
+                if groups:
+                    group_sums[g, c] += block_sum
+                if keep_paths:
+                    stored[lo:hi, :, c] = vals[:, kept]
 
-    shifted = sums / M
-    var = np.maximum(sumsq - M * shifted * shifted, 0.0) / (M - 1)
+    shifted = (sums / M).T
+    var = np.maximum(sumsq.T - M * shifted * shifted, 0.0) / (M - 1)
     stderr = np.sqrt(var) / math.sqrt(M)
     mean = shifted + y0
     # node 0 is y0 on every path; remove the summation rounding artifact
@@ -150,7 +166,7 @@ def subordinate_flow(
     stderr[0] = 0.0
     gm = None
     if groups:
-        gm = group_sums / group_counts[:, None, None] + y0
+        gm = (group_sums / np.diff(starts)[:, None, None]).transpose(0, 2, 1) + y0
         gm[:, 0, :] = y0
     if keep_paths:
         stored += y0

@@ -35,6 +35,7 @@ from .special import MLParams, mittag_leffler
 from .stochastic_time import (
     WaitingTimeLaw,
     ensemble_mean,
+    exact_marginal_ensemble,
     inverse_subordinator_paths,
     ks_statistic,
     rescale_factor,
@@ -286,11 +287,10 @@ def _grid(cfg: ExperimentConfig) -> TimeGrid:
     return TimeGrid(cfg.a, cfg.b, cfg.n)
 
 
-def _sample(cfg: ExperimentConfig, tau_step: float | None = None):
-    """The run's one internal-time sample on its grid."""
-    return inverse_subordinator_paths(
-        FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, tau_step=tau_step, seed=cfg.seed
-    )
+def _sample(cfg: ExperimentConfig):
+    """The run's one internal-time sample on its grid: the exact one-time
+    law, since every check of the bridge reads one node at a time."""
+    return exact_marginal_ensemble(FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, seed=cfg.seed)
 
 
 def _outpath(cfg: ExperimentConfig, name: str) -> str:
@@ -438,7 +438,9 @@ def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
         if cfg.extras["tau_step"] is not None
         else None
     )
-    ens = _sample(cfg, tau_step)
+    ens = inverse_subordinator_paths(
+        FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, tau_step=tau_step, seed=cfg.seed
+    )
     stats = ensemble_mean(ens)
     paths_csv = _outpath(cfg, "subordinator_paths.csv")
     ens.save_csv(paths_csv)

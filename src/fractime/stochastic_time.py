@@ -3,14 +3,20 @@
 A totally skewed positive stable subordinator D(tau) is sampled by the
 Chambers-Mallows-Stuck formula; the internal time S(t) = inf{tau : D(tau) > t}
 is read off a discretized D path, with inversion bias O(tau_step) toward
-zero (documented, not corrected).  Heavy-tailed renewal counting processes
-provide the pre-limit picture, and the scaling-limit check compares the
-rescaled counting distribution against simulated S(1) by a two-sample
+zero (documented, not corrected).  Checks that read S one time at a time
+draw its exact one-time law instead: S(t) has the law of (t/W)^alpha for a
+standard positive stable W (Meerschaert & Scheffler, J. Appl. Probab. 41,
+2004), one W per row.  Heavy-tailed renewal counting processes provide the
+pre-limit picture, and the scaling-limit check compares the rescaled
+counting distribution against simulated S(1) by a two-sample
 Kolmogorov-Smirnov statistic.
 
 Reproducibility contract: every path draws from its own counter-based
-substream keyed by (seed, path index), so results depend only on the seed
-and parameters, never on scheduling or worker count.
+substream keyed by (seed, path index), every renewal count from one keyed
+by (seed, _RENEWAL_KEY, index), and an exact one-time-law ensemble draws
+all its W from the one substream (seed, _MARGINAL_KEY, 0), in row order.
+Results depend only on the seed and parameters, never on scheduling or
+worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "SubordinatorEnsemble",
     "EnsembleStats",
     "inverse_subordinator_paths",
+    "exact_marginal_ensemble",
     "scaling_samples",
     "rescale_factor",
     "scaling_limit_check",
@@ -36,8 +43,10 @@ __all__ = [
     "ensemble_mean",
 ]
 
-# spawn-key namespace separating renewal streams from path streams
+# spawn-key namespaces separating renewal and one-time-law streams from path
+# streams (keys of two entries: a path's key is its one index)
 _RENEWAL_KEY = 1
+_MARGINAL_KEY = 2
 # a path holds all its levels in memory at once; cap their expected number
 _MAX_LEVELS = 1e6
 # the ensemble holds M x nodes float64 values at once: 1 GiB at most
@@ -96,7 +105,11 @@ def _d_levels(alpha: float, tau_step: float, horizon: float, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubordinatorEnsemble:
-    """M internal-time paths S(t) sampled on a shared grid."""
+    """M internal-time rows S(t) sampled on a shared grid.
+
+    tau_step is the inversion step of sampled paths; 0 marks rows of the
+    exact one-time law (exact_marginal_ensemble), which have none.
+    """
 
     t_grid: TimeGrid
     paths: np.ndarray
@@ -141,6 +154,19 @@ def _path_rng(seed: int, key: tuple) -> np.random.Generator:
     )
 
 
+def _check_ensemble(t_grid: TimeGrid, M: int) -> None:
+    """Refuse an internal-time ensemble before anything is allocated."""
+    if t_grid.a != 0.0:
+        raise GridError(f"a must be 0 for internal-time experiments, got a = {t_grid.a}")
+    if M < 1:
+        raise OutOfRangeError(f"M must be at least 1, got {M}")
+    if M * len(t_grid) > _MAX_VALUES:
+        raise OutOfRangeError(
+            f"{M} paths x {len(t_grid)} nodes exceed the ensemble cap of"
+            f" {_MAX_VALUES} values; lower m_paths or n"
+        )
+
+
 def inverse_subordinator_paths(
     order: FracOrder,
     t_grid: TimeGrid,
@@ -157,14 +183,11 @@ def inverse_subordinator_paths(
 
     Raises:
         GridError: t_grid does not start at 0.
-        OutOfRangeError: M < 1, tau_step <= 0, a path would draw more
-            than 1e6 levels on average, or the ensemble would hold more than
-            2^27 values (both checked before any allocation).
+        OutOfRangeError: M < 1, the ensemble would hold more than 2^27
+            values, tau_step <= 0, or a path would draw more than 1e6
+            levels on average (all checked before any allocation).
     """
-    if t_grid.a != 0.0:
-        raise GridError(f"a must be 0 for internal-time experiments, got a = {t_grid.a}")
-    if M < 1:
-        raise OutOfRangeError(f"M must be at least 1, got {M}")
+    _check_ensemble(t_grid, M)
     if tau_step is None:
         tau_step = 1e-3 * t_grid.b**order.alpha
     if not (math.isfinite(tau_step) and tau_step > 0.0):
@@ -174,11 +197,6 @@ def inverse_subordinator_paths(
         raise OutOfRangeError(
             f"tau_step = {tau_step:g} needs about {levels:.3g} levels per path"
             f" (at most {_MAX_LEVELS:.0e}); raise tau_step"
-        )
-    if M * len(t_grid) > _MAX_VALUES:
-        raise OutOfRangeError(
-            f"{M} paths x {len(t_grid)} nodes exceed the ensemble cap of"
-            f" {_MAX_VALUES} values; lower m_paths or n"
         )
     t_nodes = t_grid.nodes()
     paths = np.empty((M, len(t_grid)))
@@ -190,6 +208,29 @@ def inverse_subordinator_paths(
     return SubordinatorEnsemble(
         t_grid=t_grid, paths=paths, alpha=order, tau_step=tau_step
     )
+
+
+def exact_marginal_ensemble(
+    order: FracOrder, t_grid: TimeGrid, M: int, seed: int = 0
+) -> SubordinatorEnsemble:
+    """M rows S(t) = (t/W)^alpha on t_grid, one standard positive stable W
+    per row: the exact one-time law of the inverse stable subordinator at
+    every node, with no inversion step (tau_step = 0).
+
+    A row is not a path of S: all its nodes share one W, so it is t^alpha
+    times one random factor, and the errors of node means move together.
+    Use it only where each node is read on its own.
+
+    Raises:
+        GridError: t_grid does not start at 0.
+        OutOfRangeError: M < 1, or the ensemble would hold more than 2^27
+            values (checked before any allocation).
+    """
+    _check_ensemble(t_grid, M)
+    alpha = order.alpha
+    w = _stable_block(alpha, M, _path_rng(seed, (_MARGINAL_KEY, 0)))
+    paths = np.outer(w**-alpha, t_grid.nodes() ** alpha)
+    return SubordinatorEnsemble(t_grid=t_grid, paths=paths, alpha=order, tau_step=0.0)
 
 
 def _arrivals(law: WaitingTimeLaw, horizon: float, rng) -> np.ndarray:

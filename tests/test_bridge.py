@@ -152,6 +152,53 @@ def test_classical_horizon_is_the_largest_sampled_internal_time(monkeypatch, tau
     assert grids[0].b == max(float(ens.paths[:, -1].max()), ens.tau_step)
 
 
+def test_oversized_classical_horizon_is_refused_before_the_solve(monkeypatch):
+    # tau_step = 10 makes the horizon 10, that is 10^4 classical steps
+    solved = []
+    monkeypatch.setattr(bridge, "solve_classical", lambda *args: solved.append(args))
+    monkeypatch.setattr(bridge, "_MAX_CLASSICAL_STEPS", 9999)
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 8, tau_step=10.0, seed=0)
+    with pytest.raises(OutOfRangeError, match="largest sampled S"):
+        subordinate_flow(legendre_transform(harmonic()), np.array([1.0, 0.0]), ens)
+    assert solved == []
+
+
+def _per_row_flow(H, y0, ens, n_groups):
+    """Reference: one np.interp per row and component, in coordinates
+    shifted by y0 as subordinate_flow accumulates them."""
+    tau_max = max(float(ens.paths[:, -1].max()), ens.tau_step)
+    classical = bridge.solve_classical(
+        H, y0, TimeGrid(0.0, tau_max, max(2048, math.ceil(tau_max / 1e-3)))
+    )
+    tau, cols = classical.grid.nodes(), classical.values - y0
+    vals = np.stack(
+        [np.stack([np.interp(s, tau, c) for c in cols.T], axis=1) for s in ens.paths]
+    )
+    size = ens.m_paths // n_groups
+    group = np.minimum(np.arange(ens.m_paths) // size, n_groups - 1)
+    gm = np.stack([vals[group == g].mean(axis=0) for g in range(n_groups)])
+    se = vals.std(axis=0, ddof=1) / math.sqrt(ens.m_paths)
+    kept = vals[:, _commutation_nodes(ens.t_grid.n)]
+    return vals.mean(axis=0) + y0, se, gm + y0, kept + y0
+
+
+@pytest.mark.parametrize("m_paths, n_groups", [(1000, 16), (1000, 3), (130, 2)])
+def test_blocked_flow_matches_per_row_reference(m_paths, n_groups):
+    # groups of 62, 333 and 65 rows: blocks of 64 end inside and at group ends
+    H = legendre_transform(quartic())
+    y0 = np.array([1.0, 0.5])
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
+    obs = subordinate_flow(H, y0, ens, keep_paths=True, n_groups=n_groups)
+    mean, se, gm, kept = _per_row_flow(H, y0, ens, n_groups)
+    # only the order of summation differs: sums of <= 1000 values of size <= 2
+    tol = dict(rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(np.hstack([obs.mean_x, obs.mean_p]), mean, **tol)
+    np.testing.assert_allclose(np.hstack([obs.stderr_x, obs.stderr_p]), se, **tol)
+    np.testing.assert_allclose(np.concatenate([obs.group_means_x, obs.group_means_p], axis=2), gm, **tol)
+    # kept values are the interpolated values themselves
+    np.testing.assert_array_equal(np.concatenate([obs.path_x, obs.path_p], axis=2), kept)
+
+
 def test_quadratic_gradients_commute_with_averaging():
     # omega in {0.5, 1, 2} crossed with alpha in {0.3, 0.5, 0.8}
     for omega in (0.5, 1.0, 2.0):

@@ -168,6 +168,17 @@ def test_subordinator_rejects_oversized_ensemble(tmp_path):
     assert len(lines) == 1 and "ensemble cap" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["verify-stanislavsky", "verify-compatibility"])
+def test_oversized_classical_horizon_is_refused(tmp_path, command):
+    # S(b) ~ 1e6 at b = 1e12 would ask for about 1e9 classical steps
+    res = run_cli(command, "--b", "1e12", "--n", "16", "--m-paths", "2", "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "largest sampled S(b)" in lines[0]
+
+
 def test_unexpected_exception_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
     from fractime import cli
 
@@ -366,6 +377,7 @@ def test_verify_compatibility_samples_internal_time_once(tmp_path, monkeypatch, 
     out = capsys.readouterr().out
     # 200 paths are too few for the quartic gap to reach 10 stderr: exit 1
     assert code in (0, 1), out
-    assert len(calls) == 200
+    # one stream for the whole exact one-time-law sample
+    assert len(calls) == 1
     assert sum(line.startswith("check [") for line in out.splitlines()) == 4
     assert len((tmp_path / "quartic_gap.csv").read_text().splitlines()) == 66

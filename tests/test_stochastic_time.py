@@ -8,7 +8,9 @@ process is involved).  Closed-form oracles:
 * the stable CDF at order 1/2: P(W <= w) = erfc(1/(2 sqrt(w)));
 * moments of the inverse process: E[S(t)] = t^a / Gamma(1+a), and more
   generally E[exp(-v S(t))] equals the one-parameter Mittag-Leffler
-  function at -v t^a.
+  function at -v t^a;
+* the one-time law S(t) = (t/W)^a, which the exact-marginal sampler draws
+  and the sampled paths must match in distribution.
 """
 
 import math
@@ -27,6 +29,7 @@ from fractime.stochastic_time import (
     _d_levels,
     _stable_block,
     ensemble_mean,
+    exact_marginal_ensemble,
     inverse_subordinator_paths,
     ks_statistic,
     rescale_factor,
@@ -232,6 +235,72 @@ def test_ensemble_csv_roundtrip(tmp_path):
     q = tmp_path / "stats.csv"
     stats.save_csv(q)
     assert q.read_text().splitlines()[0] == "t,mean,stderr"
+
+
+def test_exact_marginal_rows_are_reproducible_pinned_and_monotone():
+    grid = TimeGrid(0.0, 2.0, 100)
+    a = exact_marginal_ensemble(HALF, grid, 500, seed=5)
+    b = exact_marginal_ensemble(HALF, grid, 500, seed=5)
+    c = exact_marginal_ensemble(HALF, grid, 500, seed=6)
+    np.testing.assert_array_equal(a.paths, b.paths)
+    assert not np.array_equal(a.paths, c.paths)
+    assert a.paths.shape == (500, 101) and a.tau_step == 0.0
+    assert np.all(a.paths[:, 0] == 0.0)
+    assert np.all(np.diff(a.paths, axis=1) >= 0.0)
+    assert np.all(a.paths[:, 1:] > 0.0)
+
+
+def test_exact_marginal_mean_matches_power_law():
+    for alpha in (0.3, 0.5, 0.8):
+        grid = TimeGrid(0.0, 2.0, 4)
+        stats = ensemble_mean(exact_marginal_ensemble(FracOrder(alpha), grid, 10000, seed=42))
+        oracle = grid.nodes() ** alpha / math.gamma(1.0 + alpha)
+        assert np.all(np.abs(stats.mean - oracle) <= 3.0 * stats.stderr)
+
+
+def test_exact_marginal_laplace_functional_matches_mittag_leffler_lattice():
+    # acceptance 5's lattice, with no tau_step term in the budget
+    grid = TimeGrid(0.0, 2.0, 4)
+    ens = exact_marginal_ensemble(HALF, grid, 10000, seed=42)
+    for v in (0.5, 1.0, 2.0):
+        for i in (1, 2, 4):
+            t = grid.nodes()[i]
+            mean, err = _mean_stderr(np.exp(-v * ens.paths[:, i]))
+            assert abs(mean - mittag_leffler(MLParams(0.5), -v * t**0.5)) <= 3.0 * err
+
+
+def test_exact_marginal_refuses_before_allocating(monkeypatch):
+    import fractime.stochastic_time as stochastic_time
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the ensemble was allocated")
+
+    monkeypatch.setattr(stochastic_time, "_stable_block", no_allocation)
+    monkeypatch.setattr(stochastic_time.np, "outer", no_allocation)
+    with pytest.raises(GridError, match="a must be 0"):
+        exact_marginal_ensemble(HALF, TimeGrid(0.5, 1.0, 4), 8, seed=0)
+    with pytest.raises(OutOfRangeError, match="at least 1"):
+        exact_marginal_ensemble(HALF, TimeGrid(0.0, 1.0, 4), 0, seed=0)
+    with pytest.raises(OutOfRangeError, match="ensemble cap"):
+        exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**7, seed=0)
+    monkeypatch.undo()
+    # the cap counts M x nodes values, as for sampled paths
+    monkeypatch.setattr(stochastic_time, "_MAX_VALUES", 100)
+    grid = TimeGrid(0.0, 1.0, 9)
+    assert exact_marginal_ensemble(HALF, grid, 10, seed=0).paths.shape == (10, 10)
+    with pytest.raises(OutOfRangeError, match="ensemble cap"):
+        exact_marginal_ensemble(HALF, grid, 11, seed=0)
+
+
+def test_sampled_paths_match_the_exact_one_time_law():
+    # two-sample KS at M = 10^4 each: the 5% critical value is 1.36 sqrt(2/M),
+    # and 1.63 sqrt(2/M) ~ 0.023 is the 1% one
+    grid = TimeGrid(0.0, 1.0, 2)
+    for alpha in (0.3, 0.5, 0.8):
+        order = FracOrder(alpha)
+        paths = inverse_subordinator_paths(order, grid, 10000, seed=42).paths[:, -1]
+        exact = exact_marginal_ensemble(order, grid, 10000, seed=42).paths[:, -1]
+        assert ks_statistic(paths, exact) < 1.63 * math.sqrt(2.0 / 10000)
 
 
 def test_waiting_time_law_validates_inputs():
