@@ -20,6 +20,8 @@ refused, since they have no standard error.
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
 bound added linearly; stderr for derived quantities (anything passed
 through a fractional operator) comes from batch means over path groups.
+Each verification returns a ComparisonReport: its Checks, which carry the
+budgets, and the per-node tables behind them.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 
 from .dynamics import legendre_transform, solve_classical, solve_fde
 from .errors import ConfigError, DegenerateSampleError, OutOfRangeError
-from .fracops import FracOrder, caputo_left
+from .fracops import caputo_left
 from .grids import TimeGrid, Trajectory, write_csv, write_text
-from .reports import interior_window
+from .reports import Check, interior_window, verdict
 from .stochastic_time import SubordinatorEnsemble
 from .systems import HamiltonianSystem, LagrangianSystem
 from .variational import causal_el_residual
@@ -43,7 +45,6 @@ __all__ = [
     "SubordinatedObservable",
     "CommutationReport",
     "ComparisonReport",
-    "CompatibilityReport",
     "subordinate_flow",
     "commutation_gap",
     "verify_stanislavsky",
@@ -204,15 +205,12 @@ class CommutationReport:
     @property
     def significance(self) -> float:
         """Largest gap over all nodes in units of stderr + rounding allowance,
-        so within() reads gap <= 3 stderr + 1e-12 off this one number."""
+        so gap <= 3 stderr + 1e-12 at every node iff this is at most 3."""
         floor = _COMMUTATION_ATOL / _COMMUTATION_SIGMA
         return max(
             float((gap / (err + floor)).max())
             for gap, err in ((self.gap_x, self.stderr_x), (self.gap_p, self.stderr_p))
         )
-
-    def within(self) -> bool:
-        return self.significance <= _COMMUTATION_SIGMA
 
 
 def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> CommutationReport:
@@ -242,148 +240,76 @@ def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> Commut
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Node-by-node comparison of the Monte Carlo and FDE routes."""
+    """The checks of one bridge verification and the per-node tables behind
+    them: (suffix, [mc_mean, mc_stderr, fde_value, gap]) column lists."""
 
     t_grid: TimeGrid
-    alpha: FracOrder
-    labels: tuple
-    mc_mean: np.ndarray
-    mc_stderr: np.ndarray
-    fde_values: np.ndarray
-    gap: np.ndarray
-    fraction_within: float
-    passed: bool
+    checks: tuple
+    tables: tuple
 
     def save(self, out_dir: str, stem: str) -> list:
-        """One CSV per phase component plus a verdict summary; returns paths."""
-        cols = (self.mc_mean, self.mc_stderr, self.fde_values, self.gap)
-        tables = [(label, [c[:, k] for c in cols]) for k, label in enumerate(self.labels)]
-        summary = [
-            f"check: MC subordination vs fractional solve (alpha={self.alpha.alpha})",
-            f"interior nodes within 3*stderr + scheme budget: {self.fraction_within:.4f}",
-            f"required fraction: {_PASS_FRACTION}",
-            f"max gap: {float(self.gap.max()):.6e}",
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
-        ]
-        return _save_tables(out_dir, stem, self.t_grid, tables, summary)
+        """One t,mc_mean,mc_stderr,fde_value,gap CSV per table, then a summary
+        of the check lines and their verdict; returns the paths."""
+        os.makedirs(out_dir, exist_ok=True)
+        paths = []
+        for suffix, cols in self.tables:
+            paths.append(os.path.join(out_dir, f"{stem}_{suffix}.csv"))
+            write_csv(
+                paths[-1],
+                ["t", "mc_mean", "mc_stderr", "fde_value", "gap"],
+                [self.t_grid.nodes(), *cols],
+            )
+        paths.append(os.path.join(out_dir, f"{stem}_summary.txt"))
+        lines = [c.line() for c in self.checks] + [f"verdict: {verdict(self.checks)}"]
+        write_text(paths[-1], lines)
+        return paths
 
 
-def _save_tables(out_dir: str, stem: str, t_grid: TimeGrid, tables, summary) -> list:
-    """Write one t,mc_mean,mc_stderr,fde_value,gap CSV per table plus a summary."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for suffix, cols in tables:
-        paths.append(os.path.join(out_dir, f"{stem}_{suffix}.csv"))
-        write_csv(
-            paths[-1], ["t", "mc_mean", "mc_stderr", "fde_value", "gap"], [t_grid.nodes(), *cols]
-        )
-    paths.append(os.path.join(out_dir, f"{stem}_summary.txt"))
-    write_text(paths[-1], summary)
-    return paths
+def _band_check(name: str, gap, stderr, n: int) -> Check:
+    """Passes when at least 95% of interior nodes have every component of
+    gap (nonnegative) within 3*stderr + 5e-3."""
+    ok = np.all(gap <= 3.0 * stderr + _SCHEME_TOL, axis=1)
+    w = interior_window(n)
+    fraction = float(np.mean(ok[w : n + 1 - w]))
+    return Check(
+        name,
+        fraction,
+        ">=",
+        _PASS_FRACTION,
+        f"interior fraction within 3*stderr + 5e-3: {fraction:.4f} >= {_PASS_FRACTION}",
+    )
 
 
-def _phase_labels(d: int) -> tuple:
-    return tuple([f"x{k}" for k in range(d)] + [f"p{k}" for k in range(d)])
+def _batch_stderr(per_group: list) -> np.ndarray:
+    """Standard error from batch means over path groups."""
+    stacked = np.stack(per_group)
+    return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
 
 
 def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> ComparisonReport:
     """Compare subordinated means against the Caputo canonical solution.
 
     A node agrees when every phase component is within 3*stderr + 5e-3;
-    the check passes when at least 95% of interior nodes agree.
+    the check passes when at least 95% of interior nodes agree.  One table
+    per phase component, x0.. then p0...
     """
     t_grid = ens.t_grid
     obs = subordinate_flow(H, y0, ens)
-    fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, ens.alpha)
+    fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, ens.alpha).y.values
     mc = np.hstack([obs.mean_x, obs.mean_p])
     se = np.hstack([obs.stderr_x, obs.stderr_p])
-    band = _band_check(mc - fde.y.values, se, t_grid.n)
-    return ComparisonReport(
-        t_grid=t_grid,
-        alpha=ens.alpha,
-        labels=_phase_labels(H.dim),
-        mc_mean=mc,
-        mc_stderr=se,
-        fde_values=fde.y.values,
-        gap=band.values,
-        fraction_within=band.fraction_within,
-        passed=band.passed,
+    gap = np.abs(mc - fde)
+    check = _band_check("MC subordination matches fractional solve", gap, se, t_grid.n)
+    labels = [f"x{k}" for k in range(H.dim)] + [f"p{k}" for k in range(H.dim)]
+    tables = tuple(
+        (label, [mc[:, k], se[:, k], fde[:, k], gap[:, k]]) for k, label in enumerate(labels)
     )
-
-
-@dataclass(frozen=True)
-class CheckBand:
-    """One budgeted per-node check: |values| <= 3*stderr + 5e-3."""
-
-    values: np.ndarray
-    stderr: np.ndarray
-    fraction_within: float
-    passed: bool
-
-
-def _band_check(values, stderr, n: int) -> CheckBand:
-    values = np.abs(values)
-    budget = 3.0 * stderr + _SCHEME_TOL
-    w = interior_window(n)
-    ok = np.all(values <= budget, axis=1)[w : n + 1 - w]
-    fraction = float(np.mean(ok))
-    return CheckBand(
-        values=values,
-        stderr=stderr,
-        fraction_within=fraction,
-        passed=fraction >= _PASS_FRACTION,
-    )
-
-
-def _batch_band(values, per_group: list, n: int) -> CheckBand:
-    """Band check whose stderr comes from batch means over path groups."""
-    stacked = np.stack(per_group)
-    stderr = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
-    return _band_check(values, stderr, n)
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Momentum identity, causal residual, and commutation gap in one verdict."""
-
-    t_grid: TimeGrid
-    alpha: FracOrder
-    momentum: CheckBand
-    causal_el: CheckBand
-    commutation: CommutationReport
-    derivative_route: np.ndarray
-    momentum_route: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return self.momentum.passed and self.causal_el.passed and self.commutation.within()
-
-    def save(self, out_dir: str, stem: str) -> list:
-        m, e = self.momentum, self.causal_el
-        zero = np.zeros((len(self.t_grid), self.momentum_route.shape[1]))
-        tables = []
-        for k in range(self.momentum_route.shape[1]):
-            for name, cols in (
-                ("momentum", (self.momentum_route, m.stderr, self.derivative_route, m.values)),
-                ("causal_el", (e.values, e.stderr, zero, e.values)),
-            ):
-                tables.append((f"{name}_x{k}", [c[:, k] for c in cols]))
-        summary = [
-            f"check: compatibility of subordinated means (alpha={self.alpha.alpha})",
-            f"momentum identity interior fraction: {self.momentum.fraction_within:.4f}"
-            f" -> {'PASS' if self.momentum.passed else 'FAIL'}",
-            f"causal EL residual interior fraction: {self.causal_el.fraction_within:.4f}"
-            f" -> {'PASS' if self.causal_el.passed else 'FAIL'}",
-            f"commutation gap within 3*stderr: {'PASS' if self.commutation.within() else 'FAIL'}"
-            f" (max significance {self.commutation.significance:.2f})",
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
-        ]
-        return _save_tables(out_dir, stem, self.t_grid, tables, summary)
+    return ComparisonReport(t_grid=t_grid, checks=(check,), tables=tables)
 
 
 def verify_compatibility(
     L: LagrangianSystem, y0, ens: SubordinatorEnsemble
-) -> CompatibilityReport:
+) -> ComparisonReport:
     """Check the natural-Lagrangian compatibility identities on MC means.
 
     (i) p_a = m D^a x_a, (ii) causal EL residual of x_a vanishes, (iii)
@@ -392,6 +318,8 @@ def verify_compatibility(
     derived identities, since fractional operators amplify node-to-node
     Monte Carlo noise in a correlated way that per-path stderr cannot
     describe.  All three checks read one flow of the one sample ens.
+    Tables momentum_xk (p_a against m D^a x_a) and causal_el_xk (|residual|
+    against 0) per component k.
 
     Raises:
         ConfigError: L is not in natural form.
@@ -412,22 +340,26 @@ def verify_compatibility(
         return causal_el_residual(L, Trajectory(t_grid, x_mean.copy()), order).residual.values
 
     deriv_route = derivative_route(obs.mean_x)
-    momentum = _batch_band(
-        obs.mean_p - deriv_route,
-        [gp - derivative_route(gx) for gx, gp in groups],
-        n,
+    momentum_gap = np.abs(obs.mean_p - deriv_route)
+    momentum_se = _batch_stderr([gp - derivative_route(gx) for gx, gp in groups])
+    causal = np.abs(causal_residual(obs.mean_x))
+    causal_se = _batch_stderr([causal_residual(gx) for gx, _ in groups])
+    comm = commutation_gap(H, obs)
+    checks = (
+        _band_check("momentum identity p_a = m D^a x_a", momentum_gap, momentum_se, n),
+        _band_check("causal EL residual of x_a within budget", causal, causal_se, n),
+        Check(
+            "commutation gap within noise for quadratic H",
+            comm.significance,
+            "<=",
+            _COMMUTATION_SIGMA,
+            f"max significance = {comm.significance:.3f} <= {_COMMUTATION_SIGMA:g}",
+        ),
     )
-    causal = _batch_band(
-        causal_residual(obs.mean_x),
-        [causal_residual(gx) for gx, _ in groups],
-        n,
-    )
-    return CompatibilityReport(
-        t_grid=t_grid,
-        alpha=order,
-        momentum=momentum,
-        causal_el=causal,
-        commutation=commutation_gap(H, obs),
-        derivative_route=deriv_route,
-        momentum_route=obs.mean_p,
-    )
+    zero = np.zeros(len(t_grid))
+    tables = []
+    for k in range(H.dim):
+        momentum_cols = [obs.mean_p, momentum_se, deriv_route, momentum_gap]
+        tables.append((f"momentum_x{k}", [c[:, k] for c in momentum_cols]))
+        tables.append((f"causal_el_x{k}", [causal[:, k], causal_se[:, k], zero, causal[:, k]]))
+    return ComparisonReport(t_grid=t_grid, checks=checks, tables=tuple(tables))

@@ -12,6 +12,7 @@ same config, outputs are byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -47,20 +48,12 @@ from .variational import (
     classical_el_operator,
     general_el_residual,
 )
-from .reports import interior_window
+from .reports import Check, interior_window, verdict
 
 __all__ = ["main", "ExperimentConfig", "RunReport", "parse_config", "run_experiment"]
 
-_COMMON_DEFAULTS = {
-    "alpha": "0.5",
-    "a": "0.0",
-    "b": "2.0",
-    "n": "2048",
-    "m_paths": "10000",
-    "seed": "42",
-    "system": "harmonic",
-    "out": ".",
-}
+# the largest grid: frac-deriv peaks near 1.1 GB at n = 2^22 (312 MB at 2^20)
+_MAX_N = 2**22
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Outcome of one experiment: config echo, checks, files, duration."""
+    """Outcome of one experiment: config echo, Checks, files, duration."""
 
     kind: str
     config: ExperimentConfig
@@ -112,25 +105,20 @@ class RunReport:
     notes: list = field(default_factory=list)
     duration: float = 0.0
 
-    def add_check(self, name: str, passed: bool, detail: str) -> None:
-        self.checks.append((name, bool(passed), detail))
-
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return verdict(self.checks) == "PASS"
 
     def render(self) -> str:
         lines = [f"experiment: {self.kind}", "config:"]
         lines.extend(self.config.echo_lines())
-        for text in self.notes:
-            lines.append(text)
-        for name, ok, detail in self.checks:
-            lines.append(f"check [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        lines.extend(self.notes)
+        lines.extend(c.line() for c in self.checks)
         if self.files:
             lines.append("files:")
             lines.extend(f"  {p}" for p in self.files)
         lines.append(f"duration: {self.duration:.2f} s")
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
+        lines.append(f"overall: {verdict(self.checks)}")
         return "\n".join(lines)
 
 
@@ -170,6 +158,19 @@ def _to_int(key: str, text: str) -> int:
         raise ConfigError(f"{key} must be an integer, got '{text}'") from None
 
 
+# the keys every subcommand takes: key -> (default, converter from text)
+_COMMON = {
+    "alpha": ("0.5", _to_float),
+    "a": ("0.0", _to_float),
+    "b": ("2.0", _to_float),
+    "n": ("2048", _to_int),
+    "m_paths": ("10000", _to_int),
+    "seed": ("42", _to_int),
+    "system": ("harmonic", lambda key, text: text),
+    "out": (".", lambda key, text: text),
+}
+
+
 def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
     """Merge flags over config-file values over defaults and validate."""
     kind = ns.kind
@@ -183,41 +184,24 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
             return file_values[key]
         return default
 
-    alpha = _to_float("alpha", pick("alpha", _COMMON_DEFAULTS["alpha"]))
-    a = _to_float("a", pick("a", _COMMON_DEFAULTS["a"]))
-    b = _to_float("b", pick("b", _COMMON_DEFAULTS["b"]))
-    n = _to_int("n", pick("n", _COMMON_DEFAULTS["n"]))
-    m_paths = _to_int("m_paths", pick("m_paths", _COMMON_DEFAULTS["m_paths"]))
-    seed = _to_int("seed", pick("seed", _COMMON_DEFAULTS["seed"]))
-    system = pick("system", _COMMON_DEFAULTS["system"])
-    out = pick("out", _COMMON_DEFAULTS["out"])
-
-    if kind != "ml-eval" and not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
-    if b <= a:
-        raise ConfigError(f"b must exceed a, got a = {a}, b = {b}")
-    if n < 2:
-        raise ConfigError(f"n must be at least 2, got {n}")
-    if m_paths < 2:
-        raise ConfigError(f"m-paths must be at least 2, got {m_paths}")
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-
-    extras = {}
-    for key, default in _COMMANDS[kind].extras.items():
-        extras[key] = pick(key, default)
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=kind,
-        alpha=alpha,
-        a=a,
-        b=b,
-        n=n,
-        m_paths=m_paths,
-        seed=seed,
-        system=system,
-        out=out,
-        extras=extras,
+        **{key: convert(key, pick(key, default)) for key, (default, convert) in _COMMON.items()},
+        extras={key: pick(key, default) for key, default in _COMMANDS[kind].extras.items()},
     )
+    if kind != "ml-eval" and not 0.0 < cfg.alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0,1), got {cfg.alpha}")
+    if cfg.b <= cfg.a:
+        raise ConfigError(f"b must exceed a, got a = {cfg.a}, b = {cfg.b}")
+    if cfg.n < 2:
+        raise ConfigError(f"n must be at least 2, got {cfg.n}")
+    if cfg.n > _MAX_N:
+        raise ConfigError(f"n must be at most {_MAX_N}, got {cfg.n}")
+    if cfg.m_paths < 2:
+        raise ConfigError(f"m-paths must be at least 2, got {cfg.m_paths}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed}")
+    return cfg
 
 
 # system name -> (factory, its parameter names in positional order)
@@ -316,11 +300,8 @@ def _run_ml(cfg: ExperimentConfig, report: RunReport) -> None:
         [[cfg.alpha], [beta], [z], [value]],
     )
     report.files.append(csv_path)
-    report.add_check(
-        "evaluation finite",
-        math.isfinite(value),
-        f"E_({cfg.alpha},{beta})({z}) = {value:.10f}",
-    )
+    detail = f"E_({cfg.alpha},{beta})({z}) = {value:.10f}"
+    report.checks.append(Check("evaluation finite", abs(value), "<", math.inf, detail))
 
 
 _FUNCTIONS = {
@@ -347,12 +328,9 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
     write_csv(csv_path, ["t", "left", "right"], [grid.nodes(), left, right])
     report.files.append(csv_path)
 
-    flat = caputo_left(Trajectory.constant(grid, 1.0), order).values
-    report.add_check(
-        "annihilates constants",
-        float(np.abs(flat).max()) == 0.0,
-        f"max |D^a 1| = {float(np.abs(flat).max()):.3e} (exact zero required)",
-    )
+    flat = float(np.abs(caputo_left(Trajectory.constant(grid, 1.0), order).values).max())
+    detail = f"max |D^a 1| = {flat:.3e} (exact zero required)"
+    report.checks.append(Check("annihilates constants", flat, "==", 0.0, detail))
 
     w = interior_window(cfg.n)
     t_int = grid.nodes()[w : cfg.n + 1 - w]
@@ -368,11 +346,8 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
             oracle = square + 2.0 * cfg.a * oracle
             tol = 50.0 * grid.h ** (2.0 - cfg.alpha)
         dev = float(np.abs(val_int - oracle).max())
-        report.add_check(
-            "matches power-rule oracle",
-            dev <= tol,
-            f"interior max dev = {dev:.3e} <= {tol:.3e}",
-        )
+        detail = f"interior max dev = {dev:.3e} <= {tol:.3e}"
+        report.checks.append(Check("matches power-rule oracle", dev, "<=", tol, detail))
     else:
         # odd n: the coarse grid ends at fine node n - 1, so both read the
         # same times (a Caputo value at t depends only on [a, t])
@@ -384,10 +359,9 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
             np.abs(left[::2][wc : cfg.n // 2 + 1 - wc] - coarse[wc : cfg.n // 2 + 1 - wc]).max()
         )
         tol = 100.0 * half.h ** (2.0 - cfg.alpha)
-        report.add_check(
-            "self-convergence under grid refinement",
-            dev <= tol,
-            f"interior max |D_n - D_n/2| = {dev:.3e} <= {tol:.3e}",
+        detail = f"interior max |D_n - D_n/2| = {dev:.3e} <= {tol:.3e}"
+        report.checks.append(
+            Check("self-convergence under grid refinement", dev, "<=", tol, detail)
         )
 
 
@@ -402,7 +376,7 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
     sidecar = save_solution(sol, csv_path)
     report.files.extend([csv_path, sidecar])
     peak = float(np.abs(sol.y.values).max())
-    report.add_check("solution finite", math.isfinite(peak), f"max |y| = {peak:.6g}")
+    report.checks.append(Check("solution finite", peak, "<", math.inf, f"max |y| = {peak:.6g}"))
     if (
         L.label == "harmonic(m=1,omega=1)"
         and cfg.a == 0.0
@@ -414,10 +388,9 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
         )
         dev = float(np.abs(sol.y.values[:, 0] - oracle).max())
         tol = 5e-4 if cfg.n >= 1024 else 5e-4 * (1024.0 / cfg.n) ** (2.0 - cfg.alpha)
-        report.add_check(
-            "matches Mittag-Leffler oscillator solution",
-            dev <= tol,
-            f"max dev = {dev:.3e} <= {tol:.3e}",
+        detail = f"max dev = {dev:.3e} <= {tol:.3e}"
+        report.checks.append(
+            Check("matches Mittag-Leffler oscillator solution", dev, "<=", tol, detail)
         )
     elif L.label.startswith("free-particle") and cfg.a == 0.0:
         t = grid.nodes()
@@ -425,11 +398,8 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
             1.0 + cfg.alpha
         )
         dev = float(np.abs(sol.y.values[:, 0] - oracle).max())
-        report.add_check(
-            "matches power-law drift solution",
-            dev <= 1e-10,
-            f"max dev = {dev:.3e} <= 1e-10",
-        )
+        detail = f"max dev = {dev:.3e} <= 1e-10"
+        report.checks.append(Check("matches power-law drift solution", dev, "<=", 1e-10, detail))
 
 
 def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -449,24 +419,23 @@ def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
     report.files.extend([paths_csv, stats_csv])
     report.notes.append(f"tau_step = {ens.tau_step:.6g}")
 
-    report.add_check(
-        "S(0) = 0 on every path",
-        float(np.abs(ens.paths[:, 0]).max()) == 0.0,
-        f"max |S(0)| = {float(np.abs(ens.paths[:, 0]).max()):.3e}",
-    )
+    s0 = float(np.abs(ens.paths[:, 0]).max())
     # row by row: an ensemble-sized np.diff would double the peak memory
     min_step = min(float(np.diff(row).min()) for row in ens.paths)
-    report.add_check(
-        "paths nondecreasing", min_step >= 0.0, f"min increment = {min_step:.3e}"
-    )
     oracle = cfg.b**cfg.alpha / math.gamma(1.0 + cfg.alpha)
-    dev = abs(stats.mean[-1] - oracle)
-    budget = 3.0 * stats.stderr[-1] + ens.tau_step
-    report.add_check(
-        "mean internal time matches t^a/Gamma(1+a)",
-        dev <= budget,
-        f"|mean S(b) - {oracle:.5f}| = {dev:.3e} <= 3*stderr + tau_step = {budget:.3e}",
-    )
+    dev = float(abs(stats.mean[-1] - oracle))
+    budget = float(3.0 * stats.stderr[-1] + ens.tau_step)
+    report.checks += [
+        Check("S(0) = 0 on every path", s0, "==", 0.0, f"max |S(0)| = {s0:.3e}"),
+        Check("paths nondecreasing", min_step, ">=", 0.0, f"min increment = {min_step:.3e}"),
+        Check(
+            "mean internal time matches t^a/Gamma(1+a)",
+            dev,
+            "<=",
+            budget,
+            f"|mean S(b) - {oracle:.5f}| = {dev:.3e} <= 3*stderr + tau_step = {budget:.3e}",
+        ),
+    ]
 
 
 def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -485,10 +454,9 @@ def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
     )
     report.files.append(csv_path)
     report.notes.append(f"b(c) = {b_c:.6g}, KS = {ks:.4f}")
-    report.add_check(
-        "rescaled counting process matches internal time",
-        ks < 0.05,
-        f"two-sample KS = {ks:.4f} < 0.05 (c = {c:g}, M = {cfg.m_paths})",
+    detail = f"two-sample KS = {ks:.4f} < 0.05 (c = {c:g}, M = {cfg.m_paths})"
+    report.checks.append(
+        Check("rescaled counting process matches internal time", ks, "<", 0.05, detail)
     )
 
 
@@ -497,12 +465,8 @@ def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
     H = legendre_transform(L)
     y0 = _parse_phase_point(cfg, L.dim)
     rep = verify_stanislavsky(H, y0, _sample(cfg))
+    report.checks.extend(rep.checks)
     report.files.extend(rep.save(cfg.out, "stanislavsky"))
-    report.add_check(
-        "MC subordination matches fractional solve",
-        rep.passed,
-        f"interior fraction within 3*stderr + 5e-3: {rep.fraction_within:.4f} >= 0.95",
-    )
 
 
 def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -528,26 +492,31 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
     write_csv(csv_path, headers, cols)
     report.files.append(csv_path)
 
-    report.add_check(
-        "causal residual small on the fractional solution",
-        causal.max_norm <= 5e-3,
-        f"interior max = {causal.max_norm:.3e} <= 5e-3",
-    )
-    report.add_check(
-        "general (acausal) residual stays large",
-        general.max_norm >= 0.1,
-        f"interior max = {general.max_norm:.3e} >= 0.1",
-    )
-    report.add_check(
-        "causal/general separation",
-        general.max_norm >= 10.0 * causal.max_norm,
-        f"ratio = {general.max_norm / max(causal.max_norm, 1e-300):.1f} >= 10",
-    )
-    report.add_check(
-        "causal equation equals embedded classical equation",
-        embed_gap == 0.0,
-        f"max node gap = {embed_gap:.1e} (bitwise zero required)",
-    )
+    ratio = general.max_norm / max(causal.max_norm, 1e-300)
+    report.checks += [
+        Check(
+            "causal residual small on the fractional solution",
+            causal.max_norm,
+            "<=",
+            5e-3,
+            f"interior max = {causal.max_norm:.3e} <= 5e-3",
+        ),
+        Check(
+            "general (acausal) residual stays large",
+            general.max_norm,
+            ">=",
+            0.1,
+            f"interior max = {general.max_norm:.3e} >= 0.1",
+        ),
+        Check("causal/general separation", ratio, ">=", 10.0, f"ratio = {ratio:.1f} >= 10"),
+        Check(
+            "causal equation equals embedded classical equation",
+            embed_gap,
+            "==",
+            0.0,
+            f"max node gap = {embed_gap:.1e} (bitwise zero required)",
+        ),
+    ]
 
 
 def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -555,22 +524,6 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     y0 = _parse_phase_point(cfg, L.dim)
     ens = _sample(cfg)
     crep = verify_compatibility(L, y0, ens)
-    report.files.extend(crep.save(cfg.out, "compatibility"))
-    report.add_check(
-        "momentum identity p_a = m D^a x_a",
-        crep.momentum.passed,
-        f"interior fraction within 3*stderr + 5e-3: {crep.momentum.fraction_within:.4f} >= 0.95",
-    )
-    report.add_check(
-        "causal EL residual of x_a within budget",
-        crep.causal_el.passed,
-        f"interior fraction within 3*stderr + 5e-3: {crep.causal_el.fraction_within:.4f} >= 0.95",
-    )
-    report.add_check(
-        "commutation gap within noise for quadratic H",
-        crep.commutation.within(),
-        f"max significance = {crep.commutation.significance:.3f} <= 3",
-    )
 
     Hq = legendre_transform(quartic())
     obs = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, keep_paths=True)
@@ -587,12 +540,18 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
             cg.stderr_p[:, 0],
         ],
     )
-    report.files.append(csv_path)
-    report.add_check(
+    quartic_check = Check(
         "quartic commutation gap statistically significant",
-        cg.significance > 10.0,
+        cg.significance,
+        ">",
+        10.0,
         f"max gap = {cg.significance:.1f} stderr units > 10",
     )
+    # the summary lists every check of the run, the quartic one included
+    crep = dataclasses.replace(crep, checks=crep.checks + (quartic_check,))
+    report.checks.extend(crep.checks)
+    report.files.extend(crep.save(cfg.out, "compatibility"))
+    report.files.append(csv_path)
 
 
 _PHASE_POINT = {"x0": "1", "p0": "0"}
@@ -606,7 +565,7 @@ _COMMANDS = {
     "verify-coherence": _Command(_run_verify_coherence, _PHASE_POINT),
     "verify-compatibility": _Command(_run_verify_compatibility, _PHASE_POINT),
 }
-_ALL_KEYS = set(_COMMON_DEFAULTS) | {k for c in _COMMANDS.values() for k in c.extras}
+_ALL_KEYS = set(_COMMON) | {k for c in _COMMANDS.values() for k in c.extras}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -627,14 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind, command in _COMMANDS.items():
         p = sub.add_parser(kind, aliases=list(command.aliases))
         p.set_defaults(kind=kind)
-        p.add_argument("--alpha")
-        p.add_argument("--a")
-        p.add_argument("--b")
-        p.add_argument("--n")
-        p.add_argument("--m-paths", dest="m_paths")
-        p.add_argument("--seed")
-        p.add_argument("--system")
-        p.add_argument("--out")
+        for key in _COMMON:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key)
         p.add_argument("--config")
         for key in command.extras:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key)

@@ -1,5 +1,11 @@
-"""Residual reports: per-node equation defects with an interior max-norm.
+"""Checks and residual reports.
 
+A Check is one verdict: a value held against a bound by a relation, with
+the text its report line prints.  Its pass/fail is derived from those
+three, so NaN never passes, and every report line and summary file renders
+the same record.
+
+Residual reports hold per-node equation defects with an interior max-norm.
 One-sided fractional operators lose accuracy in boundary layers, so the norm
 excludes the first and last ceil(n/64) nodes; the full residual trajectory
 is kept for inspection and serialization.
@@ -8,13 +14,49 @@ is kept for inspection and serialization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Trajectory
 
-__all__ = ["ResidualReport", "make_report", "interior_window"]
+__all__ = ["Check", "verdict", "ResidualReport", "make_report", "interior_window"]
+
+_RELATIONS = {
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "==": operator.eq,
+}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: passed iff value <relation> bound.
+
+    detail is the text after the name on the report line; it prints value
+    (and usually the bound) in the check's own format.
+    """
+
+    name: str
+    value: float
+    relation: str
+    bound: float
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.value, self.bound))
+
+    def line(self) -> str:
+        return f"check [{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+
+
+def verdict(checks) -> str:
+    """PASS iff every check passes."""
+    return "PASS" if all(c.passed for c in checks) else "FAIL"
 
 
 def interior_window(n: int) -> int:

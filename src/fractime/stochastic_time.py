@@ -38,7 +38,6 @@ __all__ = [
     "exact_marginal_ensemble",
     "scaling_samples",
     "rescale_factor",
-    "scaling_limit_check",
     "ks_statistic",
     "ensemble_mean",
 ]
@@ -258,20 +257,22 @@ def scaling_samples(
     """M counting samples N_c and M independent S(1) samples.
 
     Raises:
-        OutOfRangeError: c < 100 or M < 1000.
+        OutOfRangeError: c < 100, M < 1000, or the S(1) paths would hold
+            more than 2^27 values (all checked before any allocation).
         DegenerateSampleError: every counting sample is zero.
     """
     if c < 100.0:
         raise OutOfRangeError(f"c must be at least 100, got {c}")
     if M < 1000:
         raise OutOfRangeError(f"M must be at least 1000, got {M}")
+    s_grid = TimeGrid(0.0, 1.0, 2)
+    _check_ensemble(s_grid, M)
     counts = np.empty(M)
     for i in range(M):
         rng = _path_rng(seed, (_RENEWAL_KEY, i))
         counts[i] = len(_arrivals(law, c, rng))
     if not np.any(counts > 0):
         raise DegenerateSampleError("all counting samples are zero; c too small")
-    s_grid = TimeGrid(0.0, 1.0, 2)
     s1 = inverse_subordinator_paths(law.alpha, s_grid, M, seed=seed).paths[:, -1]
     return counts, s1
 
@@ -283,19 +284,6 @@ def rescale_factor(counts: np.ndarray, s1: np.ndarray) -> float:
     median matching avoids the unstated constant.
     """
     return float(np.median(counts)) / float(np.median(s1))
-
-
-def scaling_limit_check(
-    law: WaitingTimeLaw, c: float, M: int, seed: int = 0
-) -> float:
-    """KS statistic between rescaled N_c samples and simulated S(1) samples.
-
-    Raises:
-        OutOfRangeError: c < 100 or M < 1000.
-        DegenerateSampleError: every counting sample is zero.
-    """
-    counts, s1 = scaling_samples(law, c, M, seed=seed)
-    return ks_statistic(counts / rescale_factor(counts, s1), s1)
 
 
 def ks_statistic(a, b) -> float:

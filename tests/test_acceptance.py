@@ -34,7 +34,9 @@ from fractime.stochastic_time import (
     WaitingTimeLaw,
     ensemble_mean,
     inverse_subordinator_paths,
-    scaling_limit_check,
+    ks_statistic,
+    rescale_factor,
+    scaling_samples,
 )
 from fractime.systems import quartic
 from fractime.variational import (
@@ -196,7 +198,8 @@ def test_acceptance_06_scaling_limit():
         stats = {}
         for alpha in (0.5, 0.8):
             law = WaitingTimeLaw(FracOrder(alpha), 1.0)
-            stats[alpha] = scaling_limit_check(law, 10000.0, 10000, seed=42)
+            counts, s1 = scaling_samples(law, 10000.0, 10000, seed=42)
+            stats[alpha] = ks_statistic(counts / rescale_factor(counts, s1), s1)
     ok = all(v < 0.05 for v in stats.values())
     _verdict(
         6, ok, tm.elapsed, 120.0,
@@ -209,10 +212,10 @@ def test_acceptance_07_subordination_equals_fractional_solve():
         H = legendre_transform(harmonic())
         grid = TimeGrid(0.0, 2.0, 2048)
         ens = inverse_subordinator_paths(HALF, grid, 10000, seed=42)
-        rep = verify_stanislavsky(H, np.array([1.0, 0.0]), ens)
+        (band,) = verify_stanislavsky(H, np.array([1.0, 0.0]), ens).checks
     _verdict(
-        7, rep.passed, tm.elapsed, 120.0,
-        f"subordinated means vs fractional solve: {rep.fraction_within:.3f} of interior "
+        7, band.passed, tm.elapsed, 120.0,
+        f"subordinated means vs fractional solve: {band.value:.3f} of interior "
         f"nodes within 3 stderr + 5e-3 (need 0.95)",
     )
 
@@ -264,15 +267,15 @@ def test_acceptance_09_variational_identity():
 def test_acceptance_10_compatibility_and_commutation():
     with _Timer() as tm:
         ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 2048), 10000, seed=42)
-        rep = verify_compatibility(harmonic(), np.array([1.0, 0.0]), ens)
+        momentum, causal, _ = verify_compatibility(harmonic(), np.array([1.0, 0.0]), ens).checks
         Hq = legendre_transform(quartic())
         obs = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, keep_paths=True)
         quartic_rep = commutation_gap(Hq, obs)
-    ok = rep.momentum.passed and rep.causal_el.passed and quartic_rep.significance > 10.0
+    ok = momentum.passed and causal.passed and quartic_rep.significance > 10.0
     _verdict(
         10, ok, tm.elapsed, 120.0,
-        f"compatibility: momentum {rep.momentum.fraction_within:.3f}, causal "
-        f"{rep.causal_el.fraction_within:.3f} (need 0.95), quartic gap "
+        f"compatibility: momentum {momentum.value:.3f}, causal "
+        f"{causal.value:.3f} (need 0.95), quartic gap "
         f"{quartic_rep.significance:.0f} stderr (need > 10)",
     )
 

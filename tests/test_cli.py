@@ -1,10 +1,16 @@
 """Command-line interface: flags, config files, exit codes, artifacts."""
 
 import dataclasses
+import itertools
+import operator
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+
+_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 
 def run_cli(*args, cwd=None):
@@ -168,6 +174,41 @@ def test_subordinator_rejects_oversized_ensemble(tmp_path):
     assert len(lines) == 1 and "ensemble cap" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["frac-deriv", "--n", "2000000000"],
+        ["solve-fde", "--n", "2000000000"],
+        ["verify-coherence", "--n", "2000000000"],
+        ["solve-fde", "--n", "100000000"],
+        ["frac-deriv", "--n", str(2**22 + 1)],
+        ["scaling-limit", "--m-paths", "2000000000"],
+    ],
+    ids=" ".join,
+)
+def test_oversized_input_is_refused_before_allocating(tmp_path, capsys, args):
+    from fractime import cli
+
+    tracemalloc.start()
+    try:
+        code = cli.main([*args, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert peak < 1 << 20, peak
+
+
+def test_largest_grid_is_accepted():
+    from fractime import cli
+
+    ns = cli._build_parser().parse_args(["frac-deriv", "--n", str(2**22)])
+    assert cli.parse_config(ns).n == 2**22
+
+
 @pytest.mark.parametrize("command", ["verify-stanislavsky", "verify-compatibility"])
 def test_oversized_classical_horizon_is_refused(tmp_path, command):
     # S(b) ~ 1e6 at b = 1e12 would ask for about 1e9 classical steps
@@ -265,6 +306,56 @@ def _checks(out: str) -> dict:
     rows = [line[len("check ["):] for line in out.splitlines() if line.startswith("check [")]
     verdicts = [row.split("] ", 1) for row in rows]
     return {rest.split(": ", 1)[0]: (v, rest.split(": ", 1)[1]) for v, rest in verdicts}
+
+
+def _smoke_invocations() -> list:
+    """Argument lists of the CI step that runs every subcommand at tiny sizes."""
+    lines = _WORKFLOW.read_text().split("<<'EOF'\n", 1)[1].splitlines()
+    return [line.split() for line in itertools.takewhile(lambda t: t.strip() != "EOF", lines)]
+
+
+_RELATIONS = {
+    "<=": operator.le,
+    "<": operator.lt,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "==": operator.eq,
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    # the last case printed overall FAIL over a summary that said PASS,
+    # when the quartic check was made outside the bridge's summary
+    _smoke_invocations() + [["verify-compatibility", "--n", "64", "--m-paths", "200"]],
+    ids=" ".join,
+)
+def test_verdicts_agree_from_rule_to_report_and_summary(tmp_path, monkeypatch, capsys, args):
+    from fractime import cli
+
+    reports = []
+    real = cli.run_experiment
+
+    def recording(cfg):
+        reports.append(real(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    code = cli.main([*args, "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    (report,) = reports
+    assert report.checks
+    for check in report.checks:
+        assert check.passed == _RELATIONS[check.relation](check.value, check.bound)
+    check_lines = [check.line() for check in report.checks]
+    assert [line for line in lines if line.startswith("check [")] == check_lines
+    overall = "PASS" if all(check.passed for check in report.checks) else "FAIL"
+    assert lines[-1] == f"overall: {overall}"
+    assert code == (0 if overall == "PASS" else 1)
+    summaries = [path for path in report.files if path.endswith("_summary.txt")]
+    assert len(summaries) == (args[0] in ("verify-stanislavsky", "verify-compatibility"))
+    for path in summaries:
+        assert Path(path).read_text().splitlines() == check_lines + [f"verdict: {overall}"]
 
 
 def test_stanislavsky_band_check_fails_quartic(tmp_path, capsys):

@@ -33,7 +33,6 @@ from fractime.stochastic_time import (
     inverse_subordinator_paths,
     ks_statistic,
     rescale_factor,
-    scaling_limit_check,
     scaling_samples,
 )
 
@@ -352,8 +351,8 @@ def test_scaling_samples_report_degenerate_counts():
 
 def test_rescaled_counts_converge_to_internal_time_law():
     law = WaitingTimeLaw(HALF, 1.0)
-    ks = scaling_limit_check(law, 10000.0, 10000, seed=42)
-    assert ks < 0.05
+    counts, s1 = scaling_samples(law, 10000.0, 10000, seed=42)
+    assert ks_statistic(counts / rescale_factor(counts, s1), s1) < 0.05
 
 
 def test_rescale_factor_is_positive_median_ratio():
