@@ -27,7 +27,6 @@ budgets, and the per-node tables behind them.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,8 @@ import numpy as np
 from .dynamics import legendre_transform, solve_classical, solve_fde
 from .errors import ConfigError, DegenerateSampleError, OutOfRangeError
 from .fracops import caputo_left
-from .grids import TimeGrid, Trajectory, write_csv, write_text
-from .reports import Check, interior_window, verdict
+from .grids import TimeGrid, Trajectory
+from .reports import Check, interior_window
 from .stochastic_time import SubordinatorEnsemble
 from .systems import HamiltonianSystem, LagrangianSystem
 from .variational import causal_el_residual
@@ -65,6 +64,7 @@ _COMMUTATION_STEPS = 64
 # a commutation gap is within noise at 3 stderr, plus rounding
 _COMMUTATION_SIGMA = 3.0
 _COMMUTATION_ATOL = 1e-12
+_TABLE_HEADER = ["t", "mc_mean", "mc_stderr", "fde_value", "gap"]
 
 
 @dataclass(frozen=True)
@@ -241,28 +241,10 @@ def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> Commut
 @dataclass(frozen=True)
 class ComparisonReport:
     """The checks of one bridge verification and the per-node tables behind
-    them: (suffix, [mc_mean, mc_stderr, fde_value, gap]) column lists."""
+    them: (suffix, header, columns) with t as the first column."""
 
-    t_grid: TimeGrid
     checks: tuple
     tables: tuple
-
-    def save(self, out_dir: str, stem: str) -> list:
-        """One t,mc_mean,mc_stderr,fde_value,gap CSV per table, then a summary
-        of the check lines and their verdict; returns the paths."""
-        os.makedirs(out_dir, exist_ok=True)
-        paths = []
-        for suffix, cols in self.tables:
-            paths.append(os.path.join(out_dir, f"{stem}_{suffix}.csv"))
-            write_csv(
-                paths[-1],
-                ["t", "mc_mean", "mc_stderr", "fde_value", "gap"],
-                [self.t_grid.nodes(), *cols],
-            )
-        paths.append(os.path.join(out_dir, f"{stem}_summary.txt"))
-        lines = [c.line() for c in self.checks] + [f"verdict: {verdict(self.checks)}"]
-        write_text(paths[-1], lines)
-        return paths
 
 
 def _band_check(name: str, gap, stderr, n: int) -> Check:
@@ -301,10 +283,12 @@ def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> 
     gap = np.abs(mc - fde)
     check = _band_check("MC subordination matches fractional solve", gap, se, t_grid.n)
     labels = [f"x{k}" for k in range(H.dim)] + [f"p{k}" for k in range(H.dim)]
+    t = t_grid.nodes()
     tables = tuple(
-        (label, [mc[:, k], se[:, k], fde[:, k], gap[:, k]]) for k, label in enumerate(labels)
+        (label, _TABLE_HEADER, [t, mc[:, k], se[:, k], fde[:, k], gap[:, k]])
+        for k, label in enumerate(labels)
     )
-    return ComparisonReport(t_grid=t_grid, checks=(check,), tables=tables)
+    return ComparisonReport(checks=(check,), tables=tables)
 
 
 def verify_compatibility(
@@ -356,10 +340,12 @@ def verify_compatibility(
             f"max significance = {comm.significance:.3f} <= {_COMMUTATION_SIGMA:g}",
         ),
     )
+    t = t_grid.nodes()
     zero = np.zeros(len(t_grid))
     tables = []
     for k in range(H.dim):
-        momentum_cols = [obs.mean_p, momentum_se, deriv_route, momentum_gap]
-        tables.append((f"momentum_x{k}", [c[:, k] for c in momentum_cols]))
-        tables.append((f"causal_el_x{k}", [causal[:, k], causal_se[:, k], zero, causal[:, k]]))
-    return ComparisonReport(t_grid=t_grid, checks=checks, tables=tuple(tables))
+        momentum = [t, obs.mean_p[:, k], momentum_se[:, k], deriv_route[:, k], momentum_gap[:, k]]
+        residual = [t, causal[:, k], causal_se[:, k], zero, causal[:, k]]
+        tables.append((f"momentum_x{k}", _TABLE_HEADER, momentum))
+        tables.append((f"causal_el_x{k}", _TABLE_HEADER, residual))
+    return ComparisonReport(checks=checks, tables=tuple(tables))

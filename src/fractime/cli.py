@@ -2,17 +2,17 @@
 
 Each subcommand assembles an experiment from flags, an optional flat
 key=value config file (flags win), and documented defaults; runs it; writes
-CSV outputs atomically into --out; and prints a run report echoing the
-config, one pass/fail line per check, every output file path, and the wall
-time.  Exit status is 0 iff all checks pass, 1 when a check fails, 2 on
-configuration or validation errors, and 3 on any other error.  Given the
-same config, outputs are byte-identical across reruns.
+the outputs it declared atomically into --out, all at once after it
+returns; and prints a run report echoing the config, one pass/fail line per
+check, every output file path, and the wall time.  Exit status is 0 iff all
+checks pass, 1 when a check fails, 2 on configuration or validation errors,
+and 3 on any other error.  Given the same config, outputs are
+byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -28,10 +28,10 @@ from .bridge import (
     verify_compatibility,
     verify_stanislavsky,
 )
-from .dynamics import legendre_transform, solve_fde, save_solution
+from .dynamics import legendre_transform, solve_fde
 from .errors import ConfigError, FractimeError
 from .fracops import FracOrder, caputo_left, caputo_right, embed_operator
-from .grids import TimeGrid, Trajectory, write_csv
+from .grids import TimeGrid, Trajectory, write_csv, write_text
 from .special import MLParams, mittag_leffler
 from .stochastic_time import (
     WaitingTimeLaw,
@@ -96,11 +96,18 @@ class ExperimentConfig:
 
 @dataclass
 class RunReport:
-    """Outcome of one experiment: config echo, Checks, files, duration."""
+    """Outcome of one experiment: config echo, Checks, outputs, duration.
+
+    A runner declares each file it writes in outputs, in order: a table is
+    (name, header, columns), a text file (name, lines).  run_experiment
+    writes them into config.out once the runner returns, and files lists
+    their paths.
+    """
 
     kind: str
     config: ExperimentConfig
     checks: list = field(default_factory=list)
+    outputs: list = field(default_factory=list)
     files: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     duration: float = 0.0
@@ -277,11 +284,6 @@ def _sample(cfg: ExperimentConfig):
     return exact_marginal_ensemble(FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, seed=cfg.seed)
 
 
-def _outpath(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
-
-
 # ---------------------------------------------------------------- runners
 
 
@@ -293,13 +295,9 @@ def _run_ml(cfg: ExperimentConfig, report: RunReport) -> None:
     params = MLParams(cfg.alpha, beta)
     value = mittag_leffler(params, z)
     report.notes.append(f"{value:.10f}")
-    csv_path = _outpath(cfg, "ml.csv")
-    write_csv(
-        csv_path,
-        ["alpha", "beta", "z", "value"],
-        [[cfg.alpha], [beta], [z], [value]],
+    report.outputs.append(
+        ("ml.csv", ["alpha", "beta", "z", "value"], [[cfg.alpha], [beta], [z], [value]])
     )
-    report.files.append(csv_path)
     detail = f"E_({cfg.alpha},{beta})({z}) = {value:.10f}"
     report.checks.append(Check("evaluation finite", abs(value), "<", math.inf, detail))
 
@@ -324,9 +322,7 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
     traj = Trajectory.from_callable(grid, fn)
     left = caputo_left(traj, order).values[:, 0]
     right = caputo_right(traj, order).values[:, 0]
-    csv_path = _outpath(cfg, "frac_deriv.csv")
-    write_csv(csv_path, ["t", "left", "right"], [grid.nodes(), left, right])
-    report.files.append(csv_path)
+    report.outputs.append(("frac_deriv.csv", ["t", "left", "right"], [grid.nodes(), left, right]))
 
     flat = float(np.abs(caputo_left(Trajectory.constant(grid, 1.0), order).values).max())
     detail = f"max |D^a 1| = {flat:.3e} (exact zero required)"
@@ -372,9 +368,18 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
     grid = _grid(cfg)
     y0 = _parse_phase_point(cfg, L.dim)
     sol = solve_fde(H, y0, grid, order)
-    csv_path = _outpath(cfg, "solution.csv")
-    sidecar = save_solution(sol, csv_path)
-    report.files.extend([csv_path, sidecar])
+    header = ["t"] + [f"x{k}" for k in range(sol.y.dim)]
+    meta = [
+        f"alpha={cfg.alpha:.17g}",
+        f"n={cfg.n}",
+        f"a={cfg.a:.17g}",
+        f"b={cfg.b:.17g}",
+        "scheme=fractional-adams",
+    ]
+    report.outputs += [
+        ("solution.csv", header, [grid.nodes(), *sol.y.values.T]),
+        ("solution.csv.meta", meta),
+    ]
     peak = float(np.abs(sol.y.values).max())
     report.checks.append(Check("solution finite", peak, "<", math.inf, f"max |y| = {peak:.6g}"))
     if (
@@ -412,11 +417,13 @@ def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
         FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, tau_step=tau_step, seed=cfg.seed
     )
     stats = ensemble_mean(ens)
-    paths_csv = _outpath(cfg, "subordinator_paths.csv")
-    ens.save_csv(paths_csv)
-    stats_csv = _outpath(cfg, "subordinator_stats.csv")
-    stats.save_csv(stats_csv)
-    report.files.extend([paths_csv, stats_csv])
+    t = ens.t_grid.nodes()
+    # the grid and the first 16 paths (all when fewer)
+    k = min(16, ens.m_paths)
+    report.outputs += [
+        ("subordinator_paths.csv", ["t"] + [f"path{i}" for i in range(k)], [t, *ens.paths[:k]]),
+        ("subordinator_stats.csv", ["t", "mean", "stderr"], [t, stats.mean, stats.stderr]),
+    ]
     report.notes.append(f"tau_step = {ens.tau_step:.6g}")
 
     s0 = float(np.abs(ens.paths[:, 0]).max())
@@ -446,18 +453,27 @@ def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
     b_c = rescale_factor(counts, s1)
     ks = ks_statistic(counts / b_c, s1)
     probs = np.linspace(0.0, 1.0, 101)
-    csv_path = _outpath(cfg, "scaling_limit.csv")
-    write_csv(
-        csv_path,
-        ["p", "rescaled_counts_quantile", "internal_time_quantile"],
-        [probs, np.quantile(counts / b_c, probs), np.quantile(s1, probs)],
+    report.outputs.append(
+        (
+            "scaling_limit.csv",
+            ["p", "rescaled_counts_quantile", "internal_time_quantile"],
+            [probs, np.quantile(counts / b_c, probs), np.quantile(s1, probs)],
+        )
     )
-    report.files.append(csv_path)
     report.notes.append(f"b(c) = {b_c:.6g}, KS = {ks:.4f}")
     detail = f"two-sample KS = {ks:.4f} < 0.05 (c = {c:g}, M = {cfg.m_paths})"
     report.checks.append(
         Check("rescaled counting process matches internal time", ks, "<", 0.05, detail)
     )
+
+
+def _declare_comparison(report: RunReport, tables, stem: str) -> None:
+    """A bridge verification's tables as <stem>_<suffix>.csv, then
+    <stem>_summary.txt: every check of the run and their verdict."""
+    for suffix, header, cols in tables:
+        report.outputs.append((f"{stem}_{suffix}.csv", header, cols))
+    lines = [c.line() for c in report.checks] + [f"verdict: {verdict(report.checks)}"]
+    report.outputs.append((f"{stem}_summary.txt", lines))
 
 
 def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -466,7 +482,7 @@ def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
     y0 = _parse_phase_point(cfg, L.dim)
     rep = verify_stanislavsky(H, y0, _sample(cfg))
     report.checks.extend(rep.checks)
-    report.files.extend(rep.save(cfg.out, "stanislavsky"))
+    _declare_comparison(report, rep.tables, "stanislavsky")
 
 
 def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -482,15 +498,12 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
     embedded = embed_operator(classical_el_operator(L), order)(x)
     embed_gap = float(np.abs(causal.residual.values - embedded.values).max())
 
-    t = grid.nodes()
-    csv_path = _outpath(cfg, "coherence.csv")
     headers = ["t"]
-    cols = [t]
+    cols = [grid.nodes()]
     for k in range(x.dim):
         headers += [f"causal{k}", f"general{k}"]
         cols += [causal.residual.values[:, k], general.residual.values[:, k]]
-    write_csv(csv_path, headers, cols)
-    report.files.append(csv_path)
+    report.outputs.append(("coherence.csv", headers, cols))
 
     ratio = general.max_norm / max(causal.max_norm, 1e-300)
     report.checks += [
@@ -528,30 +541,25 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     Hq = legendre_transform(quartic())
     obs = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, keep_paths=True)
     cg = commutation_gap(Hq, obs)
-    csv_path = _outpath(cfg, "quartic_gap.csv")
-    write_csv(
-        csv_path,
-        ["t", "gap_x", "stderr_x", "gap_p", "stderr_p"],
-        [
-            cg.t,
-            cg.gap_x[:, 0],
-            cg.stderr_x[:, 0],
-            cg.gap_p[:, 0],
-            cg.stderr_p[:, 0],
-        ],
+    report.checks += [
+        *crep.checks,
+        Check(
+            "quartic commutation gap statistically significant",
+            cg.significance,
+            ">",
+            10.0,
+            f"max gap = {cg.significance:.1f} stderr units > 10",
+        ),
+    ]
+    # after the quartic check, so the summary lists it too
+    _declare_comparison(report, crep.tables, "compatibility")
+    report.outputs.append(
+        (
+            "quartic_gap.csv",
+            ["t", "gap_x", "stderr_x", "gap_p", "stderr_p"],
+            [cg.t, cg.gap_x[:, 0], cg.stderr_x[:, 0], cg.gap_p[:, 0], cg.stderr_p[:, 0]],
+        )
     )
-    quartic_check = Check(
-        "quartic commutation gap statistically significant",
-        cg.significance,
-        ">",
-        10.0,
-        f"max gap = {cg.significance:.1f} stderr units > 10",
-    )
-    # the summary lists every check of the run, the quartic one included
-    crep = dataclasses.replace(crep, checks=crep.checks + (quartic_check,))
-    report.checks.extend(crep.checks)
-    report.files.extend(crep.save(cfg.out, "compatibility"))
-    report.files.append(csv_path)
 
 
 _PHASE_POINT = {"x0": "1", "p0": "0"}
@@ -573,6 +581,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(kind=cfg.kind, config=cfg)
     start = time.perf_counter()
     _COMMANDS[cfg.kind].run(cfg, report)
+    # only a runner that returned writes, and the writes count in duration
+    os.makedirs(cfg.out, exist_ok=True)
+    for name, *body in report.outputs:
+        path = os.path.join(cfg.out, name)
+        (write_csv if len(body) == 2 else write_text)(path, *body)
+        report.files.append(path)
     report.duration = time.perf_counter() - start
     return report
 

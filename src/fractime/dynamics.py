@@ -25,7 +25,7 @@ from .fracops import (
     _pt_corrector_weights,
     caputo_left,
 )
-from .grids import TimeGrid, Trajectory, write_keyvalues
+from .grids import TimeGrid, Trajectory
 from .reports import ResidualReport, make_report
 from .systems import HamiltonianSystem, LagrangianSystem, NaturalForm
 
@@ -36,7 +36,6 @@ __all__ = [
     "solve_classical",
     "solve_fde",
     "solve_fde_system",
-    "save_solution",
 ]
 
 _DIVERGENCE_CAP = 1e12
@@ -371,18 +370,3 @@ def solve_fde(
 
     y = solve_fde_system(rhs, y0, grid, order)
     return FdeSolution(grid=grid, y=y, alpha=order)
-
-
-def save_solution(sol: FdeSolution, csv_path: str) -> str:
-    """Write the solution CSV plus a key=value sidecar; returns sidecar path."""
-    sol.y.save_csv(csv_path)
-    meta = {
-        "alpha": sol.alpha.alpha,
-        "n": sol.grid.n,
-        "a": sol.grid.a,
-        "b": sol.grid.b,
-        "scheme": "fractional-adams",
-    }
-    sidecar = f"{csv_path}.meta"
-    write_keyvalues(sidecar, meta)
-    return sidecar

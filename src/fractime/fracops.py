@@ -168,14 +168,10 @@ class OperatorTerm:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Sum of factor/derivative-target terms sharing one argument signature.
-
-    arg_order is the highest derivative order fed to the maps' middle
-    argument: 0 passes zeros, 1 passes the trajectory's derivative.
-    """
+    """Sum of factor/derivative-target terms sharing one argument signature;
+    the maps' middle argument receives the trajectory's derivative."""
 
     terms: tuple[OperatorTerm, ...]
-    arg_order: int = 1
 
 
 def embed_operator(op: OperatorSpec, order: FracOrder) -> Callable[[Trajectory], Trajectory]:
@@ -192,18 +188,11 @@ def embed_operator(op: OperatorSpec, order: FracOrder) -> Callable[[Trajectory],
             raise UnsupportedOperatorError(
                 f"derivative power {term.power} not supported (only 0 and 1)"
             )
-    if op.arg_order not in (0, 1):
-        raise UnsupportedOperatorError(
-            f"argument derivative order {op.arg_order} not supported (only 0 and 1)"
-        )
 
     def evaluator(x: Trajectory) -> Trajectory:
         t = x.grid.nodes()
         xv = x.values
-        if op.arg_order == 1:
-            vv = caputo_left(x, order).values
-        else:
-            vv = np.zeros_like(xv)
+        vv = caputo_left(x, order).values
         acc = None
         for term in op.terms:
             gv = np.broadcast_to(

@@ -9,7 +9,6 @@ All discrete operators in this package act on these two types.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import GridError
 
-__all__ = ["TimeGrid", "Trajectory", "write_csv", "write_keyvalues", "write_text", "trapezoid"]
+__all__ = ["TimeGrid", "Trajectory", "write_csv", "write_text", "trapezoid"]
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,6 @@ class Trajectory:
         if self.grid != other.grid:
             raise GridError("trajectories live on different grids")
 
-    def save_csv(self, path: str | os.PathLike) -> None:
-        """Write ``t,x0,...,x{d-1}`` rows at full double precision."""
-        header = ["t"] + [f"x{k}" for k in range(self.dim)]
-        cols = [self.grid.nodes()] + [self.component(k) for k in range(self.dim)]
-        write_csv(path, header, cols)
-
 
 def write_csv(
     path: str | os.PathLike,
@@ -122,19 +115,17 @@ def write_csv(
     write_text(path, lines)
 
 
-def write_keyvalues(path, mapping: dict) -> None:
-    """Write a flat key=value text file atomically, one pair per line."""
-    write_text(path, [f"{k}={_fmt_value(v)}" for k, v in mapping.items()])
-
-
 def write_text(path: str | os.PathLike, lines: Iterable[str]) -> None:
     """Write lines with LF endings, atomically.
 
     The file is written next to ``path`` and renamed into place so readers
-    never observe a partial file.
+    never observe a partial file.  The temporary file is created with mode
+    0o666, which the umask trims as for any new file (mkstemp would make
+    it owner-only).
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -143,12 +134,6 @@ def write_text(path: str | os.PathLike, lines: Iterable[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def trapezoid(values: np.ndarray, h: float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, GridError, OutOfRangeError
 from .fracops import FracOrder
-from .grids import TimeGrid, write_csv
+from .grids import TimeGrid
 
 __all__ = [
     "WaitingTimeLaw",
@@ -127,13 +127,6 @@ class SubordinatorEnsemble:
     def m_paths(self) -> int:
         return int(self.paths.shape[0])
 
-    def save_csv(self, path) -> None:
-        """Write the grid and the first 16 paths (all when fewer)."""
-        k = min(16, self.m_paths)
-        header = ["t"] + [f"path{i}" for i in range(k)]
-        cols = [self.t_grid.nodes()] + [self.paths[i] for i in range(k)]
-        write_csv(path, header, cols)
-
 
 @dataclass(frozen=True)
 class EnsembleStats:
@@ -142,9 +135,6 @@ class EnsembleStats:
     t_grid: TimeGrid
     mean: np.ndarray
     stderr: np.ndarray
-
-    def save_csv(self, path) -> None:
-        write_csv(path, ["t", "mean", "stderr"], [self.t_grid.nodes(), self.mean, self.stderr])
 
 
 def _path_rng(seed: int, key: tuple) -> np.random.Generator:
@@ -266,7 +256,11 @@ def scaling_samples(
     if M < 1000:
         raise OutOfRangeError(f"M must be at least 1000, got {M}")
     s_grid = TimeGrid(0.0, 1.0, 2)
-    _check_ensemble(s_grid, M)
+    if M * len(s_grid) > _MAX_VALUES:
+        raise OutOfRangeError(
+            f"{M} paths x {len(s_grid)} nodes exceed the ensemble cap of"
+            f" {_MAX_VALUES} values; lower m_paths"
+        )
     counts = np.empty(M)
     for i in range(M):
         rng = _path_rng(seed, (_RENEWAL_KEY, i))

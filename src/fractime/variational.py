@@ -104,7 +104,6 @@ def classical_el_operator(L: LagrangianSystem) -> OperatorSpec:
             OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: L.dLdx(x, v, t), 0),
             OperatorTerm(lambda x, v, t: -1.0, lambda x, v, t: L.dLdv(x, v, t), 1),
         ),
-        arg_order=1,
     )
 
 

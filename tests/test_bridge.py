@@ -14,9 +14,7 @@ Statistical budgets are 3 standard errors plus the documented scheme
 terms; seeds are frozen.
 """
 
-import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -38,6 +36,7 @@ from fractime.bridge import (
 )
 from fractime import bridge
 from fractime.errors import ConfigError, DegenerateSampleError, OutOfRangeError
+from fractime.grids import write_csv
 from fractime.systems import LagrangianSystem, free_particle, quartic
 
 HALF = FracOrder(0.5)
@@ -96,10 +95,11 @@ def test_phase_views_stack_position_and_momentum():
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 8), 64, seed=42)
     obs = subordinate_flow(H, np.array([0.0, 1.0]), ens)
     rep = verify_stanislavsky(H, np.array([0.0, 1.0]), ens)
-    assert [label for label, _ in rep.tables] == ["x0", "p0"]
+    assert [label for label, _, _ in rep.tables] == ["x0", "p0"]
     mean = np.hstack([obs.mean_x, obs.mean_p])
     stderr = np.hstack([obs.stderr_x, obs.stderr_p])
-    for k, (_, (mc_mean, mc_stderr, _, _)) in enumerate(rep.tables):
+    for k, (_, _, (t, mc_mean, mc_stderr, _, _)) in enumerate(rep.tables):
+        np.testing.assert_array_equal(t, ens.t_grid.nodes())
         np.testing.assert_array_equal(mc_mean, mean[:, k])
         np.testing.assert_array_equal(mc_stderr, stderr[:, k])
 
@@ -268,16 +268,15 @@ def test_equivalence_report_serializes_and_reruns_identically(tmp_path):
     rep = verify_stanislavsky(
         H, np.array([0.0, 1.0]), inverse_subordinator_paths(HALF, grid, 1000, seed=7)
     )
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    files_a = rep.save(str(out_a), "eq")
     rep2 = verify_stanislavsky(
         H, np.array([0.0, 1.0]), inverse_subordinator_paths(HALF, grid, 1000, seed=7)
     )
-    files_b = rep2.save(str(out_b), "eq")
-    assert [f.split("/")[-1] for f in files_a] == [f.split("/")[-1] for f in files_b]
-    for fa, fb in zip(files_a, files_b):
-        assert open(fa, "rb").read() == open(fb, "rb").read()
+    assert [t[:2] for t in rep.tables] == [t[:2] for t in rep2.tables]
+    for (suffix, header, cols), (_, _, cols2) in zip(rep.tables, rep2.tables):
+        write_csv(tmp_path / f"a_{suffix}.csv", header, cols)
+        write_csv(tmp_path / f"b_{suffix}.csv", header, cols2)
+        a, b = (tmp_path / f"{k}_{suffix}.csv" for k in "ab")
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_free_particle_statistics_are_translation_invariant():
@@ -341,51 +340,12 @@ def test_compatibility_report_saves_expected_files(tmp_path):
         np.array([1.0, 0.0]),
         inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 128), 500, seed=1),
     )
-    files = rep.save(str(tmp_path), "compat")
-    names = sorted(f.split("/")[-1] for f in files)
-    assert "compat_momentum_x0.csv" in names
-    assert "compat_causal_el_x0.csv" in names
-    assert "compat_summary.txt" in names
-    for f in files:
-        assert open(f).read()
-
-
-def _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep):
-    changed = dataclasses.replace(
-        rep, checks=(dataclasses.replace(rep.checks[0], detail="changed"),)
-    )
-    files = rep.save(str(tmp_path), "r")
-    summary = files[-1]
-    assert summary.endswith("r_summary.txt")
-    before = open(summary, "rb").read()
-    real_replace = os.replace
-
-    def failing_replace(src, dst):
-        if str(dst).endswith("_summary.txt"):
-            raise OSError("simulated failure while renaming into place")
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="simulated"):
-        changed.save(str(tmp_path), "r")
-    assert open(summary, "rb").read() == before
-    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
-
-
-def test_comparison_summary_is_written_atomically(tmp_path, monkeypatch):
-    H = legendre_transform(free_particle())
-    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 32), 200, seed=5)
-    rep = verify_stanislavsky(H, np.array([0.0, 1.0]), ens)
-    _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep)
-
-
-def test_compatibility_summary_is_written_atomically(tmp_path, monkeypatch):
-    rep = verify_compatibility(
-        harmonic(),
-        np.array([1.0, 0.0]),
-        inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 64), 200, seed=5),
-    )
-    _assert_summary_survives_failed_replace(tmp_path, monkeypatch, rep)
+    assert [suffix for suffix, _, _ in rep.tables] == ["momentum_x0", "causal_el_x0"]
+    for suffix, header, cols in rep.tables:
+        assert header == ["t", "mc_mean", "mc_stderr", "fde_value", "gap"]
+        write_csv(tmp_path / f"compat_{suffix}.csv", header, cols)
+        lines = (tmp_path / f"compat_{suffix}.csv").read_text().splitlines()
+        assert len(lines) == 1 + 129
 
 
 def _stiff_lagrangian() -> LagrangianSystem:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import operator
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -76,6 +77,49 @@ def test_solve_fde_oscillator_oracle_check(tmp_path):
     assert "Mittag-Leffler oscillator" in res.stdout
     assert (tmp_path / "solution.csv").exists()
     assert (tmp_path / "solution.csv.meta").exists()
+
+
+def test_solve_fde_writes_data_and_sidecar(tmp_path, capsys):
+    from fractime import cli
+
+    for run in "ab":
+        args = ["solve-fde", "--b", "1", "--n", "32", "--out", str(tmp_path / run)]
+        assert cli.main(args) == 0
+    capsys.readouterr()
+    data, meta = (tmp_path / "a" / name for name in ("solution.csv", "solution.csv.meta"))
+    lines = data.read_text().splitlines()
+    assert lines[0] == "t,x0,x1"
+    assert len(lines) == 1 + 33
+    assert meta.read_text().splitlines() == [
+        "alpha=0.5", "n=32", "a=0", "b=1", "scheme=fractional-adams"
+    ]
+    for name in ("solution.csv", "solution.csv.meta"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_run_that_errors_writes_nothing(tmp_path, capsys):
+    # the solve succeeds; the Mittag-Leffler oracle then refuses |z| > 50
+    from fractime import cli
+
+    assert cli.main(["solve-fde", "--b", "100", "--n", "64", "--out", str(tmp_path)]) == 2
+    assert "exceeds the validated range" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_rename_leaves_the_earlier_output_intact(tmp_path, monkeypatch, capsys):
+    from fractime import cli
+
+    assert cli.main(["ml-eval", "--z", "1", "--out", str(tmp_path)]) == 0
+    before = (tmp_path / "ml.csv").read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated failure while renaming into place")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert cli.main(["ml-eval", "--z", "2", "--out", str(tmp_path)]) == 3
+    assert "simulated failure" in capsys.readouterr().err
+    assert (tmp_path / "ml.csv").read_bytes() == before
+    assert os.listdir(tmp_path) == ["ml.csv"]
 
 
 def test_system_parsing_accepts_parameters(tmp_path):
@@ -356,6 +400,16 @@ def test_verdicts_agree_from_rule_to_report_and_summary(tmp_path, monkeypatch, c
     assert len(summaries) == (args[0] in ("verify-stanislavsky", "verify-compatibility"))
     for path in summaries:
         assert Path(path).read_text().splitlines() == check_lines + [f"verdict: {overall}"]
+    # --out holds exactly the listed files (no .tmp- file is left), each
+    # non-empty and with the mode a plain open gives
+    assert lines[lines.index("files:") + 1 : -2] == [f"  {path}" for path in report.files]
+    assert sorted(os.listdir(tmp_path)) == sorted(Path(path).name for path in report.files)
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in report.files:
+        assert Path(path).parent == tmp_path
+        assert os.path.getsize(path) > 0, path
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
 
 
 def test_stanislavsky_band_check_fails_quartic(tmp_path, capsys):

@@ -20,7 +20,7 @@ from fractime import (
     mittag_leffler,
     solve_fde,
 )
-from fractime.dynamics import flh_residual, save_solution, solve_classical, solve_fde_system
+from fractime.dynamics import flh_residual, solve_classical, solve_fde_system
 from fractime.errors import DivergenceError
 from fractime.fracops import _pt_corrector_weights
 from fractime.systems import free_particle, quartic
@@ -184,29 +184,3 @@ def test_quartic_fractional_flow_stays_finite():
     grid = TimeGrid(0.0, 2.0, 512)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
     assert np.all(np.isfinite(sol.y.values))
-
-
-def test_save_solution_writes_data_and_sidecar(tmp_path):
-    H = legendre_transform(harmonic())
-    grid = TimeGrid(0.0, 1.0, 32)
-    sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
-    csv_path = tmp_path / "sol.csv"
-    sidecar = save_solution(sol, str(csv_path))
-    assert csv_path.exists()
-    meta = dict(
-        line.split("=", 1) for line in open(sidecar).read().splitlines() if "=" in line
-    )
-    assert meta["alpha"] == "0.5"
-    assert meta["n"] == "32"
-    assert meta["scheme"] == "fractional-adams"
-
-
-def test_save_solution_reruns_byte_identical(tmp_path):
-    H = legendre_transform(harmonic())
-    grid = TimeGrid(0.0, 1.0, 32)
-    sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
-    pa = tmp_path / "a.csv"
-    pb = tmp_path / "b.csv"
-    save_solution(sol, str(pa))
-    save_solution(sol, str(pb))
-    assert pa.read_bytes() == pb.read_bytes()

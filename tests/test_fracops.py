@@ -215,7 +215,6 @@ def test_embed_operator_replaces_time_derivative_with_caputo():
             OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 0),
             OperatorTerm(lambda x, v, t: 2.0, lambda x, v, t: x, 1),
         ),
-        arg_order=0,
     )
     traj = Trajectory.from_callable(grid, lambda t: t * t)
     out = embed_operator(spec, HALF)(traj).values[:, 0]
@@ -228,7 +227,6 @@ def test_embed_operator_rejects_higher_powers():
 
     spec = OperatorSpec(
         terms=(OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 2),),
-        arg_order=0,
     )
     with pytest.raises(UnsupportedOperatorError):
         embed_operator(spec, HALF)

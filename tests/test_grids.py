@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fractime import TimeGrid
 from fractime.errors import GridError
-from fractime.grids import Trajectory, trapezoid, write_csv, write_keyvalues
+from fractime.grids import Trajectory, trapezoid, write_csv
 
 
 def test_grid_nodes_hit_endpoints_exactly():
@@ -100,22 +100,6 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
 def test_write_csv_leaves_no_temp_files(tmp_path):
     write_csv(tmp_path / "out.csv", ["a"], [np.ones(2)])
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
-
-
-def test_write_keyvalues_format(tmp_path):
-    path = tmp_path / "meta.txt"
-    write_keyvalues(path, {"alpha": 0.5, "n": 2048})
-    text = path.read_text()
-    assert "alpha=0.5" in text
-    assert "n=2048" in text
-
-
-def test_trajectory_save_csv_headers(tmp_path):
-    grid = TimeGrid(0.0, 1.0, 2)
-    traj = Trajectory(grid, np.ones((3, 2)))
-    path = tmp_path / "traj.csv"
-    traj.save_csv(path)
-    assert path.read_text().splitlines()[0] == "t,x0,x1"
 
 
 def test_trapezoid_matches_reference_quadrature():

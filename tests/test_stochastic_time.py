@@ -223,17 +223,25 @@ def test_ensemble_mean_matches_manual_formulas():
     np.testing.assert_allclose(stats.stderr, expect)
 
 
-def test_ensemble_csv_roundtrip(tmp_path):
-    grid = TimeGrid(0.0, 1.0, 4)
-    ens = inverse_subordinator_paths(HALF, grid, 20, seed=3)
-    p = tmp_path / "paths.csv"
-    ens.save_csv(p)
-    header = p.read_text().splitlines()[0]
-    assert header == "t," + ",".join(f"path{i}" for i in range(16))
+def test_ensemble_csv_roundtrip(tmp_path, capsys):
+    # the subordinator command writes the grid with the first 16 paths, and
+    # the stats, at 17 significant digits: both read back bit for bit
+    from fractime import cli
+
+    args = ["subordinator", "--b", "1", "--n", "4", "--m-paths", "20", "--seed", "3"]
+    assert cli.main([*args, "--out", str(tmp_path)]) in (0, 1)
+    capsys.readouterr()
+    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 4), 20, seed=3)
     stats = ensemble_mean(ens)
-    q = tmp_path / "stats.csv"
-    stats.save_csv(q)
-    assert q.read_text().splitlines()[0] == "t,mean,stderr"
+    t = ens.t_grid.nodes()
+    for name, header, cols in (
+        ("paths", "t," + ",".join(f"path{i}" for i in range(16)), [t, *ens.paths[:16]]),
+        ("stats", "t,mean,stderr", [t, stats.mean, stats.stderr]),
+    ):
+        path = tmp_path / f"subordinator_{name}.csv"
+        assert path.read_text().splitlines()[0] == header
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back, np.column_stack(cols))
 
 
 def test_exact_marginal_rows_are_reproducible_pinned_and_monotone():
@@ -340,6 +348,9 @@ def test_scaling_samples_validate_ranges():
         scaling_samples(law, 50.0, 2000, seed=0)
     with pytest.raises(OutOfRangeError):
         scaling_samples(law, 1000.0, 10, seed=0)
+    # its S(1) grid is fixed, so the cap names m_paths alone
+    with pytest.raises(OutOfRangeError, match="lower m_paths$"):
+        scaling_samples(law, 1000.0, 2 * 10**9, seed=0)
 
 
 def test_scaling_samples_report_degenerate_counts():
