@@ -15,6 +15,7 @@ terms; seeds are frozen.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -347,6 +348,38 @@ def test_compatibility_report_saves_expected_files(tmp_path):
         lines = (tmp_path / f"compat_{suffix}.csv").read_text().splitlines()
         assert len(lines) == 1 + 129
 
+
+
+def _assert_summary_survives_failed_replace(tmp_path, monkeypatch, capsys, command):
+    # the CLI writer renames each file into place; a failed rename of the
+    # summary must leave the earlier summary whole and no temporary behind
+    from fractime import cli
+
+    args = [command, "--n", "32", "--m-paths", "200", "--out", str(tmp_path)]
+    # at this size the quartic check may FAIL (exit 1); the run still writes
+    assert cli.main(args + ["--seed", "5"]) in (0, 1)
+    summary = tmp_path / f"{command.removeprefix('verify-')}_summary.txt"
+    before = summary.read_bytes()
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith("_summary.txt"):
+            raise OSError("simulated failure while renaming into place")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert cli.main(args + ["--seed", "6"]) == 3
+    assert "simulated failure" in capsys.readouterr().err
+    assert summary.read_bytes() == before
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+
+
+def test_comparison_summary_is_written_atomically(tmp_path, monkeypatch, capsys):
+    _assert_summary_survives_failed_replace(tmp_path, monkeypatch, capsys, "verify-stanislavsky")
+
+
+def test_compatibility_summary_is_written_atomically(tmp_path, monkeypatch, capsys):
+    _assert_summary_survives_failed_replace(tmp_path, monkeypatch, capsys, "verify-compatibility")
 
 def _stiff_lagrangian() -> LagrangianSystem:
     """L = v^4/4 + v^2/2 - x^2/2, given without natural-form data."""

@@ -184,3 +184,30 @@ def test_quartic_fractional_flow_stays_finite():
     grid = TimeGrid(0.0, 2.0, 512)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
     assert np.all(np.isfinite(sol.y.values))
+
+
+def _solve_fde_cli(out, *extra):
+    from fractime import cli
+
+    assert cli.main(["solve-fde", "--b", "1", "--n", "32", "--out", str(out), *extra]) == 0
+    return out / "solution.csv", out / "solution.csv.meta"
+
+
+def test_save_solution_writes_data_and_sidecar(tmp_path, capsys):
+    csv_path, sidecar = _solve_fde_cli(tmp_path)
+    capsys.readouterr()
+    assert csv_path.exists()
+    meta = dict(
+        line.split("=", 1) for line in sidecar.read_text().splitlines() if "=" in line
+    )
+    assert meta["alpha"] == "0.5"
+    assert meta["n"] == "32"
+    assert meta["scheme"] == "fractional-adams"
+
+
+def test_save_solution_reruns_byte_identical(tmp_path, capsys):
+    pa = _solve_fde_cli(tmp_path / "a")
+    pb = _solve_fde_cli(tmp_path / "b")
+    capsys.readouterr()
+    for fa, fb in zip(pa, pb):
+        assert fa.read_bytes() == fb.read_bytes()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fractime import TimeGrid
 from fractime.errors import GridError
-from fractime.grids import Trajectory, trapezoid, write_csv
+from fractime.grids import Trajectory, trapezoid, write_csv, write_text
 
 
 def test_grid_nodes_hit_endpoints_exactly():
@@ -101,6 +101,33 @@ def test_write_csv_leaves_no_temp_files(tmp_path):
     write_csv(tmp_path / "out.csv", ["a"], [np.ones(2)])
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
+
+
+def test_write_keyvalues_format(tmp_path, capsys):
+    # key=value text goes through write_text, one LF-terminated line each;
+    # the solve-fde sidecar is such a file
+    from fractime import cli
+
+    path = tmp_path / "meta.txt"
+    write_text(path, ["alpha=0.5", "n=2048"])
+    assert path.read_bytes() == b"alpha=0.5\nn=2048\n"
+    out = tmp_path / "run"
+    assert cli.main(["solve-fde", "--b", "1", "--n", "2048", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "solution.csv.meta").read_text()
+    assert "alpha=0.5" in text
+    assert "n=2048" in text
+
+
+def test_trajectory_save_csv_headers(tmp_path, capsys):
+    # a two-component trajectory is written as t,x0,x1 by solve-fde
+    from fractime import cli
+
+    assert cli.main(["solve-fde", "--b", "1", "--n", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "solution.csv").read_text().splitlines()
+    assert lines[0] == "t,x0,x1"
+    assert len(lines) == 1 + 3
 
 def test_trapezoid_matches_reference_quadrature():
     grid = TimeGrid(0.0, math.pi, 2000)
