@@ -9,12 +9,15 @@ residual.  The
 commutation hypothesis E[dH(x(S), p(S))] = dH(x_a, p_a) holds for linear
 gradients and is probed for failure on a quartic potential.
 
-Sampling is the caller's: one SubordinatorEnsemble serves every flow and
-check of a run, and the bridge only maps it through classical flows, each
-solved once on [0, max(largest sampled S(b), tau_step)].  Every check here
-reads one node at a time, so the command line passes rows of the exact
-one-time law (exact_marginal_ensemble); sampled paths of
-inverse_subordinator_paths map the same way.  Fewer than two rows are
+Sampling is the caller's: one ensemble serves every flow and check of a
+run, and the bridge only maps it through classical flows, each solved once
+on [0, s_end], the largest S(b).  It reads an ensemble through two things
+only, a block of rows and s_end, so sampled paths
+(inverse_subordinator_paths) and the factored rows of the exact one-time
+law (exact_marginal_ensemble, which the command line passes, since every
+check here reads one node at a time) map the same way.  A flow averages
+the nodes the ensemble holds; an exact ensemble thinned to the commutation
+nodes (MarginalEnsemble.at) flows only those.  Fewer than two rows are
 refused, since they have no standard error.
 
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
@@ -36,7 +39,7 @@ from .errors import ConfigError, DegenerateSampleError, OutOfRangeError
 from .fracops import caputo_left
 from .grids import TimeGrid, Trajectory
 from .reports import Check, interior_window
-from .stochastic_time import SubordinatorEnsemble
+from .stochastic_time import MarginalEnsemble, SubordinatorEnsemble
 from .systems import HamiltonianSystem, LagrangianSystem
 from .variational import causal_el_residual
 
@@ -69,7 +72,8 @@ _TABLE_HEADER = ["t", "mc_mean", "mc_stderr", "fde_value", "gap"]
 
 @dataclass(frozen=True)
 class SubordinatedObservable:
-    """Ensemble means of a classical flow evaluated at internal times.
+    """Ensemble means of a classical flow evaluated at internal times, at
+    the node times t of the ensemble.
 
     Node 0 is pinned to the initial data with zero stderr (S(0) = 0 on
     every path).  Group means support batch-means error bars for
@@ -77,7 +81,7 @@ class SubordinatedObservable:
     only on request, at the commutation nodes.
     """
 
-    t_grid: TimeGrid
+    t: np.ndarray
     mean_x: np.ndarray
     mean_p: np.ndarray
     stderr_x: np.ndarray
@@ -92,19 +96,20 @@ class SubordinatedObservable:
 def subordinate_flow(
     H: HamiltonianSystem,
     y0,
-    ens: SubordinatorEnsemble,
+    ens: SubordinatorEnsemble | MarginalEnsemble,
     keep_paths: bool = False,
     n_groups: int = 0,
 ) -> SubordinatedObservable:
-    """Average the classical flow over the internal-time paths of ens.
+    """Average the classical flow over the internal-time rows of ens, at
+    each node the ensemble holds.
 
-    The classical system is solved once on [0, tau_max], where tau_max is
-    the largest sampled S(b) (ens.tau_step if larger), so every sampled
-    time lies on it; the solution is evaluated at those times by linear
-    interpolation with a classical step of at most 1e-3, so the
-    interpolation error stays well below Monte Carlo noise.  Rows are
-    interpolated in blocks of 64, each inside one batch-means group.  With
-    keep_paths, raw path values are kept at the commutation nodes only.
+    The classical system is solved once on [0, ens.s_end], the largest S(b),
+    so every sampled time lies on it; the solution is evaluated at those
+    times by linear interpolation with a classical step of at most 1e-3, so
+    the interpolation error stays well below Monte Carlo noise.  Rows are
+    formed and interpolated in blocks of 64, each inside one batch-means
+    group.  With keep_paths, raw path values are kept at the commutation
+    nodes of the ensemble's nodes only.
 
     Raises:
         DegenerateSampleError: fewer than two paths.
@@ -121,8 +126,7 @@ def subordinate_flow(
     M = ens.m_paths
     if M < 2:
         raise DegenerateSampleError("need at least two paths for mean and stderr")
-    t_grid = ens.t_grid
-    tau_max = max(float(ens.paths[:, -1].max()), ens.tau_step)
+    tau_max = ens.s_end
     n_classical = max(2048, math.ceil(tau_max / _CLASSICAL_STEP))
     if n_classical > _MAX_CLASSICAL_STEPS:
         raise OutOfRangeError(
@@ -135,21 +139,23 @@ def subordinate_flow(
     # one-pass variance does not cancel away when |y0| >> the spread
     cols = (classical.values - y0).T
 
-    n_nodes = len(t_grid)
+    t = ens.t
+    n_nodes = len(t)
     sums = np.zeros((2 * d, n_nodes))
     sumsq = np.zeros((2 * d, n_nodes))
     groups = min(n_groups, M) if n_groups > 0 else 0
     # group g holds rows starts[g]:starts[g + 1]; the last takes the remainder
     starts = [g * (M // groups) for g in range(groups)] + [M] if groups else [0, M]
     group_sums = np.zeros((groups, 2 * d, n_nodes))
-    kept = _commutation_nodes(t_grid.n)
+    kept = _commutation_nodes(n_nodes - 1)
     stored = np.empty((M, len(kept), 2 * d)) if keep_paths else None
 
     for g in range(len(starts) - 1):
         for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK):
             hi = min(lo + _FLOW_BLOCK, starts[g + 1])
+            block = ens.rows(lo, hi)
             for c, col in enumerate(cols):
-                vals = np.interp(ens.paths[lo:hi], tau_nodes, col)
+                vals = np.interp(block, tau_nodes, col)
                 block_sum = vals.sum(axis=0)
                 sums[c] += block_sum
                 sumsq[c] += np.einsum("mj,mj->j", vals, vals)
@@ -172,7 +178,7 @@ def subordinate_flow(
     if keep_paths:
         stored += y0
     return SubordinatedObservable(
-        t_grid=t_grid,
+        t=t,
         mean_x=mean[:, :d],
         mean_p=mean[:, d:],
         stderr_x=stderr[:, :d],
@@ -187,7 +193,9 @@ def subordinate_flow(
 
 def _commutation_nodes(n: int) -> np.ndarray:
     """Node indices of the commutation check: all when n <= 64, else the 65
-    nearest a 64-step grid (exactly that grid when n/64 is a power of two)."""
+    nearest a 64-step grid (exactly that grid when n/64 is a power of two).
+    Thinning is idempotent: the commutation nodes of the 65 kept are all
+    of them."""
     return np.unique(np.rint(np.linspace(0, n, _COMMUTATION_STEPS + 1)).astype(int))
 
 
@@ -225,12 +233,12 @@ def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> Commut
     dhx = np.asarray(H.dHdx(obs.path_x, obs.path_p), dtype=float)
     dhp = np.asarray(H.dHdp(obs.path_x, obs.path_p), dtype=float)
     scale = math.sqrt(dhx.shape[0])
-    kept = _commutation_nodes(obs.t_grid.n)
+    kept = _commutation_nodes(len(obs.t) - 1)
     mean_x, mean_p = obs.mean_x[kept], obs.mean_p[kept]
     at_mean_x = np.asarray(H.dHdx(mean_x, mean_p), dtype=float)
     at_mean_p = np.asarray(H.dHdp(mean_x, mean_p), dtype=float)
     return CommutationReport(
-        t=obs.t_grid.nodes()[kept],
+        t=obs.t[kept],
         gap_x=np.abs(at_mean_x - dhx.mean(axis=0)),
         gap_p=np.abs(at_mean_p - dhp.mean(axis=0)),
         stderr_x=dhx.std(axis=0, ddof=1) / scale,
@@ -268,7 +276,9 @@ def _batch_stderr(per_group: list) -> np.ndarray:
     return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
 
 
-def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> ComparisonReport:
+def verify_stanislavsky(
+    H: HamiltonianSystem, y0, ens: SubordinatorEnsemble | MarginalEnsemble
+) -> ComparisonReport:
     """Compare subordinated means against the Caputo canonical solution.
 
     A node agrees when every phase component is within 3*stderr + 5e-3;
@@ -292,7 +302,7 @@ def verify_stanislavsky(H: HamiltonianSystem, y0, ens: SubordinatorEnsemble) -> 
 
 
 def verify_compatibility(
-    L: LagrangianSystem, y0, ens: SubordinatorEnsemble
+    L: LagrangianSystem, y0, ens: SubordinatorEnsemble | MarginalEnsemble
 ) -> ComparisonReport:
     """Check the natural-Lagrangian compatibility identities on MC means.
 

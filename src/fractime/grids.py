@@ -75,9 +75,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def component(self, k: int) -> np.ndarray:
-        return self.values[:, k]
-
     @classmethod
     def from_callable(
         cls, grid: TimeGrid, fn: Callable[[np.ndarray], np.ndarray]

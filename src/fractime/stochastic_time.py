@@ -6,15 +6,20 @@ is read off a discretized D path, with inversion bias O(tau_step) toward
 zero (documented, not corrected).  Checks that read S one time at a time
 draw its exact one-time law instead: S(t) has the law of (t/W)^alpha for a
 standard positive stable W (Meerschaert & Scheffler, J. Appl. Probab. 41,
-2004), one W per row.  Heavy-tailed renewal counting processes provide the
-pre-limit picture, and the scaling-limit check compares the rescaled
-counting distribution against simulated S(1) by a two-sample
-Kolmogorov-Smirnov statistic.
+2004), one W per row.  Such a row is rank one, V t^alpha with V = W^-alpha,
+so a MarginalEnsemble keeps the M factors V and the node factors t^alpha
+and forms rows only when they are read.  Both ensemble forms are read the
+same way: a block of rows at a time, and the largest S(b).  Heavy-tailed
+renewal counting processes provide the pre-limit picture, and the
+scaling-limit check compares the rescaled counting distribution against
+simulated S(1) by a two-sample Kolmogorov-Smirnov statistic.
 
 Reproducibility contract: every path draws from its own counter-based
 substream keyed by (seed, path index), every renewal count from one keyed
 by (seed, _RENEWAL_KEY, index), and an exact one-time-law ensemble draws
 all its W from the one substream (seed, _MARGINAL_KEY, 0), in row order.
+A row of an exact ensemble is the product of its V with t^alpha, elementwise,
+so it is the same bits however the rows are blocked or its nodes thinned.
 Results depend only on the seed and parameters, never on scheduling or
 worker count.
 """
@@ -22,7 +27,7 @@ worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .grids import TimeGrid
 __all__ = [
     "WaitingTimeLaw",
     "SubordinatorEnsemble",
+    "MarginalEnsemble",
     "EnsembleStats",
     "inverse_subordinator_paths",
     "exact_marginal_ensemble",
@@ -50,6 +56,8 @@ _MARGINAL_KEY = 2
 _MAX_LEVELS = 1e6
 # the ensemble holds M x nodes float64 values at once: 1 GiB at most
 _MAX_VALUES = 2**27
+# rows formed at once when an ensemble is read whole
+_MEAN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -104,11 +112,8 @@ def _d_levels(alpha: float, tau_step: float, horizon: float, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubordinatorEnsemble:
-    """M internal-time rows S(t) sampled on a shared grid.
-
-    tau_step is the inversion step of sampled paths; 0 marks rows of the
-    exact one-time law (exact_marginal_ensemble), which have none.
-    """
+    """M sampled internal-time paths S(t), one row per path and one column
+    per node of t_grid, read off the tau grid of step tau_step."""
 
     t_grid: TimeGrid
     paths: np.ndarray
@@ -127,12 +132,75 @@ class SubordinatorEnsemble:
     def m_paths(self) -> int:
         return int(self.paths.shape[0])
 
+    @property
+    def t(self) -> np.ndarray:
+        """The node times of the columns."""
+        return self.t_grid.nodes()
+
+    @property
+    def s_end(self) -> float:
+        """The largest sampled S(b), and at least one tau step, so a flow
+        over the rows never has an empty horizon."""
+        return max(float(self.paths[:, -1].max()), self.tau_step)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi, one column per node (a view)."""
+        return self.paths[lo:hi]
+
+
+@dataclass(frozen=True)
+class MarginalEnsemble:
+    """M rows S(t_j) = scale_m * profile_j of the exact one-time law: scale
+    holds V = W^-alpha, one per row, and profile holds t^alpha at the node
+    times t, a subset of the nodes of t_grid (all of them as drawn).
+
+    A row is not a path of S: all its nodes share one V, so the errors of
+    node means move together.  Use it only where each node is read on its
+    own.  The law is exact, so there is no inversion step (tau_step = 0).
+    """
+
+    t_grid: TimeGrid
+    t: np.ndarray
+    scale: np.ndarray
+    profile: np.ndarray
+    alpha: FracOrder
+
+    tau_step = 0.0
+
+    def __post_init__(self) -> None:
+        if self.scale.ndim != 1 or self.profile.shape != self.t.shape or self.t.ndim != 1:
+            raise GridError("need one scale per row and one profile value per node")
+        if not np.all(self.scale > 0.0):
+            raise GridError("every row scale must be positive")
+        if self.profile[0] != 0.0:
+            raise GridError("S(0) must be 0 on every path")
+        if np.any(self.profile[1:] < self.profile[:-1]):
+            raise GridError("S(t) paths must be nondecreasing")
+
+    @property
+    def m_paths(self) -> int:
+        return int(self.scale.size)
+
+    @property
+    def s_end(self) -> float:
+        """The largest S at the last node: the largest scale times its
+        profile value, the same bits as the largest product."""
+        return float(self.scale.max() * self.profile[-1])
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi, one column per node, formed as they are read."""
+        return np.outer(self.scale[lo:hi], self.profile)
+
+    def at(self, nodes) -> "MarginalEnsemble":
+        """The same rows read only at the given column indices."""
+        return replace(self, t=self.t[nodes], profile=self.profile[nodes])
+
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Pointwise sample mean and standard error on a grid."""
+    """Pointwise sample mean and standard error at the node times t."""
 
-    t_grid: TimeGrid
+    t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
 
@@ -201,25 +269,22 @@ def inverse_subordinator_paths(
 
 def exact_marginal_ensemble(
     order: FracOrder, t_grid: TimeGrid, M: int, seed: int = 0
-) -> SubordinatorEnsemble:
+) -> MarginalEnsemble:
     """M rows S(t) = (t/W)^alpha on t_grid, one standard positive stable W
     per row: the exact one-time law of the inverse stable subordinator at
-    every node, with no inversion step (tau_step = 0).
-
-    A row is not a path of S: all its nodes share one W, so it is t^alpha
-    times one random factor, and the errors of node means move together.
-    Use it only where each node is read on its own.
+    every node, with no inversion step.  The rows are kept as their two
+    factors, W^-alpha (M floats) and t^alpha (n + 1 floats).
 
     Raises:
         GridError: t_grid does not start at 0.
         OutOfRangeError: M < 1, or the ensemble would hold more than 2^27
-            values (checked before any allocation).
+            values, as for sampled paths (checked before any allocation).
     """
     _check_ensemble(t_grid, M)
     alpha = order.alpha
     w = _stable_block(alpha, M, _path_rng(seed, (_MARGINAL_KEY, 0)))
-    paths = np.outer(w**-alpha, t_grid.nodes() ** alpha)
-    return SubordinatorEnsemble(t_grid=t_grid, paths=paths, alpha=order, tau_step=0.0)
+    t = t_grid.nodes()
+    return MarginalEnsemble(t_grid=t_grid, t=t, scale=w**-alpha, profile=t**alpha, alpha=order)
 
 
 def _arrivals(law: WaitingTimeLaw, horizon: float, rng) -> np.ndarray:
@@ -297,22 +362,25 @@ def ks_statistic(a, b) -> float:
     return h / ((a.size // g) * b.size)
 
 
-def ensemble_mean(ens: SubordinatorEnsemble) -> EnsembleStats:
+def ensemble_mean(ens: SubordinatorEnsemble | MarginalEnsemble) -> EnsembleStats:
     """Pointwise mean and stderr (= sample std / sqrt(M)) over the paths.
 
     Raises:
         DegenerateSampleError: fewer than two paths.
     """
-    values = ens.paths
-    m = values.shape[0]
+    m = ens.m_paths
     if m < 2:
         raise DegenerateSampleError("need at least two paths for mean and stderr")
-    mean = values.mean(axis=0)
-    # row by row, in the order of numpy's own axis-0 sum: values.std(ddof=1)
-    # bit for bit, without its ensemble-sized temporary
+    blocks = [(lo, min(lo + _MEAN_BLOCK, m)) for lo in range(0, m, _MEAN_BLOCK)]
+    # row by row, in the order of numpy's own axis-0 sum: the dense
+    # mean(axis=0) and std(ddof=1) bit for bit, without an ensemble-sized array
+    total = np.zeros(len(ens.t))
+    for lo, hi in blocks:
+        for row in ens.rows(lo, hi):
+            total += row
+    mean = total / m
     sq = np.zeros_like(mean)
-    for row in values:
-        sq += (row - mean) ** 2
-    return EnsembleStats(
-        t_grid=ens.t_grid, mean=mean, stderr=np.sqrt(sq / (m - 1)) / math.sqrt(m)
-    )
+    for lo, hi in blocks:
+        for row in ens.rows(lo, hi):
+            sq += (row - mean) ** 2
+    return EnsembleStats(t=ens.t, mean=mean, stderr=np.sqrt(sq / (m - 1)) / math.sqrt(m))

@@ -16,6 +16,7 @@ terms; seeds are frozen.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from fractime import (
     FracOrder,
     TimeGrid,
+    exact_marginal_ensemble,
     harmonic,
     inverse_subordinator_paths,
     legendre_transform,
@@ -252,6 +254,41 @@ def test_commutation_report_on_fine_grid_equals_64_step_grid_bitwise():
         assert np.array_equal(getattr(fine, field), getattr(coarse, field)), field
 
 
+@pytest.mark.parametrize("n, m_paths", [(48, 500), (100, 500), (2048, 300)])
+def test_flow_at_the_commutation_nodes_equals_the_full_flow_there(n, m_paths):
+    # all 49 nodes, a 65-node set that is not uniform, and the 64-step grid
+    H = legendre_transform(quartic())
+    y0 = np.array([1.0, 0.0])
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, n), m_paths, seed=42)
+    kept = _commutation_nodes(n)
+    full = subordinate_flow(H, y0, ens, keep_paths=True)
+    part = subordinate_flow(H, y0, ens.at(kept), keep_paths=True)
+    assert part.mean_x.shape == (len(kept), 1)
+    np.testing.assert_array_equal(part.t, full.t[kept])
+    for name in ("mean_x", "mean_p", "stderr_x", "stderr_p"):
+        np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[kept], name)
+    np.testing.assert_array_equal(part.path_x, full.path_x)
+    np.testing.assert_array_equal(part.path_p, full.path_p)
+    a, b = commutation_gap(H, part), commutation_gap(H, full)
+    for name in ("t", "gap_x", "gap_p", "stderr_x", "stderr_p"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
+    assert a.significance == b.significance
+
+
+def test_stanislavsky_check_never_holds_the_dense_ensemble():
+    # the dense M x (n + 1) internal times alone would be 156 MiB
+    H = legendre_transform(harmonic())
+    tracemalloc.start()
+    try:
+        ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
+        (band,) = verify_stanislavsky(H, np.array([1.0, 0.0]), ens).checks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.passed
+    assert peak < 32 << 20, peak
+
+
 def test_equivalence_check_passes_for_harmonic_oscillator():
     H = legendre_transform(harmonic())
     grid = TimeGrid(0.0, 2.0, 512)
@@ -418,7 +455,7 @@ def test_commutation_gap_runs_on_non_natural_hamiltonian():
     path_p = rng.normal(size=(6, len(grid), 1))
     mean_x, mean_p = path_x.mean(axis=0), path_p.mean(axis=0)
     obs = SubordinatedObservable(
-        t_grid=grid,
+        t=grid.nodes(),
         mean_x=mean_x,
         mean_p=mean_p,
         stderr_x=np.zeros_like(mean_x),

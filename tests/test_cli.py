@@ -227,6 +227,9 @@ def test_subordinator_rejects_oversized_ensemble(tmp_path):
         ["solve-fde", "--n", "100000000"],
         ["frac-deriv", "--n", str(2**22 + 1)],
         ["scaling-limit", "--m-paths", "2000000000"],
+        # 70,000 x 2,049 internal times exceed the 2^27-value ensemble cap
+        ["verify-stanislavsky", "--m-paths", "70000"],
+        ["verify-compatibility", "--m-paths", "70000"],
     ],
     ids=" ".join,
 )

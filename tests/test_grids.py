@@ -40,7 +40,7 @@ def test_trajectory_accepts_flat_and_stacked_values():
     assert flat.values.shape == (5, 1)
     wide = Trajectory(grid, np.ones((5, 3)))
     assert wide.dim == 3
-    np.testing.assert_array_equal(wide.component(2), np.ones(5))
+    np.testing.assert_array_equal(wide.values[:, 2], np.ones(5))
 
 
 def test_trajectory_rejects_bad_shapes_and_nonfinite():
@@ -58,10 +58,10 @@ def test_trajectory_rejects_bad_shapes_and_nonfinite():
 def test_from_callable_supports_scalar_and_vector_outputs():
     grid = TimeGrid(0.0, 1.0, 8)
     scalar = Trajectory.from_callable(grid, np.sin)
-    np.testing.assert_array_equal(scalar.component(0), np.sin(grid.nodes()))
+    np.testing.assert_array_equal(scalar.values[:, 0], np.sin(grid.nodes()))
     vector = Trajectory.from_callable(grid, lambda t: np.stack([t, t * t], axis=1))
     assert vector.dim == 2
-    np.testing.assert_array_equal(vector.component(1), grid.nodes() ** 2)
+    np.testing.assert_array_equal(vector.values[:, 1], grid.nodes() ** 2)
 
 
 def test_constant_trajectory_tiles_value():

@@ -14,6 +14,7 @@ process is involved).  Closed-form oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +24,13 @@ from hypothesis import strategies as st
 from fractime import FracOrder, MLParams, TimeGrid, mittag_leffler
 from fractime.errors import DegenerateSampleError, GridError, OutOfRangeError
 from fractime.stochastic_time import (
+    _MARGINAL_KEY,
+    MarginalEnsemble,
     SubordinatorEnsemble,
     WaitingTimeLaw,
     _arrivals,
     _d_levels,
+    _path_rng,
     _stable_block,
     ensemble_mean,
     exact_marginal_ensemble,
@@ -249,12 +253,12 @@ def test_exact_marginal_rows_are_reproducible_pinned_and_monotone():
     a = exact_marginal_ensemble(HALF, grid, 500, seed=5)
     b = exact_marginal_ensemble(HALF, grid, 500, seed=5)
     c = exact_marginal_ensemble(HALF, grid, 500, seed=6)
-    np.testing.assert_array_equal(a.paths, b.paths)
-    assert not np.array_equal(a.paths, c.paths)
-    assert a.paths.shape == (500, 101) and a.tau_step == 0.0
-    assert np.all(a.paths[:, 0] == 0.0)
-    assert np.all(np.diff(a.paths, axis=1) >= 0.0)
-    assert np.all(a.paths[:, 1:] > 0.0)
+    np.testing.assert_array_equal(a.rows(0, 500), b.rows(0, 500))
+    assert not np.array_equal(a.rows(0, 500), c.rows(0, 500))
+    assert a.rows(0, 500).shape == (500, 101) and a.tau_step == 0.0
+    assert np.all(a.rows(0, 500)[:, 0] == 0.0)
+    assert np.all(np.diff(a.rows(0, 500), axis=1) >= 0.0)
+    assert np.all(a.rows(0, 500)[:, 1:] > 0.0)
 
 
 def test_exact_marginal_mean_matches_power_law():
@@ -272,7 +276,7 @@ def test_exact_marginal_laplace_functional_matches_mittag_leffler_lattice():
     for v in (0.5, 1.0, 2.0):
         for i in (1, 2, 4):
             t = grid.nodes()[i]
-            mean, err = _mean_stderr(np.exp(-v * ens.paths[:, i]))
+            mean, err = _mean_stderr(np.exp(-v * ens.rows(0, 10000)[:, i]))
             assert abs(mean - mittag_leffler(MLParams(0.5), -v * t**0.5)) <= 3.0 * err
 
 
@@ -294,9 +298,73 @@ def test_exact_marginal_refuses_before_allocating(monkeypatch):
     # the cap counts M x nodes values, as for sampled paths
     monkeypatch.setattr(stochastic_time, "_MAX_VALUES", 100)
     grid = TimeGrid(0.0, 1.0, 9)
-    assert exact_marginal_ensemble(HALF, grid, 10, seed=0).paths.shape == (10, 10)
+    assert exact_marginal_ensemble(HALF, grid, 10, seed=0).rows(0, 10).shape == (10, 10)
     with pytest.raises(OutOfRangeError, match="ensemble cap"):
         exact_marginal_ensemble(HALF, grid, 11, seed=0)
+
+
+def _dense_exact_rows(alpha, grid, M, seed):
+    """Reference: the exact ensemble as one M x (n + 1) array, drawn from
+    the same stream, as np.outer(W^-alpha, t^alpha)."""
+    w = _stable_block(alpha, M, _path_rng(seed, (_MARGINAL_KEY, 0)))
+    return np.outer(w**-alpha, grid.nodes() ** alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_factored_rows_equal_the_dense_outer_product_bitwise(alpha):
+    grid = TimeGrid(0.0, 2.0, 100)
+    ens = exact_marginal_ensemble(FracOrder(alpha), grid, 300, seed=11)
+    dense = _dense_exact_rows(alpha, grid, 300, 11)
+    for lo, hi in ((0, 300), (0, 64), (64, 128), (256, 300), (299, 300), (7, 7)):
+        np.testing.assert_array_equal(ens.rows(lo, hi), dense[lo:hi])
+    assert ens.s_end == dense[:, -1].max()
+    assert ens.m_paths == 300
+    # thinned to some columns, the rows are the dense columns, bit for bit
+    cols = np.array([0, 3, 50, 99, 100])
+    thin = ens.at(cols)
+    np.testing.assert_array_equal(thin.rows(0, 300), dense[:, cols])
+    np.testing.assert_array_equal(thin.t, grid.nodes()[cols])
+    assert thin.s_end == ens.s_end
+
+
+def test_ensemble_mean_of_factored_rows_equals_dense_statistics_bitwise():
+    # 300 rows: the blocks of 64 end inside the ensemble
+    grid = TimeGrid(0.0, 2.0, 16)
+    dense = _dense_exact_rows(0.5, grid, 300, 4)
+    stats = ensemble_mean(exact_marginal_ensemble(HALF, grid, 300, seed=4))
+    assert np.array_equal(stats.mean, dense.mean(axis=0))
+    assert np.array_equal(stats.stderr, dense.std(axis=0, ddof=1) / math.sqrt(300))
+
+
+def test_factored_ensemble_refuses_invalid_factors():
+    grid = TimeGrid(0.0, 1.0, 4)
+    t = grid.nodes()
+    profile = np.sqrt(t)
+    MarginalEnsemble(grid, t, np.array([0.5, 2.0]), profile, HALF)
+    for scale in ([0.5, 0.0], [0.5, -1.0], [0.5, np.nan]):
+        with pytest.raises(GridError, match="positive"):
+            MarginalEnsemble(grid, t, np.array(scale), profile, HALF)
+    with pytest.raises(GridError, match="nondecreasing"):
+        MarginalEnsemble(grid, t, np.ones(2), profile[[0, 1, 3, 2, 4]], HALF)
+    with pytest.raises(GridError, match="S\\(0\\)"):
+        MarginalEnsemble(grid, t, np.ones(2), profile + 1.0, HALF)
+    with pytest.raises(GridError, match="one profile value per node"):
+        MarginalEnsemble(grid, t, np.ones(2), profile[:-1], HALF)
+
+
+def test_exact_marginal_ensemble_holds_its_factors_only():
+    # the dense M x (n + 1) array alone would be 156 MiB
+    grid = TimeGrid(0.0, 2.0, 2048)
+    # a first small draw, so one-time set-up of the generator is not counted
+    exact_marginal_ensemble(HALF, grid, 2, seed=0)
+    tracemalloc.start()
+    try:
+        ens = exact_marginal_ensemble(HALF, grid, 10**4, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.m_paths == 10**4
+    assert peak < 1 << 20, peak
 
 
 def test_sampled_paths_match_the_exact_one_time_law():
@@ -306,7 +374,7 @@ def test_sampled_paths_match_the_exact_one_time_law():
     for alpha in (0.3, 0.5, 0.8):
         order = FracOrder(alpha)
         paths = inverse_subordinator_paths(order, grid, 10000, seed=42).paths[:, -1]
-        exact = exact_marginal_ensemble(order, grid, 10000, seed=42).paths[:, -1]
+        exact = exact_marginal_ensemble(order, grid, 10000, seed=42).rows(0, 10000)[:, -1]
         assert ks_statistic(paths, exact) < 1.63 * math.sqrt(2.0 / 10000)
 
 
