@@ -6,8 +6,10 @@ fractional route replaces d/dt by the left Caputo derivative and solves
 the resulting memory equations with an Adams-Bashforth-Moulton
 predictor-corrector (fractional Adams scheme, one corrector sweep), whose
 history sums are blocked FFT convolutions; runs are deterministic and
-byte-identical on rerun.  The Legendre transform connects the two
-pictures.
+byte-identical on rerun.  A fractional right-hand side rhs(t, y) may
+return the same buffer on every call, overwritten in place: the solver
+copies each result before it calls rhs again.  The Legendre transform
+connects the two pictures.
 """
 
 from __future__ import annotations
@@ -297,6 +299,11 @@ def solve_fde_system(
     all.  Results are deterministic, byte-identical on rerun, and match
     the direct quadratic sums to roundoff.
 
+    rhs(t, y) returns the m values of the right-hand side as an array, a
+    sequence or, for m = 1, a scalar.  It may return one buffer that it
+    overwrites on every call: the solver copies each result into its own
+    history before the next call.
+
     Raises:
         DivergenceError: state magnitude beyond 1e12 or non-finite.
     """
@@ -322,19 +329,26 @@ def solve_fde_system(
     pred_hist = np.zeros_like(y)
     corr_hist = np.zeros_like(y)
     y[0] = y0
-    fhist[0] = np.asarray(rhs(t[0], y0), dtype=float)
+    fhist[0] = rhs(t[0], y0)
+    # bw[1 : k + 1][::-1] is bw_rev[n + 1 - k : n + 1] and cw[1 : k + 1][::-1]
+    # is cw_rev[n - k : n]; the near sums keep these negative-stride views,
+    # since a contiguous reversed copy sends @ down a path that sums in
+    # another order
+    bw_rev, cw_rev = bw[::-1], cw[::-1]
 
     def leaf(lo: int, hi: int) -> None:
         start = max(lo, 1)
+        # the corrector sums ((a0 f0 + corr_hist) + near) + fpred; the far
+        # part is complete once the leaf starts, so it is formed for all rows
+        far = a0[start - 1 : hi - 1, None] * fhist[0] + corr_hist[start:hi]
         for i in range(start, hi):
-            pred = y0 + h1 * (pred_hist[i] + bw[1 : i - lo + 1][::-1] @ fhist[lo:i])
-            fpred = np.asarray(rhs(t[i], pred), dtype=float)
-            near = cw[1 : i - start + 1][::-1] @ fhist[start:i]
-            hist = a0[i - 1] * fhist[0] + corr_hist[i] + near
-            y[i] = y0 + h2 * (hist + fpred)
-            fhist[i] = np.asarray(rhs(t[i], y[i]), dtype=float)
+            pred = y0 + h1 * (pred_hist[i] + bw_rev[n + 1 - i + lo : n + 1] @ fhist[lo:i])
+            fpred = rhs(t[i], pred)
+            near = cw_rev[n - i + start : n] @ fhist[start:i]
+            y[i] = y0 + h2 * ((far[i - start] + near) + fpred)
+            fhist[i] = rhs(t[i], y[i])
             # a NaN compares False, so this also catches non-finite states
-            if not np.abs(y[i]).max() <= _DIVERGENCE_CAP:
+            if not all(abs(v) <= _DIVERGENCE_CAP for v in y[i].tolist()):
                 raise DivergenceError(f"fractional solution diverged near t = {t[i]:.6g}")
 
     def solve(lo: int, hi: int) -> None:
@@ -358,15 +372,14 @@ def solve_fde(
     """Solve the Caputo canonical system D^a x = dH/dp, D^a p = -dH/dx."""
     y0 = np.asarray(y0, dtype=float).ravel()
     d = y0.size // 2
+    out = np.empty_like(y0)
+    dx, dp = out[:d], out[d:]
 
     def rhs(t, y):
         x, p = y[:d], y[d:]
-        return np.concatenate(
-            [
-                np.atleast_1d(np.asarray(H.dHdp(x, p), dtype=float)),
-                -np.atleast_1d(np.asarray(H.dHdx(x, p), dtype=float)),
-            ]
-        )
+        dx[...] = H.dHdp(x, p)
+        np.negative(H.dHdx(x, p), out=dp)
+        return out
 
     y = solve_fde_system(rhs, y0, grid, order)
     return FdeSolution(grid=grid, y=y, alpha=order)

@@ -18,6 +18,9 @@ from .errors import GridError
 
 __all__ = ["TimeGrid", "Trajectory", "write_csv", "write_text", "trapezoid"]
 
+# rows formatted and written per chunk by write_csv
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -101,31 +104,49 @@ def write_csv(
     header: Iterable[str],
     columns: Sequence[np.ndarray],
 ) -> None:
-    """Write aligned columns as CSV with 17 significant digits, atomically."""
+    """Write aligned columns as CSV with 17 significant digits, atomically.
+
+    Rows are formatted ``_CHUNK`` at a time, one ``%`` call per row on
+    Python floats, and each chunk is streamed to :func:`write_text` as one
+    string, so memory stays bounded by the chunk; the file still appears
+    whole or not at all.
+    """
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("CSV columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(f"{c[i]:.17g}" for c in cols))
-    write_text(path, lines)
+    row = ",".join(["%.17g"] * len(cols))
+
+    def chunks():
+        yield ",".join(header)
+        for lo in range(0, n, _CHUNK):
+            yield "\n".join(row % v for v in zip(*(c[lo : lo + _CHUNK].tolist() for c in cols)))
+
+    write_text(path, chunks())
 
 
 def write_text(path: str | os.PathLike, lines: Iterable[str]) -> None:
     """Write lines with LF endings, atomically.
 
-    The file is written next to ``path`` and renamed into place so readers
-    never observe a partial file.  The temporary file is created with mode
-    0o666, which the umask trims as for any new file (mkstemp would make
-    it owner-only).
+    Each line is written as it arrives, followed by LF, into a file next
+    to ``path``, which is renamed into place once all are written, so
+    readers never observe a partial file and an iterable that raises
+    leaves nothing behind.  No lines still make one LF.  The temporary
+    file is created with mode 0o666, which the umask trims as for any new
+    file (mkstemp would make it owner-only).
     """
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            empty = True
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+                empty = False
+            if empty:
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

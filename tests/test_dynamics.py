@@ -141,9 +141,7 @@ def _coupled_rhs(t, y):
     return np.array([y[1], -np.sin(y[0]), y[3] + 0.1 * t, -y[2] - 0.3 * y[0] * y[1]])
 
 
-# TimeGrid needs two steps, so n = 1 has no solve; 127..129 straddle the leaf
-@pytest.mark.parametrize("n", [2, 127, 128, 129, 1000, 4097])
-@pytest.mark.parametrize(
+_RHS_CASES = pytest.mark.parametrize(
     "rhs, y0",
     [
         (_canonical_rhs(harmonic()), [1.0, 0.0]),
@@ -152,11 +150,63 @@ def _coupled_rhs(t, y):
     ],
     ids=["harmonic", "quartic", "coupled4"],
 )
+
+
+# TimeGrid needs two steps, so n = 1 has no solve; 127..129 straddle the leaf
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 1000, 4097])
+@_RHS_CASES
 def test_blocked_history_matches_direct_sums(n, rhs, y0):
     grid = TimeGrid(0.0, 2.0, n)
     got = solve_fde_system(rhs, y0, grid, HALF).values
     want = _direct_fde(rhs, y0, grid, HALF)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def _reusing(rhs, m):
+    # the same right-hand side, returning one buffer it overwrites per call
+    out = np.empty(m)
+
+    def reused(t, y):
+        out[:] = rhs(t, y)
+        return out
+
+    return reused
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 1000])
+@_RHS_CASES
+def test_reused_rhs_buffer_gives_bitwise_the_same_solution(n, rhs, y0):
+    grid = TimeGrid(0.0, 2.0, n)
+    fresh = solve_fde_system(rhs, y0, grid, HALF).values
+    reused = solve_fde_system(_reusing(rhs, len(y0)), y0, grid, HALF).values
+    assert fresh.tobytes() == reused.tobytes()
+
+
+def test_scalar_rhs_solves_a_one_component_system():
+    grid = TimeGrid(0.0, 1.0, 300)
+    scalar = solve_fde_system(lambda t, y: -float(y[0]), [1.0], grid, HALF).values
+    array = solve_fde_system(lambda t, y: -y, [1.0], grid, HALF).values
+    assert scalar.shape == (301, 1)
+    assert scalar.tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("col", [0, 1])
+@pytest.mark.parametrize("k", [1, 128, 200])
+def test_non_finite_state_raises_at_its_step(bad, col, k):
+    # the bad value may sit in any component, after a finite one too
+    grid = TimeGrid(0.0, 2.0, 256)
+    tk = grid.nodes()[k]
+
+    def rhs(t, y):
+        f = np.array([y[1], -y[0]])
+        if t >= tk:
+            f[col] = bad
+        return f
+
+    with pytest.raises(DivergenceError) as info:
+        solve_fde_system(rhs, [1.0, 0.0], grid, HALF)
+    assert str(info.value) == f"fractional solution diverged near t = {tk:.6g}"
 
 
 def test_stiff_quartic_divergence_keeps_its_step(tmp_path, capsys):

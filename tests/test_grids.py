@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from fractime import TimeGrid
 from fractime.errors import GridError
-from fractime.grids import Trajectory, trapezoid, write_csv, write_text
+from fractime.grids import _CHUNK, Trajectory, trapezoid, write_csv, write_text
 
 
 def test_grid_nodes_hit_endpoints_exactly():
@@ -101,6 +102,63 @@ def test_write_csv_leaves_no_temp_files(tmp_path):
     write_csv(tmp_path / "out.csv", ["a"], [np.ones(2)])
     assert sorted(os.listdir(tmp_path)) == ["out.csv"]
 
+
+
+def _per_cell_csv(header, columns):
+    # one np.float64 formatted per cell, the writer's reference output
+    rows = [",".join(header)]
+    rows += [",".join(f"{np.float64(c[i]):.17g}" for c in columns) for i in range(len(columns[0]))]
+    return ("\n".join(rows) + "\n").encode()
+
+
+def test_write_csv_matches_per_cell_formatting_on_edge_values(tmp_path):
+    edge = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308,
+            -1.7976931348623157e308, 0.1, 1.0 / 3.0, 3.0, -42.0, 1e16, 2.0**53 + 2.0, 1e-7]
+    cols = [np.array(edge), np.array(edge[::-1]), np.arange(len(edge), dtype=float)]
+    path = tmp_path / "edge.csv"
+    write_csv(path, ["a", "b", "i"], cols)
+    assert path.read_bytes() == _per_cell_csv(["a", "b", "i"], cols)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_write_csv_rows_across_chunk_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    cols = [np.arange(rows) * 0.1, rng.standard_normal(rows) * 1e5]
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["t", "v"], cols)
+    assert path.read_bytes() == _per_cell_csv(["t", "v"], cols)
+
+
+def test_write_text_leaves_nothing_when_lines_raise(tmp_path):
+    def lines():
+        for i in range(_CHUNK + 5):
+            yield f"line {i}"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_text(tmp_path / "out.txt", lines())
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_text_of_no_lines_is_one_newline(tmp_path):
+    write_text(tmp_path / "empty.txt", [])
+    assert (tmp_path / "empty.txt").read_bytes() == b"\n"
+
+
+def test_write_csv_memory_is_bounded_by_its_chunk(tmp_path):
+    # 65,537 x 3 values, the frac-deriv sin export; holding every line at
+    # once (and their join) peaks near 14 MiB
+    t = np.linspace(0.0, 10.0, 65537)
+    cols = [t, np.sin(t), np.cos(t)]
+    write_csv(tmp_path / "warm.csv", ["t", "a", "b"], [c[:10] for c in cols])
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["t", "a", "b"], cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert (tmp_path / "big.csv").read_bytes() == _per_cell_csv(["t", "a", "b"], cols)
 
 
 def test_write_keyvalues_format(tmp_path, capsys):
