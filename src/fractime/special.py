@@ -67,14 +67,22 @@ class MLParams:
             raise OutOfRangeError(f"beta must be positive, got {self.beta}")
 
 
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) for x > 0; 0 once Gamma(x) passes the double range."""
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
+
+
 def _taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
     """Taylor route for integer (alpha, beta): exact terms, fsum total.
 
     With z = n/d exactly, each term z^k/(ia k + ib - 1)! is the integer
     ratio n^k / (d^k (ia k + ib - 1)!), rounded once to double by Python's
     correctly rounded int/int division, so term error is half an ulp and
-    the only other error is the final fsum rounding.  Returns (value,
-    error estimate, converged).
+    the only other error is the final fsum rounding.  For z > 0 the stop
+    test waits until the terms fall.  Returns (value, error, converged).
     """
     n, d = z.as_integer_ratio()
     num = 1
@@ -88,7 +96,7 @@ def _taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
             t = num / den
         except OverflowError:
             return s, math.inf, False
-        if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)):
+        if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)) and (z < 0.0 or t < terms[-1]):
             value = math.fsum(terms)
             return value, _EPS * (0.5 * absum + abs(value) + abs(t)), True
         terms.append(t)
@@ -105,7 +113,8 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
 
     Terms are exp(k log|z| - lgamma(alpha k + beta)); the estimate charges
     each term for lgamma's relative error and for the rounding of its
-    argument, which dominates once the terms grow large.
+    argument, which dominates once the terms grow large.  For z > 0 the terms
+    are log-concave in k, so the stop test waits until they fall.
     """
     logz = math.log(abs(z))
     neg = z < 0.0
@@ -120,7 +129,7 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
         if e > _EXP_CAP:
             return s, math.inf, False
         mag = math.exp(e)
-        if k > 0 and mag < 1e-16 * (1.0 + abs(s)):
+        if k > 0 and mag < 1e-16 * (1.0 + abs(s)) and (neg or e < prev):
             return s, _EPS * (errsum + 4.0 * absum) + mag, True
         t = -mag if (neg and k & 1) else mag
         yk = t - c
@@ -128,6 +137,7 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
         c = (u - s) - yk
         s = u
         absum += mag
+        prev = e
         errsum += mag * (3.0 + abs(lg) + 0.5 * y * max(1.0, math.log(y)) + 0.5 * k * abs(logz))
     return s, math.inf, False
 
@@ -149,7 +159,10 @@ def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
     if p < 1e-14:
         f_min = 1.01
     else:
-        f_min = max(1.01 * (sl + sr) / (sr - sl) ** max(p, 1.0), 1.5)
+        try:
+            f_min = max(1.01 * (sl + sr) / (sr - sl) ** max(p, 1.0), 1.5)
+        except OverflowError:  # the power passes the double range: the ratio is 0
+            f_min = 1.5
     if f_min >= f_max:
         return None
     f_bar = f_min + f_min / f_max * (f_max - f_min)
@@ -286,7 +299,7 @@ def _opc(alpha: float, beta: float, z: float) -> float:
         value = _contour(alpha, beta - steps * alpha, z)
         if value is not None:
             for k in range(steps, 0, -1):
-                value = (value - 1.0 / math.gamma(beta - k * alpha)) / z
+                value = (value - _rgamma(beta - k * alpha)) / z
     if value is None:
         raise PrecisionLossError(
             f"contour inversion for E_({alpha},{beta})({z}) needs more than"
@@ -315,7 +328,7 @@ def mittag_leffler(p: MLParams, z: float) -> float:
         raise OutOfRangeError(f"|z| = {abs(z)} exceeds the validated range {Z_MAX}")
     alpha, beta = p.alpha, p.beta
     if z == 0.0:
-        return 1.0 / math.gamma(beta)
+        return _rgamma(beta)
 
     exact_ok = alpha in (1.0, 2.0) and beta == round(beta) and beta <= 100.0
     if exact_ok:

@@ -12,16 +12,17 @@ and forms rows only when they are read.  Both ensemble forms are read the
 same way: a block of rows at a time, and the largest S(b).  Heavy-tailed
 renewal counting processes provide the pre-limit picture, and the
 scaling-limit check compares the rescaled counting distribution against
-simulated S(1) by a two-sample Kolmogorov-Smirnov statistic.
+exact S(1) = W^-alpha by a two-sample Kolmogorov-Smirnov statistic.  One loop
+draws subordinator levels and renewal arrivals: partial sums past a horizon.
 
 Reproducibility contract: every path draws from its own counter-based
 substream keyed by (seed, path index), every renewal count from one keyed
 by (seed, _RENEWAL_KEY, index), and an exact one-time-law ensemble draws
-all its W from the one substream (seed, _MARGINAL_KEY, 0), in row order.
-A row of an exact ensemble is the product of its V with t^alpha, elementwise,
-so it is the same bits however the rows are blocked or its nodes thinned.
-Results depend only on the seed and parameters, never on scheduling or
-worker count.
+all its W from the one substream (seed, _MARGINAL_KEY, 0), in row order
+(the S(1) of the scaling limit too).  A row of an exact ensemble is the
+product of its V with t^alpha, elementwise, so it is the same bits however
+the rows are blocked or its nodes thinned.  Results depend only on the
+seed and parameters, never on scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -91,23 +92,22 @@ def _expected_levels(alpha: float, tau_step: float, horizon: float) -> float:
     return horizon**alpha / (math.gamma(1.0 + alpha) * tau_step)
 
 
+def _first_passage(draw, first: int, horizon: float) -> np.ndarray:
+    """Partial sums of positive draws, draw(size) at a time: first of them,
+    then blocks of max(64, first // 4) until one passes horizon.  Returns the
+    sums up to the first past horizon (at least one block is drawn)."""
+    sums = [np.cumsum(draw(first))]
+    while sums[-1][-1] <= horizon:
+        sums.append(np.cumsum(draw(max(64, first // 4))) + sums[-1][-1])
+    c = np.concatenate(sums)
+    return c[: int(np.searchsorted(c, horizon, side="right")) + 1]
+
+
 def _d_levels(alpha: float, tau_step: float, horizon: float, rng) -> np.ndarray:
-    """Cumulative D values at tau = tau_step, 2 tau_step, ... past horizon."""
+    """Cumulative D values at tau = tau_step, 2 tau_step, ... to the first past horizon."""
     scale = tau_step ** (1.0 / alpha)
-    expected = _expected_levels(alpha, tau_step, horizon)
-    first = max(64, int(1.2 * expected) + 1)
-    chunks = []
-    last = 0.0
-    block = first
-    while True:
-        w = scale * _stable_block(alpha, block, rng)
-        c = np.cumsum(w) + last
-        chunks.append(c)
-        last = c[-1]
-        if last > horizon:
-            break
-        block = max(64, first // 4)
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    first = max(64, int(1.2 * _expected_levels(alpha, tau_step, horizon)) + 1)
+    return _first_passage(lambda size: scale * _stable_block(alpha, size, rng), first, horizon)
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class MarginalEnsemble:
 
     A row is not a path of S: all its nodes share one V, so the errors of
     node means move together.  Use it only where each node is read on its
-    own.  The law is exact, so there is no inversion step (tau_step = 0).
+    own.  The law is exact, so there is no inversion step.
     """
 
     t_grid: TimeGrid
@@ -164,8 +164,6 @@ class MarginalEnsemble:
     scale: np.ndarray
     profile: np.ndarray
     alpha: FracOrder
-
-    tau_step = 0.0
 
     def __post_init__(self) -> None:
         if self.scale.ndim != 1 or self.profile.shape != self.t.shape or self.t.ndim != 1:
@@ -290,29 +288,19 @@ def exact_marginal_ensemble(
 def _arrivals(law: WaitingTimeLaw, horizon: float, rng) -> np.ndarray:
     """Renewal arrival times T(n) <= horizon; waits are at least law.scale,
     so this stops after at most horizon/scale arrivals."""
-    expected = max(1.0, horizon**law.alpha.alpha / law.scale**law.alpha.alpha)
-    block = max(32, int(1.5 * expected) + 1)
-    chunks = []
-    last = 0.0
-    while True:
-        w = law.sample(rng, block)
-        c = np.cumsum(w) + last
-        chunks.append(c)
-        last = c[-1]
-        if last > horizon:
-            break
-        block = max(32, block // 4)
-    times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    return times[times <= horizon]
+    first = max(32, int(1.5 * max(1.0, horizon**law.alpha.alpha / law.scale**law.alpha.alpha)) + 1)
+    return _first_passage(lambda size: law.sample(rng, size), first, horizon)[:-1]
 
 
 def scaling_samples(
     law: WaitingTimeLaw, c: float, M: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """M counting samples N_c and M independent S(1) samples.
+    """M counting samples N_c and M independent exact S(1) samples: the
+    scale W^-alpha of an exact one-time-law ensemble on [0, 1], where the
+    profile is 1.0 ** alpha == 1.0, drawn from its stream (seed, _MARGINAL_KEY, 0).
 
     Raises:
-        OutOfRangeError: c < 100, M < 1000, or the S(1) paths would hold
+        OutOfRangeError: c < 100, M < 1000, or the S(1) ensemble would hold
             more than 2^27 values (all checked before any allocation).
         DegenerateSampleError: every counting sample is zero.
     """
@@ -326,14 +314,12 @@ def scaling_samples(
             f"{M} paths x {len(s_grid)} nodes exceed the ensemble cap of"
             f" {_MAX_VALUES} values; lower m_paths"
         )
-    counts = np.empty(M)
-    for i in range(M):
-        rng = _path_rng(seed, (_RENEWAL_KEY, i))
-        counts[i] = len(_arrivals(law, c, rng))
+    counts = np.array(
+        [len(_arrivals(law, c, _path_rng(seed, (_RENEWAL_KEY, i)))) for i in range(M)], float
+    )
     if not np.any(counts > 0):
         raise DegenerateSampleError("all counting samples are zero; c too small")
-    s1 = inverse_subordinator_paths(law.alpha, s_grid, M, seed=seed).paths[:, -1]
-    return counts, s1
+    return counts, exact_marginal_ensemble(law.alpha, s_grid, M, seed=seed).scale
 
 
 def rescale_factor(counts: np.ndarray, s1: np.ndarray) -> float:

@@ -41,6 +41,18 @@ def test_ml_alias_matches_full_name(tmp_path):
     assert (out_a / "ml.csv").read_bytes() == (out_b / "ml.csv").read_bytes()
 
 
+def test_ml_eval_sums_positive_z_past_a_tiny_first_term(tmp_path):
+    # 1/Gamma(20) lies below the series' stop threshold, but the terms grow
+    # after it; E_{0.5,20}(10) by the 40-digit mpmath Taylor series
+    res = run_cli(
+        "ml-eval", "--alpha", "0.5", "--beta", "20", "--z", "10", "--out", str(tmp_path)
+    )
+    assert res.returncode == 0
+    header, row = (tmp_path / "ml.csv").read_text().splitlines()
+    assert header == "alpha,beta,z,value"
+    assert float(row.split(",")[-1]) == pytest.approx(537623.428363227, rel=1e-10)
+
+
 def test_ml_requires_z(tmp_path):
     res = run_cli("ml", "--out", str(tmp_path))
     assert res.returncode == 2

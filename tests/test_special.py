@@ -292,6 +292,33 @@ def test_contour_route_lowers_beta_past_the_strength_limit(alpha, beta, z):
     assert abs(mittag_leffler(MLParams(alpha, beta), z) - ref) <= 1e-12
 
 
+def test_positive_z_series_runs_past_a_tiny_first_term():
+    # from beta = 19 on, the first term 1/Gamma(beta) is below the stop
+    # threshold while the later terms of a positive z still grow.  Where
+    # exp(|z|^(1/alpha)), the size of the largest term and of the contour's
+    # pole residue, passes the double range the route may refuse instead
+    for alpha in (0.3, 0.5, 0.7, 1.0, 2.0):
+        for beta in (19.0, 20.0, 30.0):
+            for z in (0.5, 2.0, 5.0, 10.0, 20.0, 30.0, 50.0):
+                if z ** (1.0 / alpha) > 1500.0:
+                    continue
+                ref = _mpmath_taylor(alpha, beta, z)
+                try:
+                    value = mittag_leffler(MLParams(alpha, beta), z)
+                except PrecisionLossError:
+                    assert z ** (1.0 / alpha) > math.log(np.finfo(float).max), (alpha, beta, z)
+                    continue
+                assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (alpha, beta, z)
+
+
+def test_reciprocal_gamma_past_the_double_range_is_zero():
+    # Gamma(200) overflows a double, and 1/Gamma(200) ~ 1e-373 is 0 in one
+    assert mittag_leffler(MLParams(0.5, 200.0), 0.0) == 0.0
+    # 400 terms stop short of the peak, so the contour route runs its beta
+    # recurrence through 1/Gamma(199.5), ...; the value is about e^-797
+    assert mittag_leffler(MLParams(0.5, 200.0), 20.0) == 0.0
+
+
 # (alpha, beta, z, value by _mpmath_taylor) where neither Taylor route
 # certifies the target: a high-precision series once took seconds on the
 # first two, the third (about 0.128397569276213) raised
@@ -333,7 +360,7 @@ def _fraction_taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bo
             t = float(num / math.factorial(ia * k + ib - 1))
         except OverflowError:
             return s, math.inf, False
-        if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)):
+        if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)) and (z < 0.0 or t < terms[-1]):
             value = math.fsum(terms)
             return value, eps * (0.5 * absum + abs(value) + abs(t)), True
         terms.append(t)
@@ -346,7 +373,8 @@ def _fraction_taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bo
 @settings(max_examples=300, deadline=None)
 @given(
     ia=st.sampled_from([1, 2]),
-    ib=st.integers(1, 5),
+    # 20 and 30 put 1/Gamma(beta) below the stop threshold
+    ib=st.one_of(st.integers(1, 5), st.sampled_from([20, 30])),
     z=st.floats(-Z_MAX, Z_MAX),
 )
 def test_integer_ratio_taylor_terms_are_bitwise_fraction_terms(ia, ib, z):

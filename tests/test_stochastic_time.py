@@ -30,6 +30,7 @@ from fractime.stochastic_time import (
     WaitingTimeLaw,
     _arrivals,
     _d_levels,
+    _first_passage,
     _path_rng,
     _stable_block,
     ensemble_mean,
@@ -91,6 +92,31 @@ def test_subordinator_path_starts_at_zero_and_increases():
     assert d[0] > 0.0
     assert np.all(np.diff(d) > 0.0)
     assert d[-1] > 2.0
+
+
+def test_first_passage_stops_at_the_first_sum_past_the_horizon():
+    sizes = []
+
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(size):
+            sizes.append(size)
+            return rng.random(size)
+
+        return draw
+
+    # a horizon below the first draw still draws one whole block
+    c = _first_passage(draws(5), 32, 0.0)
+    assert sizes == [32] and c.size == 1 and c[0] > 0.0
+    # later blocks hold max(64, first // 4) draws; only the last sum passes
+    sizes.clear()
+    c = _first_passage(draws(5), 40, 100.0)
+    assert sizes[0] == 40 and set(sizes[1:]) == {64} and len(sizes) > 2
+    assert np.all(c[:-1] <= 100.0) and c[-1] > 100.0
+    # the blocks are one stream: the sums are one long cumsum up to rounding
+    whole = np.cumsum(np.random.default_rng(5).random(c.size))
+    np.testing.assert_allclose(c, whole, rtol=1e-12)
 
 
 def test_inverse_paths_shape_and_pinning():
@@ -255,7 +281,7 @@ def test_exact_marginal_rows_are_reproducible_pinned_and_monotone():
     c = exact_marginal_ensemble(HALF, grid, 500, seed=6)
     np.testing.assert_array_equal(a.rows(0, 500), b.rows(0, 500))
     assert not np.array_equal(a.rows(0, 500), c.rows(0, 500))
-    assert a.rows(0, 500).shape == (500, 101) and a.tau_step == 0.0
+    assert a.rows(0, 500).shape == (500, 101)
     assert np.all(a.rows(0, 500)[:, 0] == 0.0)
     assert np.all(np.diff(a.rows(0, 500), axis=1) >= 0.0)
     assert np.all(a.rows(0, 500)[:, 1:] > 0.0)
@@ -426,6 +452,26 @@ def test_scaling_samples_report_degenerate_counts():
     law = WaitingTimeLaw(HALF, 1e9)
     with pytest.raises(DegenerateSampleError):
         scaling_samples(law, 100.0, 1000, seed=0)
+
+
+def test_scaling_samples_read_exact_s1_not_sampled_paths(monkeypatch):
+    import fractime.stochastic_time as stochastic_time
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inverse_subordinator_paths(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic_time, "inverse_subordinator_paths", spy)
+    law = WaitingTimeLaw(FracOrder(0.7), 1.0)
+    counts, s1 = scaling_samples(law, 1000.0, 2000, seed=9)
+    assert calls == []
+    # S(1) is the scale of the exact ensemble on [0, 1], the same bits as
+    # its rows at t = 1, where the profile is 1.0 ** alpha == 1.0
+    ens = exact_marginal_ensemble(law.alpha, TimeGrid(0.0, 1.0, 2), 2000, seed=9)
+    assert s1.tobytes() == ens.scale.tobytes()
+    assert s1.tobytes() == ens.rows(0, 2000)[:, -1].tobytes()
 
 
 def test_rescaled_counts_converge_to_internal_time_law():
