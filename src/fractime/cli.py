@@ -13,6 +13,7 @@ byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -115,7 +116,7 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return verdict(self.checks) == "PASS"
+        return all(c.passed for c in self.checks)
 
     def render(self) -> str:
         lines = [f"experiment: {self.kind}", "config:"]
@@ -197,8 +198,6 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         **{key: convert(key, pick(key, default)) for key, (default, convert) in _COMMON.items()},
         extras={key: pick(key, default) for key, default in _COMMANDS[kind].extras.items()},
     )
-    if kind != "ml-eval" and not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0,1), got {cfg.alpha}")
     if cfg.b <= cfg.a:
         raise ConfigError(f"b must exceed a, got a = {cfg.a}, b = {cfg.b}")
     if cfg.n < 2:
@@ -212,25 +211,48 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-# system name -> (factory, its parameter names in positional order)
+def _oscillator(sol, y0, m: float, omega: float) -> list:
+    """E_2a(-t^2a): harmonic(1, 1) from x0 = 1, p0 = 0 at a = 0."""
+    if (m, omega) != (1.0, 1.0) or sol.grid.a != 0.0 or not np.array_equal(y0, [1.0, 0.0]):
+        return []
+    alpha, n = sol.alpha.alpha, sol.grid.n
+    params = MLParams(2.0 * alpha)
+    exact = np.array([mittag_leffler(params, -(t ** (2.0 * alpha))) for t in sol.grid.nodes()])
+    dev = float(np.abs(sol.y.values[:, 0] - exact).max())
+    tol = 5e-4 if n >= 1024 else 5e-4 * (1024.0 / n) ** (2.0 - alpha)
+    detail = f"max dev = {dev:.3e} <= {tol:.3e}"
+    return [Check("matches Mittag-Leffler oscillator solution", dev, "<=", tol, detail)]
+
+
+def _drift(sol, y0, m: float) -> list:
+    """x0 + p0/m t^a/Gamma(1+a): the free particle from any y0 at a = 0."""
+    if sol.grid.a != 0.0:
+        return []
+    alpha = sol.alpha.alpha
+    exact = y0[0] + y0[1] / m * sol.grid.nodes() ** alpha / math.gamma(1.0 + alpha)
+    dev = float(np.abs(sol.y.values[:, 0] - exact).max())
+    detail = f"max dev = {dev:.3e} <= 1e-10"
+    return [Check("matches power-law drift solution", dev, "<=", 1e-10, detail)]
+
+
+# system name -> (factory, the checks of its solve-fde closed form or None);
+# a form reads the solution, y0 and every bound parameter, defaults included
 _SYSTEMS = {
-    "free-particle": (free_particle, ["m"]),
-    "harmonic": (harmonic, ["m", "omega"]),
-    "quartic": (quartic, ["lam"]),
+    "free-particle": (free_particle, _drift),
+    "harmonic": (harmonic, _oscillator),
+    "quartic": (quartic, None),
 }
 
 
-def parse_system(text: str) -> LagrangianSystem:
-    """Named built-ins: free-particle | harmonic(m, omega) | quartic(lambda)."""
+def _resolve_system(text: str):
+    """(system, its bound parameters, its closed form) of a system string:
+    free-particle | harmonic(m, omega) | quartic(lambda)."""
     text = text.strip()
-    name, args = text, ""
-    if "(" in text:
-        if not text.endswith(")"):
-            raise ConfigError(f"unbalanced parentheses in system '{text}'")
-        name, args = text[: text.index("(")], text[text.index("(") + 1 : -1]
-    name = name.strip()
-    values = {}
-    order = []
+    name, paren, args = text.partition("(")
+    if paren and not text.endswith(")"):
+        raise ConfigError(f"unbalanced parentheses in system '{text}'")
+    name, args = name.strip(), args[:-1]
+    values, order = {}, []
     if args.strip():
         for part in args.split(","):
             part = part.strip()
@@ -244,24 +266,31 @@ def parse_system(text: str) -> LagrangianSystem:
         raise ConfigError(
             f"unknown system '{name}'; expected free-particle | harmonic(m, omega) | quartic(lambda)"
         )
-    factory, param_names = _SYSTEMS[name]
-    return factory(**_bind(order, values, param_names))
+    factory, form = _SYSTEMS[name]
+    params = _bind(order, values, factory)
+    return factory(**params), params, form
 
 
-def _bind(positional, named, param_names) -> dict:
-    if len(positional) > len(param_names):
-        raise ConfigError(
-            f"too many system parameters; expected at most {param_names}"
-        )
-    out = dict(zip(param_names, positional))
+def parse_system(text: str) -> LagrangianSystem:
+    """Named built-ins: free-particle | harmonic(m, omega) | quartic(lambda)."""
+    return _resolve_system(text)[0]
+
+
+def _bind(positional, named, factory) -> dict:
+    """The factory's keyword defaults, overridden by position, then by name."""
+    params = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
+    names = list(params)
+    if len(positional) > len(names):
+        raise ConfigError(f"too many system parameters; expected at most {names}")
+    params.update(zip(names, positional))
     for key, value in named.items():
-        if key not in param_names:
-            raise ConfigError(f"unknown system parameter '{key}'; expected {param_names}")
-        out[key] = value
-    for key, value in out.items():
+        if key not in names:
+            raise ConfigError(f"unknown system parameter '{key}'; expected {names}")
+        params[key] = value
+    for key, value in params.items():
         if not value > 0.0:
             raise ConfigError(f"system parameter {key} must be positive, got {value}")
-    return out
+    return params
 
 
 def _parse_phase_point(cfg: ExperimentConfig, dim: int) -> np.ndarray:
@@ -303,12 +332,27 @@ def _run_ml(cfg: ExperimentConfig, report: RunReport) -> None:
     report.checks.append(Check("evaluation finite", abs(value), "<", math.inf, detail))
 
 
+def _d_line(s, a, alpha, h):
+    """D^a t from a, with s = t - a: the power rule, met to roundoff."""
+    return s ** (1.0 - alpha) / math.gamma(2.0 - alpha), 1e-10
+
+
+def _d_square(s, a, alpha, h):
+    """D^a t^2 from a, with t^2 = s^2 + 2as + a^2: met to the L1 scheme's
+    O(h^(2-a))."""
+    square = 2.0 * s ** (2.0 - alpha) / math.gamma(3.0 - alpha)
+    return square + 2.0 * a * _d_line(s, a, alpha, h)[0], 50.0 * h ** (2.0 - alpha)
+
+
+# name -> (function, its exact left Caputo derivative from a with the
+# tolerance, (t - a, a, alpha, h) -> (values, tol); None: the runner checks
+# self-convergence under grid refinement instead)
 _FUNCTIONS = {
-    "t": lambda t: t,
-    "t2": lambda t: t * t,
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
+    "t": (lambda t: t, _d_line),
+    "t2": (lambda t: t * t, _d_square),
+    "sin": (np.sin, None),
+    "cos": (np.cos, None),
+    "exp": (np.exp, None),
 }
 
 
@@ -317,7 +361,7 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
         raise ConfigError(
             f"function must be one of {sorted(_FUNCTIONS)}, got '{cfg.extras['function']}'"
         )
-    fn = _FUNCTIONS[cfg.extras["function"]]
+    fn, exact = _FUNCTIONS[cfg.extras["function"]]
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
     traj = Trajectory.from_callable(grid, fn)
@@ -329,20 +373,10 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
     detail = f"max |D^a 1| = {flat:.3e} (exact zero required)"
     report.checks.append(Check("annihilates constants", flat, "==", 0.0, detail))
 
-    w = interior_window(cfg.n)
-    t_int = grid.nodes()[w : cfg.n + 1 - w]
-    val_int = left[w : cfg.n + 1 - w]
-    name = cfg.extras["function"]
-    if name in ("t", "t2"):
-        # power rule from the origin a, with t^2 = (t-a)^2 + 2a(t-a) + a^2
-        s = t_int - cfg.a
-        oracle = s ** (1.0 - cfg.alpha) / math.gamma(2.0 - cfg.alpha)
-        tol = 1e-10
-        if name == "t2":
-            square = 2.0 * s ** (2.0 - cfg.alpha) / math.gamma(3.0 - cfg.alpha)
-            oracle = square + 2.0 * cfg.a * oracle
-            tol = 50.0 * grid.h ** (2.0 - cfg.alpha)
-        dev = float(np.abs(val_int - oracle).max())
+    if exact is not None:
+        w = interior_window(cfg.n)
+        oracle, tol = exact(grid.nodes()[w : cfg.n + 1 - w] - cfg.a, cfg.a, cfg.alpha, grid.h)
+        dev = float(np.abs(left[w : cfg.n + 1 - w] - oracle).max())
         detail = f"interior max dev = {dev:.3e} <= {tol:.3e}"
         report.checks.append(Check("matches power-rule oracle", dev, "<=", tol, detail))
     else:
@@ -363,7 +397,7 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
 
 
 def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
-    L = parse_system(cfg.system)
+    L, params, form = _resolve_system(cfg.system)
     H = legendre_transform(L)
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
@@ -383,37 +417,13 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
     ]
     peak = float(np.abs(sol.y.values).max())
     report.checks.append(Check("solution finite", peak, "<", math.inf, f"max |y| = {peak:.6g}"))
-    if (
-        L.label == "harmonic(m=1,omega=1)"
-        and cfg.a == 0.0
-        and np.array_equal(y0, [1.0, 0.0])
-    ):
-        params = MLParams(2.0 * cfg.alpha)
-        oracle = np.array(
-            [mittag_leffler(params, -(t ** (2.0 * cfg.alpha))) for t in grid.nodes()]
-        )
-        dev = float(np.abs(sol.y.values[:, 0] - oracle).max())
-        tol = 5e-4 if cfg.n >= 1024 else 5e-4 * (1024.0 / cfg.n) ** (2.0 - cfg.alpha)
-        detail = f"max dev = {dev:.3e} <= {tol:.3e}"
-        report.checks.append(
-            Check("matches Mittag-Leffler oscillator solution", dev, "<=", tol, detail)
-        )
-    elif L.label.startswith("free-particle") and cfg.a == 0.0:
-        t = grid.nodes()
-        oracle = y0[0] + y0[1] / L.natural.mass * t**cfg.alpha / math.gamma(
-            1.0 + cfg.alpha
-        )
-        dev = float(np.abs(sol.y.values[:, 0] - oracle).max())
-        detail = f"max dev = {dev:.3e} <= 1e-10"
-        report.checks.append(Check("matches power-law drift solution", dev, "<=", 1e-10, detail))
+    if form is not None:
+        report.checks += form(sol, y0, **params)
 
 
 def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
-    tau_step = (
-        _to_float("tau_step", cfg.extras["tau_step"])
-        if cfg.extras["tau_step"] is not None
-        else None
-    )
+    text = cfg.extras["tau_step"]
+    tau_step = None if text is None else _to_float("tau_step", text)
     ens = inverse_subordinator_paths(
         FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, tau_step=tau_step, seed=cfg.seed
     )

@@ -81,26 +81,13 @@ def legendre_transform(L: LagrangianSystem) -> HamiltonianSystem:
             singular velocity Hessian.
     """
     if L.natural is not None:
-        m = L.natural.mass
-        u = L.natural.potential
-        du = L.natural.potential_grad
-
-        def ham(x, p):
-            return np.sum(np.square(p), axis=-1) / (2.0 * m) + u(x)
-
-        def dhdx(x, p):
-            return du(x)
-
-        def dhdp(x, p):
-            return np.asarray(p, dtype=float) / m
-
+        m, u, du = L.natural.mass, L.natural.potential, L.natural.potential_grad
         return HamiltonianSystem(
             dim=L.dim,
-            hamiltonian=ham,
-            dHdx=dhdx,
-            dHdp=dhdp,
+            hamiltonian=lambda x, p: np.sum(np.square(p), axis=-1) / (2.0 * m) + u(x),
+            dHdx=lambda x, p: du(x),
+            dHdp=lambda x, p: p / m,
             separable=L.natural,
-            label=L.label,
         )
 
     def velocity(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -119,9 +106,7 @@ def legendre_transform(L: LagrangianSystem) -> HamiltonianSystem:
     def dhdp(x, p):
         return _pointwise(velocity, x, p)
 
-    return HamiltonianSystem(
-        dim=L.dim, hamiltonian=ham, dHdx=dhdx, dHdp=dhdp, separable=None, label=L.label
-    )
+    return HamiltonianSystem(dim=L.dim, hamiltonian=ham, dHdx=dhdx, dHdp=dhdp, separable=None)
 
 
 def _ham_point(L: LagrangianSystem, velocity, x: np.ndarray, p: np.ndarray) -> float:

@@ -300,12 +300,19 @@ def scaling_samples(
     profile is 1.0 ** alpha == 1.0, drawn from its stream (seed, _MARGINAL_KEY, 0).
 
     Raises:
-        OutOfRangeError: c < 100, M < 1000, or the S(1) ensemble would hold
-            more than 2^27 values (all checked before any allocation).
-        DegenerateSampleError: every counting sample is zero.
+        OutOfRangeError: c < 100, c <= scale 2^(1/alpha) (where the median
+            count is 0), M < 1000, or the S(1) ensemble would hold more
+            than 2^27 values (all checked before any allocation).
+        DegenerateSampleError: the sample median of the counts is zero.
     """
     if c < 100.0:
         raise OutOfRangeError(f"c must be at least 100, got {c}")
+    # P(N_c = 0) = (scale/c)^alpha, formed in logs: 2^(1/alpha) overflows at small alpha
+    p_zero = math.exp(law.alpha.alpha * (math.log(law.scale) - math.log(c)))
+    if p_zero >= 0.5:
+        raise OutOfRangeError(
+            f"c must exceed scale * 2^(1/alpha), got c = {c:g} with P(N_c = 0) = {p_zero:.4g}"
+        )
     if M < 1000:
         raise OutOfRangeError(f"M must be at least 1000, got {M}")
     s_grid = TimeGrid(0.0, 1.0, 2)
@@ -317,8 +324,8 @@ def scaling_samples(
     counts = np.array(
         [len(_arrivals(law, c, _path_rng(seed, (_RENEWAL_KEY, i)))) for i in range(M)], float
     )
-    if not np.any(counts > 0):
-        raise DegenerateSampleError("all counting samples are zero; c too small")
+    if np.median(counts) == 0.0:
+        raise DegenerateSampleError(f"the median count is 0 at c = {c:g}; raise c")
     return counts, exact_marginal_ensemble(law.alpha, s_grid, M, seed=seed).scale
 
 

@@ -1,9 +1,9 @@
 """Lagrangian and Hamiltonian systems with evaluatable gradients.
 
-Callables are vectorized: x, v, p have shape (..., d), t broadcasts against
-the leading axes, and scalar-valued maps return shape (...).  Built-in
-factories cover the natural family L = 1/2 m v^2 - U(x), whose Legendre
-partner is H = p^2/(2m) + U(x).
+Callables are vectorized: x, v, p are float arrays of shape (..., d), t
+broadcasts against the leading axes, and scalar-valued maps return shape
+(...).  Built-in factories cover the natural family L = 1/2 m v^2 - U(x),
+whose Legendre partner is H = p^2/(2m) + U(x).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class LagrangianSystem:
     dLdx: Callable[[Array, Array, Array], Array]
     dLdv: Callable[[Array, Array, Array], Array]
     natural: NaturalForm | None = None
-    label: str = "custom"
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,9 @@ class HamiltonianSystem:
     dHdx: Callable[[Array, Array], Array]
     dHdp: Callable[[Array, Array], Array]
     separable: NaturalForm | None = None
-    label: str = "custom"
 
 
-def _natural_pair(m: float, u, du, label: str, dim: int = 1) -> LagrangianSystem:
+def _natural_pair(m: float, u, du, dim: int = 1) -> LagrangianSystem:
     def lag(x, v, t):
         return 0.5 * m * np.sum(np.square(v), axis=-1) - u(x)
 
@@ -68,7 +66,7 @@ def _natural_pair(m: float, u, du, label: str, dim: int = 1) -> LagrangianSystem
         return -du(x)
 
     def dldv(x, v, t):
-        return m * np.asarray(v, dtype=float)
+        return m * v
 
     return LagrangianSystem(
         dim=dim,
@@ -76,17 +74,13 @@ def _natural_pair(m: float, u, du, label: str, dim: int = 1) -> LagrangianSystem
         dLdx=dldx,
         dLdv=dldv,
         natural=NaturalForm(mass=m, potential=u, potential_grad=du),
-        label=label,
     )
 
 
 def free_particle(m: float = 1.0) -> LagrangianSystem:
     """L = 1/2 m v^2."""
     return _natural_pair(
-        m,
-        lambda x: np.zeros(np.shape(x)[:-1]),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        f"free-particle(m={m:g})",
+        m, lambda x: np.zeros(np.shape(x)[:-1]), lambda x: np.zeros_like(x, dtype=float)
     )
 
 
@@ -94,18 +88,12 @@ def harmonic(m: float = 1.0, omega: float = 1.0) -> LagrangianSystem:
     """L = 1/2 m v^2 - 1/2 m omega^2 x^2."""
     mw2 = m * omega * omega
     return _natural_pair(
-        m,
-        lambda x: 0.5 * mw2 * np.sum(np.square(x), axis=-1),
-        lambda x: mw2 * np.asarray(x, dtype=float),
-        f"harmonic(m={m:g},omega={omega:g})",
+        m, lambda x: 0.5 * mw2 * np.sum(np.square(x), axis=-1), lambda x: mw2 * x
     )
 
 
 def quartic(lam: float = 1.0) -> LagrangianSystem:
     """L = 1/2 v^2 - 1/4 lambda x^4."""
     return _natural_pair(
-        1.0,
-        lambda x: 0.25 * lam * np.sum(np.asarray(x, dtype=float) ** 4, axis=-1),
-        lambda x: lam * np.asarray(x, dtype=float) ** 3,
-        f"quartic(lambda={lam:g})",
+        1.0, lambda x: 0.25 * lam * np.sum(x**4, axis=-1), lambda x: lam * x**3
     )

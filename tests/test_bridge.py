@@ -362,7 +362,6 @@ def test_compatibility_requires_natural_structure():
         dLdx=lambda x, v, t: np.zeros_like(x),
         dLdv=lambda x, v, t: 3.0 * np.asarray(v) ** 2,
         natural=None,
-        label="cubic-velocity",
     )
     with pytest.raises(ConfigError):
         verify_compatibility(
@@ -426,7 +425,6 @@ def _stiff_lagrangian() -> LagrangianSystem:
         dLdx=lambda x, v, t: -np.asarray(x, dtype=float),
         dLdv=lambda x, v, t: np.asarray(v, dtype=float) ** 3 + np.asarray(v, dtype=float),
         natural=None,
-        label="quartic-velocity",
     )
 
 

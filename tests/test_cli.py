@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
@@ -63,6 +64,29 @@ def test_alpha_outside_unit_interval_is_rejected(tmp_path):
     res = run_cli("frac-deriv", "--alpha", "1.5", "--out", str(tmp_path))
     assert res.returncode == 2
     assert "alpha must lie in (0,1)" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["frac-deriv", "solve-fde", "subordinator", "scaling-limit", "verify-stanislavsky",
+     "verify-coherence", "verify-compatibility"],
+)
+def test_alpha_outside_unit_interval_is_rejected_by_every_command(tmp_path, capsys, command):
+    # FracOrder refuses it, once, in every command but ml-eval
+    from fractime import cli
+
+    assert cli.main([command, "--alpha", "1.5", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha must lie in (0,1), got 1.5\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_ml_eval_takes_alpha_past_one(tmp_path, capsys):
+    from fractime import cli
+
+    assert cli.main(["ml-eval", "--alpha", "1.5", "--z", "-1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
 
 
 def test_frac_deriv_passes_power_rule_check(tmp_path):
@@ -156,6 +180,7 @@ def test_system_parsing_accepts_parameters(tmp_path):
     from fractime.errors import ConfigError
     from fractime.systems import free_particle, harmonic, quartic
 
+    probe = np.array([[0.7], [-1.3]])
     for text, system in (
         ("free-particle", free_particle()),
         ("free-particle(3)", free_particle(m=3.0)),
@@ -168,10 +193,70 @@ def test_system_parsing_accepts_parameters(tmp_path):
         ("quartic(2)", quartic(lam=2.0)),
         ("quartic(lambda=2)", quartic(lam=2.0)),
     ):
-        assert parse_system(text).label == system.label, text
+        parsed = parse_system(text)
+        assert parsed.natural.mass == system.natural.mass, text
+        assert np.array_equal(
+            parsed.natural.potential_grad(probe), system.natural.potential_grad(probe)
+        ), text
     for text in ("free-particle(1, 2)", "harmonic(1, 2, 3)", "quartic(1, 2)"):
         with pytest.raises(ConfigError, match="too many system parameters"):
             parse_system(text)
+
+
+@pytest.mark.parametrize(
+    "system, oracle",
+    [
+        ("harmonic", True),
+        ("harmonic(1, 1)", True),
+        ("harmonic(m=1, omega=1)", True),
+        # prints as 1 at 6 digits, and is not the unit oscillator
+        ("harmonic(1,1.0000001)", False),
+        ("harmonic(omega=2)", False),
+        ("quartic", False),
+    ],
+)
+def test_oscillator_oracle_reads_exact_parameters(tmp_path, capsys, system, oracle):
+    from fractime import cli
+
+    code = cli.main(["solve-fde", "--system", system, "--b", "1", "--n", "64",
+                     "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    checks = _checks(out)
+    assert ("matches Mittag-Leffler oscillator solution" in checks) == oracle, out
+    assert "matches power-law drift solution" not in checks
+
+
+@pytest.mark.parametrize(
+    "args, oracle",
+    [
+        (["--system", "free-particle(2)", "--x0", "0.5", "--p0", "1"], True),
+        # the closed form starts at the origin of time
+        (["--system", "free-particle", "--a", "0.5", "--b", "1.5"], False),
+    ],
+)
+def test_power_law_drift_oracle_reads_mass_and_initial_data(tmp_path, capsys, args, oracle):
+    from fractime import cli
+
+    code = cli.main(["solve-fde", *args, "--n", "64", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    checks = _checks(out)
+    assert ("matches power-law drift solution" in checks) == oracle, out
+    if oracle:
+        assert checks["matches power-law drift solution"][0] == "PASS"
+
+
+def test_scaling_limit_refuses_a_zero_median_count_before_sampling(tmp_path):
+    # P(N_c = 0) = c^-0.05 = 0.63 at c = 10^4: most counts are 0, so b(c)
+    # would be 0; refused, naming c, before any warning or file
+    out = tmp_path / "out"
+    res = run_cli("scaling-limit", "--alpha", "0.05", "--m-paths", "1000", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: c must exceed scale * 2^(1/alpha)"), res.stderr
+    assert len(res.stderr.splitlines()) == 1 and "Warning" not in res.stderr
+    assert not out.exists()
 
 
 def test_unknown_system_is_rejected(tmp_path):

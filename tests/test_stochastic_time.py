@@ -448,10 +448,30 @@ def test_scaling_samples_validate_ranges():
 
 
 def test_scaling_samples_report_degenerate_counts():
-    # waits far beyond the horizon leave every count at zero
+    # waits far beyond the horizon leave every count at zero; the law says
+    # so before any sampling
     law = WaitingTimeLaw(HALF, 1e9)
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(OutOfRangeError, match="c must exceed scale"):
         scaling_samples(law, 100.0, 1000, seed=0)
+
+
+def test_scaling_samples_refuse_a_zero_median_count_by_the_law():
+    # P(N_c = 0) = (scale/c)^alpha >= 1/2 exactly when c <= scale 2^(1/alpha)
+    with pytest.raises(OutOfRangeError, match="c = 399 with P"):
+        scaling_samples(WaitingTimeLaw(HALF, 100.0), 399.0, 1000, seed=0)
+    counts, _ = scaling_samples(WaitingTimeLaw(HALF, 100.0), 1000.0, 1000, seed=0)
+    assert np.median(counts) > 0
+    # 2^(1/alpha) overflows a double here; the test runs in logs
+    with pytest.raises(OutOfRangeError, match="c = 1e\\+300"):
+        scaling_samples(WaitingTimeLaw(FracOrder(1e-4), 1.0), 1e300, 1000, seed=0)
+
+
+def test_scaling_samples_report_a_zero_sample_median():
+    # P(N_c = 0) = (25/101)^0.5 = 0.4975 < 1/2 passes the law's test, and
+    # at this seed 523 of the 1000 counts are still zero
+    law = WaitingTimeLaw(HALF, 25.0)
+    with pytest.raises(DegenerateSampleError, match="median count is 0"):
+        scaling_samples(law, 101.0, 1000, seed=5)
 
 
 def test_scaling_samples_read_exact_s1_not_sampled_paths(monkeypatch):

@@ -7,12 +7,6 @@ from fractime import harmonic, legendre_transform
 from fractime.systems import free_particle, quartic
 
 
-def test_labels_carry_parameters():
-    assert free_particle().label == "free-particle(m=1)"
-    assert harmonic(m=2.0, omega=0.5).label == "harmonic(m=2,omega=0.5)"
-    assert quartic(lam=3.0).label.startswith("quartic")
-
-
 def test_natural_data_present_on_all_builtins():
     for sys in (free_particle(), harmonic(), quartic()):
         assert sys.natural is not None
@@ -69,10 +63,9 @@ def test_legendre_transform_recovers_kinetic_plus_potential():
     assert np.asarray(H.dHdx(x, p)).ravel()[0] == pytest.approx(2.0 * 9.0 * 0.5)
 
 
-def test_legendre_transform_keeps_label_and_dim():
+def test_legendre_transform_keeps_dim():
     H = legendre_transform(quartic())
     assert H.dim == 1
-    assert H.label.startswith("quartic")
 
 
 def test_separable_form_exposed_for_natural_systems():
