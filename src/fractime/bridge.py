@@ -53,7 +53,10 @@ __all__ = [
     "verify_compatibility",
 ]
 
+# a node agrees within _SIGMA stderr of Monte Carlo noise plus a flat scheme bound
+_SIGMA = 3.0
 _SCHEME_TOL = 5e-3
+_BAND_WHAT = f"interior fraction within {_SIGMA:g}*stderr + {_SCHEME_TOL:g}"
 # the classical flow is read by linear interpolation on steps of at most
 # 1e-3; it and its shifted copy hold 2 x steps x 2d floats, 512 MiB at d = 1
 _CLASSICAL_STEP = 1e-3
@@ -64,8 +67,7 @@ _FLOW_BLOCK = 64
 _PASS_FRACTION = 0.95
 _N_GROUPS = 16
 _COMMUTATION_STEPS = 64
-# a commutation gap is within noise at 3 stderr, plus rounding
-_COMMUTATION_SIGMA = 3.0
+# a commutation gap is within noise at _SIGMA stderr, plus rounding
 _COMMUTATION_ATOL = 1e-12
 _TABLE_HEADER = ["t", "mc_mean", "mc_stderr", "fde_value", "gap"]
 
@@ -147,8 +149,9 @@ def subordinate_flow(
     # group g holds rows starts[g]:starts[g + 1]; the last takes the remainder
     starts = [g * (M // groups) for g in range(groups)] + [M] if groups else [0, M]
     group_sums = np.zeros((groups, 2 * d, n_nodes))
-    kept = _commutation_nodes(n_nodes - 1)
-    stored = np.empty((M, len(kept), 2 * d)) if keep_paths else None
+    if keep_paths:
+        kept = _commutation_nodes(n_nodes - 1)
+        stored = np.empty((M, len(kept), 2 * d))
 
     for g in range(len(starts) - 1):
         for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK):
@@ -193,10 +196,12 @@ def subordinate_flow(
 
 def _commutation_nodes(n: int) -> np.ndarray:
     """Node indices of the commutation check: all when n <= 64, else the 65
-    nearest a 64-step grid (exactly that grid when n/64 is a power of two).
-    Thinning is idempotent: the commutation nodes of the 65 kept are all
-    of them."""
-    return np.unique(np.rint(np.linspace(0, n, _COMMUTATION_STEPS + 1)).astype(int))
+    nearest a 64-step grid (exactly that grid when n/64 is a power of two;
+    distinct, since its step exceeds one node).  Thinning is idempotent:
+    the commutation nodes of the 65 kept are all of them."""
+    if n <= _COMMUTATION_STEPS:
+        return np.arange(n + 1)
+    return np.rint(np.linspace(0, n, _COMMUTATION_STEPS + 1)).astype(int)
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ class CommutationReport:
     def significance(self) -> float:
         """Largest gap over all nodes in units of stderr + rounding allowance,
         so gap <= 3 stderr + 1e-12 at every node iff this is at most 3."""
-        floor = _COMMUTATION_ATOL / _COMMUTATION_SIGMA
+        floor = _COMMUTATION_ATOL / _SIGMA
         return max(
             float((gap / (err + floor)).max())
             for gap, err in ((self.gap_x, self.stderr_x), (self.gap_p, self.stderr_p))
@@ -258,16 +263,9 @@ class ComparisonReport:
 def _band_check(name: str, gap, stderr, n: int) -> Check:
     """Passes when at least 95% of interior nodes have every component of
     gap (nonnegative) within 3*stderr + 5e-3."""
-    ok = np.all(gap <= 3.0 * stderr + _SCHEME_TOL, axis=1)
+    ok = np.all(gap <= _SIGMA * stderr + _SCHEME_TOL, axis=1)
     w = interior_window(n)
-    fraction = float(np.mean(ok[w : n + 1 - w]))
-    return Check(
-        name,
-        fraction,
-        ">=",
-        _PASS_FRACTION,
-        f"interior fraction within 3*stderr + 5e-3: {fraction:.4f} >= {_PASS_FRACTION}",
-    )
+    return Check(name, float(np.mean(ok[w : n + 1 - w])), ">=", _PASS_FRACTION, _BAND_WHAT)
 
 
 def _batch_stderr(per_group: list) -> np.ndarray:
@@ -346,8 +344,8 @@ def verify_compatibility(
             "commutation gap within noise for quadratic H",
             comm.significance,
             "<=",
-            _COMMUTATION_SIGMA,
-            f"max significance = {comm.significance:.3f} <= {_COMMUTATION_SIGMA:g}",
+            _SIGMA,
+            "max gap in stderr units",
         ),
     )
     t = t_grid.nodes()

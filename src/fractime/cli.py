@@ -34,7 +34,7 @@ from .dynamics import legendre_transform, solve_fde
 from .errors import ConfigError, FractimeError
 from .fracops import FracOrder, caputo_left, caputo_right, embed_operator
 from .grids import TimeGrid, Trajectory, write_csv, write_text
-from .special import MLParams, mittag_leffler
+from .special import Z_MAX, MLParams, mittag_leffler
 from .stochastic_time import (
     WaitingTimeLaw,
     ensemble_mean,
@@ -211,17 +211,22 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+_OSCILLATOR_WHAT = f"max dev over t^2a in [0, {Z_MAX:g}]"
+
+
 def _oscillator(sol, y0, m: float, omega: float) -> list:
-    """E_2a(-t^2a): harmonic(1, 1) from x0 = 1, p0 = 0 at a = 0."""
+    """E_2a(-t^2a): harmonic(1, 1) from x0 = 1, p0 = 0 at a = 0, on the
+    nodes with t^2a <= Z_MAX, where E_2a is validated."""
     if (m, omega) != (1.0, 1.0) or sol.grid.a != 0.0 or not np.array_equal(y0, [1.0, 0.0]):
         return []
     alpha, n = sol.alpha.alpha, sol.grid.n
     params = MLParams(2.0 * alpha)
-    exact = np.array([mittag_leffler(params, -(t ** (2.0 * alpha))) for t in sol.grid.nodes()])
-    dev = float(np.abs(sol.y.values[:, 0] - exact).max())
+    # t^2a increases with t, so the nodes in range are a prefix
+    z = [-(t ** (2.0 * alpha)) for t in sol.grid.nodes()]
+    exact = np.array([mittag_leffler(params, zj) for zj in z if zj >= -Z_MAX])
+    dev = float(np.abs(sol.y.values[: len(exact), 0] - exact).max())
     tol = 5e-4 if n >= 1024 else 5e-4 * (1024.0 / n) ** (2.0 - alpha)
-    detail = f"max dev = {dev:.3e} <= {tol:.3e}"
-    return [Check("matches Mittag-Leffler oscillator solution", dev, "<=", tol, detail)]
+    return [Check("matches Mittag-Leffler oscillator solution", dev, "<=", tol, _OSCILLATOR_WHAT)]
 
 
 def _drift(sol, y0, m: float) -> list:
@@ -231,8 +236,7 @@ def _drift(sol, y0, m: float) -> list:
     alpha = sol.alpha.alpha
     exact = y0[0] + y0[1] / m * sol.grid.nodes() ** alpha / math.gamma(1.0 + alpha)
     dev = float(np.abs(sol.y.values[:, 0] - exact).max())
-    detail = f"max dev = {dev:.3e} <= 1e-10"
-    return [Check("matches power-law drift solution", dev, "<=", 1e-10, detail)]
+    return [Check("matches power-law drift solution", dev, "<=", 1e-10, "max dev")]
 
 
 # system name -> (factory, the checks of its solve-fde closed form or None);
@@ -328,8 +332,7 @@ def _run_ml(cfg: ExperimentConfig, report: RunReport) -> None:
     report.outputs.append(
         ("ml.csv", ["alpha", "beta", "z", "value"], [[cfg.alpha], [beta], [z], [value]])
     )
-    detail = f"E_({cfg.alpha},{beta})({z}) = {value:.10f}"
-    report.checks.append(Check("evaluation finite", abs(value), "<", math.inf, detail))
+    report.checks.append(Check("evaluation finite", abs(value), "<", math.inf, "|E_a,b(z)|"))
 
 
 def _d_line(s, a, alpha, h):
@@ -370,15 +373,13 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
     report.outputs.append(("frac_deriv.csv", ["t", "left", "right"], [grid.nodes(), left, right]))
 
     flat = float(np.abs(caputo_left(Trajectory.constant(grid, 1.0), order).values).max())
-    detail = f"max |D^a 1| = {flat:.3e} (exact zero required)"
-    report.checks.append(Check("annihilates constants", flat, "==", 0.0, detail))
+    report.checks.append(Check("annihilates constants", flat, "==", 0.0, "max |D^a 1|"))
 
     if exact is not None:
         w = interior_window(cfg.n)
         oracle, tol = exact(grid.nodes()[w : cfg.n + 1 - w] - cfg.a, cfg.a, cfg.alpha, grid.h)
         dev = float(np.abs(left[w : cfg.n + 1 - w] - oracle).max())
-        detail = f"interior max dev = {dev:.3e} <= {tol:.3e}"
-        report.checks.append(Check("matches power-rule oracle", dev, "<=", tol, detail))
+        report.checks.append(Check("matches power-rule oracle", dev, "<=", tol, "interior max dev"))
     else:
         # odd n: the coarse grid ends at fine node n - 1, so both read the
         # same times (a Caputo value at t depends only on [a, t])
@@ -390,10 +391,8 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
             np.abs(left[::2][wc : cfg.n // 2 + 1 - wc] - coarse[wc : cfg.n // 2 + 1 - wc]).max()
         )
         tol = 100.0 * half.h ** (2.0 - cfg.alpha)
-        detail = f"interior max |D_n - D_n/2| = {dev:.3e} <= {tol:.3e}"
-        report.checks.append(
-            Check("self-convergence under grid refinement", dev, "<=", tol, detail)
-        )
+        what = "interior max |D_n - D_n/2|"
+        report.checks.append(Check("self-convergence under grid refinement", dev, "<=", tol, what))
 
 
 def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
@@ -416,7 +415,7 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
         ("solution.csv.meta", meta),
     ]
     peak = float(np.abs(sol.y.values).max())
-    report.checks.append(Check("solution finite", peak, "<", math.inf, f"max |y| = {peak:.6g}"))
+    report.checks.append(Check("solution finite", peak, "<", math.inf, "max |y|"))
     if form is not None:
         report.checks += form(sol, y0, **params)
 
@@ -444,14 +443,14 @@ def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
     dev = float(abs(stats.mean[-1] - oracle))
     budget = float(3.0 * stats.stderr[-1] + ens.tau_step)
     report.checks += [
-        Check("S(0) = 0 on every path", s0, "==", 0.0, f"max |S(0)| = {s0:.3e}"),
-        Check("paths nondecreasing", min_step, ">=", 0.0, f"min increment = {min_step:.3e}"),
+        Check("S(0) = 0 on every path", s0, "==", 0.0, "max |S(0)|"),
+        Check("paths nondecreasing", min_step, ">=", 0.0, "min increment"),
         Check(
             "mean internal time matches t^a/Gamma(1+a)",
             dev,
             "<=",
             budget,
-            f"|mean S(b) - {oracle:.5f}| = {dev:.3e} <= 3*stderr + tau_step = {budget:.3e}",
+            "|mean S(b) - b^a/Gamma(1+a)|",
         ),
     ]
 
@@ -472,10 +471,8 @@ def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
         )
     )
     report.notes.append(f"b(c) = {b_c:.6g}, KS = {ks:.4f}")
-    detail = f"two-sample KS = {ks:.4f} < 0.05 (c = {c:g}, M = {cfg.m_paths})"
-    report.checks.append(
-        Check("rescaled counting process matches internal time", ks, "<", 0.05, detail)
-    )
+    name = "rescaled counting process matches internal time"
+    report.checks.append(Check(name, ks, "<", 0.05, "two-sample KS"))
 
 
 def _declare_comparison(report: RunReport, tables, stem: str) -> None:
@@ -523,22 +520,18 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
             causal.max_norm,
             "<=",
             5e-3,
-            f"interior max = {causal.max_norm:.3e} <= 5e-3",
+            "interior max",
         ),
         Check(
-            "general (acausal) residual stays large",
-            general.max_norm,
-            ">=",
-            0.1,
-            f"interior max = {general.max_norm:.3e} >= 0.1",
+            "general (acausal) residual stays large", general.max_norm, ">=", 0.1, "interior max"
         ),
-        Check("causal/general separation", ratio, ">=", 10.0, f"ratio = {ratio:.1f} >= 10"),
+        Check("causal/general separation", ratio, ">=", 10.0, "general/causal interior max"),
         Check(
             "causal equation equals embedded classical equation",
             embed_gap,
             "==",
             0.0,
-            f"max node gap = {embed_gap:.1e} (bitwise zero required)",
+            "max node gap",
         ),
     ]
 
@@ -561,7 +554,7 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
             cg.significance,
             ">",
             10.0,
-            f"max gap = {cg.significance:.1f} stderr units > 10",
+            "max gap in stderr units",
         ),
     ]
     # after the quartic check, so the summary lists it too

@@ -1,9 +1,10 @@
 """Checks and residual reports.
 
-A Check is one verdict: a value held against a bound by a relation, with
-the text its report line prints.  Its pass/fail is derived from those
-three, so NaN never passes, and every report line and summary file renders
-the same record.
+A Check is one verdict: a value held against a bound by a relation, with a
+label naming the value.  Its pass/fail is derived from value, relation and
+bound alone, so NaN never passes; its report line prints those three, so a
+line shows the numbers its verdict reads, and every report line and summary
+file renders the same record.
 
 Residual reports hold per-node equation defects with an interior max-norm.
 One-sided fractional operators lose accuracy in boundary layers, so the norm
@@ -36,22 +37,24 @@ _RELATIONS = {
 class Check:
     """One verdict: passed iff value <relation> bound.
 
-    detail is the text after the name on the report line; it prints value
-    (and usually the bound) in the check's own format.
+    what names the value and prints no measurement: the line prints value
+    and bound themselves, in one format, and any constant what mentions is
+    formatted from the constant the verdict reads.
     """
 
     name: str
     value: float
     relation: str
     bound: float
-    detail: str
+    what: str
 
     @property
     def passed(self) -> bool:
         return bool(_RELATIONS[self.relation](self.value, self.bound))
 
     def line(self) -> str:
-        return f"check [{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+        values = f"{self.value:.6g} {self.relation} {self.bound:.6g}"
+        return f"check [{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.what} = {values}"
 
 
 def verdict(checks) -> str:

@@ -209,7 +209,7 @@ def _path_rng(seed: int, key: tuple) -> np.random.Generator:
     )
 
 
-def _check_ensemble(t_grid: TimeGrid, M: int) -> None:
+def _check_ensemble(t_grid: TimeGrid, M: int, lower: str = "m_paths or n") -> None:
     """Refuse an internal-time ensemble before anything is allocated."""
     if t_grid.a != 0.0:
         raise GridError(f"a must be 0 for internal-time experiments, got a = {t_grid.a}")
@@ -218,8 +218,14 @@ def _check_ensemble(t_grid: TimeGrid, M: int) -> None:
     if M * len(t_grid) > _MAX_VALUES:
         raise OutOfRangeError(
             f"{M} paths x {len(t_grid)} nodes exceed the ensemble cap of"
-            f" {_MAX_VALUES} values; lower m_paths or n"
+            f" {_MAX_VALUES} values; lower {lower}"
         )
+
+
+def _marginal_scale(alpha: float, M: int, seed: int) -> np.ndarray:
+    """V = W^-alpha for M standard positive stable W, in row order from
+    the one stream (seed, _MARGINAL_KEY, 0)."""
+    return _stable_block(alpha, M, _path_rng(seed, (_MARGINAL_KEY, 0))) ** -alpha
 
 
 def inverse_subordinator_paths(
@@ -279,10 +285,9 @@ def exact_marginal_ensemble(
             values, as for sampled paths (checked before any allocation).
     """
     _check_ensemble(t_grid, M)
-    alpha = order.alpha
-    w = _stable_block(alpha, M, _path_rng(seed, (_MARGINAL_KEY, 0)))
+    v = _marginal_scale(order.alpha, M, seed)
     t = t_grid.nodes()
-    return MarginalEnsemble(t_grid=t_grid, t=t, scale=w**-alpha, profile=t**alpha, alpha=order)
+    return MarginalEnsemble(t_grid=t_grid, t=t, scale=v, profile=t**order.alpha, alpha=order)
 
 
 def _arrivals(law: WaitingTimeLaw, horizon: float, rng) -> np.ndarray:
@@ -295,14 +300,15 @@ def _arrivals(law: WaitingTimeLaw, horizon: float, rng) -> np.ndarray:
 def scaling_samples(
     law: WaitingTimeLaw, c: float, M: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """M counting samples N_c and M independent exact S(1) samples: the
-    scale W^-alpha of an exact one-time-law ensemble on [0, 1], where the
-    profile is 1.0 ** alpha == 1.0, drawn from its stream (seed, _MARGINAL_KEY, 0).
+    """M counting samples N_c and M independent exact S(1) = W^-alpha
+    samples: the row scales of an exact one-time-law ensemble, where the
+    profile is 1.0 ** alpha == 1.0, drawn as it draws them.
 
     Raises:
         OutOfRangeError: c < 100, c <= scale 2^(1/alpha) (where the median
-            count is 0), M < 1000, or the S(1) ensemble would hold more
-            than 2^27 values (all checked before any allocation).
+            count is 0), M < 1000, or an exact ensemble on [0, 1] at n = 2
+            would hold more than 2^27 values (all checked before any
+            allocation).
         DegenerateSampleError: the sample median of the counts is zero.
     """
     if c < 100.0:
@@ -315,18 +321,14 @@ def scaling_samples(
         )
     if M < 1000:
         raise OutOfRangeError(f"M must be at least 1000, got {M}")
-    s_grid = TimeGrid(0.0, 1.0, 2)
-    if M * len(s_grid) > _MAX_VALUES:
-        raise OutOfRangeError(
-            f"{M} paths x {len(s_grid)} nodes exceed the ensemble cap of"
-            f" {_MAX_VALUES} values; lower m_paths"
-        )
+    # its S(1) grid is fixed, so only m_paths moves the cap
+    _check_ensemble(TimeGrid(0.0, 1.0, 2), M, lower="m_paths")
     counts = np.array(
         [len(_arrivals(law, c, _path_rng(seed, (_RENEWAL_KEY, i)))) for i in range(M)], float
     )
     if np.median(counts) == 0.0:
         raise DegenerateSampleError(f"the median count is 0 at c = {c:g}; raise c")
-    return counts, exact_marginal_ensemble(law.alpha, s_grid, M, seed=seed).scale
+    return counts, _marginal_scale(law.alpha.alpha, M, seed)
 
 
 def rescale_factor(counts: np.ndarray, s1: np.ndarray) -> float:

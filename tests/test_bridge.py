@@ -238,6 +238,8 @@ def test_commutation_nodes_thin_fine_grids_to_a_64_step_grid():
         assert np.all(np.diff(kept) > 0)
         if n <= 64:
             np.testing.assert_array_equal(kept, np.arange(n + 1))
+        # the 65 rounded grid points are distinct, so no deduplication is needed
+        np.testing.assert_array_equal(kept, np.unique(np.rint(np.linspace(0, n, 65)).astype(int)))
     np.testing.assert_array_equal(_commutation_nodes(2048), 32 * np.arange(65))
 
 

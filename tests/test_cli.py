@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import operator
 import os
 import subprocess
@@ -134,12 +135,27 @@ def test_solve_fde_writes_data_and_sidecar(tmp_path, capsys):
 
 
 def test_run_that_errors_writes_nothing(tmp_path, capsys):
-    # the solve succeeds; the Mittag-Leffler oracle then refuses |z| > 50
+    # the stiff quartic diverges inside the fractional solve
     from fractime import cli
 
-    assert cli.main(["solve-fde", "--b", "100", "--n", "64", "--out", str(tmp_path)]) == 2
-    assert "exceeds the validated range" in capsys.readouterr().err
+    args = ["solve-fde", "--system", "quartic(100)", "--b", "50", "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    assert "diverged" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_oscillator_oracle_reads_the_nodes_in_its_validated_range(tmp_path, monkeypatch, capsys):
+    # at b = 100 the nodes past t = 50 have t^2a > Z_MAX: the oracle checks
+    # the nodes before them instead of refusing a valid input
+    from fractime.special import Z_MAX
+
+    args = ["solve-fde", "--b", "100", "--n", "64", "--out", str(tmp_path)]
+    code, report = _recorded_run(monkeypatch, args)
+    capsys.readouterr()
+    assert code in (0, 1)
+    oracle = _by_name(report)["matches Mittag-Leffler oscillator solution"]
+    assert oracle.what == f"max dev over t^2a in [0, {Z_MAX:g}]"
+    assert code == (0 if oracle.passed else 1)
 
 
 def test_failed_rename_leaves_the_earlier_output_intact(tmp_path, monkeypatch, capsys):
@@ -215,14 +231,14 @@ def test_system_parsing_accepts_parameters(tmp_path):
         ("quartic", False),
     ],
 )
-def test_oscillator_oracle_reads_exact_parameters(tmp_path, capsys, system, oracle):
-    from fractime import cli
-
-    code = cli.main(["solve-fde", "--system", system, "--b", "1", "--n", "64",
-                     "--out", str(tmp_path)])
+def test_oscillator_oracle_reads_exact_parameters(tmp_path, monkeypatch, capsys, system, oracle):
+    code, report = _recorded_run(
+        monkeypatch,
+        ["solve-fde", "--system", system, "--b", "1", "--n", "64", "--out", str(tmp_path)],
+    )
     out = capsys.readouterr().out
     assert code == 0, out
-    checks = _checks(out)
+    checks = _by_name(report)
     assert ("matches Mittag-Leffler oscillator solution" in checks) == oracle, out
     assert "matches power-law drift solution" not in checks
 
@@ -235,16 +251,18 @@ def test_oscillator_oracle_reads_exact_parameters(tmp_path, capsys, system, orac
         (["--system", "free-particle", "--a", "0.5", "--b", "1.5"], False),
     ],
 )
-def test_power_law_drift_oracle_reads_mass_and_initial_data(tmp_path, capsys, args, oracle):
-    from fractime import cli
-
-    code = cli.main(["solve-fde", *args, "--n", "64", "--out", str(tmp_path)])
+def test_power_law_drift_oracle_reads_mass_and_initial_data(
+    tmp_path, monkeypatch, capsys, args, oracle
+):
+    code, report = _recorded_run(
+        monkeypatch, ["solve-fde", *args, "--n", "64", "--out", str(tmp_path)]
+    )
     out = capsys.readouterr().out
     assert code == 0, out
-    checks = _checks(out)
+    checks = _by_name(report)
     assert ("matches power-law drift solution" in checks) == oracle, out
     if oracle:
-        assert checks["matches power-law drift solution"][0] == "PASS"
+        assert checks["matches power-law drift solution"].passed
 
 
 def test_scaling_limit_refuses_a_zero_median_count_before_sampling(tmp_path):
@@ -409,7 +427,7 @@ def test_verify_coherence_defaults_pass(tmp_path):
     res = run_cli("verify-coherence", "--out", str(tmp_path))
     assert res.returncode == 0
     assert "causal residual small" in res.stdout
-    assert "bitwise zero required" in res.stdout
+    assert "causal equation equals embedded classical equation: max node gap = 0 == 0" in res.stdout
     assert "overall: PASS" in res.stdout
 
 
@@ -445,11 +463,37 @@ def test_scaling_limit_small_run(tmp_path):
     assert header == "p,rescaled_counts_quantile,internal_time_quantile"
 
 
-def _checks(out: str) -> dict:
-    """Check name -> (verdict, detail) from a run report."""
-    rows = [line[len("check ["):] for line in out.splitlines() if line.startswith("check [")]
-    verdicts = [row.split("] ", 1) for row in rows]
-    return {rest.split(": ", 1)[0]: (v, rest.split(": ", 1)[1]) for v, rest in verdicts}
+def _recorded_run(monkeypatch, args: list) -> tuple:
+    """Exit code and RunReport of one in-process run (None if it errored)."""
+    from fractime import cli
+
+    reports = []
+    real = cli.run_experiment
+
+    def recording(cfg):
+        reports.append(real(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    code = cli.main(args)
+    return code, reports[0] if reports else None
+
+
+def _by_name(report) -> dict:
+    return {check.name: check for check in report.checks}
+
+
+def _printed_comparison(line: str) -> tuple:
+    """(head, value, relation, bound) of a check line, split off its end."""
+    head, value, relation, bound = line.rsplit(" ", 3)
+    return head, float(value), relation, float(bound)
+
+
+def _close_in_print(printed: float, exact: float) -> bool:
+    """printed is exact to the six significant digits of a check line."""
+    if math.isnan(exact) or math.isinf(exact):
+        return printed == exact or (math.isnan(printed) and math.isnan(exact))
+    return abs(printed - exact) <= 5e-6 * abs(exact)
 
 
 def _smoke_invocations() -> list:
@@ -475,23 +519,20 @@ _RELATIONS = {
     ids=" ".join,
 )
 def test_verdicts_agree_from_rule_to_report_and_summary(tmp_path, monkeypatch, capsys, args):
-    from fractime import cli
-
-    reports = []
-    real = cli.run_experiment
-
-    def recording(cfg):
-        reports.append(real(cfg))
-        return reports[-1]
-
-    monkeypatch.setattr(cli, "run_experiment", recording)
-    code = cli.main([*args, "--out", str(tmp_path)])
+    code, report = _recorded_run(monkeypatch, [*args, "--out", str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
-    (report,) = reports
     assert report.checks
     for check in report.checks:
         assert check.passed == _RELATIONS[check.relation](check.value, check.bound)
     check_lines = [check.line() for check in report.checks]
+    # each line prints the value and bound its verdict reads
+    for check, line in zip(report.checks, check_lines):
+        head, value, relation, bound = _printed_comparison(line)
+        mark = "PASS" if check.passed else "FAIL"
+        assert head == f"check [{mark}] {check.name}: {check.what} =", line
+        assert relation == check.relation, line
+        assert _close_in_print(value, check.value), (line, check.value)
+        assert _close_in_print(bound, check.bound), (line, check.bound)
     assert [line for line in lines if line.startswith("check [")] == check_lines
     overall = "PASS" if all(check.passed for check in report.checks) else "FAIL"
     assert lines[-1] == f"overall: {overall}"
@@ -512,61 +553,59 @@ def test_verdicts_agree_from_rule_to_report_and_summary(tmp_path, monkeypatch, c
         assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
 
 
-def test_stanislavsky_band_check_fails_quartic(tmp_path, capsys):
+def test_stanislavsky_band_check_fails_quartic(tmp_path, monkeypatch, capsys):
     # no refusal by label: the quartic mean leaves the FDE solution's band
-    from fractime import cli
-
-    code = cli.main(
+    code, report = _recorded_run(
+        monkeypatch,
         ["verify-stanislavsky", "--system", "quartic", "--n", "256", "--m-paths", "2000",
-         "--out", str(tmp_path)]
+         "--out", str(tmp_path)],
     )
     out = capsys.readouterr().out
     assert code == 1, out
-    verdict, detail = _checks(out)["MC subordination matches fractional solve"]
-    assert verdict == "FAIL"
-    assert float(detail.split(": ")[1].split()[0]) < 0.95
+    band = _by_name(report)["MC subordination matches fractional solve"]
+    assert not band.passed
+    assert band.value < band.bound == 0.95
 
 
-def test_commutation_line_prints_the_number_its_verdict_reads(tmp_path, capsys):
+def test_commutation_line_prints_the_number_its_verdict_reads(tmp_path, monkeypatch, capsys):
     # the free particle's gradient is constant in x: gaps and stderr sit at
     # rounding level, where only the 1e-12 allowance decides
-    from fractime import cli
-
-    code = cli.main(
+    code, report = _recorded_run(
+        monkeypatch,
         ["verify-compatibility", "--system", "free-particle", "--p0", "0.1", "--n", "64",
-         "--m-paths", "2000", "--out", str(tmp_path)]
+         "--m-paths", "2000", "--out", str(tmp_path)],
     )
     out = capsys.readouterr().out
     assert code in (0, 1), out
-    verdict, detail = _checks(out)["commutation gap within noise for quadratic H"]
-    significance = float(detail.split("= ")[1].split()[0])
-    assert (verdict == "PASS") == (significance <= 3.0), detail
+    check = _by_name(report)["commutation gap within noise for quadratic H"]
+    line = next(line for line in out.splitlines() if check.name in line)
+    _, significance, _, bound = _printed_comparison(line)
+    assert bound == 3.0
+    assert _close_in_print(significance, check.value), (line, check.value)
+    assert check.passed == (check.value <= 3.0), line
 
 
-def test_frac_deriv_t2_power_rule_holds_off_the_origin(tmp_path, capsys):
-    from fractime import cli
-
-    code = cli.main(["frac-deriv", "--a", "0.5", "--n", "512", "--out", str(tmp_path)])
+def test_frac_deriv_t2_power_rule_holds_off_the_origin(tmp_path, monkeypatch, capsys):
+    code, report = _recorded_run(
+        monkeypatch, ["frac-deriv", "--a", "0.5", "--n", "512", "--out", str(tmp_path)]
+    )
     out = capsys.readouterr().out
     assert code == 0, out
-    verdict, detail = _checks(out)["matches power-rule oracle"]
-    assert verdict == "PASS", detail
+    assert _by_name(report)["matches power-rule oracle"].passed
 
 
-def test_frac_deriv_self_convergence_aligns_odd_grids(tmp_path, capsys):
+def test_frac_deriv_self_convergence_aligns_odd_grids(tmp_path, monkeypatch, capsys):
     # at odd n the coarse grid covers [a, t_{n-1}], so the gap stays near
     # the gap at n - 1 instead of comparing nodes at different times
-    from fractime import cli
-
     gaps = {}
     for n in (512, 513):
-        code = cli.main(
-            ["frac-deriv", "--function", "sin", "--n", str(n), "--out", str(tmp_path)]
+        code, report = _recorded_run(
+            monkeypatch,
+            ["frac-deriv", "--function", "sin", "--n", str(n), "--out", str(tmp_path)],
         )
         out = capsys.readouterr().out
         assert code == 0, out
-        _, detail = _checks(out)["self-convergence under grid refinement"]
-        gaps[n] = float(detail.split("= ")[1].split()[0])
+        gaps[n] = _by_name(report)["self-convergence under grid refinement"].value
     assert gaps[513] <= 2.0 * gaps[512], gaps
 
 
@@ -603,6 +642,19 @@ def test_cli_import_loads_no_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_bridge_commands_load_no_numpy_ma(tmp_path):
+    # the commutation nodes are built without np.unique, whose first call
+    # imports numpy.ma
+    args = ["verify-compatibility", "--n", "128", "--m-paths", "200", "--out", str(tmp_path)]
+    code = (
+        f"import sys; from fractime import cli; cli.main({args!r}); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_compatibility_samples_internal_time_once(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ x(t) = E_{2a}(-t^{2a}) for unit frequency and x(0) = 1, p(0) = 0; the
 free particle has x(t) = x0 + (p0/m) t^a / Gamma(1+a) exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,27 @@ def test_classical_harmonic_matches_trig_solution():
     sol = solve_classical(H, np.array([1.0, 0.0]), grid)
     assert np.abs(sol.values[:, 0] - np.cos(t)).max() < 1e-6
     assert np.abs(sol.values[:, 1] + np.sin(t)).max() < 1e-6
+
+
+def test_classical_rk4_route_matches_trig_solution():
+    # the harmonic closures without their splitting data take the RK4 route;
+    # its global error falls as h^4
+    H = dataclasses.replace(legendre_transform(harmonic()), separable=None)
+    errors = []
+    for n in (100, 200):
+        grid = TimeGrid(0.0, 2.0, n)
+        t = grid.nodes()
+        sol = solve_classical(H, np.array([1.0, 0.0]), grid)
+        errors.append(np.abs(sol.values - np.column_stack([np.cos(t), -np.sin(t)])).max())
+    assert errors[0] < 1e-8
+    assert 14.0 < errors[0] / errors[1] < 18.0
+
+
+def test_classical_rk4_route_reports_divergence_at_its_step():
+    # a force of 1e14 throws |p| past the 1e12 cap on the first step
+    H = dataclasses.replace(legendre_transform(quartic(100.0)), separable=None)
+    with pytest.raises(DivergenceError, match="near t = 0.1$"):
+        solve_classical(H, np.array([1e4, 0.0]), TimeGrid(0.0, 10.0, 100))
 
 
 def test_classical_energy_drift_stays_tiny():

@@ -134,6 +134,12 @@ def test_ensemble_rejects_a_decreasing_path():
     with pytest.raises(GridError, match="nondecreasing"):
         SubordinatorEnsemble(grid, paths, alpha=HALF, tau_step=0.1)
     SubordinatorEnsemble(grid, paths[:1], alpha=HALF, tau_step=0.1)
+    # one column per node, in a two-dimensional array
+    for shape in (paths[:, :4], paths[0]):
+        with pytest.raises(GridError, match="one column per node"):
+            SubordinatorEnsemble(grid, shape, alpha=HALF, tau_step=0.1)
+    with pytest.raises(GridError, match="S\\(0\\) must be 0"):
+        SubordinatorEnsemble(grid, paths[:1] + 0.1, alpha=HALF, tau_step=0.1)
 
 
 def test_inverse_paths_require_grid_anchored_at_zero():
@@ -445,6 +451,14 @@ def test_scaling_samples_validate_ranges():
     # its S(1) grid is fixed, so the cap names m_paths alone
     with pytest.raises(OutOfRangeError, match="lower m_paths$"):
         scaling_samples(law, 1000.0, 2 * 10**9, seed=0)
+
+
+def test_scaling_samples_draw_s1_as_the_exact_ensemble_draws_its_scales():
+    law = WaitingTimeLaw(FracOrder(0.7), 1.0)
+    _, s1 = scaling_samples(law, 1000.0, 1000, seed=3)
+    ens = exact_marginal_ensemble(law.alpha, TimeGrid(0.0, 1.0, 2), 1000, seed=3)
+    np.testing.assert_array_equal(s1, ens.scale)
+    np.testing.assert_array_equal(s1, ens.rows(0, 1000)[:, -1])
 
 
 def test_scaling_samples_report_degenerate_counts():
