@@ -18,7 +18,8 @@ law (exact_marginal_ensemble, which the command line passes, since every
 check here reads one node at a time) map the same way.  A flow averages
 the nodes the ensemble holds; an exact ensemble thinned to the commutation
 nodes (MarginalEnsemble.at) flows only those.  Fewer than two rows are
-refused, since they have no standard error.
+refused, since they have no standard error.  A flow reduces all a check
+reads in one pass over blocks of rows, so no M-row array outlives a block.
 
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
 bound added linearly; stderr for derived quantities (anything passed
@@ -30,7 +31,7 @@ budgets, and the per-node tables behind them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +49,6 @@ __all__ = [
     "CommutationReport",
     "ComparisonReport",
     "subordinate_flow",
-    "commutation_gap",
     "verify_stanislavsky",
     "verify_compatibility",
 ]
@@ -73,14 +73,35 @@ _TABLE_HEADER = ["t", "mc_mean", "mc_stderr", "fde_value", "gap"]
 
 
 @dataclass(frozen=True)
+class CommutationReport:
+    """Gap between the gradient at the means and the mean of the gradient,
+    at the commutation node times t."""
+
+    t: np.ndarray
+    gap_x: np.ndarray
+    gap_p: np.ndarray
+    stderr_x: np.ndarray
+    stderr_p: np.ndarray
+
+    @property
+    def significance(self) -> float:
+        """Largest gap over all nodes in units of stderr + rounding allowance,
+        so gap <= 3 stderr + 1e-12 at every node iff this is at most 3."""
+        floor = _COMMUTATION_ATOL / _SIGMA
+        return max(
+            float((gap / (err + floor)).max())
+            for gap, err in ((self.gap_x, self.stderr_x), (self.gap_p, self.stderr_p))
+        )
+
+
+@dataclass(frozen=True)
 class SubordinatedObservable:
     """Ensemble means of a classical flow evaluated at internal times, at
     the node times t of the ensemble.
 
     Node 0 is pinned to the initial data with zero stderr (S(0) = 0 on
-    every path).  Group means support batch-means error bars for
-    quantities derived from the mean curves; raw path values are kept
-    only on request, at the commutation nodes.
+    every path).  A derived flow also carries the group means, for
+    batch-means error bars, and the commutation report.
     """
 
     t: np.ndarray
@@ -91,16 +112,18 @@ class SubordinatedObservable:
     m_paths: int
     group_means_x: np.ndarray | None = None
     group_means_p: np.ndarray | None = None
-    path_x: np.ndarray | None = None
-    path_p: np.ndarray | None = None
+    commutation: CommutationReport | None = None
+    # always None: no row values outlive the flow; perfbench/tracer.py
+    # still reads them, with m_paths, at each flow's return
+    path_x: None = None
+    path_p: None = None
 
 
 def subordinate_flow(
     H: HamiltonianSystem,
     y0,
     ens: SubordinatorEnsemble | MarginalEnsemble,
-    keep_paths: bool = False,
-    n_groups: int = 0,
+    derived: bool = False,
 ) -> SubordinatedObservable:
     """Average the classical flow over the internal-time rows of ens, at
     each node the ensemble holds.
@@ -110,8 +133,9 @@ def subordinate_flow(
     times by linear interpolation with a classical step of at most 1e-3, so
     the interpolation error stays well below Monte Carlo noise.  Rows are
     formed and interpolated in blocks of 64, each inside one batch-means
-    group.  With keep_paths, raw path values are kept at the commutation
-    nodes of the ensemble's nodes only.
+    group.  derived also sums, in the same pass, the means of min(16, M)
+    row groups, and dH - dH(y0) and its square at the commutation nodes,
+    for the commutation report against dH at the flow's own means.
 
     Raises:
         DegenerateSampleError: fewer than two paths.
@@ -145,53 +169,61 @@ def subordinate_flow(
     n_nodes = len(t)
     sums = np.zeros((2 * d, n_nodes))
     sumsq = np.zeros((2 * d, n_nodes))
-    groups = min(n_groups, M) if n_groups > 0 else 0
+    groups = min(_N_GROUPS, M) if derived else 0
     # group g holds rows starts[g]:starts[g + 1]; the last takes the remainder
     starts = [g * (M // groups) for g in range(groups)] + [M] if groups else [0, M]
     group_sums = np.zeros((groups, 2 * d, n_nodes))
-    if keep_paths:
-        kept = _commutation_nodes(n_nodes - 1)
-        stored = np.empty((M, len(kept), 2 * d))
+    kept = _commutation_nodes(n_nodes - 1)
+    dh_sums, dh_sumsq = np.zeros((2, len(kept), 2 * d))
 
     for g in range(len(starts) - 1):
         for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK):
             hi = min(lo + _FLOW_BLOCK, starts[g + 1])
             block = ens.rows(lo, hi)
+            at_kept = np.empty((hi - lo, len(kept), 2 * d)) if derived else None
             for c, col in enumerate(cols):
                 vals = np.interp(block, tau_nodes, col)
                 block_sum = vals.sum(axis=0)
                 sums[c] += block_sum
                 sumsq[c] += np.einsum("mj,mj->j", vals, vals)
-                if groups:
+                if derived:
                     group_sums[g, c] += block_sum
-                if keep_paths:
-                    stored[lo:hi, :, c] = vals[:, kept]
+                    at_kept[:, :, c] = vals[:, kept]
+            if derived:
+                # kept node 0 is node 0, where every row is y0: dH - dH(y0)
+                dh = _gradient(H, at_kept + y0)
+                dh -= dh[0, 0].copy()
+                dh_sums += dh.sum(axis=0)
+                dh_sumsq += np.einsum("mjc,mjc->jc", dh, dh)
 
-    shifted = (sums / M).T
-    var = np.maximum(sumsq.T - M * shifted * shifted, 0.0) / (M - 1)
-    stderr = np.sqrt(var) / math.sqrt(M)
+    shifted, stderr = _moments(sums.T, sumsq.T, M)
     mean = shifted + y0
     # node 0 is y0 on every path; remove the summation rounding artifact
     mean[0] = y0
     stderr[0] = 0.0
-    gm = None
-    if groups:
-        gm = (group_sums / np.diff(starts)[:, None, None]).transpose(0, 2, 1) + y0
-        gm[:, 0, :] = y0
-    if keep_paths:
-        stored += y0
-    return SubordinatedObservable(
-        t=t,
-        mean_x=mean[:, :d],
-        mean_p=mean[:, d:],
-        stderr_x=stderr[:, :d],
-        stderr_p=stderr[:, d:],
-        m_paths=M,
-        group_means_x=gm[:, :, :d] if gm is not None else None,
-        group_means_p=gm[:, :, d:] if gm is not None else None,
-        path_x=stored[:, :, :d] if keep_paths else None,
-        path_p=stored[:, :, d:] if keep_paths else None,
-    )
+    obs = SubordinatedObservable(t, mean[:, :d], mean[:, d:], stderr[:, :d], stderr[:, d:], M)
+    if not derived:
+        return obs
+    gm = (group_sums / np.diff(starts)[:, None, None]).transpose(0, 2, 1) + y0
+    gm[:, 0, :] = y0
+    at_mean = _gradient(H, mean[kept])
+    dh_mean, dh_se = _moments(dh_sums, dh_sumsq, M)
+    gap = np.abs(at_mean - at_mean[0] - dh_mean)
+    comm = CommutationReport(t[kept], gap[:, :d], gap[:, d:], dh_se[:, :d], dh_se[:, d:])
+    return replace(obs, group_means_x=gm[..., :d], group_means_p=gm[..., d:], commutation=comm)
+
+
+def _moments(sums, sumsq, M: int):
+    """Mean and stderr of M values from their sum and sum of squares."""
+    mean = sums / M
+    var = np.maximum(sumsq - M * mean * mean, 0.0) / (M - 1)
+    return mean, np.sqrt(var) / math.sqrt(M)
+
+
+def _gradient(H: HamiltonianSystem, y) -> np.ndarray:
+    """dH/dx and dH/dp side by side at stacked phase points y (..., 2d)."""
+    x, p = y[..., : H.dim], y[..., H.dim :]
+    return np.concatenate([np.asarray(H.dHdx(x, p), float), np.asarray(H.dHdp(x, p), float)], -1)
 
 
 def _commutation_nodes(n: int) -> np.ndarray:
@@ -202,53 +234,6 @@ def _commutation_nodes(n: int) -> np.ndarray:
     if n <= _COMMUTATION_STEPS:
         return np.arange(n + 1)
     return np.rint(np.linspace(0, n, _COMMUTATION_STEPS + 1)).astype(int)
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    """Gap between the gradient at the means and the mean of the gradient,
-    at the commutation node times t."""
-
-    t: np.ndarray
-    gap_x: np.ndarray
-    gap_p: np.ndarray
-    stderr_x: np.ndarray
-    stderr_p: np.ndarray
-
-    @property
-    def significance(self) -> float:
-        """Largest gap over all nodes in units of stderr + rounding allowance,
-        so gap <= 3 stderr + 1e-12 at every node iff this is at most 3."""
-        floor = _COMMUTATION_ATOL / _SIGMA
-        return max(
-            float((gap / (err + floor)).max())
-            for gap, err in ((self.gap_x, self.stderr_x), (self.gap_p, self.stderr_p))
-        )
-
-
-def commutation_gap(H: HamiltonianSystem, obs: SubordinatedObservable) -> CommutationReport:
-    """Per-node |dH(mean) - mean(dH)| for both gradient components, with
-    dH evaluated on the raw paths kept at the commutation nodes.
-
-    Raises:
-        ConfigError: the observable was built without keep_paths.
-    """
-    if obs.path_x is None or obs.path_p is None:
-        raise ConfigError("commutation checks need subordinate_flow(keep_paths=True)")
-    dhx = np.asarray(H.dHdx(obs.path_x, obs.path_p), dtype=float)
-    dhp = np.asarray(H.dHdp(obs.path_x, obs.path_p), dtype=float)
-    scale = math.sqrt(dhx.shape[0])
-    kept = _commutation_nodes(len(obs.t) - 1)
-    mean_x, mean_p = obs.mean_x[kept], obs.mean_p[kept]
-    at_mean_x = np.asarray(H.dHdx(mean_x, mean_p), dtype=float)
-    at_mean_p = np.asarray(H.dHdp(mean_x, mean_p), dtype=float)
-    return CommutationReport(
-        t=obs.t[kept],
-        gap_x=np.abs(at_mean_x - dhx.mean(axis=0)),
-        gap_p=np.abs(at_mean_p - dhp.mean(axis=0)),
-        stderr_x=dhx.std(axis=0, ddof=1) / scale,
-        stderr_p=dhp.std(axis=0, ddof=1) / scale,
-    )
 
 
 @dataclass(frozen=True)
@@ -309,7 +294,8 @@ def verify_compatibility(
     Batch means over 16 path groups provide the stderr for the two
     derived identities, since fractional operators amplify node-to-node
     Monte Carlo noise in a correlated way that per-path stderr cannot
-    describe.  All three checks read one flow of the one sample ens.
+    describe.  All three checks read one derived flow of the one sample
+    ens, which reduces the group means and the commutation gap in its pass.
     Tables momentum_xk (p_a against m D^a x_a) and causal_el_xk (|residual|
     against 0) per component k.
 
@@ -319,7 +305,7 @@ def verify_compatibility(
     if L.natural is None:
         raise ConfigError("compatibility checks need a natural Lagrangian")
     H = legendre_transform(L)
-    obs = subordinate_flow(H, y0, ens, keep_paths=True, n_groups=_N_GROUPS)
+    obs = subordinate_flow(H, y0, ens, derived=True)
     t_grid, order = ens.t_grid, ens.alpha
     mass = L.natural.mass
     n = t_grid.n
@@ -336,7 +322,7 @@ def verify_compatibility(
     momentum_se = _batch_stderr([gp - derivative_route(gx) for gx, gp in groups])
     causal = np.abs(causal_residual(obs.mean_x))
     causal_se = _batch_stderr([causal_residual(gx) for gx, _ in groups])
-    comm = commutation_gap(H, obs)
+    comm = obs.commutation
     checks = (
         _band_check("momentum identity p_a = m D^a x_a", momentum_gap, momentum_se, n),
         _band_check("causal EL residual of x_a within budget", causal, causal_se, n),

@@ -25,7 +25,6 @@ import numpy as np
 
 from .bridge import (
     _commutation_nodes,
-    commutation_gap,
     subordinate_flow,
     verify_compatibility,
     verify_stanislavsky,
@@ -106,7 +105,6 @@ class RunReport:
     their paths.
     """
 
-    kind: str
     config: ExperimentConfig
     checks: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
@@ -119,7 +117,7 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
     def render(self) -> str:
-        lines = [f"experiment: {self.kind}", "config:"]
+        lines = [f"experiment: {self.config.kind}", "config:"]
         lines.extend(self.config.echo_lines())
         lines.extend(self.notes)
         lines.extend(c.line() for c in self.checks)
@@ -545,8 +543,7 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     Hq = legendre_transform(quartic())
     # its check reads only the commutation nodes, so only those are flowed
     at_nodes = ens.at(_commutation_nodes(ens.t_grid.n))
-    obs = subordinate_flow(Hq, np.array([1.0, 0.0]), at_nodes, keep_paths=True)
-    cg = commutation_gap(Hq, obs)
+    cg = subordinate_flow(Hq, (1.0, 0.0), at_nodes, derived=True).commutation
     report.checks += [
         *crep.checks,
         Check(
@@ -584,7 +581,7 @@ _ALL_KEYS = set(_COMMON) | {k for c in _COMMANDS.values() for k in c.extras}
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run a validated config; returns the report (raises FractimeError)."""
-    report = RunReport(kind=cfg.kind, config=cfg)
+    report = RunReport(config=cfg)
     start = time.perf_counter()
     _COMMANDS[cfg.kind].run(cfg, report)
     # only a runner that returned writes, and the writes count in duration

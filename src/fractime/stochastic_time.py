@@ -104,10 +104,23 @@ def _first_passage(draw, first: int, horizon: float) -> np.ndarray:
 
 
 def _d_levels(alpha: float, tau_step: float, horizon: float, rng) -> np.ndarray:
-    """Cumulative D values at tau = tau_step, 2 tau_step, ... to the first past horizon."""
+    """Cumulative D values at tau = tau_step, 2 tau_step, ... to the first past
+    horizon.  An infinite increment is a jump past it, so the map's overflow
+    goes unreported; a scale tau_step^(1/alpha) of 0 or a NaN draw is refused."""
     scale = tau_step ** (1.0 / alpha)
+    refusal = f"alpha = {alpha:g} is too small for sampled paths: "
+    if scale == 0.0:
+        raise OutOfRangeError(refusal + "the increment scale tau_step^(1/alpha) underflows to 0")
+
+    def draw(size: int) -> np.ndarray:
+        block = scale * _stable_block(alpha, size, rng)
+        if np.isnan(block).any():
+            raise OutOfRangeError(refusal + "the stable map gives NaN increments")
+        return block
+
     first = max(64, int(1.2 * _expected_levels(alpha, tau_step, horizon)) + 1)
-    return _first_passage(lambda size: scale * _stable_block(alpha, size, rng), first, horizon)
+    with np.errstate(all="ignore"):
+        return _first_passage(draw, first, horizon)
 
 
 @dataclass(frozen=True)
@@ -246,7 +259,9 @@ def inverse_subordinator_paths(
         GridError: t_grid does not start at 0.
         OutOfRangeError: M < 1, the ensemble would hold more than 2^27
             values, tau_step <= 0, or a path would draw more than 1e6
-            levels on average (all checked before any allocation).
+            levels on average (all checked before any allocation); or
+            alpha is below about 0.015, where tau_step^(1/alpha) is 0
+            (checked before any draw) or the stable map gives NaN.
     """
     _check_ensemble(t_grid, M)
     if tau_step is None:

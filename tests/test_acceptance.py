@@ -25,7 +25,7 @@ from fractime import (
     subordinate_flow,
     verify_stanislavsky,
 )
-from fractime.bridge import commutation_gap, verify_compatibility
+from fractime.bridge import verify_compatibility
 from fractime.dynamics import solve_fde_system
 from fractime.fracops import caputo_left, embed_operator, ibp_residual
 from fractime.grids import Trajectory, trapezoid
@@ -269,8 +269,7 @@ def test_acceptance_10_compatibility_and_commutation():
         ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 2048), 10000, seed=42)
         momentum, causal, _ = verify_compatibility(harmonic(), np.array([1.0, 0.0]), ens).checks
         Hq = legendre_transform(quartic())
-        obs = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, keep_paths=True)
-        quartic_rep = commutation_gap(Hq, obs)
+        quartic_rep = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, derived=True).commutation
     ok = momentum.passed and causal.passed and quartic_rep.significance > 10.0
     _verdict(
         10, ok, tm.elapsed, 120.0,

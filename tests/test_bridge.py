@@ -31,12 +31,7 @@ from fractime import (
     subordinate_flow,
     verify_stanislavsky,
 )
-from fractime.bridge import (
-    SubordinatedObservable,
-    _commutation_nodes,
-    commutation_gap,
-    verify_compatibility,
-)
+from fractime.bridge import _commutation_nodes, verify_compatibility
 from fractime import bridge
 from fractime.errors import ConfigError, DegenerateSampleError, OutOfRangeError
 from fractime.grids import write_csv
@@ -122,20 +117,12 @@ def test_observable_is_reproducible():
     np.testing.assert_array_equal(a.stderr_p, b.stderr_p)
 
 
-def test_commutation_needs_retained_paths():
-    H = legendre_transform(harmonic())
-    ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 4), 16, seed=0)
-    obs = subordinate_flow(H, np.array([1.0, 0.0]), ens)
-    with pytest.raises(ConfigError, match="keep_paths"):
-        commutation_gap(H, obs)
-
-
 def test_single_path_ensemble_is_refused():
     # one path has no standard error; a flow over it must not report 0
     H = legendre_transform(harmonic())
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 1, seed=3)
     with pytest.raises(DegenerateSampleError, match="two paths"):
-        subordinate_flow(H, np.array([1.0, 0.0]), ens, keep_paths=True)
+        subordinate_flow(H, np.array([1.0, 0.0]), ens, derived=True)
 
 
 @pytest.mark.parametrize("tau_step", [None, 10.0])
@@ -171,7 +158,8 @@ def test_oversized_classical_horizon_is_refused_before_the_solve(monkeypatch):
 
 def _per_row_flow(H, y0, ens, n_groups):
     """Reference: one np.interp per row and component, in coordinates
-    shifted by y0 as subordinate_flow accumulates them."""
+    shifted by y0 as subordinate_flow accumulates them; the commutation
+    gap and its stderr from dH on every row, by numpy's mean and std."""
     tau_max = max(float(ens.paths[:, -1].max()), ens.tau_step)
     classical = bridge.solve_classical(
         H, y0, TimeGrid(0.0, tau_max, max(2048, math.ceil(tau_max / 1e-3)))
@@ -184,25 +172,35 @@ def _per_row_flow(H, y0, ens, n_groups):
     group = np.minimum(np.arange(ens.m_paths) // size, n_groups - 1)
     gm = np.stack([vals[group == g].mean(axis=0) for g in range(n_groups)])
     se = vals.std(axis=0, ddof=1) / math.sqrt(ens.m_paths)
-    kept = vals[:, _commutation_nodes(ens.t_grid.n)]
-    return vals.mean(axis=0) + y0, se, gm + y0, kept + y0
+    mean = vals.mean(axis=0) + y0
+    kept = _commutation_nodes(ens.t_grid.n)
+    at_kept = vals[:, kept] + y0
+    dh = [H.dHdx(at_kept[..., :1], at_kept[..., 1:]), H.dHdp(at_kept[..., :1], at_kept[..., 1:])]
+    at_mean = [H.dHdx(mean[kept, :1], mean[kept, 1:]), H.dHdp(mean[kept, :1], mean[kept, 1:])]
+    gap = np.hstack([np.abs(m - v.mean(axis=0)) for m, v in zip(at_mean, dh)])
+    gap_se = np.hstack([v.std(axis=0, ddof=1) / math.sqrt(ens.m_paths) for v in dh])
+    return mean, se, gm + y0, gap, gap_se
 
 
-@pytest.mark.parametrize("m_paths, n_groups", [(1000, 16), (1000, 3), (130, 2)])
-def test_blocked_flow_matches_per_row_reference(m_paths, n_groups):
-    # groups of 62, 333 and 65 rows: blocks of 64 end inside and at group ends
+@pytest.mark.parametrize("m_paths", [1000, 130, 10])
+def test_blocked_flow_matches_per_row_reference(m_paths):
+    # groups of 62, 8 and 1 rows: blocks of 64 end inside and at group ends
     H = legendre_transform(quartic())
     y0 = np.array([1.0, 0.5])
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
-    obs = subordinate_flow(H, y0, ens, keep_paths=True, n_groups=n_groups)
-    mean, se, gm, kept = _per_row_flow(H, y0, ens, n_groups)
+    obs = subordinate_flow(H, y0, ens, derived=True)
+    mean, se, gm, gap, gap_se = _per_row_flow(H, y0, ens, min(16, m_paths))
     # only the order of summation differs: sums of <= 1000 values of size <= 2
     tol = dict(rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(np.hstack([obs.mean_x, obs.mean_p]), mean, **tol)
     np.testing.assert_allclose(np.hstack([obs.stderr_x, obs.stderr_p]), se, **tol)
     np.testing.assert_allclose(np.concatenate([obs.group_means_x, obs.group_means_p], axis=2), gm, **tol)
-    # kept values are the interpolated values themselves
-    np.testing.assert_array_equal(np.concatenate([obs.path_x, obs.path_p], axis=2), kept)
+    comm = obs.commutation
+    np.testing.assert_array_equal(comm.t, ens.t[_commutation_nodes(100)])
+    np.testing.assert_allclose(np.hstack([comm.gap_x, comm.gap_p]), gap, **tol)
+    np.testing.assert_allclose(np.hstack([comm.stderr_x, comm.stderr_p]), gap_se, **tol)
+    # node 0 is y0 on every row
+    assert not np.any(np.hstack([comm.gap_x, comm.gap_p, comm.stderr_x, comm.stderr_p])[0])
 
 
 def test_quadratic_gradients_commute_with_averaging():
@@ -216,17 +214,16 @@ def test_quadratic_gradients_commute_with_averaging():
                 inverse_subordinator_paths(
                     FracOrder(alpha), TimeGrid(0.0, 2.0, 32), 2000, seed=42
                 ),
-                keep_paths=True,
+                derived=True,
             )
-            rep = commutation_gap(H, obs)
+            rep = obs.commutation
             assert rep.significance <= 3.0, (omega, alpha, rep.significance)
 
 
 def test_quartic_gradient_opens_significant_gap():
     H = legendre_transform(quartic())
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 64), 10000, seed=42)
-    obs = subordinate_flow(H, np.array([1.0, 0.0]), ens, keep_paths=True)
-    rep = commutation_gap(H, obs)
+    rep = subordinate_flow(H, np.array([1.0, 0.0]), ens, derived=True).commutation
     assert rep.significance > 10.0
 
 
@@ -249,7 +246,7 @@ def test_commutation_report_on_fine_grid_equals_64_step_grid_bitwise():
     reports = []
     for n in (512, 64):
         ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, n), 500, seed=42)
-        reports.append(commutation_gap(H, subordinate_flow(H, y0, ens, keep_paths=True)))
+        reports.append(subordinate_flow(H, y0, ens, derived=True).commutation)
     fine, coarse = reports
     assert fine.significance > 0.0
     for field in ("t", "gap_x", "gap_p", "stderr_x", "stderr_p"):
@@ -263,15 +260,13 @@ def test_flow_at_the_commutation_nodes_equals_the_full_flow_there(n, m_paths):
     y0 = np.array([1.0, 0.0])
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, n), m_paths, seed=42)
     kept = _commutation_nodes(n)
-    full = subordinate_flow(H, y0, ens, keep_paths=True)
-    part = subordinate_flow(H, y0, ens.at(kept), keep_paths=True)
+    full = subordinate_flow(H, y0, ens, derived=True)
+    part = subordinate_flow(H, y0, ens.at(kept), derived=True)
     assert part.mean_x.shape == (len(kept), 1)
     np.testing.assert_array_equal(part.t, full.t[kept])
     for name in ("mean_x", "mean_p", "stderr_x", "stderr_p"):
         np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[kept], name)
-    np.testing.assert_array_equal(part.path_x, full.path_x)
-    np.testing.assert_array_equal(part.path_p, full.path_p)
-    a, b = commutation_gap(H, part), commutation_gap(H, full)
+    a, b = part.commutation, full.commutation
     for name in ("t", "gap_x", "gap_p", "stderr_x", "stderr_p"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
     assert a.significance == b.significance
@@ -289,6 +284,23 @@ def test_stanislavsky_check_never_holds_the_dense_ensemble():
         tracemalloc.stop()
     assert band.passed
     assert peak < 32 << 20, peak
+
+
+def test_derived_flow_holds_no_row_sized_array():
+    # dH kept per row at the 65 commutation nodes would be M x 65 x 2d
+    # floats, 10.4 MB here; the flow reduces it block by block instead
+    H = legendre_transform(quartic())
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
+    at_nodes = ens.at(_commutation_nodes(2048))
+    tracemalloc.start()
+    try:
+        obs = subordinate_flow(H, np.array([1.0, 0.0]), at_nodes, derived=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obs.commutation.significance > 10.0
+    assert obs.path_x is None and obs.path_p is None
+    assert peak < 2_000_000, peak
 
 
 def test_equivalence_check_passes_for_harmonic_oscillator():
@@ -449,25 +461,13 @@ def test_non_natural_legendre_transform_evaluates_stacked_points_pointwise():
 
 def test_commutation_gap_runs_on_non_natural_hamiltonian():
     H = legendre_transform(_stiff_lagrangian())
-    rng = np.random.default_rng(3)
     grid = TimeGrid(0.0, 1.0, 4)
-    path_x = rng.normal(size=(6, len(grid), 1))
-    path_p = rng.normal(size=(6, len(grid), 1))
-    mean_x, mean_p = path_x.mean(axis=0), path_p.mean(axis=0)
-    obs = SubordinatedObservable(
-        t=grid.nodes(),
-        mean_x=mean_x,
-        mean_p=mean_p,
-        stderr_x=np.zeros_like(mean_x),
-        stderr_p=np.zeros_like(mean_p),
-        m_paths=6,
-        path_x=path_x,
-        path_p=path_p,
-    )
-    rep = commutation_gap(H, obs)
+    ens = exact_marginal_ensemble(HALF, grid, 6, seed=3)
+    rep = subordinate_flow(H, np.array([1.0, 0.5]), ens, derived=True).commutation
     assert rep.gap_x.shape == rep.gap_p.shape == (len(grid), 1)
     # dH/dx = x exactly, so that component commutes with averaging
     assert rep.gap_x.max() <= 1e-12
     # dH/dp inverts p = v^3 + v, which is nonlinear: a Jensen gap opens
     assert rep.gap_p.max() > 1e-6
-    assert np.all(rep.stderr_p > 0.0)
+    # past node 0, where every row is y0
+    assert np.all(rep.stderr_p[1:] > 0.0) and rep.stderr_p[0] == 0.0

@@ -325,6 +325,20 @@ def test_subordinator_rejects_oversized_level_count(tmp_path):
     assert "levels per path" in lines[0]
 
 
+@pytest.mark.parametrize("alpha", ["0.001", "0.005", "0.01"])
+def test_subordinator_refuses_alpha_too_small_for_the_stable_map(tmp_path, alpha):
+    # tau_step^(1/alpha) underflows to 0 below about 0.009; at 0.01 the map
+    # gives NaN increments. Either is refused naming alpha, with no warning
+    out = tmp_path / "out"
+    res = run_cli("subordinator", "--alpha", alpha, "--n", "16", "--m-paths", "200", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: alpha = {alpha}"), res.stderr
+    assert "Warning" not in res.stderr
+    assert not out.exists()
+
+
 def test_subordinator_rejects_oversized_ensemble(tmp_path):
     # 10^7 paths on 2049 nodes would ask for 164 GB; the cap fires first
     res = run_cli("subordinator", "--m-paths", "10000000", "--out", str(tmp_path))
