@@ -31,7 +31,7 @@ budgets, and the per-node tables behind them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,48 +75,43 @@ _TABLE_HEADER = ["t", "mc_mean", "mc_stderr", "fde_value", "gap"]
 @dataclass(frozen=True)
 class CommutationReport:
     """Gap between the gradient at the means and the mean of the gradient,
-    at the commutation node times t."""
+    at the commutation node times t; gap and stderr stack dH/dx over dH/dp."""
 
     t: np.ndarray
-    gap_x: np.ndarray
-    gap_p: np.ndarray
-    stderr_x: np.ndarray
-    stderr_p: np.ndarray
+    gap: np.ndarray
+    stderr: np.ndarray
 
     @property
     def significance(self) -> float:
         """Largest gap over all nodes in units of stderr + rounding allowance,
         so gap <= 3 stderr + 1e-12 at every node iff this is at most 3."""
-        floor = _COMMUTATION_ATOL / _SIGMA
-        return max(
-            float((gap / (err + floor)).max())
-            for gap, err in ((self.gap_x, self.stderr_x), (self.gap_p, self.stderr_p))
-        )
+        return float((self.gap / (self.stderr + _COMMUTATION_ATOL / _SIGMA)).max())
 
 
 @dataclass(frozen=True)
 class SubordinatedObservable:
     """Ensemble means of a classical flow evaluated at internal times, at
-    the node times t of the ensemble.
+    the node times of the ensemble, stacked x over p as in FdeSolution.y.
 
-    Node 0 is pinned to the initial data with zero stderr (S(0) = 0 on
-    every path).  A derived flow also carries the group means, for
-    batch-means error bars, and the commutation report.
+    mean and stderr are (nodes, 2d); node 0 is pinned to the initial data
+    with zero stderr (S(0) = 0 on every path).  A derived flow also carries
+    the (groups, nodes, 2d) group means, for batch-means error bars, and the
+    commutation report.
     """
 
-    t: np.ndarray
-    mean_x: np.ndarray
-    mean_p: np.ndarray
-    stderr_x: np.ndarray
-    stderr_p: np.ndarray
+    mean: np.ndarray
+    stderr: np.ndarray
+    # perfbench/tracer.py reads m_paths, mean_x and the always-None
+    # path_x/path_p (no row values outlive the flow) at each flow's return
     m_paths: int
-    group_means_x: np.ndarray | None = None
-    group_means_p: np.ndarray | None = None
+    group_means: np.ndarray | None = None
     commutation: CommutationReport | None = None
-    # always None: no row values outlive the flow; perfbench/tracer.py
-    # still reads them, with m_paths, at each flow's return
     path_x: None = None
     path_p: None = None
+
+    @property
+    def mean_x(self) -> np.ndarray:
+        return self.mean[:, : self.mean.shape[1] // 2]
 
 
 def subordinate_flow(
@@ -165,8 +160,7 @@ def subordinate_flow(
     # one-pass variance does not cancel away when |y0| >> the spread
     cols = (classical.values - y0).T
 
-    t = ens.t
-    n_nodes = len(t)
+    n_nodes = len(ens.t)
     sums = np.zeros((2 * d, n_nodes))
     sumsq = np.zeros((2 * d, n_nodes))
     groups = min(_N_GROUPS, M) if derived else 0
@@ -201,16 +195,14 @@ def subordinate_flow(
     # node 0 is y0 on every path; remove the summation rounding artifact
     mean[0] = y0
     stderr[0] = 0.0
-    obs = SubordinatedObservable(t, mean[:, :d], mean[:, d:], stderr[:, :d], stderr[:, d:], M)
     if not derived:
-        return obs
+        return SubordinatedObservable(mean, stderr, M)
     gm = (group_sums / np.diff(starts)[:, None, None]).transpose(0, 2, 1) + y0
     gm[:, 0, :] = y0
     at_mean = _gradient(H, mean[kept])
     dh_mean, dh_se = _moments(dh_sums, dh_sumsq, M)
     gap = np.abs(at_mean - at_mean[0] - dh_mean)
-    comm = CommutationReport(t[kept], gap[:, :d], gap[:, d:], dh_se[:, :d], dh_se[:, d:])
-    return replace(obs, group_means_x=gm[..., :d], group_means_p=gm[..., d:], commutation=comm)
+    return SubordinatedObservable(mean, stderr, M, gm, CommutationReport(ens.t[kept], gap, dh_se))
 
 
 def _moments(sums, sumsq, M: int):
@@ -271,14 +263,12 @@ def verify_stanislavsky(
     t_grid = ens.t_grid
     obs = subordinate_flow(H, y0, ens)
     fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, ens.alpha).y.values
-    mc = np.hstack([obs.mean_x, obs.mean_p])
-    se = np.hstack([obs.stderr_x, obs.stderr_p])
-    gap = np.abs(mc - fde)
-    check = _band_check("MC subordination matches fractional solve", gap, se, t_grid.n)
+    gap = np.abs(obs.mean - fde)
+    check = _band_check("MC subordination matches fractional solve", gap, obs.stderr, t_grid.n)
     labels = [f"x{k}" for k in range(H.dim)] + [f"p{k}" for k in range(H.dim)]
     t = t_grid.nodes()
     tables = tuple(
-        (label, _TABLE_HEADER, [t, mc[:, k], se[:, k], fde[:, k], gap[:, k]])
+        (label, _TABLE_HEADER, [t, obs.mean[:, k], obs.stderr[:, k], fde[:, k], gap[:, k]])
         for k, label in enumerate(labels)
     )
     return ComparisonReport(checks=(check,), tables=tables)
@@ -308,20 +298,19 @@ def verify_compatibility(
     obs = subordinate_flow(H, y0, ens, derived=True)
     t_grid, order = ens.t_grid, ens.alpha
     mass = L.natural.mass
-    n = t_grid.n
-    groups = list(zip(obs.group_means_x, obs.group_means_p))
+    n, d = t_grid.n, H.dim
 
     def derivative_route(x_mean):
         return mass * caputo_left(Trajectory(t_grid, x_mean.copy()), order).values
 
     def causal_residual(x_mean):
-        return causal_el_residual(L, Trajectory(t_grid, x_mean.copy()), order).residual.values
+        return causal_el_residual(L, Trajectory(t_grid, x_mean.copy()), order).values
 
-    deriv_route = derivative_route(obs.mean_x)
-    momentum_gap = np.abs(obs.mean_p - deriv_route)
-    momentum_se = _batch_stderr([gp - derivative_route(gx) for gx, gp in groups])
-    causal = np.abs(causal_residual(obs.mean_x))
-    causal_se = _batch_stderr([causal_residual(gx) for gx, _ in groups])
+    deriv_route = derivative_route(obs.mean[:, :d])
+    momentum_gap = np.abs(obs.mean[:, d:] - deriv_route)
+    momentum_se = _batch_stderr([g[:, d:] - derivative_route(g[:, :d]) for g in obs.group_means])
+    causal = np.abs(causal_residual(obs.mean[:, :d]))
+    causal_se = _batch_stderr([causal_residual(g[:, :d]) for g in obs.group_means])
     comm = obs.commutation
     checks = (
         _band_check("momentum identity p_a = m D^a x_a", momentum_gap, momentum_se, n),
@@ -337,8 +326,8 @@ def verify_compatibility(
     t = t_grid.nodes()
     zero = np.zeros(len(t_grid))
     tables = []
-    for k in range(H.dim):
-        momentum = [t, obs.mean_p[:, k], momentum_se[:, k], deriv_route[:, k], momentum_gap[:, k]]
+    for k in range(d):
+        momentum = [t, obs.mean[:, d + k], momentum_se[:, k], deriv_route[:, k], momentum_gap[:, k]]
         residual = [t, causal[:, k], causal_se[:, k], zero, causal[:, k]]
         tables.append((f"momentum_x{k}", _TABLE_HEADER, momentum))
         tables.append((f"causal_el_x{k}", _TABLE_HEADER, residual))

@@ -28,7 +28,6 @@ from .fracops import (
     caputo_left,
 )
 from .grids import TimeGrid, Trajectory
-from .reports import ResidualReport, make_report
 from .systems import HamiltonianSystem, LagrangianSystem, NaturalForm
 
 __all__ = [
@@ -182,7 +181,7 @@ def flh_residual(
     x: Trajectory,
     p: Trajectory,
     order: FracOrder,
-) -> ResidualReport:
+) -> Trajectory:
     """Defect of the fractional Legendre link between L and H.
 
     Three stacked components per node: p - dL/dv(x, D^a x), dH/dx + dL/dx
@@ -198,8 +197,7 @@ def flh_residual(
         L.dLdx(xv, v, t), dtype=float
     )
     c3 = np.asarray(H.dHdp(xv, pv), dtype=float) - v
-    residual = Trajectory(x.grid, np.hstack([c1, c2, c3]))
-    return make_report(residual)
+    return Trajectory(x.grid, np.hstack([c1, c2, c3]))
 
 
 def solve_classical(H: HamiltonianSystem, y0, grid: TimeGrid) -> Trajectory:
@@ -227,10 +225,13 @@ def _verlet(form: NaturalForm, x, p, grid: TimeGrid) -> np.ndarray:
     du = form.potential_grad
     values = np.empty((n + 1, 2 * x.size))
     values[0] = np.concatenate([x, p])
+    # the force at the end of one step starts the next
+    force = np.asarray(du(x), dtype=float)
     for k in range(n):
-        p_half = p - 0.5 * h * np.asarray(du(x), dtype=float)
+        p_half = p - 0.5 * h * force
         x = x + h * p_half / m
-        p = p_half - 0.5 * h * np.asarray(du(x), dtype=float)
+        force = np.asarray(du(x), dtype=float)
+        p = p_half - 0.5 * h * force
         values[k + 1, : x.size] = x
         values[k + 1, x.size :] = p
         if k % 64 == 0:

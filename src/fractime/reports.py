@@ -1,4 +1,4 @@
-"""Checks and residual reports.
+"""Checks and interior residual norms.
 
 A Check is one verdict: a value held against a bound by a relation, with a
 label naming the value.  Its pass/fail is derived from value, relation and
@@ -6,10 +6,9 @@ bound alone, so NaN never passes; its report line prints those three, so a
 line shows the numbers its verdict reads, and every report line and summary
 file renders the same record.
 
-Residual reports hold per-node equation defects with an interior max-norm.
-One-sided fractional operators lose accuracy in boundary layers, so the norm
-excludes the first and last ceil(n/64) nodes; the full residual trajectory
-is kept for inspection and serialization.
+A residual is a Trajectory of per-node equation defects; interior_max is
+its norm.  One-sided fractional operators lose accuracy in boundary layers,
+so the norm excludes the first and last ceil(n/64) nodes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .grids import Trajectory
 
-__all__ = ["Check", "verdict", "ResidualReport", "make_report", "interior_window"]
+__all__ = ["Check", "verdict", "interior_window", "interior_max"]
 
 _RELATIONS = {
     "<=": operator.le,
@@ -67,16 +66,8 @@ def interior_window(n: int) -> int:
     return max(1, math.ceil(n / 64))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Equation residual per node plus its interior max-norm."""
-
-    residual: Trajectory
-    max_norm: float
-
-
-def make_report(residual: Trajectory) -> ResidualReport:
-    n = residual.grid.n
+def interior_max(traj: Trajectory) -> float:
+    """Max |value| over the nodes interior_window leaves at each end."""
+    n = traj.grid.n
     w = interior_window(n)
-    interior = residual.values[w : n + 1 - w]
-    return ResidualReport(residual=residual, max_norm=float(np.max(np.abs(interior))))
+    return float(np.max(np.abs(traj.values[w : n + 1 - w])))

@@ -24,7 +24,8 @@ Evaluation routes, tried in order:
 
 The Taylor routes return only when their error estimate clears the target;
 the contour route raises PrecisionLossError when its optimal parameters
-cannot reach it or the value overflows.
+cannot reach it or the value overflows, unless z > 0 and the largest term
+bounds the whole series below the target: then the Taylor partial sum is within it.
 """
 
 from __future__ import annotations
@@ -140,6 +141,25 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
         prev = e
         errsum += mag * (3.0 + abs(lg) + 0.5 * y * max(1.0, math.log(y)) + 0.5 * k * abs(logz))
     return s, math.inf, False
+
+
+def _log_series_bound(alpha: float, beta: float, z: float) -> float:
+    """Upper bound on log E_{alpha,beta}(z) for z > 0, from its largest term.
+
+    With x = alpha k + beta, term k is exp(g(x)), g(x) = (x - beta) log(z) /
+    alpha - lgamma(x), concave in x.  As log(x - 1/2) < psi(x) < log(x), g
+    peaks in [u, u + 1/2], u = max(beta, z^(1/alpha)), at most log(2)/2
+    above g(u) once u >= 1, and falls by at least alpha log(3/2) per term
+    past x = 2u.  So the at most 2u/alpha + 1 terms below 2u and the
+    geometric tail above it bound the sum.  inf when u < 1 or z^(1/alpha)
+    passes the double range.
+    """
+    rate = math.log(z) / alpha
+    u = max(beta, math.exp(min(rate, _EXP_CAP)))
+    if rate > _EXP_CAP or u < 1.0:
+        return math.inf
+    peak = (u - beta) * rate - math.lgamma(u) + 0.5 * math.log(2.0)
+    return peak + math.log(2.0 * u / alpha + 1.0 + 1.0 / (1.0 - (2.0 / 3.0) ** alpha))
 
 
 def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
@@ -338,4 +358,10 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     if converged and math.isfinite(val) and est <= _TOL * (1.0 + abs(val)):
         return val
 
-    return _opc(alpha, beta, z)
+    try:
+        return _opc(alpha, beta, z)
+    except PrecisionLossError:
+        # for z > 0 every term is positive: the partial sum is within the sum
+        if z > 0.0 and _log_series_bound(alpha, beta, z) <= math.log(_TOL):
+            return val
+        raise

@@ -209,9 +209,8 @@ class MarginalEnsemble:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Pointwise sample mean and standard error at the node times t."""
+    """Pointwise sample mean and standard error at the ensemble's node times."""
 
-    t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
 
@@ -393,4 +392,4 @@ def ensemble_mean(ens: SubordinatorEnsemble | MarginalEnsemble) -> EnsembleStats
     for lo, hi in blocks:
         for row in ens.rows(lo, hi):
             sq += (row - mean) ** 2
-    return EnsembleStats(t=ens.t, mean=mean, stderr=np.sqrt(sq / (m - 1)) / math.sqrt(m))
+    return EnsembleStats(mean=mean, stderr=np.sqrt(sq / (m - 1)) / math.sqrt(m))

@@ -25,7 +25,6 @@ from .fracops import (
     rl_integral_left,
 )
 from .grids import TimeGrid, Trajectory, trapezoid
-from .reports import ResidualReport, make_report
 from .systems import HamiltonianSystem, LagrangianSystem
 
 __all__ = [
@@ -45,7 +44,7 @@ __all__ = [
 _VARIATION_TOL = 1e-8
 
 
-def _phase_eval(L: LagrangianSystem, x: Trajectory, order: FracOrder):
+def _phase_eval(x: Trajectory, order: FracOrder):
     t = x.grid.nodes()
     v = caputo_left(x, order).values
     return x.values, v, t
@@ -53,7 +52,7 @@ def _phase_eval(L: LagrangianSystem, x: Trajectory, order: FracOrder):
 
 def action(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> float:
     """Trapezoid quadrature of L(x, D^a_left x, t) over the grid."""
-    xv, v, t = _phase_eval(L, x, order)
+    xv, v, t = _phase_eval(x, order)
     return trapezoid(np.asarray(L.lagrangian(xv, v, t), dtype=float), x.grid.h)
 
 
@@ -71,26 +70,24 @@ def directional_derivative(
     return (up - dn) / (2.0 * eps)
 
 
-def general_el_residual(
-    L: LagrangianSystem, x: Trajectory, order: FracOrder
-) -> ResidualReport:
+def _el_parts(L: LagrangianSystem, x: Trajectory, order: FracOrder):
+    """dL/dx(x, D^a x, t) per node and dL/dv(x, D^a x, t) as a Trajectory."""
+    xv, v, t = _phase_eval(x, order)
+    p1 = np.broadcast_to(np.asarray(L.dLdx(xv, v, t), dtype=float), xv.shape)
+    p2 = np.broadcast_to(np.asarray(L.dLdv(xv, v, t), dtype=float), xv.shape)
+    return p1, Trajectory(x.grid, p2.copy())
+
+
+def general_el_residual(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> Trajectory:
     """Per-node value of dL/dx(x, D^a x, t) + D^a_right dL/dv(x, D^a x, t)."""
-    xv, v, t = _phase_eval(L, x, order)
-    p1 = np.broadcast_to(np.asarray(L.dLdx(xv, v, t), dtype=float), xv.shape)
-    p2 = np.broadcast_to(np.asarray(L.dLdv(xv, v, t), dtype=float), xv.shape)
-    res = p1 + caputo_right(Trajectory(x.grid, p2.copy()), order).values
-    return make_report(Trajectory(x.grid, res))
+    dldx, dldv = _el_parts(L, x, order)
+    return Trajectory(x.grid, dldx + caputo_right(dldv, order).values)
 
 
-def causal_el_residual(
-    L: LagrangianSystem, x: Trajectory, order: FracOrder
-) -> ResidualReport:
+def causal_el_residual(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> Trajectory:
     """Per-node value of dL/dx(x, D^a x, t) - D^a_left dL/dv(x, D^a x, t)."""
-    xv, v, t = _phase_eval(L, x, order)
-    p1 = np.broadcast_to(np.asarray(L.dLdx(xv, v, t), dtype=float), xv.shape)
-    p2 = np.broadcast_to(np.asarray(L.dLdv(xv, v, t), dtype=float), xv.shape)
-    res = p1 - caputo_left(Trajectory(x.grid, p2.copy()), order).values
-    return make_report(Trajectory(x.grid, res))
+    dldx, dldv = _el_parts(L, x, order)
+    return Trajectory(x.grid, dldx - caputo_left(dldv, order).values)
 
 
 def classical_el_operator(L: LagrangianSystem) -> OperatorSpec:
@@ -116,7 +113,7 @@ def k_alpha_apply(x: Trajectory, order: FracOrder) -> Trajectory:
 
 def hamiltonian_action_residual(
     H: HamiltonianSystem, x: Trajectory, p: Trajectory, order: FracOrder
-) -> ResidualReport:
+) -> Trajectory:
     """Causal stationarity defect of the phase-space action of p v - H(x, p).
 
     Stacked components: -dH/dx(x,p) - D^a_left p and D^a_left x - dH/dp(x,p),
@@ -127,7 +124,7 @@ def hamiltonian_action_residual(
     xv, pv = x.values, p.values
     c1 = -np.asarray(H.dHdx(xv, pv), dtype=float) - caputo_left(p, order).values
     c2 = caputo_left(x, order).values - np.asarray(H.dHdp(xv, pv), dtype=float)
-    return make_report(Trajectory(x.grid, np.hstack([c1, c2])))
+    return Trajectory(x.grid, np.hstack([c1, c2]))
 
 
 def variation_space_check(

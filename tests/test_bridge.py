@@ -51,22 +51,22 @@ def test_subordinated_free_particle_mean_matches_power_law():
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 8), 10000, seed=42)
     obs = subordinate_flow(legendre_transform(free_particle()), np.array([0.0, 1.0]), ens)
     oracle = 1.0 / math.gamma(1.5)
-    dev = abs(obs.mean_x[-1, 0] - oracle)
-    assert dev <= 3.0 * obs.stderr_x[-1, 0] + ens.tau_step
+    dev = abs(obs.mean[-1, 0] - oracle)
+    assert dev <= 3.0 * obs.stderr[-1, 0] + ens.tau_step
 
 
 def test_initial_node_is_pinned_exactly():
     obs = _free_obs(m_paths=64)
-    assert obs.mean_x[0, 0] == 0.0
-    assert obs.mean_p[0, 0] == 1.0
-    assert obs.stderr_x[0, 0] == 0.0
-    assert obs.stderr_p[0, 0] == 0.0
+    assert obs.mean[0, 0] == 0.0
+    assert obs.mean[0, 1] == 1.0
+    assert obs.stderr[0, 0] == 0.0
+    assert obs.stderr[0, 1] == 0.0
 
 
 def test_subordinated_free_particle_mean_is_monotone_concave():
     obs = _free_obs()
-    mean = obs.mean_x[:, 0]
-    band = obs.stderr_x[:, 0]
+    mean = obs.mean[:, 0]
+    band = obs.stderr[:, 0]
     diffs = np.diff(mean)
     assert np.all(diffs >= -(band[1:] + band[:-1]))
     second = np.diff(diffs)
@@ -79,13 +79,13 @@ def test_subordinated_harmonic_mean_matches_mittag_leffler():
     obs = subordinate_flow(
         H, np.array([1.0, 0.0]), inverse_subordinator_paths(HALF, grid, 10000, seed=42)
     )
-    dev = abs(obs.mean_x[-1, 0] - math.exp(-1.0))
-    assert dev <= 3.0 * obs.stderr_x[-1, 0] + 5e-3
+    dev = abs(obs.mean[-1, 0] - math.exp(-1.0))
+    assert dev <= 3.0 * obs.stderr[-1, 0] + 5e-3
 
 
 def test_momentum_mean_is_tracked_alongside_position():
     obs = _free_obs(m_paths=500)
-    np.testing.assert_allclose(obs.mean_p[:, 0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(obs.mean[:, 1], 1.0, atol=1e-12)
 
 
 def test_phase_views_stack_position_and_momentum():
@@ -94,12 +94,12 @@ def test_phase_views_stack_position_and_momentum():
     obs = subordinate_flow(H, np.array([0.0, 1.0]), ens)
     rep = verify_stanislavsky(H, np.array([0.0, 1.0]), ens)
     assert [label for label, _, _ in rep.tables] == ["x0", "p0"]
-    mean = np.hstack([obs.mean_x, obs.mean_p])
-    stderr = np.hstack([obs.stderr_x, obs.stderr_p])
+    assert obs.mean.shape == obs.stderr.shape == (9, 2)
+    np.testing.assert_array_equal(obs.mean_x, obs.mean[:, :1])
     for k, (_, _, (t, mc_mean, mc_stderr, _, _)) in enumerate(rep.tables):
         np.testing.assert_array_equal(t, ens.t_grid.nodes())
-        np.testing.assert_array_equal(mc_mean, mean[:, k])
-        np.testing.assert_array_equal(mc_stderr, stderr[:, k])
+        np.testing.assert_array_equal(mc_mean, obs.mean[:, k])
+        np.testing.assert_array_equal(mc_stderr, obs.stderr[:, k])
 
 
 def test_initial_state_size_is_validated():
@@ -113,8 +113,8 @@ def test_initial_state_size_is_validated():
 def test_observable_is_reproducible():
     a = _free_obs(m_paths=256, seed=9)
     b = _free_obs(m_paths=256, seed=9)
-    np.testing.assert_array_equal(a.mean_x, b.mean_x)
-    np.testing.assert_array_equal(a.stderr_p, b.stderr_p)
+    np.testing.assert_array_equal(a.mean, b.mean)
+    np.testing.assert_array_equal(a.stderr, b.stderr)
 
 
 def test_single_path_ensemble_is_refused():
@@ -192,15 +192,15 @@ def test_blocked_flow_matches_per_row_reference(m_paths):
     mean, se, gm, gap, gap_se = _per_row_flow(H, y0, ens, min(16, m_paths))
     # only the order of summation differs: sums of <= 1000 values of size <= 2
     tol = dict(rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(np.hstack([obs.mean_x, obs.mean_p]), mean, **tol)
-    np.testing.assert_allclose(np.hstack([obs.stderr_x, obs.stderr_p]), se, **tol)
-    np.testing.assert_allclose(np.concatenate([obs.group_means_x, obs.group_means_p], axis=2), gm, **tol)
+    np.testing.assert_allclose(obs.mean, mean, **tol)
+    np.testing.assert_allclose(obs.stderr, se, **tol)
+    np.testing.assert_allclose(obs.group_means, gm, **tol)
     comm = obs.commutation
     np.testing.assert_array_equal(comm.t, ens.t[_commutation_nodes(100)])
-    np.testing.assert_allclose(np.hstack([comm.gap_x, comm.gap_p]), gap, **tol)
-    np.testing.assert_allclose(np.hstack([comm.stderr_x, comm.stderr_p]), gap_se, **tol)
+    np.testing.assert_allclose(comm.gap, gap, **tol)
+    np.testing.assert_allclose(comm.stderr, gap_se, **tol)
     # node 0 is y0 on every row
-    assert not np.any(np.hstack([comm.gap_x, comm.gap_p, comm.stderr_x, comm.stderr_p])[0])
+    assert not np.any(comm.gap[0]) and not np.any(comm.stderr[0])
 
 
 def test_quadratic_gradients_commute_with_averaging():
@@ -249,7 +249,7 @@ def test_commutation_report_on_fine_grid_equals_64_step_grid_bitwise():
         reports.append(subordinate_flow(H, y0, ens, derived=True).commutation)
     fine, coarse = reports
     assert fine.significance > 0.0
-    for field in ("t", "gap_x", "gap_p", "stderr_x", "stderr_p"):
+    for field in ("t", "gap", "stderr"):
         assert np.array_equal(getattr(fine, field), getattr(coarse, field)), field
 
 
@@ -262,12 +262,12 @@ def test_flow_at_the_commutation_nodes_equals_the_full_flow_there(n, m_paths):
     kept = _commutation_nodes(n)
     full = subordinate_flow(H, y0, ens, derived=True)
     part = subordinate_flow(H, y0, ens.at(kept), derived=True)
-    assert part.mean_x.shape == (len(kept), 1)
-    np.testing.assert_array_equal(part.t, full.t[kept])
-    for name in ("mean_x", "mean_p", "stderr_x", "stderr_p"):
+    assert part.mean.shape == (len(kept), 2)
+    np.testing.assert_array_equal(ens.at(kept).t, ens.t[kept])
+    for name in ("mean", "stderr"):
         np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[kept], name)
     a, b = part.commutation, full.commutation
-    for name in ("t", "gap_x", "gap_p", "stderr_x", "stderr_p"):
+    for name in ("t", "gap", "stderr"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
     assert a.significance == b.significance
 
@@ -341,9 +341,9 @@ def test_free_particle_statistics_are_translation_invariant():
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 256), 4000, seed=42)
     near = subordinate_flow(H, np.array([0.0, 1.0]), ens)
     far = subordinate_flow(H, np.array([1e8, 1.0]), ens)
-    assert far.stderr_x[-1, 0] > 0.0
-    np.testing.assert_allclose(far.stderr_x, near.stderr_x, rtol=1e-5, atol=0.0)
-    np.testing.assert_allclose(far.mean_x - 1e8, near.mean_x, rtol=0.0, atol=1e-4)
+    assert far.stderr[-1, 0] > 0.0
+    np.testing.assert_allclose(far.stderr[:, 0], near.stderr[:, 0], rtol=1e-5, atol=0.0)
+    np.testing.assert_allclose(far.mean[:, 0] - 1e8, near.mean[:, 0], rtol=0.0, atol=1e-4)
     for x0 in (0.0, 1e8):
         (band,) = verify_stanislavsky(H, np.array([x0, 1.0]), ens).checks
         assert band.passed
@@ -355,8 +355,8 @@ def test_near_unit_order_collapses_to_classical_flow():
     obs = subordinate_flow(
         H, np.array([1.0, 0.0]), inverse_subordinator_paths(FracOrder(0.999), grid, 4000, seed=42)
     )
-    dev = np.abs(obs.mean_x[:, 0] - np.cos(grid.nodes()))
-    budget = 2e-2 + 3.0 * obs.stderr_x[:, 0]
+    dev = np.abs(obs.mean[:, 0] - np.cos(grid.nodes()))
+    budget = 2e-2 + 3.0 * obs.stderr[:, 0]
     assert np.all(dev <= budget)
 
 
@@ -464,10 +464,10 @@ def test_commutation_gap_runs_on_non_natural_hamiltonian():
     grid = TimeGrid(0.0, 1.0, 4)
     ens = exact_marginal_ensemble(HALF, grid, 6, seed=3)
     rep = subordinate_flow(H, np.array([1.0, 0.5]), ens, derived=True).commutation
-    assert rep.gap_x.shape == rep.gap_p.shape == (len(grid), 1)
+    assert rep.gap.shape == rep.stderr.shape == (len(grid), 2)
     # dH/dx = x exactly, so that component commutes with averaging
-    assert rep.gap_x.max() <= 1e-12
+    assert rep.gap[:, 0].max() <= 1e-12
     # dH/dp inverts p = v^3 + v, which is nonlinear: a Jensen gap opens
-    assert rep.gap_p.max() > 1e-6
+    assert rep.gap[:, 1].max() > 1e-6
     # past node 0, where every row is y0
-    assert np.all(rep.stderr_p[1:] > 0.0) and rep.stderr_p[0] == 0.0
+    assert np.all(rep.stderr[1:, 1] > 0.0) and rep.stderr[0, 1] == 0.0

@@ -1,10 +1,13 @@
-"""The Check record: one relation table decides every verdict."""
+"""The Check record, one relation table deciding every verdict, and the
+interior norm of residuals."""
 
 import math
 
+import numpy as np
 import pytest
 
-from fractime.reports import Check, verdict
+from fractime.grids import TimeGrid, Trajectory
+from fractime.reports import Check, interior_max, interior_window, verdict
 
 
 @pytest.mark.parametrize("relation", ["<=", "<", ">=", ">", "=="])
@@ -23,3 +26,17 @@ def test_line_renders_verdict_name_and_comparison():
     assert near.line() == "check [PASS] near: max significance = 1.35792e-13 <= 0.005"
     assert verdict([finite]) == "PASS"
     assert verdict([finite, zero]) == "FAIL"
+
+
+def test_interior_max_ignores_the_trimmed_end_nodes_only():
+    grid = TimeGrid(0.0, 1.0, 128)
+    w = interior_window(grid.n)
+    assert w == 2
+    values = np.full((grid.n + 1, 2), 0.25)
+    values[[0, w - 1], 0] = 50.0
+    values[[grid.n + 1 - w, grid.n], 1] = -50.0
+    assert interior_max(Trajectory(grid, values)) == 0.25
+    for node in (w, grid.n - w):
+        spiked = values.copy()
+        spiked[node, 1] = -3.0
+        assert interior_max(Trajectory(grid, spiked)) == 3.0

@@ -311,6 +311,38 @@ def test_positive_z_series_runs_past_a_tiny_first_term():
                 assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (alpha, beta, z)
 
 
+def _mpmath_positive_series(alpha: float, beta: float, z: float) -> float:
+    """Reference for z > 0, where no term cancels: the Taylor series in
+    30-digit mpmath, summed past its peak until the terms fall below 1e-40
+    of the sum."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        logz, a, b = mp.log(z), mp.mpf(alpha), mp.mpf(beta)
+        s = mp.mpf(0)
+        k = 0
+        while True:
+            t = mp.exp(k * logz - mp.loggamma(a * k + b))
+            s += t
+            if k > (z ** (1.0 / alpha) - beta) / alpha and t < mp.mpf("1e-40") * s:
+                return float(s)
+            k += 1
+
+
+@pytest.mark.parametrize("alpha, beta, z", [(0.5, 200.0, 30.0), (0.5, 150.0, 30.0), (0.1, 200.0, 2.0)])
+def test_positive_z_series_below_the_target_returns_within_it(alpha, beta, z):
+    # the terms peak near k = 1400, 1500 and 8200, past the 400 the Taylor
+    # route sums, and the contour's beta recurrence overflows; the largest
+    # term bounds the whole series below 1e-10, so the partial sum is returned
+    ref = _mpmath_positive_series(alpha, beta, z)
+    assert 0.0 < ref < 1e-40
+    assert math.log(ref) <= special._log_series_bound(alpha, beta, z) <= math.log(1e-10)
+    with pytest.raises(PrecisionLossError, match="exceeds double range"):
+        special._opc(alpha, beta, z)
+    value = mittag_leffler(MLParams(alpha, beta), z)
+    assert 0.0 <= value <= ref
+
+
 def test_reciprocal_gamma_past_the_double_range_is_zero():
     # Gamma(200) overflows a double, and 1/Gamma(200) ~ 1e-373 is 0 in one
     assert mittag_leffler(MLParams(0.5, 200.0), 0.0) == 0.0
