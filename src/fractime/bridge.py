@@ -20,6 +20,9 @@ the nodes the ensemble holds; an exact ensemble thinned to the commutation
 nodes (MarginalEnsemble.at) flows only those.  Fewer than two rows are
 refused, since they have no standard error.  A flow reduces all a check
 reads in one pass over blocks of rows, so no M-row array outlives a block.
+The blocks run on a thread pool with one worker per CPU the process may
+use (as many as fit a 16 MiB workspace), and are folded in block order, so
+results do not depend on the core count.
 
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
 bound added linearly; stderr for derived quantities (anything passed
@@ -31,6 +34,9 @@ budgets, and the per-node tables behind them.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +70,9 @@ _MAX_CLASSICAL_STEPS = 2**24
 # rows interpolated per np.interp call (one MiB at n = 2048); a block
 # never straddles two batch-means groups
 _FLOW_BLOCK = 64
+# bytes of blocks and column values the flow's workers hold at once: each
+# holds two blocks, so at n = 2048 at most 7 workers run, whatever the host
+_FLOW_WORKSPACE = 16 << 20
 _PASS_FRACTION = 0.95
 _N_GROUPS = 16
 _COMMUTATION_STEPS = 64
@@ -128,9 +137,12 @@ def subordinate_flow(
     times by linear interpolation with a classical step of at most 1e-3, so
     the interpolation error stays well below Monte Carlo noise.  Rows are
     formed and interpolated in blocks of 64, each inside one batch-means
-    group.  derived also sums, in the same pass, the means of min(16, M)
-    row groups, and dH - dH(y0) and its square at the commutation nodes,
-    for the commutation report against dH at the flow's own means.
+    group, on every CPU the process may use (within a 16 MiB workspace);
+    the blocks' sums are folded in block order, so the result is the same
+    bits on any core count.
+    derived also sums, in the same pass, the means of min(16, M) row
+    groups, and dH - dH(y0) and its square at the commutation nodes, for
+    the commutation report against dH at the flow's own means.
 
     Raises:
         DegenerateSampleError: fewer than two paths.
@@ -170,25 +182,62 @@ def subordinate_flow(
     kept = _commutation_nodes(n_nodes - 1)
     dh_sums, dh_sumsq = np.zeros((2, len(kept), 2 * d))
 
-    for g in range(len(starts) - 1):
-        for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK):
-            hi = min(lo + _FLOW_BLOCK, starts[g + 1])
-            block = ens.rows(lo, hi)
-            at_kept = np.empty((hi - lo, len(kept), 2 * d)) if derived else None
-            for c, col in enumerate(cols):
-                vals = np.interp(block, tau_nodes, col)
-                block_sum = vals.sum(axis=0)
-                sums[c] += block_sum
-                sumsq[c] += np.einsum("mj,mj->j", vals, vals)
-                if derived:
-                    group_sums[g, c] += block_sum
-                    at_kept[:, :, c] = vals[:, kept]
+    # each worker forms its blocks in one buffer of its own: a 1 MiB block
+    # formed afresh on a worker thread is mostly handed back to the system
+    # when freed, and faulted in again for the next block
+    buffers = threading.local()
+
+    def block_moments(lo: int, hi: int):
+        """Per column, the sum and sum of squares of rows lo:hi over each
+        node and, when derived, of dH - dH(y0) at the kept nodes."""
+        if not hasattr(buffers, "block"):
+            buffers.block = np.empty((_FLOW_BLOCK, n_nodes))
+        block = ens.rows(lo, hi, out=buffers.block[: hi - lo])
+        moments = np.empty((2, 2 * d, n_nodes))
+        at_kept = np.empty((hi - lo, len(kept), 2 * d)) if derived else None
+        # each column's values are dropped once reduced, so a worker holds
+        # at most one block and one column of values
+        for c, col in enumerate(cols):
+            vals = np.interp(block, tau_nodes, col)
+            moments[0, c] = vals.sum(axis=0)
+            moments[1, c] = np.einsum("mj,mj->j", vals, vals)
             if derived:
-                # kept node 0 is node 0, where every row is y0: dH - dH(y0)
-                dh = _gradient(H, at_kept + y0)
-                dh -= dh[0, 0].copy()
-                dh_sums += dh.sum(axis=0)
-                dh_sumsq += np.einsum("mjc,mjc->jc", dh, dh)
+                at_kept[:, :, c] = vals[:, kept]
+            del vals
+        if not derived:
+            return moments, None
+        # kept node 0 is node 0, where every row is y0: dH - dH(y0)
+        dh = _gradient(H, at_kept + y0)
+        dh -= dh[0, 0].copy()
+        return moments, (dh.sum(axis=0), np.einsum("mjc,mjc->jc", dh, dh))
+
+    # imported here: at the top it would cost every command a few ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    spans = [
+        (g, lo, min(lo + _FLOW_BLOCK, starts[g + 1]))
+        for g in range(len(starts) - 1)
+        for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK)
+    ]
+    # blocks run on one thread per CPU the process may use, within the
+    # workspace; this thread folds their moments in block order, the
+    # additions a serial loop makes, so the result depends on neither the
+    # core count nor scheduling.  At most 2 x workers blocks are in flight
+    workers = max(1, min(_workers(), _FLOW_WORKSPACE // (2 * _FLOW_BLOCK * n_nodes * 8)))
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for k, (g, lo, hi) in enumerate(spans):
+            pending.append((g, pool.submit(block_moments, lo, hi)))
+            # fold the oldest block once the window is full, and all at the end
+            while pending and (len(pending) == 2 * workers or k == len(spans) - 1):
+                g_done, future = pending.popleft()
+                (block_sums, block_sumsq), dh_moments = future.result()
+                sums += block_sums
+                sumsq += block_sumsq
+                if derived:
+                    group_sums[g_done] += block_sums
+                    dh_sums += dh_moments[0]
+                    dh_sumsq += dh_moments[1]
 
     shifted, stderr = _moments(sums.T, sumsq.T, M)
     mean = shifted + y0
@@ -203,6 +252,14 @@ def subordinate_flow(
     dh_mean, dh_se = _moments(dh_sums, dh_sumsq, M)
     gap = np.abs(at_mean - at_mean[0] - dh_mean)
     return SubordinatedObservable(mean, stderr, M, gm, CommutationReport(ens.t[kept], gap, dh_se))
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _moments(sums, sumsq, M: int):

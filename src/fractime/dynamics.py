@@ -222,20 +222,22 @@ def _check_state(y: np.ndarray, t: float) -> None:
 
 def _verlet(form: NaturalForm, x, p, grid: TimeGrid) -> np.ndarray:
     n, h, m = grid.n, grid.h, form.mass
+    half = 0.5 * h
     du = form.potential_grad
     values = np.empty((n + 1, 2 * x.size))
     values[0] = np.concatenate([x, p])
+    xs, ps = values[:, : x.size], values[:, x.size :]
     # the force at the end of one step starts the next
     force = np.asarray(du(x), dtype=float)
-    for k in range(n):
-        p_half = p - 0.5 * h * force
+    for k in range(1, n + 1):
+        p_half = p - half * force
         x = x + h * p_half / m
         force = np.asarray(du(x), dtype=float)
-        p = p_half - 0.5 * h * force
-        values[k + 1, : x.size] = x
-        values[k + 1, x.size :] = p
-        if k % 64 == 0:
-            _check_state(values[k + 1], grid.a + (k + 1) * h)
+        p = p_half - half * force
+        xs[k] = x
+        ps[k] = p
+        if k % 64 == 1:
+            _check_state(values[k], grid.a + k * h)
     _check_state(values[-1], grid.b)
     return values
 

@@ -22,7 +22,9 @@ all its W from the one substream (seed, _MARGINAL_KEY, 0), in row order
 (the S(1) of the scaling limit too).  A row of an exact ensemble is the
 product of its V with t^alpha, elementwise, so it is the same bits however
 the rows are blocked or its nodes thinned.  Results depend only on the
-seed and parameters, never on scheduling or worker count.
+seed and parameters, never on scheduling or worker count; the bridge's
+flows, which reduce row blocks on a thread pool, fold the blocks in
+block order to keep that so.
 """
 
 from __future__ import annotations
@@ -156,8 +158,9 @@ class SubordinatorEnsemble:
         over the rows never has an empty horizon."""
         return max(float(self.paths[:, -1].max()), self.tau_step)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi, one column per node (a view)."""
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows lo:hi, one column per node: a view of the stored paths, so
+        out, the buffer a formed ensemble would fill, goes unused."""
         return self.paths[lo:hi]
 
 
@@ -198,9 +201,10 @@ class MarginalEnsemble:
         profile value, the same bits as the largest product."""
         return float(self.scale.max() * self.profile[-1])
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi, one column per node, formed as they are read."""
-        return np.outer(self.scale[lo:hi], self.profile)
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows lo:hi, one column per node, formed as they are read (into
+        out, of shape (hi - lo, nodes), when given)."""
+        return np.outer(self.scale[lo:hi], self.profile, out=out)
 
     def at(self, nodes) -> "MarginalEnsemble":
         """The same rows read only at the given column indices."""
@@ -340,7 +344,7 @@ def scaling_samples(
     counts = np.array(
         [len(_arrivals(law, c, _path_rng(seed, (_RENEWAL_KEY, i)))) for i in range(M)], float
     )
-    if np.median(counts) == 0.0:
+    if _median(counts) == 0.0:
         raise DegenerateSampleError(f"the median count is 0 at c = {c:g}; raise c")
     return counts, _marginal_scale(law.alpha.alpha, M, seed)
 
@@ -351,7 +355,15 @@ def rescale_factor(counts: np.ndarray, s1: np.ndarray) -> float:
     The limiting law fixes b(c) only up to a regularly varying factor;
     median matching avoids the unstated constant.
     """
-    return float(np.median(counts)) / float(np.median(s1))
+    return _median(counts) / _median(s1)
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a finite 1-d array, as it forms it (the mean of the two
+    middle values of an even count), without the numpy.ma import that the
+    first np.median call makes."""
+    lo, hi = (a.size - 1) // 2, a.size // 2
+    return float(np.mean(np.partition(a, [lo, hi])[lo : hi + 1]))
 
 
 def ks_statistic(a, b) -> float:

@@ -14,8 +14,11 @@ Statistical budgets are 3 standard errors plus the documented scheme
 terms; seeds are frozen.
 """
 
+import dataclasses
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -203,6 +206,56 @@ def test_blocked_flow_matches_per_row_reference(m_paths):
     assert not np.any(comm.gap[0]) and not np.any(comm.stderr[0])
 
 
+def _flow_on(monkeypatch, workers, *args, **kw):
+    """subordinate_flow on a pool of the given size, threads switching often."""
+    monkeypatch.setattr(bridge, "_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return subordinate_flow(*args, **kw)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("sample", [inverse_subordinator_paths, exact_marginal_ensemble])
+@pytest.mark.parametrize("m_paths, derived", [(1037, False), (1037, True), (5, True)])
+def test_flow_is_the_same_bits_on_any_worker_count(monkeypatch, sample, m_paths, derived):
+    # 1,037 rows end in a partial block of 13, and derived in a remainder
+    # group of 77 rows; 5 derived rows are five one-row groups
+    H = legendre_transform(quartic())
+    y0 = np.array([1.0, 0.5])
+    ens = sample(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
+    before = threading.active_count()
+    one, four = (_flow_on(monkeypatch, w, H, y0, ens, derived=derived) for w in (1, 4))
+    assert threading.active_count() == before
+
+    def arrays(obs):
+        comm = obs.commutation
+        derived_arrays = (obs.group_means, comm.t, comm.gap, comm.stderr) if derived else ()
+        return (obs.mean, obs.stderr) + derived_arrays
+
+    assert (one.commutation is None) == (not derived)
+    for a, b in zip(arrays(one), arrays(four), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_an_error_in_a_block_propagates_and_the_pool_is_gone(monkeypatch):
+    class BlockError(RuntimeError):
+        pass
+
+    def raising(x, p):
+        raise BlockError("dH/dx")
+
+    # the Verlet solve reads only the splitting data, so dH/dx is first
+    # called inside a block
+    H = dataclasses.replace(legendre_transform(quartic()), dHdx=raising)
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 100), 1037, seed=3)
+    before = threading.active_count()
+    with pytest.raises(BlockError, match="dH/dx"):
+        _flow_on(monkeypatch, 4, H, np.array([1.0, 0.5]), ens, derived=True)
+    assert threading.active_count() == before
+
+
 def test_quadratic_gradients_commute_with_averaging():
     # omega in {0.5, 1, 2} crossed with alpha in {0.3, 0.5, 0.8}
     for omega in (0.5, 1.0, 2.0):
@@ -284,6 +337,21 @@ def test_stanislavsky_check_never_holds_the_dense_ensemble():
         tracemalloc.stop()
     assert band.passed
     assert peak < 32 << 20, peak
+
+
+def test_flow_workspace_is_bounded_whatever_the_core_count(monkeypatch):
+    # a worker holds a block and a column of values, 2 MiB at n = 2048, so
+    # 64 workers would hold 128 MiB; the flow runs at most 7 here
+    monkeypatch.setattr(bridge, "_workers", lambda: 64)
+    H = legendre_transform(harmonic())
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
+    tracemalloc.start()
+    try:
+        subordinate_flow(H, np.array([1.0, 0.0]), ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20, peak
 
 
 def test_derived_flow_holds_no_row_sized_array():

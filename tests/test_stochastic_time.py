@@ -14,6 +14,8 @@ process is involved).  Closed-form oracles:
 """
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ from fractime.stochastic_time import (
     _arrivals,
     _d_levels,
     _first_passage,
+    _median,
     _path_rng,
     _stable_block,
     ensemble_mean,
@@ -349,6 +352,10 @@ def test_factored_rows_equal_the_dense_outer_product_bitwise(alpha):
     dense = _dense_exact_rows(alpha, grid, 300, 11)
     for lo, hi in ((0, 300), (0, 64), (64, 128), (256, 300), (299, 300), (7, 7)):
         np.testing.assert_array_equal(ens.rows(lo, hi), dense[lo:hi])
+        # formed into a caller's buffer, the same bits
+        buf = np.full((hi - lo, len(grid)), np.nan)
+        assert ens.rows(lo, hi, out=buf) is buf
+        np.testing.assert_array_equal(buf, dense[lo:hi])
     assert ens.s_end == dense[:, -1].max()
     assert ens.m_paths == 300
     # thinned to some columns, the rows are the dense columns, bit for bit
@@ -520,6 +527,27 @@ def test_rescale_factor_is_positive_median_ratio():
     b = rescale_factor(counts, s1)
     assert b > 0.0
     assert np.median(counts / b) == pytest.approx(np.median(s1), rel=1e-6)
+
+
+@pytest.mark.parametrize("size", [7, 8, 10000, 10001])
+def test_partition_median_is_np_median_bitwise(size):
+    rng = np.random.default_rng(size)
+    for a in (rng.standard_normal(size) * 37.0, np.floor(rng.pareto(0.7, size))):
+        assert _median(a) == float(np.median(a))
+
+
+def test_scaling_medians_leave_numpy_ma_unimported():
+    # the first np.median call imports numpy.ma, about 13 ms
+    code = (
+        "import sys\n"
+        "from fractime.stochastic_time import WaitingTimeLaw, rescale_factor, scaling_samples\n"
+        "from fractime import FracOrder\n"
+        "counts, s1 = scaling_samples(WaitingTimeLaw(FracOrder(0.5), 1.0), 200.0, 1000)\n"
+        "rescale_factor(counts, s1)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 @settings(max_examples=15, deadline=None)
