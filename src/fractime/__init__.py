@@ -20,7 +20,7 @@ base error; everything else is imported from its module, e.g.
 from __future__ import annotations
 
 from .bridge import subordinate_flow, verify_stanislavsky
-from .dynamics import legendre_transform, solve_fde
+from .dynamics import solve_fde
 from .errors import FractimeError
 from .fracops import FracOrder
 from .grids import TimeGrid
@@ -36,7 +36,6 @@ __all__ = [
     "MLParams",
     "mittag_leffler",
     "harmonic",
-    "legendre_transform",
     "solve_fde",
     "inverse_subordinator_paths",
     "exact_marginal_ensemble",

@@ -41,13 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import legendre_transform, solve_classical, solve_fde
-from .errors import ConfigError, DegenerateSampleError, OutOfRangeError
+from .dynamics import solve_classical, solve_fde
+from .errors import DegenerateSampleError, OutOfRangeError
 from .fracops import caputo_left
 from .grids import TimeGrid, Trajectory
 from .reports import Check, interior_window
 from .stochastic_time import MarginalEnsemble, SubordinatorEnsemble
-from .systems import HamiltonianSystem, LagrangianSystem
+from .systems import NaturalSystem
 from .variational import causal_el_residual
 
 __all__ = [
@@ -124,7 +124,7 @@ class SubordinatedObservable:
 
 
 def subordinate_flow(
-    H: HamiltonianSystem,
+    H: NaturalSystem,
     y0,
     ens: SubordinatorEnsemble | MarginalEnsemble,
     derived: bool = False,
@@ -269,10 +269,11 @@ def _moments(sums, sumsq, M: int):
     return mean, np.sqrt(var) / math.sqrt(M)
 
 
-def _gradient(H: HamiltonianSystem, y) -> np.ndarray:
-    """dH/dx and dH/dp side by side at stacked phase points y (..., 2d)."""
+def _gradient(H: NaturalSystem, y) -> np.ndarray:
+    """dH/dx = U'(x) and dH/dp = p/m side by side at stacked phase points
+    y (..., 2d)."""
     x, p = y[..., : H.dim], y[..., H.dim :]
-    return np.concatenate([np.asarray(H.dHdx(x, p), float), np.asarray(H.dHdp(x, p), float)], -1)
+    return np.concatenate([np.asarray(H.potential_grad(x), float), p / H.mass], -1)
 
 
 def _commutation_nodes(n: int) -> np.ndarray:
@@ -309,7 +310,7 @@ def _batch_stderr(per_group: list) -> np.ndarray:
 
 
 def verify_stanislavsky(
-    H: HamiltonianSystem, y0, ens: SubordinatorEnsemble | MarginalEnsemble
+    H: NaturalSystem, y0, ens: SubordinatorEnsemble | MarginalEnsemble
 ) -> ComparisonReport:
     """Compare subordinated means against the Caputo canonical solution.
 
@@ -332,7 +333,7 @@ def verify_stanislavsky(
 
 
 def verify_compatibility(
-    L: LagrangianSystem, y0, ens: SubordinatorEnsemble | MarginalEnsemble
+    L: NaturalSystem, y0, ens: SubordinatorEnsemble | MarginalEnsemble
 ) -> ComparisonReport:
     """Check the natural-Lagrangian compatibility identities on MC means.
 
@@ -345,17 +346,11 @@ def verify_compatibility(
     ens, which reduces the group means and the commutation gap in its pass.
     Tables momentum_xk (p_a against m D^a x_a) and causal_el_xk (|residual|
     against 0) per component k.
-
-    Raises:
-        ConfigError: L is not in natural form.
     """
-    if L.natural is None:
-        raise ConfigError("compatibility checks need a natural Lagrangian")
-    H = legendre_transform(L)
-    obs = subordinate_flow(H, y0, ens, derived=True)
+    obs = subordinate_flow(L, y0, ens, derived=True)
     t_grid, order = ens.t_grid, ens.alpha
-    mass = L.natural.mass
-    n, d = t_grid.n, H.dim
+    mass = L.mass
+    n, d = t_grid.n, L.dim
 
     def derivative_route(x_mean):
         return mass * caputo_left(Trajectory(t_grid, x_mean.copy()), order).values

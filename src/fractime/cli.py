@@ -29,13 +29,14 @@ from .bridge import (
     verify_compatibility,
     verify_stanislavsky,
 )
-from .dynamics import legendre_transform, solve_fde
+from .dynamics import solve_fde
 from .errors import ConfigError, FractimeError
 from .fracops import FracOrder, caputo_left, caputo_right, embed_operator
 from .grids import TimeGrid, Trajectory, write_csv, write_text
 from .special import Z_MAX, MLParams, mittag_leffler
 from .stochastic_time import (
     WaitingTimeLaw,
+    _quantiles,
     ensemble_mean,
     exact_marginal_ensemble,
     inverse_subordinator_paths,
@@ -43,7 +44,7 @@ from .stochastic_time import (
     rescale_factor,
     scaling_samples,
 )
-from .systems import LagrangianSystem, free_particle, harmonic, quartic
+from .systems import NaturalSystem, free_particle, harmonic, quartic
 from .variational import (
     causal_el_residual,
     classical_el_operator,
@@ -273,7 +274,7 @@ def _resolve_system(text: str):
     return factory(**params), params, form
 
 
-def parse_system(text: str) -> LagrangianSystem:
+def parse_system(text: str) -> NaturalSystem:
     """Named built-ins: free-particle | harmonic(m, omega) | quartic(lambda)."""
     return _resolve_system(text)[0]
 
@@ -394,11 +395,10 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
 
 
 def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
-    L, params, form = _resolve_system(cfg.system)
-    H = legendre_transform(L)
+    H, params, form = _resolve_system(cfg.system)
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
-    y0 = _parse_phase_point(cfg, L.dim)
+    y0 = _parse_phase_point(cfg, H.dim)
     sol = solve_fde(H, y0, grid, order)
     header = ["t"] + [f"x{k}" for k in range(sol.y.dim)]
     meta = [
@@ -465,7 +465,7 @@ def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
         (
             "scaling_limit.csv",
             ["p", "rescaled_counts_quantile", "internal_time_quantile"],
-            [probs, np.quantile(counts / b_c, probs), np.quantile(s1, probs)],
+            [probs, _quantiles(counts / b_c, probs), _quantiles(s1, probs)],
         )
     )
     report.notes.append(f"b(c) = {b_c:.6g}, KS = {ks:.4f}")
@@ -483,9 +483,8 @@ def _declare_comparison(report: RunReport, tables, stem: str) -> None:
 
 
 def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
-    L = parse_system(cfg.system)
-    H = legendre_transform(L)
-    y0 = _parse_phase_point(cfg, L.dim)
+    H = parse_system(cfg.system)
+    y0 = _parse_phase_point(cfg, H.dim)
     rep = verify_stanislavsky(H, y0, _sample(cfg))
     report.checks.extend(rep.checks)
     _declare_comparison(report, rep.tables, "stanislavsky")
@@ -493,11 +492,10 @@ def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
 
 def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
     L = parse_system(cfg.system)
-    H = legendre_transform(L)
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
     y0 = _parse_phase_point(cfg, L.dim)
-    sol = solve_fde(H, y0, grid, order)
+    sol = solve_fde(L, y0, grid, order)
     x = sol.x_part()
     causal = causal_el_residual(L, x, order)
     general = general_el_residual(L, x, order)
@@ -539,10 +537,9 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     ens = _sample(cfg)
     crep = verify_compatibility(L, y0, ens)
 
-    Hq = legendre_transform(quartic())
     # its check reads only the commutation nodes, so only those are flowed
     at_nodes = ens.at(_commutation_nodes(ens.t_grid.n))
-    cg = subordinate_flow(Hq, (1.0, 0.0), at_nodes, derived=True).commutation
+    cg = subordinate_flow(quartic(), (1.0, 0.0), at_nodes, derived=True).commutation
     report.checks += [
         *crep.checks,
         Check(

@@ -1,15 +1,13 @@
-"""Classical and fractional solvers for canonical Hamiltonian dynamics.
+"""Classical and fractional solvers for natural canonical dynamics.
 
-The classical route integrates dx/dt = dH/dp, dp/dt = -dH/dx with a
-symplectic Verlet step for separable Hamiltonians and RK4 otherwise.  The
-fractional route replaces d/dt by the left Caputo derivative and solves
-the resulting memory equations with an Adams-Bashforth-Moulton
-predictor-corrector (fractional Adams scheme, one corrector sweep), whose
-history sums are blocked FFT convolutions; runs are deterministic and
-byte-identical on rerun.  A fractional right-hand side rhs(t, y) may
-return the same buffer on every call, overwritten in place: the solver
-copies each result before it calls rhs again.  The Legendre transform
-connects the two pictures.
+The classical route integrates dx/dt = p/m, dp/dt = -U'(x) with a
+symplectic Verlet step.  The fractional route replaces d/dt by the left
+Caputo derivative and solves the resulting memory equations with an
+Adams-Bashforth-Moulton predictor-corrector (fractional Adams scheme, one
+corrector sweep), whose history sums are blocked FFT convolutions; runs
+are deterministic and byte-identical on rerun.  A fractional right-hand
+side rhs(t, y) may return the same buffer on every call, overwritten in
+place: the solver copies each result before it calls rhs again.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, NonInvertibleError
+from .errors import DivergenceError
 from .fracops import (
     FracOrder,
     _history_sums,
@@ -28,11 +26,10 @@ from .fracops import (
     caputo_left,
 )
 from .grids import TimeGrid, Trajectory
-from .systems import HamiltonianSystem, LagrangianSystem, NaturalForm
+from .systems import NaturalSystem
 
 __all__ = [
     "FdeSolution",
-    "legendre_transform",
     "flh_residual",
     "solve_classical",
     "solve_fde",
@@ -68,151 +65,35 @@ class FdeSolution:
         return Trajectory(self.grid, self.y.values[:, self.dim :].copy())
 
 
-def legendre_transform(L: LagrangianSystem) -> HamiltonianSystem:
-    """H(x, p) = p f(x, p) - L(x, f(x, p)) where f inverts v -> dL/dv.
-
-    Natural Lagrangians take the closed form H = p^2/(2m) + U(x); other
-    systems invert dL/dv numerically with damped Newton per evaluation
-    point.
-
-    Raises:
-        NonInvertibleError: the Newton inversion stalls or meets a
-            singular velocity Hessian.
-    """
-    if L.natural is not None:
-        m, u, du = L.natural.mass, L.natural.potential, L.natural.potential_grad
-        return HamiltonianSystem(
-            dim=L.dim,
-            hamiltonian=lambda x, p: np.sum(np.square(p), axis=-1) / (2.0 * m) + u(x),
-            dHdx=lambda x, p: du(x),
-            dHdp=lambda x, p: p / m,
-            separable=L.natural,
-        )
-
-    def velocity(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return _invert_dldv(L, np.asarray(x, dtype=float), np.asarray(p, dtype=float))
-
-    def ham(x, p):
-        return _pointwise(lambda xx, pp: _ham_point(L, velocity, xx, pp), x, p)
-
-    def dhdx(x, p):
-        return _pointwise(
-            lambda xx, pp: -np.asarray(L.dLdx(xx, velocity(xx, pp), 0.0), dtype=float),
-            x,
-            p,
-        )
-
-    def dhdp(x, p):
-        return _pointwise(velocity, x, p)
-
-    return HamiltonianSystem(dim=L.dim, hamiltonian=ham, dHdx=dhdx, dHdp=dhdp, separable=None)
-
-
-def _ham_point(L: LagrangianSystem, velocity, x: np.ndarray, p: np.ndarray) -> float:
-    v = velocity(x, p)
-    return float(np.dot(p, v) - L.lagrangian(x, v, 0.0))
-
-
-def _pointwise(f, x, p):
-    """Apply the single-point map f(x, p) over stacked (..., d) points."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if x.ndim == 1:
-        return f(x, p)
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_p = p.reshape(-1, p.shape[-1])
-    out = np.array([f(xx, pp) for xx, pp in zip(flat_x, flat_p)])
-    return out.reshape(x.shape[:-1] + out.shape[1:])
-
-
-def _invert_dldv(L: LagrangianSystem, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    v = np.array(p, dtype=float)
-    res = np.asarray(L.dLdv(x, v, 0.0), dtype=float) - p
-    rn = float(np.max(np.abs(res)))
-    for _ in range(50):
-        if rn <= 1e-12:
-            return v
-        jac = _dldv_jacobian(L, x, v)
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise NonInvertibleError(
-                f"singular velocity Hessian at x={x}, p={p}"
-            ) from exc
-        lam = 1.0
-        while lam >= 1.0 / 1024.0:
-            cand = v - lam * step
-            cres = np.asarray(L.dLdv(x, cand, 0.0), dtype=float) - p
-            crn = float(np.max(np.abs(cres)))
-            if crn < rn or crn <= 1e-12:
-                v, res, rn = cand, cres, crn
-                break
-            lam /= 2.0
-        else:
-            raise NonInvertibleError(
-                f"velocity inversion stalled at x={x}, p={p} (residual {rn:.3e})"
-            )
-    if rn <= 1e-12:
-        return v
-    raise NonInvertibleError(
-        f"velocity inversion did not converge in 50 iterations at x={x}, p={p}"
-    )
-
-
-def _dldv_jacobian(L: LagrangianSystem, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    d = v.size
-    jac = np.empty((d, d))
-    for k in range(d):
-        step = 1e-6 * (1.0 + abs(v[k]))
-        hi = v.copy()
-        lo = v.copy()
-        hi[k] += step
-        lo[k] -= step
-        jac[:, k] = (
-            np.asarray(L.dLdv(x, hi, 0.0), dtype=float)
-            - np.asarray(L.dLdv(x, lo, 0.0), dtype=float)
-        ) / (2.0 * step)
-    return jac
-
-
 def flh_residual(
-    L: LagrangianSystem,
-    H: HamiltonianSystem,
-    x: Trajectory,
-    p: Trajectory,
-    order: FracOrder,
+    system: NaturalSystem, x: Trajectory, p: Trajectory, order: FracOrder
 ) -> Trajectory:
-    """Defect of the fractional Legendre link between L and H.
+    """Defect of the fractional Legendre link between L and H of a system.
 
     Three stacked components per node: p - dL/dv(x, D^a x), dH/dx + dL/dx
     (evaluated with the Caputo velocity), and dH/dp - D^a x.  All vanish
     along exact fractional flows up to scheme error.
     """
     x.same_grid(p)
-    t = x.grid.nodes()
     v = caputo_left(x, order).values
     xv, pv = x.values, p.values
-    c1 = pv - np.asarray(L.dLdv(xv, v, t), dtype=float)
-    c2 = np.asarray(H.dHdx(xv, pv), dtype=float) + np.asarray(
-        L.dLdx(xv, v, t), dtype=float
-    )
-    c3 = np.asarray(H.dHdp(xv, pv), dtype=float) - v
+    grad = np.asarray(system.potential_grad(xv), dtype=float)
+    c1 = pv - system.mass * v
+    # U'(x) - U'(x): zero on any path, since both sides share one potential
+    c2 = grad + -grad
+    c3 = pv / system.mass - v
     return Trajectory(x.grid, np.hstack([c1, c2, c3]))
 
 
-def solve_classical(H: HamiltonianSystem, y0, grid: TimeGrid) -> Trajectory:
-    """Integrate the canonical equations; Verlet when separable, else RK4.
+def solve_classical(H: NaturalSystem, y0, grid: TimeGrid) -> Trajectory:
+    """Integrate the canonical equations with the Verlet step.
 
     Raises:
         DivergenceError: a non-finite state or |y| beyond 1e12.
     """
     y0 = np.asarray(y0, dtype=float)
     d = y0.size // 2
-    if H.separable is not None:
-        values = _verlet(H.separable, y0[:d].copy(), y0[d:].copy(), grid)
-    else:
-        values = _rk4(H, y0[:d].copy(), y0[d:].copy(), grid)
-    return Trajectory(grid, values)
+    return Trajectory(grid, _verlet(H, y0[:d].copy(), y0[d:].copy(), grid))
 
 
 def _check_state(y: np.ndarray, t: float) -> None:
@@ -220,10 +101,10 @@ def _check_state(y: np.ndarray, t: float) -> None:
         raise DivergenceError(f"solution diverged near t = {t:.6g}")
 
 
-def _verlet(form: NaturalForm, x, p, grid: TimeGrid) -> np.ndarray:
-    n, h, m = grid.n, grid.h, form.mass
+def _verlet(H: NaturalSystem, x, p, grid: TimeGrid) -> np.ndarray:
+    n, h, m = grid.n, grid.h, H.mass
     half = 0.5 * h
-    du = form.potential_grad
+    du = H.potential_grad
     values = np.empty((n + 1, 2 * x.size))
     values[0] = np.concatenate([x, p])
     xs, ps = values[:, : x.size], values[:, x.size :]
@@ -238,34 +119,6 @@ def _verlet(form: NaturalForm, x, p, grid: TimeGrid) -> np.ndarray:
         ps[k] = p
         if k % 64 == 1:
             _check_state(values[k], grid.a + k * h)
-    _check_state(values[-1], grid.b)
-    return values
-
-
-def _rk4(H: HamiltonianSystem, x, p, grid: TimeGrid) -> np.ndarray:
-    n, h = grid.n, grid.h
-    d = x.size
-
-    def rhs(y):
-        return np.concatenate(
-            [
-                np.asarray(H.dHdp(y[:d], y[d:]), dtype=float),
-                -np.asarray(H.dHdx(y[:d], y[d:]), dtype=float),
-            ]
-        )
-
-    values = np.empty((n + 1, 2 * d))
-    y = np.concatenate([x, p])
-    values[0] = y
-    for k in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[k + 1] = y
-        if k % 64 == 0:
-            _check_state(y, grid.a + (k + 1) * h)
     _check_state(values[-1], grid.b)
     return values
 
@@ -354,19 +207,17 @@ def solve_fde_system(
     return Trajectory(grid, y)
 
 
-def solve_fde(
-    H: HamiltonianSystem, y0, grid: TimeGrid, order: FracOrder
-) -> FdeSolution:
-    """Solve the Caputo canonical system D^a x = dH/dp, D^a p = -dH/dx."""
+def solve_fde(H: NaturalSystem, y0, grid: TimeGrid, order: FracOrder) -> FdeSolution:
+    """Solve the Caputo canonical system D^a x = p/m, D^a p = -U'(x)."""
     y0 = np.asarray(y0, dtype=float).ravel()
     d = y0.size // 2
+    m, du = H.mass, H.potential_grad
     out = np.empty_like(y0)
     dx, dp = out[:d], out[d:]
 
     def rhs(t, y):
-        x, p = y[:d], y[d:]
-        dx[...] = H.dHdp(x, p)
-        np.negative(H.dHdx(x, p), out=dp)
+        np.divide(y[d:], m, out=dx)
+        np.negative(du(y[:d]), out=dp)
         return out
 
     y = solve_fde_system(rhs, y0, grid, order)

@@ -21,10 +21,6 @@ class UnsupportedOperatorError(FractimeError):
     """Differential-operator term with a derivative power we do not embed."""
 
 
-class NonInvertibleError(FractimeError):
-    """Velocity-to-momentum map could not be inverted numerically."""
-
-
 class DivergenceError(FractimeError):
     """A time stepper produced non-finite or exploding state."""
 

@@ -25,7 +25,9 @@ Evaluation routes, tried in order:
 The Taylor routes return only when their error estimate clears the target;
 the contour route raises PrecisionLossError when its optimal parameters
 cannot reach it or the value overflows, unless z > 0 and the largest term
-bounds the whole series below the target: then the Taylor partial sum is within it.
+bounds the whole series below the target: then its positive terms are summed
+in log space past their peak, to full relative accuracy, or, past 50,000
+terms, the Taylor partial sum is returned, which is within the target.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ Z_MAX = 50.0
 _EPS = 2.220446049250313e-16
 _TOL = 1e-10
 _MAX_TERMS = 400
+# terms of a positive series below the target that the log-space sum may take
+_MAX_LOG_TERMS = 50_000
 # exp() overflows just above 709; stay clear of it
 _EXP_CAP = 705.0
 _LOG_EPS = math.log(_EPS)
@@ -160,6 +164,27 @@ def _log_series_bound(alpha: float, beta: float, z: float) -> float:
         return math.inf
     peak = (u - beta) * rate - math.lgamma(u) + 0.5 * math.log(2.0)
     return peak + math.log(2.0 * u / alpha + 1.0 + 1.0 / (1.0 - (2.0 / 3.0) ** alpha))
+
+
+def _log_space_sum(alpha: float, beta: float, z: float) -> float | None:
+    """E_{alpha,beta}(z) for z > 0 as exp(e_max) sum_k exp(e_k - e_max),
+    with e_k = k log z - lgamma(alpha k + beta).
+
+    The terms are log-concave in k, so once they fall past the peak and
+    below 1e-16 of the largest, the rest is below 1e-16 of the sum; scaling
+    by the largest keeps every digit of values far below the double range
+    of the terms themselves.  None past _MAX_LOG_TERMS terms.
+    """
+    logz = math.log(z)
+    exps: list[float] = []
+    top = -math.inf
+    for k in range(_MAX_LOG_TERMS):
+        e = k * logz - math.lgamma(alpha * k + beta)
+        if exps and e < exps[-1] and e < top + _LOG_EPS:
+            return math.exp(top) * math.fsum(math.exp(x - top) for x in exps)
+        exps.append(e)
+        top = max(top, e)
+    return None
 
 
 def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
@@ -361,7 +386,9 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     try:
         return _opc(alpha, beta, z)
     except PrecisionLossError:
-        # for z > 0 every term is positive: the partial sum is within the sum
+        # for z > 0 every term is positive: the partial sum is within the
+        # sum, and so within the target when it is too long to complete
         if z > 0.0 and _log_series_bound(alpha, beta, z) <= math.log(_TOL):
-            return val
+            total = _log_space_sum(alpha, beta, z)
+            return val if total is None else total
         raise

@@ -366,6 +366,21 @@ def _median(a: np.ndarray) -> float:
     return float(np.mean(np.partition(a, [lo, hi])[lo : hi + 1]))
 
 
+def _quantiles(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile(a, probs) of a finite 1-d array, as it forms it (its
+    linear method: between the sorted values u, w either side of (n - 1) p,
+    u + (w - u) g, or w - (w - u)(1 - g) when the weight g >= 1/2), without
+    the numpy.ma import that np.quantile makes through np.unique."""
+    ordered = np.sort(a)
+    virtual = (a.size - 1) * probs
+    below = np.floor(virtual)
+    g = virtual - below
+    lo = np.minimum(below.astype(np.intp), a.size - 1)
+    u, w = ordered[lo], ordered[np.minimum(lo + 1, a.size - 1)]
+    step = w - u
+    return np.where(g >= 0.5, w - step * (1 - g), u + step * g)
+
+
 def ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup_t |F_a(t) - F_b(t)|.
 

@@ -25,7 +25,7 @@ from .fracops import (
     rl_integral_left,
 )
 from .grids import TimeGrid, Trajectory, trapezoid
-from .systems import HamiltonianSystem, LagrangianSystem
+from .systems import NaturalSystem
 
 __all__ = [
     "action",
@@ -44,20 +44,15 @@ __all__ = [
 _VARIATION_TOL = 1e-8
 
 
-def _phase_eval(x: Trajectory, order: FracOrder):
-    t = x.grid.nodes()
+def action(L: NaturalSystem, x: Trajectory, order: FracOrder) -> float:
+    """Trapezoid quadrature of L = 1/2 m |D^a_left x|^2 - U(x) over the grid."""
     v = caputo_left(x, order).values
-    return x.values, v, t
-
-
-def action(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> float:
-    """Trapezoid quadrature of L(x, D^a_left x, t) over the grid."""
-    xv, v, t = _phase_eval(x, order)
-    return trapezoid(np.asarray(L.lagrangian(xv, v, t), dtype=float), x.grid.h)
+    lag = 0.5 * L.mass * np.sum(np.square(v), axis=-1) - L.potential(x.values)
+    return trapezoid(lag, x.grid.h)
 
 
 def directional_derivative(
-    L: LagrangianSystem,
+    L: NaturalSystem,
     x: Trajectory,
     h: Trajectory,
     order: FracOrder,
@@ -70,27 +65,27 @@ def directional_derivative(
     return (up - dn) / (2.0 * eps)
 
 
-def _el_parts(L: LagrangianSystem, x: Trajectory, order: FracOrder):
-    """dL/dx(x, D^a x, t) per node and dL/dv(x, D^a x, t) as a Trajectory."""
-    xv, v, t = _phase_eval(x, order)
-    p1 = np.broadcast_to(np.asarray(L.dLdx(xv, v, t), dtype=float), xv.shape)
-    p2 = np.broadcast_to(np.asarray(L.dLdv(xv, v, t), dtype=float), xv.shape)
-    return p1, Trajectory(x.grid, p2.copy())
+def _el_parts(L: NaturalSystem, x: Trajectory, order: FracOrder):
+    """dL/dx = -U'(x) per node and dL/dv = m D^a x as a Trajectory."""
+    xv = x.values
+    p1 = np.broadcast_to(np.asarray(-L.potential_grad(xv), dtype=float), xv.shape)
+    p2 = L.mass * caputo_left(x, order).values
+    return p1, Trajectory(x.grid, p2)
 
 
-def general_el_residual(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> Trajectory:
+def general_el_residual(L: NaturalSystem, x: Trajectory, order: FracOrder) -> Trajectory:
     """Per-node value of dL/dx(x, D^a x, t) + D^a_right dL/dv(x, D^a x, t)."""
     dldx, dldv = _el_parts(L, x, order)
     return Trajectory(x.grid, dldx + caputo_right(dldv, order).values)
 
 
-def causal_el_residual(L: LagrangianSystem, x: Trajectory, order: FracOrder) -> Trajectory:
+def causal_el_residual(L: NaturalSystem, x: Trajectory, order: FracOrder) -> Trajectory:
     """Per-node value of dL/dx(x, D^a x, t) - D^a_left dL/dv(x, D^a x, t)."""
     dldx, dldv = _el_parts(L, x, order)
     return Trajectory(x.grid, dldx - caputo_left(dldv, order).values)
 
 
-def classical_el_operator(L: LagrangianSystem) -> OperatorSpec:
+def classical_el_operator(L: NaturalSystem) -> OperatorSpec:
     """The classical Euler-Lagrange operator dL/dx - d/dt dL/dv as a spec.
 
     Feeding this to embed_operator reproduces causal_el_residual exactly:
@@ -98,8 +93,8 @@ def classical_el_operator(L: LagrangianSystem) -> OperatorSpec:
     """
     return OperatorSpec(
         terms=(
-            OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: L.dLdx(x, v, t), 0),
-            OperatorTerm(lambda x, v, t: -1.0, lambda x, v, t: L.dLdv(x, v, t), 1),
+            OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: -L.potential_grad(x), 0),
+            OperatorTerm(lambda x, v, t: -1.0, lambda x, v, t: L.mass * v, 1),
         ),
     )
 
@@ -112,18 +107,18 @@ def k_alpha_apply(x: Trajectory, order: FracOrder) -> Trajectory:
 
 
 def hamiltonian_action_residual(
-    H: HamiltonianSystem, x: Trajectory, p: Trajectory, order: FracOrder
+    H: NaturalSystem, x: Trajectory, p: Trajectory, order: FracOrder
 ) -> Trajectory:
     """Causal stationarity defect of the phase-space action of p v - H(x, p).
 
-    Stacked components: -dH/dx(x,p) - D^a_left p and D^a_left x - dH/dp(x,p),
+    Stacked components: -U'(x) - D^a_left p and D^a_left x - p/m,
     which is exactly the embedded canonical system, so causal critical
     points and fractional canonical solutions coincide.
     """
     x.same_grid(p)
     xv, pv = x.values, p.values
-    c1 = -np.asarray(H.dHdx(xv, pv), dtype=float) - caputo_left(p, order).values
-    c2 = caputo_left(x, order).values - np.asarray(H.dHdp(xv, pv), dtype=float)
+    c1 = -np.asarray(H.potential_grad(xv), dtype=float) - caputo_left(p, order).values
+    c2 = caputo_left(x, order).values - pv / H.mass
     return Trajectory(x.grid, np.hstack([c1, c2]))
 
 

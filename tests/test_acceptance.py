@@ -19,7 +19,6 @@ from fractime import (
     MLParams,
     TimeGrid,
     harmonic,
-    legendre_transform,
     mittag_leffler,
     solve_fde,
     subordinate_flow,
@@ -148,7 +147,7 @@ def test_acceptance_04_fde_solver_oracles():
         relax = solve_fde_system(lambda t, y: -y, np.array([1.0]), grid, HALF)
         dev_relax = abs(relax.values[-1, 0] - mittag_leffler(MLParams(0.5), -1.0))
 
-        H = legendre_transform(harmonic())
+        H = harmonic()
         osc_grid = TimeGrid(0.0, 1.0, 2048)
         osc = solve_fde(H, np.array([1.0, 0.0]), osc_grid, HALF)
         oracle = np.array(
@@ -209,7 +208,7 @@ def test_acceptance_06_scaling_limit():
 
 def test_acceptance_07_subordination_equals_fractional_solve():
     with _Timer() as tm:
-        H = legendre_transform(harmonic())
+        H = harmonic()
         grid = TimeGrid(0.0, 2.0, 2048)
         ens = inverse_subordinator_paths(HALF, grid, 10000, seed=42)
         (band,) = verify_stanislavsky(H, np.array([1.0, 0.0]), ens).checks
@@ -223,9 +222,8 @@ def test_acceptance_07_subordination_equals_fractional_solve():
 def test_acceptance_08_coherence_dichotomy():
     with _Timer() as tm:
         L = harmonic()
-        H = legendre_transform(L)
         grid = TimeGrid(0.0, 2.0, 2048)
-        sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
+        sol = solve_fde(L, np.array([1.0, 0.0]), grid, HALF)
         causal = causal_el_residual(L, sol.x_part(), HALF)
         general = general_el_residual(L, sol.x_part(), HALF)
         embedded = embed_operator(classical_el_operator(L), HALF)(sol.x_part())
@@ -269,7 +267,7 @@ def test_acceptance_10_compatibility_and_commutation():
     with _Timer() as tm:
         ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 2048), 10000, seed=42)
         momentum, causal, _ = verify_compatibility(harmonic(), np.array([1.0, 0.0]), ens).checks
-        Hq = legendre_transform(quartic())
+        Hq = quartic()
         quartic_rep = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, derived=True).commutation
     ok = momentum.passed and causal.passed and quartic_rep.significance > 10.0
     _verdict(

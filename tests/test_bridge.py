@@ -30,21 +30,20 @@ from fractime import (
     exact_marginal_ensemble,
     harmonic,
     inverse_subordinator_paths,
-    legendre_transform,
     subordinate_flow,
     verify_stanislavsky,
 )
 from fractime.bridge import _commutation_nodes, verify_compatibility
 from fractime import bridge
-from fractime.errors import ConfigError, DegenerateSampleError, OutOfRangeError
+from fractime.errors import DegenerateSampleError, OutOfRangeError
 from fractime.grids import write_csv
-from fractime.systems import LagrangianSystem, free_particle, quartic
+from fractime.systems import free_particle, quartic
 
 HALF = FracOrder(0.5)
 
 
 def _free_obs(m_paths=10000, n=8, seed=42, **kw):
-    H = legendre_transform(free_particle())
+    H = free_particle()
     grid = TimeGrid(0.0, 1.0, n)
     ens = inverse_subordinator_paths(HALF, grid, m_paths, seed=seed)
     return subordinate_flow(H, np.array([0.0, 1.0]), ens, **kw)
@@ -52,7 +51,7 @@ def _free_obs(m_paths=10000, n=8, seed=42, **kw):
 
 def test_subordinated_free_particle_mean_matches_power_law():
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 8), 10000, seed=42)
-    obs = subordinate_flow(legendre_transform(free_particle()), np.array([0.0, 1.0]), ens)
+    obs = subordinate_flow(free_particle(), np.array([0.0, 1.0]), ens)
     oracle = 1.0 / math.gamma(1.5)
     dev = abs(obs.mean[-1, 0] - oracle)
     assert dev <= 3.0 * obs.stderr[-1, 0] + ens.tau_step
@@ -77,7 +76,7 @@ def test_subordinated_free_particle_mean_is_monotone_concave():
 
 
 def test_subordinated_harmonic_mean_matches_mittag_leffler():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 1.0, 8)
     obs = subordinate_flow(
         H, np.array([1.0, 0.0]), inverse_subordinator_paths(HALF, grid, 10000, seed=42)
@@ -92,7 +91,7 @@ def test_momentum_mean_is_tracked_alongside_position():
 
 
 def test_phase_views_stack_position_and_momentum():
-    H = legendre_transform(free_particle())
+    H = free_particle()
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 8), 64, seed=42)
     obs = subordinate_flow(H, np.array([0.0, 1.0]), ens)
     rep = verify_stanislavsky(H, np.array([0.0, 1.0]), ens)
@@ -106,7 +105,7 @@ def test_phase_views_stack_position_and_momentum():
 
 
 def test_initial_state_size_is_validated():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     with pytest.raises(OutOfRangeError):
         subordinate_flow(
             H, np.array([1.0]), inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 4), 16, seed=0)
@@ -122,7 +121,7 @@ def test_observable_is_reproducible():
 
 def test_single_path_ensemble_is_refused():
     # one path has no standard error; a flow over it must not report 0
-    H = legendre_transform(harmonic())
+    H = harmonic()
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 1, seed=3)
     with pytest.raises(DegenerateSampleError, match="two paths"):
         subordinate_flow(H, np.array([1.0, 0.0]), ens, derived=True)
@@ -142,7 +141,7 @@ def test_classical_horizon_is_the_largest_sampled_internal_time(monkeypatch, tau
     ens = inverse_subordinator_paths(
         HALF, TimeGrid(0.0, 1.0, 16), 2000, tau_step=tau_step, seed=42
     )
-    subordinate_flow(legendre_transform(harmonic()), np.array([1.0, 0.0]), ens)
+    subordinate_flow(harmonic(), np.array([1.0, 0.0]), ens)
     assert len(grids) == 1
     assert grids[0].a == 0.0
     assert grids[0].b == max(float(ens.paths[:, -1].max()), ens.tau_step)
@@ -155,7 +154,7 @@ def test_oversized_classical_horizon_is_refused_before_the_solve(monkeypatch):
     monkeypatch.setattr(bridge, "_MAX_CLASSICAL_STEPS", 9999)
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 8, tau_step=10.0, seed=0)
     with pytest.raises(OutOfRangeError, match="largest sampled S"):
-        subordinate_flow(legendre_transform(harmonic()), np.array([1.0, 0.0]), ens)
+        subordinate_flow(harmonic(), np.array([1.0, 0.0]), ens)
     assert solved == []
 
 
@@ -178,8 +177,8 @@ def _per_row_flow(H, y0, ens, n_groups):
     mean = vals.mean(axis=0) + y0
     kept = _commutation_nodes(ens.t_grid.n)
     at_kept = vals[:, kept] + y0
-    dh = [H.dHdx(at_kept[..., :1], at_kept[..., 1:]), H.dHdp(at_kept[..., :1], at_kept[..., 1:])]
-    at_mean = [H.dHdx(mean[kept, :1], mean[kept, 1:]), H.dHdp(mean[kept, :1], mean[kept, 1:])]
+    dh = [H.potential_grad(at_kept[..., :1]), at_kept[..., 1:] / H.mass]
+    at_mean = [H.potential_grad(mean[kept, :1]), mean[kept, 1:] / H.mass]
     gap = np.hstack([np.abs(m - v.mean(axis=0)) for m, v in zip(at_mean, dh)])
     gap_se = np.hstack([v.std(axis=0, ddof=1) / math.sqrt(ens.m_paths) for v in dh])
     return mean, se, gm + y0, gap, gap_se
@@ -188,7 +187,7 @@ def _per_row_flow(H, y0, ens, n_groups):
 @pytest.mark.parametrize("m_paths", [1000, 130, 10])
 def test_blocked_flow_matches_per_row_reference(m_paths):
     # groups of 62, 8 and 1 rows: blocks of 64 end inside and at group ends
-    H = legendre_transform(quartic())
+    H = quartic()
     y0 = np.array([1.0, 0.5])
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
     obs = subordinate_flow(H, y0, ens, derived=True)
@@ -222,7 +221,7 @@ def _flow_on(monkeypatch, workers, *args, **kw):
 def test_flow_is_the_same_bits_on_any_worker_count(monkeypatch, sample, m_paths, derived):
     # 1,037 rows end in a partial block of 13, and derived in a remainder
     # group of 77 rows; 5 derived rows are five one-row groups
-    H = legendre_transform(quartic())
+    H = quartic()
     y0 = np.array([1.0, 0.5])
     ens = sample(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
     before = threading.active_count()
@@ -243,12 +242,22 @@ def test_an_error_in_a_block_propagates_and_the_pool_is_gone(monkeypatch):
     class BlockError(RuntimeError):
         pass
 
-    def raising(x, p):
-        raise BlockError("dH/dx")
+    solved = []
+    solve_classical = bridge.solve_classical
 
-    # the Verlet solve reads only the splitting data, so dH/dx is first
-    # called inside a block
-    H = dataclasses.replace(legendre_transform(quartic()), dHdx=raising)
+    def solve_then_arm(*args):
+        out = solve_classical(*args)
+        solved.append(True)
+        return out
+
+    def raising(x):
+        if solved:
+            raise BlockError("dH/dx")
+        return quartic().potential_grad(x)
+
+    # U' raises once the Verlet solve is done, so it first fires inside a block
+    monkeypatch.setattr(bridge, "solve_classical", solve_then_arm)
+    H = dataclasses.replace(quartic(), potential_grad=raising)
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 100), 1037, seed=3)
     before = threading.active_count()
     with pytest.raises(BlockError, match="dH/dx"):
@@ -259,7 +268,7 @@ def test_an_error_in_a_block_propagates_and_the_pool_is_gone(monkeypatch):
 def test_quadratic_gradients_commute_with_averaging():
     # omega in {0.5, 1, 2} crossed with alpha in {0.3, 0.5, 0.8}
     for omega in (0.5, 1.0, 2.0):
-        H = legendre_transform(harmonic(omega=omega))
+        H = harmonic(omega=omega)
         for alpha in (0.3, 0.5, 0.8):
             obs = subordinate_flow(
                 H,
@@ -274,7 +283,7 @@ def test_quadratic_gradients_commute_with_averaging():
 
 
 def test_quartic_gradient_opens_significant_gap():
-    H = legendre_transform(quartic())
+    H = quartic()
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 64), 10000, seed=42)
     rep = subordinate_flow(H, np.array([1.0, 0.0]), ens, derived=True).commutation
     assert rep.significance > 10.0
@@ -294,7 +303,7 @@ def test_commutation_nodes_thin_fine_grids_to_a_64_step_grid():
 
 
 def test_commutation_report_on_fine_grid_equals_64_step_grid_bitwise():
-    H = legendre_transform(quartic())
+    H = quartic()
     y0 = np.array([1.0, 0.0])
     reports = []
     for n in (512, 64):
@@ -309,7 +318,7 @@ def test_commutation_report_on_fine_grid_equals_64_step_grid_bitwise():
 @pytest.mark.parametrize("n, m_paths", [(48, 500), (100, 500), (2048, 300)])
 def test_flow_at_the_commutation_nodes_equals_the_full_flow_there(n, m_paths):
     # all 49 nodes, a 65-node set that is not uniform, and the 64-step grid
-    H = legendre_transform(quartic())
+    H = quartic()
     y0 = np.array([1.0, 0.0])
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, n), m_paths, seed=42)
     kept = _commutation_nodes(n)
@@ -327,7 +336,7 @@ def test_flow_at_the_commutation_nodes_equals_the_full_flow_there(n, m_paths):
 
 def test_stanislavsky_check_never_holds_the_dense_ensemble():
     # the dense M x (n + 1) internal times alone would be 156 MiB
-    H = legendre_transform(harmonic())
+    H = harmonic()
     tracemalloc.start()
     try:
         ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
@@ -343,7 +352,7 @@ def test_flow_workspace_is_bounded_whatever_the_core_count(monkeypatch):
     # a worker holds a block and a column of values, 2 MiB at n = 2048, so
     # 64 workers would hold 128 MiB; the flow runs at most 7 here
     monkeypatch.setattr(bridge, "_workers", lambda: 64)
-    H = legendre_transform(harmonic())
+    H = harmonic()
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
     tracemalloc.start()
     try:
@@ -357,7 +366,7 @@ def test_flow_workspace_is_bounded_whatever_the_core_count(monkeypatch):
 def test_derived_flow_holds_no_row_sized_array():
     # dH kept per row at the 65 commutation nodes would be M x 65 x 2d
     # floats, 10.4 MB here; the flow reduces it block by block instead
-    H = legendre_transform(quartic())
+    H = quartic()
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
     at_nodes = ens.at(_commutation_nodes(2048))
     tracemalloc.start()
@@ -372,7 +381,7 @@ def test_derived_flow_holds_no_row_sized_array():
 
 
 def test_equivalence_check_passes_for_harmonic_oscillator():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 2.0, 512)
     rep = verify_stanislavsky(
         H, np.array([1.0, 0.0]), inverse_subordinator_paths(HALF, grid, 4000, seed=42)
@@ -383,7 +392,7 @@ def test_equivalence_check_passes_for_harmonic_oscillator():
 
 
 def test_equivalence_report_serializes_and_reruns_identically(tmp_path):
-    H = legendre_transform(free_particle())
+    H = free_particle()
     grid = TimeGrid(0.0, 1.0, 64)
     rep = verify_stanislavsky(
         H, np.array([0.0, 1.0]), inverse_subordinator_paths(HALF, grid, 1000, seed=7)
@@ -405,7 +414,7 @@ def test_free_particle_statistics_are_translation_invariant():
     # classical solve's own rounding at 1e8: each Verlet step adds h
     # rounded to a multiple of ulp(1e8) = 1.5e-8, a relative velocity
     # error of up to 7.5e-9/h (7.5e-6 at h = 1e-3; 1.8e-7 on this sample).
-    H = legendre_transform(free_particle())
+    H = free_particle()
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 256), 4000, seed=42)
     near = subordinate_flow(H, np.array([0.0, 1.0]), ens)
     far = subordinate_flow(H, np.array([1e8, 1.0]), ens)
@@ -418,7 +427,7 @@ def test_free_particle_statistics_are_translation_invariant():
 
 
 def test_near_unit_order_collapses_to_classical_flow():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 2.0, 512)
     obs = subordinate_flow(
         H, np.array([1.0, 0.0]), inverse_subordinator_paths(FracOrder(0.999), grid, 4000, seed=42)
@@ -435,22 +444,6 @@ def test_compatibility_check_passes_for_natural_harmonic():
         inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 512), 4000, seed=42),
     )
     assert [c.passed for c in rep.checks] == [True, True, True]
-
-
-def test_compatibility_requires_natural_structure():
-    odd = LagrangianSystem(
-        dim=1,
-        lagrangian=lambda x, v, t: np.sum(v, axis=-1) ** 3,
-        dLdx=lambda x, v, t: np.zeros_like(x),
-        dLdv=lambda x, v, t: 3.0 * np.asarray(v) ** 2,
-        natural=None,
-    )
-    with pytest.raises(ConfigError):
-        verify_compatibility(
-            odd,
-            np.array([1.0, 0.0]),
-            inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 64), 100, seed=0),
-        )
 
 
 def test_compatibility_report_saves_expected_files(tmp_path):
@@ -498,44 +491,3 @@ def test_comparison_summary_is_written_atomically(tmp_path, monkeypatch, capsys)
 
 def test_compatibility_summary_is_written_atomically(tmp_path, monkeypatch, capsys):
     _assert_summary_survives_failed_replace(tmp_path, monkeypatch, capsys, "verify-compatibility")
-
-def _stiff_lagrangian() -> LagrangianSystem:
-    """L = v^4/4 + v^2/2 - x^2/2, given without natural-form data."""
-    return LagrangianSystem(
-        dim=1,
-        lagrangian=lambda x, v, t: np.sum(v**4 / 4 + v**2 / 2 - x**2 / 2, axis=-1),
-        dLdx=lambda x, v, t: -np.asarray(x, dtype=float),
-        dLdv=lambda x, v, t: np.asarray(v, dtype=float) ** 3 + np.asarray(v, dtype=float),
-        natural=None,
-    )
-
-
-def test_non_natural_legendre_transform_evaluates_stacked_points_pointwise():
-    L = _stiff_lagrangian()
-    H = legendre_transform(L)
-    assert H.separable is None
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-2.0, 2.0, size=(3, 5, 1))
-    p = rng.uniform(-2.0, 2.0, size=(3, 5, 1))
-    for fn, shape in ((H.dHdx, (3, 5, 1)), (H.dHdp, (3, 5, 1)), (H.hamiltonian, (3, 5))):
-        stacked = fn(x, p)
-        assert stacked.shape == shape
-        for i in range(3):
-            for j in range(5):
-                assert np.array_equal(stacked[i, j], fn(x[i, j], p[i, j]))
-    v = H.dHdp(x, p)
-    assert np.abs(L.dLdv(x, v, 0.0) - p).max() <= 1e-10
-
-
-def test_commutation_gap_runs_on_non_natural_hamiltonian():
-    H = legendre_transform(_stiff_lagrangian())
-    grid = TimeGrid(0.0, 1.0, 4)
-    ens = exact_marginal_ensemble(HALF, grid, 6, seed=3)
-    rep = subordinate_flow(H, np.array([1.0, 0.5]), ens, derived=True).commutation
-    assert rep.gap.shape == rep.stderr.shape == (len(grid), 2)
-    # dH/dx = x exactly, so that component commutes with averaging
-    assert rep.gap[:, 0].max() <= 1e-12
-    # dH/dp inverts p = v^3 + v, which is nonlinear: a Jensen gap opens
-    assert rep.gap[:, 1].max() > 1e-6
-    # past node 0, where every row is y0
-    assert np.all(rep.stderr[1:, 1] > 0.0) and rep.stderr[0, 1] == 0.0

@@ -210,10 +210,8 @@ def test_system_parsing_accepts_parameters(tmp_path):
         ("quartic(lambda=2)", quartic(lam=2.0)),
     ):
         parsed = parse_system(text)
-        assert parsed.natural.mass == system.natural.mass, text
-        assert np.array_equal(
-            parsed.natural.potential_grad(probe), system.natural.potential_grad(probe)
-        ), text
+        assert parsed.mass == system.mass, text
+        assert np.array_equal(parsed.potential_grad(probe), system.potential_grad(probe)), text
     for text in ("free-particle(1, 2)", "harmonic(1, 2, 3)", "quartic(1, 2)"):
         with pytest.raises(ConfigError, match="too many system parameters"):
             parse_system(text)

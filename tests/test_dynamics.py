@@ -17,7 +17,6 @@ from fractime import (
     MLParams,
     TimeGrid,
     harmonic,
-    legendre_transform,
     mittag_leffler,
     solve_fde,
 )
@@ -31,7 +30,7 @@ HALF = FracOrder(0.5)
 
 
 def test_classical_harmonic_matches_trig_solution():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 2.0, 2000)
     t = grid.nodes()
     sol = solve_classical(H, np.array([1.0, 0.0]), grid)
@@ -39,29 +38,14 @@ def test_classical_harmonic_matches_trig_solution():
     assert np.abs(sol.values[:, 1] + np.sin(t)).max() < 1e-6
 
 
-def test_classical_rk4_route_matches_trig_solution():
-    # the harmonic closures without their splitting data take the RK4 route;
-    # its global error falls as h^4
-    H = dataclasses.replace(legendre_transform(harmonic()), separable=None)
-    errors = []
-    for n in (100, 200):
-        grid = TimeGrid(0.0, 2.0, n)
-        t = grid.nodes()
-        sol = solve_classical(H, np.array([1.0, 0.0]), grid)
-        errors.append(np.abs(sol.values - np.column_stack([np.cos(t), -np.sin(t)])).max())
-    assert errors[0] < 1e-8
-    assert 14.0 < errors[0] / errors[1] < 18.0
-
-
-def test_classical_rk4_route_reports_divergence_at_its_step():
+def test_classical_verlet_reports_divergence_at_its_step():
     # a force of 1e14 throws |p| past the 1e12 cap on the first step
-    H = dataclasses.replace(legendre_transform(quartic(100.0)), separable=None)
     with pytest.raises(DivergenceError, match="near t = 0.1$"):
-        solve_classical(H, np.array([1e4, 0.0]), TimeGrid(0.0, 10.0, 100))
+        solve_classical(quartic(100.0), np.array([1e4, 0.0]), TimeGrid(0.0, 10.0, 100))
 
 
 def test_classical_energy_drift_stays_tiny():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 20.0, 20000)
     sol = solve_classical(H, np.array([1.0, 0.0]), grid)
     energy = 0.5 * (sol.values[:, 1] ** 2 + sol.values[:, 0] ** 2)
@@ -69,7 +53,7 @@ def test_classical_energy_drift_stays_tiny():
 
 
 def test_classical_free_particle_is_exact_line():
-    H = legendre_transform(free_particle(m=2.0))
+    H = free_particle(m=2.0)
     grid = TimeGrid(0.0, 3.0, 300)
     sol = solve_classical(H, np.array([0.5, 1.0]), grid)
     np.testing.assert_allclose(
@@ -80,16 +64,14 @@ def test_classical_free_particle_is_exact_line():
 def test_verlet_evaluates_the_force_once_per_node():
     # the force that ends one step starts the next: n + 1 calls for n steps,
     # one at each node, and the same bits as evaluating it twice per step
-    form = quartic().natural
+    form = quartic()
     calls = []
 
     def grad(x):
         calls.append(x.copy())
         return form.potential_grad(x)
 
-    H = dataclasses.replace(
-        legendre_transform(quartic()), separable=dataclasses.replace(form, potential_grad=grad)
-    )
+    H = dataclasses.replace(form, potential_grad=grad)
     grid = TimeGrid(0.0, 2.0, 100)
     sol = solve_classical(H, np.array([1.0, 0.5]), grid)
     assert len(calls) == grid.n + 1
@@ -114,7 +96,7 @@ def test_fractional_relaxation_matches_mittag_leffler():
 
 
 def test_fractional_oscillator_matches_mittag_leffler():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 1.0, 2048)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
     params = MLParams(1.0)
@@ -123,7 +105,7 @@ def test_fractional_oscillator_matches_mittag_leffler():
 
 
 def test_fractional_free_particle_power_law_is_exact():
-    H = legendre_transform(free_particle())
+    H = free_particle()
     grid = TimeGrid(0.0, 2.0, 512)
     sol = solve_fde(H, np.array([0.0, 1.0]), grid, HALF)
     oracle = grid.nodes() ** 0.5 / math.gamma(1.5)
@@ -131,14 +113,14 @@ def test_fractional_free_particle_power_law_is_exact():
 
 
 def test_near_unit_order_recovers_classical_flow():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 2.0, 2048)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, FracOrder(0.999))
     assert np.abs(sol.y.values[:, 0] - np.cos(grid.nodes())).max() < 2e-2
 
 
 def test_solution_splits_into_position_and_momentum_parts():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 1.0, 64)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
     assert sol.x_part().dim == 1
@@ -180,9 +162,8 @@ def _direct_fde(rhs, y0, grid, order):
     return y
 
 
-def _canonical_rhs(L):
-    H = legendre_transform(L)
-    return lambda t, y: np.concatenate([H.dHdp(y[:1], y[1:]), -H.dHdx(y[:1], y[1:])])
+def _canonical_rhs(H):
+    return lambda t, y: np.concatenate([y[1:] / H.mass, -H.potential_grad(y[:1])])
 
 
 def _coupled_rhs(t, y):
@@ -269,16 +250,15 @@ def test_stiff_quartic_divergence_keeps_its_step(tmp_path, capsys):
 
 
 def test_legendre_link_residual_small_along_fractional_flow():
-    L = harmonic()
-    H = legendre_transform(L)
+    H = harmonic()
     grid = TimeGrid(0.0, 2.0, 2048)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
-    residual = flh_residual(L, H, sol.x_part(), sol.p_part(), HALF)
+    residual = flh_residual(H, sol.x_part(), sol.p_part(), HALF)
     assert interior_max(residual) < 5e-3
 
 
 def test_quartic_fractional_flow_stays_finite():
-    H = legendre_transform(quartic())
+    H = quartic()
     grid = TimeGrid(0.0, 2.0, 512)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
     assert np.all(np.isfinite(sol.y.values))

@@ -253,18 +253,20 @@ def test_spectral_reference_table_matches_live_mpmath():
 def _mpmath_taylor(alpha: float, beta: float, z: float) -> float:
     """Reference: E_{alpha,beta}(z) from its Taylor series in mpmath, with
     40 digits beyond those the largest term, about exp(|z|^(1/alpha)),
-    cancels."""
+    cancels (none for z > 0, where every term is positive), summed past the
+    peak until a term falls below 1e-45 of the sum."""
     import mpmath as mp
 
     peak = abs(z) ** (1.0 / alpha)
-    with mp.workdps(40 + int(peak / math.log(10.0))):
+    cancelled = int(peak / math.log(10.0)) if z < 0.0 else 0
+    with mp.workdps(40 + cancelled):
         zz, a, b = mp.mpf(z), mp.mpf(alpha), mp.mpf(beta)
         s = mp.mpf(0)
         k = 0
         while True:
             t = zz**k / mp.gamma(a * k + b)
             s += t
-            if k > peak / alpha + 2 and abs(t) < mp.mpf("1e-45") * (1 + abs(s)):
+            if k > peak / alpha + 2 and abs(t) < mp.mpf("1e-45") * abs(s):
                 return float(s)
             k += 1
 
@@ -311,36 +313,29 @@ def test_positive_z_series_runs_past_a_tiny_first_term():
                 assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (alpha, beta, z)
 
 
-def _mpmath_positive_series(alpha: float, beta: float, z: float) -> float:
-    """Reference for z > 0, where no term cancels: the Taylor series in
-    30-digit mpmath, summed past its peak until the terms fall below 1e-40
-    of the sum."""
-    import mpmath as mp
-
-    with mp.workdps(30):
-        logz, a, b = mp.log(z), mp.mpf(alpha), mp.mpf(beta)
-        s = mp.mpf(0)
-        k = 0
-        while True:
-            t = mp.exp(k * logz - mp.loggamma(a * k + b))
-            s += t
-            if k > (z ** (1.0 / alpha) - beta) / alpha and t < mp.mpf("1e-40") * s:
-                return float(s)
-            k += 1
-
-
 @pytest.mark.parametrize("alpha, beta, z", [(0.5, 200.0, 30.0), (0.5, 150.0, 30.0), (0.1, 200.0, 2.0)])
 def test_positive_z_series_below_the_target_returns_within_it(alpha, beta, z):
     # the terms peak near k = 1400, 1500 and 8200, past the 400 the Taylor
     # route sums, and the contour's beta recurrence overflows; the largest
-    # term bounds the whole series below 1e-10, so the partial sum is returned
-    ref = _mpmath_positive_series(alpha, beta, z)
+    # term bounds the whole series below 1e-10, so the terms are summed in
+    # log space past the peak, to full relative accuracy (the 400-term
+    # partial sum read 8.76e-276, 3.29e-147 and 0.0)
+    ref = _mpmath_taylor(alpha, beta, z)
     assert 0.0 < ref < 1e-40
     assert math.log(ref) <= special._log_series_bound(alpha, beta, z) <= math.log(1e-10)
     with pytest.raises(PrecisionLossError, match="exceeds double range"):
         special._opc(alpha, beta, z)
     value = mittag_leffler(MLParams(alpha, beta), z)
-    assert 0.0 <= value <= ref
+    assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_positive_z_series_peaking_past_the_log_sum_cap_returns_its_partial_sum():
+    # the terms of E_{0.1,2e6}(5) peak near k = 7.8e7, past the 50,000 terms
+    # the log-space sum may take; the whole series is below e^-2.2e7, so the
+    # 400-term partial sum is within the target
+    assert special._log_space_sum(0.1, 2e6, 5.0) is None
+    assert special._log_series_bound(0.1, 2e6, 5.0) < -2e7
+    assert mittag_leffler(MLParams(0.1, 2e6), 5.0) == 0.0
 
 
 def test_reciprocal_gamma_past_the_double_range_is_zero():

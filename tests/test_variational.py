@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractime import FracOrder, TimeGrid, harmonic, legendre_transform, solve_fde
+from fractime import FracOrder, TimeGrid, harmonic, solve_fde
 from fractime.fracops import embed_operator
 from fractime.grids import Trajectory, trapezoid
 from fractime.reports import interior_max
@@ -103,18 +103,16 @@ def test_two_sided_derivative_sum_preserves_symmetry():
 
 def test_causal_branch_vanishes_on_fractional_solution():
     L = harmonic()
-    H = legendre_transform(L)
     grid = TimeGrid(0.0, 2.0, 2048)
-    sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
+    sol = solve_fde(L, np.array([1.0, 0.0]), grid, HALF)
     causal = causal_el_residual(L, sol.x_part(), HALF)
     assert interior_max(causal) <= 5e-3
 
 
 def test_general_branch_stays_large_on_fractional_solution():
     L = harmonic()
-    H = legendre_transform(L)
     grid = TimeGrid(0.0, 2.0, 2048)
-    sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
+    sol = solve_fde(L, np.array([1.0, 0.0]), grid, HALF)
     causal = causal_el_residual(L, sol.x_part(), HALF)
     general = general_el_residual(L, sol.x_part(), HALF)
     assert interior_max(general) >= 0.1
@@ -153,7 +151,7 @@ def test_causal_branch_is_embedded_classical_operator_for_random_systems(L, alph
 
 
 def test_canonical_action_residual_small_on_fractional_solution():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 2.0, 2048)
     sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
     residual = hamiltonian_action_residual(H, sol.x_part(), sol.p_part(), HALF)
@@ -161,7 +159,7 @@ def test_canonical_action_residual_small_on_fractional_solution():
 
 
 def test_canonical_residual_large_on_wrong_trajectory():
-    H = legendre_transform(harmonic())
+    H = harmonic()
     grid = TimeGrid(0.0, 2.0, 512)
     x = Trajectory.from_callable(grid, lambda t: np.cos(2.0 * t))
     p = Trajectory.from_callable(grid, lambda t: np.sin(3.0 * t))
