@@ -366,7 +366,14 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
     fn, exact = _FUNCTIONS[cfg.extras["function"]]
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
-    traj = Trajectory.from_callable(grid, fn)
+    with np.errstate(over="ignore"):
+        values = fn(grid.nodes())
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(
+            f"function {cfg.extras['function']} overflows a double on"
+            f" [a, b] = [{cfg.a:g}, {cfg.b:g}]"
+        )
+    traj = Trajectory(grid, values)
     left = caputo_left(traj, order).values[:, 0]
     right = caputo_right(traj, order).values[:, 0]
     report.outputs.append(("frac_deriv.csv", ["t", "left", "right"], [grid.nodes(), left, right]))

@@ -19,18 +19,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
-from .fracops import (
-    FracOrder,
-    _history_sums,
-    _pt_corrector_weights,
-    caputo_left,
-)
+from .fracops import FracOrder, _history_sums, _pt_corrector_weights
 from .grids import TimeGrid, Trajectory
 from .systems import NaturalSystem
 
 __all__ = [
     "FdeSolution",
-    "flh_residual",
     "solve_classical",
     "solve_fde",
     "solve_fde_system",
@@ -63,26 +57,6 @@ class FdeSolution:
 
     def p_part(self) -> Trajectory:
         return Trajectory(self.grid, self.y.values[:, self.dim :].copy())
-
-
-def flh_residual(
-    system: NaturalSystem, x: Trajectory, p: Trajectory, order: FracOrder
-) -> Trajectory:
-    """Defect of the fractional Legendre link between L and H of a system.
-
-    Three stacked components per node: p - dL/dv(x, D^a x), dH/dx + dL/dx
-    (evaluated with the Caputo velocity), and dH/dp - D^a x.  All vanish
-    along exact fractional flows up to scheme error.
-    """
-    x.same_grid(p)
-    v = caputo_left(x, order).values
-    xv, pv = x.values, p.values
-    grad = np.asarray(system.potential_grad(xv), dtype=float)
-    c1 = pv - system.mass * v
-    # U'(x) - U'(x): zero on any path, since both sides share one potential
-    c2 = grad + -grad
-    c3 = pv / system.mass - v
-    return Trajectory(x.grid, np.hstack([c1, c2, c3]))
 
 
 def solve_classical(H: NaturalSystem, y0, grid: TimeGrid) -> Trajectory:

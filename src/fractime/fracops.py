@@ -3,8 +3,8 @@
 Left and right Caputo derivatives via the L1 scheme, left and right
 Riemann-Liouville integrals via product-trapezoid quadrature, the
 integration-by-parts residual that ties them together, and the fractional
-embedding of first-order differential operators (time derivative replaced
-by the left Caputo derivative).
+embedding of first-order differential operators, each given as a tuple of
+terms (time derivative replaced by the left Caputo derivative).
 
 Conventions: the left derivative is 0 at the first node and the right
 derivative is 0 at the last node, where the defining integrals are empty.
@@ -31,7 +31,6 @@ from .grids import Trajectory, trapezoid
 __all__ = [
     "FracOrder",
     "OperatorTerm",
-    "OperatorSpec",
     "caputo_left",
     "caputo_right",
     "rl_integral_left",
@@ -166,24 +165,19 @@ class OperatorTerm:
     power: int
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Sum of factor/derivative-target terms sharing one argument signature;
-    the maps' middle argument receives the trajectory's derivative."""
-
-    terms: tuple[OperatorTerm, ...]
-
-
-def embed_operator(op: OperatorSpec, order: FracOrder) -> Callable[[Trajectory], Trajectory]:
+def embed_operator(
+    terms: tuple[OperatorTerm, ...], order: FracOrder
+) -> Callable[[Trajectory], Trajectory]:
     """Fractional embedding of a first-order differential operator.
 
-    Every time derivative in op, both the applied power and the derivative
-    slot inside arguments, is replaced by the left Caputo derivative.  The
-    returned evaluator maps a Trajectory x to
+    The operator is the sum of its terms; each map's middle argument
+    receives the trajectory's derivative.  Every time derivative, both
+    the applied power and that derivative slot, is replaced by the left
+    Caputo derivative.  The returned evaluator maps a Trajectory x to
     sum_i f_i(x, D^a x, t) * (D^a_left)^{power_i} g_i(x, D^a x, t).
     As alpha -> 1 this approaches the classical operator evaluation.
     """
-    for term in op.terms:
+    for term in terms:
         if term.power not in (0, 1):
             raise UnsupportedOperatorError(
                 f"derivative power {term.power} not supported (only 0 and 1)"
@@ -194,7 +188,7 @@ def embed_operator(op: OperatorSpec, order: FracOrder) -> Callable[[Trajectory],
         xv = x.values
         vv = caputo_left(x, order).values
         acc = None
-        for term in op.terms:
+        for term in terms:
             gv = np.broadcast_to(
                 np.asarray(term.target(xv, vv, t), dtype=float), xv.shape
             )

@@ -196,7 +196,8 @@ def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
     exceed the target.  Both ends are pulled inward by the factor f_bar
     that the strengths allow, which spends log f_bar of the target, and the
     fit balances discretization against truncation on the shrunk strip.
-    Returns None when the strip is too narrow for the target.
+    Returns None when the strip is too narrow for the target, or so narrow
+    in double precision that the fit degenerates (h or mu 0, or N < 0).
     """
     sl = math.sqrt(phi_l)
     sr = min(math.sqrt(phi_r), 2.0 * math.sqrt(log_tol - _LOG_EPS) - sl)
@@ -208,6 +209,8 @@ def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
             f_min = max(1.01 * (sl + sr) / (sr - sl) ** max(p, 1.0), 1.5)
         except OverflowError:  # the power passes the double range: the ratio is 0
             f_min = 1.5
+        except ZeroDivisionError:  # a zero-width strip, or the power underflows
+            return None
     if f_min >= f_max:
         return None
     f_bar = f_min + f_min / f_max * (f_max - f_min)
@@ -224,7 +227,10 @@ def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
     w = -br * br / log_tol
     mu = (((1.0 + w) * bl + br) / (2.0 + w)) ** 2
     h = -2.0 * math.pi / log_tol * (br - bl) / ((1.0 + w) * bl + br)
-    return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
+    if mu == 0.0 or h == 0.0:
+        return None
+    n = math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
+    return (mu, h, n) if n >= 0 else None
 
 
 def _unbounded_fit(phi_l: float, p: float, log_tol: float):

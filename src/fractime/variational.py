@@ -1,15 +1,17 @@
 """Fractional action functionals and Euler-Lagrange residuals.
 
-The action integrates L(x, D^a x, t) over the grid.  Stationarity under
-unrestricted endpoint-pinned variations yields the general equation
-dL/dx + D^a_right dL/dv = 0, whose right derivative makes the dynamics
-anticausal; restricting variations yields the causal branch
-dL/dx - D^a_left dL/dv = 0.  The causal residual is, node for node, the
-fractional embedding of the classical Euler-Lagrange operator: both are
-assembled from the same discrete primitives, so they agree bitwise and
-the embedding commutes with the least-action principle.  The general and
-causal equations have genuinely different solutions; reports on both
-sides of that dichotomy use interior norms.
+The action integrates L(x, D^a x, t) over the grid.  Its directional
+derivative along a sampled variation, which vanishes at both ends and
+whose complementary left integral vanishes at b, equals the pairing with
+the general residual dL/dx + D^a_right dL/dv, whose right derivative
+makes the dynamics anticausal.  The causal branch dL/dx - D^a_left dL/dv
+is, node for node, the fractional embedding of the classical
+Euler-Lagrange operator: both are assembled from the same discrete
+primitives, so they agree bitwise and the embedding commutes with the
+causal least-action principle.  The phase-space residual states the same
+causal equations in canonical form.  The general and causal equations
+have genuinely different solutions; reports on both sides of that
+dichotomy use interior norms.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .fracops import (
     FracOrder,
-    OperatorSpec,
     OperatorTerm,
     caputo_left,
     caputo_right,
@@ -33,15 +34,12 @@ __all__ = [
     "general_el_residual",
     "causal_el_residual",
     "classical_el_operator",
-    "k_alpha_apply",
     "hamiltonian_action_residual",
-    "variation_space_check",
     "sample_variation",
 ]
 
-
-# membership tolerance on the boundary data of an admissible variation
-_VARIATION_TOL = 1e-8
+# step of the central difference in directional_derivative
+_EPS = 1e-5
 
 
 def action(L: NaturalSystem, x: Trajectory, order: FracOrder) -> float:
@@ -56,13 +54,12 @@ def directional_derivative(
     x: Trajectory,
     h: Trajectory,
     order: FracOrder,
-    eps: float = 1e-5,
 ) -> float:
     """Central difference of the action along h: [A(x+eh) - A(x-eh)]/(2e)."""
     x.same_grid(h)
-    up = action(L, Trajectory(x.grid, x.values + eps * h.values), order)
-    dn = action(L, Trajectory(x.grid, x.values - eps * h.values), order)
-    return (up - dn) / (2.0 * eps)
+    up = action(L, Trajectory(x.grid, x.values + _EPS * h.values), order)
+    dn = action(L, Trajectory(x.grid, x.values - _EPS * h.values), order)
+    return (up - dn) / (2.0 * _EPS)
 
 
 def _el_parts(L: NaturalSystem, x: Trajectory, order: FracOrder):
@@ -85,24 +82,15 @@ def causal_el_residual(L: NaturalSystem, x: Trajectory, order: FracOrder) -> Tra
     return Trajectory(x.grid, dldx - caputo_left(dldv, order).values)
 
 
-def classical_el_operator(L: NaturalSystem) -> OperatorSpec:
-    """The classical Euler-Lagrange operator dL/dx - d/dt dL/dv as a spec.
+def classical_el_operator(L: NaturalSystem) -> tuple[OperatorTerm, ...]:
+    """The classical Euler-Lagrange operator dL/dx - d/dt dL/dv as its terms.
 
-    Feeding this to embed_operator reproduces causal_el_residual exactly:
+    Feeding these to embed_operator reproduces causal_el_residual exactly:
     the embedding and the restricted least-action principle commute.
     """
-    return OperatorSpec(
-        terms=(
-            OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: -L.potential_grad(x), 0),
-            OperatorTerm(lambda x, v, t: -1.0, lambda x, v, t: L.mass * v, 1),
-        ),
-    )
-
-
-def k_alpha_apply(x: Trajectory, order: FracOrder) -> Trajectory:
-    """Sum of left and right Caputo derivatives, componentwise."""
-    return Trajectory(
-        x.grid, caputo_left(x, order).values + caputo_right(x, order).values
+    return (
+        OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: -L.potential_grad(x), 0),
+        OperatorTerm(lambda x, v, t: -1.0, lambda x, v, t: L.mass * v, 1),
     )
 
 
@@ -113,48 +101,14 @@ def hamiltonian_action_residual(
 
     Stacked components: -U'(x) - D^a_left p and D^a_left x - p/m,
     which is exactly the embedded canonical system, so causal critical
-    points and fractional canonical solutions coincide.
+    points and fractional canonical solutions coincide.  The second half
+    is the fractional Legendre link p = m D^a_left x, divided by m.
     """
     x.same_grid(p)
     xv, pv = x.values, p.values
     c1 = -np.asarray(H.potential_grad(xv), dtype=float) - caputo_left(p, order).values
     c2 = caputo_left(x, order).values - pv / H.mass
     return Trajectory(x.grid, np.hstack([c1, c2]))
-
-
-def variation_space_check(
-    h: Trajectory, order: FracOrder, strict: bool = False
-) -> tuple[bool, dict]:
-    """Membership test with diagnostics for the admissible-variation spaces.
-
-    V_alpha demands h(b) = 0 and a vanishing left integral of complementary
-    order at a (identically zero for the discrete operator; the computed
-    value is reported).  strict selects V_alpha_tilde, which additionally
-    demands that left and right derivatives of h cancel.
-
-    Returns (member, diagnostics).  Diagnostics always report the endpoint
-    value and the left integral of complementary order at a; the stricter
-    space adds the per-node cancellation profile |D^a_left h + D^a_right h|
-    and its tolerance 10 * h_step^(2 - a).
-    """
-    comp = FracOrder(1.0 - order.alpha)
-    endpoint = float(np.max(np.abs(h.values[-1])))
-    left_integral_at_a = float(
-        np.max(np.abs(rl_integral_left(h, comp).values[0]))
-    )
-    ok = endpoint <= _VARIATION_TOL and left_integral_at_a <= _VARIATION_TOL
-    diag = {
-        "endpoint_value": endpoint,
-        "left_integral_at_a": left_integral_at_a,
-    }
-    if strict:
-        profile = np.max(np.abs(k_alpha_apply(h, order).values), axis=1)
-        tol = 10.0 * h.grid.h ** (2.0 - order.alpha)
-        diag["k_alpha_profile"] = profile
-        diag["k_alpha_max"] = float(np.max(profile))
-        diag["k_alpha_tol"] = tol
-        ok = ok and diag["k_alpha_max"] <= tol
-    return ok, diag
 
 
 def sample_variation(grid: TimeGrid, order: FracOrder, rng) -> Trajectory:

@@ -337,6 +337,18 @@ def test_subordinator_refuses_alpha_too_small_for_the_stable_map(tmp_path, alpha
     assert not out.exists()
 
 
+def test_frac_deriv_refuses_a_function_that_overflows(tmp_path):
+    # exp passes the double range past t = 709.78; refused naming the
+    # function and b, with no warning
+    out = tmp_path / "out"
+    res = run_cli("frac-deriv", "--function", "exp", "--b", "1000", "--n", "64", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert lines == ["error: function exp overflows a double on [a, b] = [0, 1000]"], res.stderr
+    assert not out.exists()
+
+
 def test_subordinator_rejects_oversized_ensemble(tmp_path):
     # 10^7 paths on 2049 nodes would ask for 164 GB; the cap fires first
     res = run_cli("subordinator", "--m-paths", "10000000", "--out", str(tmp_path))

@@ -20,10 +20,9 @@ from fractime import (
     mittag_leffler,
     solve_fde,
 )
-from fractime.dynamics import flh_residual, solve_classical, solve_fde_system
+from fractime.dynamics import solve_classical, solve_fde_system
 from fractime.errors import DivergenceError
 from fractime.fracops import _pt_corrector_weights
-from fractime.reports import interior_max
 from fractime.systems import free_particle, quartic
 
 HALF = FracOrder(0.5)
@@ -247,14 +246,6 @@ def test_stiff_quartic_divergence_keeps_its_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.strip() == "error: fractional solution diverged near t = 0.0976562"
-
-
-def test_legendre_link_residual_small_along_fractional_flow():
-    H = harmonic()
-    grid = TimeGrid(0.0, 2.0, 2048)
-    sol = solve_fde(H, np.array([1.0, 0.0]), grid, HALF)
-    residual = flh_residual(H, sol.x_part(), sol.p_part(), HALF)
-    assert interior_max(residual) < 5e-3
 
 
 def test_quartic_fractional_flow_stays_finite():

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from fractime import FracOrder, TimeGrid
 from fractime.errors import GridError, OutOfRangeError
 from fractime.fracops import (
-    OperatorSpec,
     OperatorTerm,
     _history_sums,
     _l1_weights,
@@ -210,14 +209,12 @@ def test_componentwise_action_on_stacked_trajectories():
 def test_embed_operator_replaces_time_derivative_with_caputo():
     # classical operator x + 2 (d/dt) x embeds to x + 2 D^a x
     grid = TimeGrid(0.0, 1.0, 256)
-    spec = OperatorSpec(
-        terms=(
-            OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 0),
-            OperatorTerm(lambda x, v, t: 2.0, lambda x, v, t: x, 1),
-        ),
+    terms = (
+        OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 0),
+        OperatorTerm(lambda x, v, t: 2.0, lambda x, v, t: x, 1),
     )
     traj = Trajectory.from_callable(grid, lambda t: t * t)
-    out = embed_operator(spec, HALF)(traj).values[:, 0]
+    out = embed_operator(terms, HALF)(traj).values[:, 0]
     manual = traj.values[:, 0] + 2.0 * caputo_left(traj, HALF).values[:, 0]
     np.testing.assert_array_equal(out, manual)
 
@@ -225,11 +222,9 @@ def test_embed_operator_replaces_time_derivative_with_caputo():
 def test_embed_operator_rejects_higher_powers():
     from fractime.errors import UnsupportedOperatorError
 
-    spec = OperatorSpec(
-        terms=(OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 2),),
-    )
+    terms = (OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 2),)
     with pytest.raises(UnsupportedOperatorError):
-        embed_operator(spec, HALF)
+        embed_operator(terms, HALF)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import fractime.special as special
 from fractime import MLParams, TimeGrid, mittag_leffler
 from fractime.special import Z_MAX
-from fractime.errors import OutOfRangeError, PrecisionLossError
+from fractime.errors import FractimeError, OutOfRangeError, PrecisionLossError
 
 # E_{1/2}(-1) = e * erfc(1) in the classical erfc closed form
 ERFC_ORACLE = math.exp(1.0) * math.erfc(1.0)
@@ -344,6 +344,32 @@ def test_reciprocal_gamma_past_the_double_range_is_zero():
     # 400 terms stop short of the peak, so the contour route runs its beta
     # recurrence through 1/Gamma(199.5), ...; the value is about e^-797
     assert mittag_leffler(MLParams(0.5, 200.0), 20.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, z",
+    [(0.5, 1e20, 2.0), (0.5, 1e20, 0.5), (0.5, 1e20, 50.0), (0.05, 1e33, 50.0), (1.5, 1e25, 3.0)],
+)
+def test_huge_beta_below_the_target_is_zero(alpha, beta, z):
+    # the contour's strip degenerates in double precision (an underflowed
+    # width, h = 0 or N < 0: once an IndexError or a ZeroDivisionError);
+    # the largest term bounds the true value far below the target
+    assert special._log_series_bound(alpha, beta, z) < -1e19
+    assert mittag_leffler(MLParams(alpha, beta), z) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_beta_sweep_returns_a_value_or_a_typed_error():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        alpha = float(rng.uniform(0.01, 2.0))
+        beta = float(10.0 ** rng.uniform(16.0, 30.0))
+        z = float(rng.uniform(-50.0, 50.0))
+        try:
+            value = mittag_leffler(MLParams(alpha, beta), z)
+        except FractimeError:
+            continue
+        assert math.isfinite(value), (alpha, beta, z)
 
 
 # (alpha, beta, z, value by _mpmath_taylor) where neither Taylor route
