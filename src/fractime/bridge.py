@@ -18,8 +18,10 @@ law (exact_marginal_ensemble, which the command line passes, since every
 check here reads one node at a time) map the same way.  A flow averages
 the nodes the ensemble holds; an exact ensemble thinned to the commutation
 nodes (MarginalEnsemble.at) flows only those.  Fewer than two rows are
-refused, since they have no standard error.  A flow reduces all a check
-reads in one pass over blocks of rows, so no M-row array outlives a block.
+refused, since they have no standard error.  Every flow reduces all a
+check reads in one pass over blocks of rows: the means and stderr, the
+means of 16 path groups and the commutation moments, so no M-row array
+outlives a block.
 The blocks run on a thread pool with one worker per CPU the process may
 use (as many as fit a 16 MiB workspace), and are folded in block order, so
 results do not depend on the core count.
@@ -103,9 +105,9 @@ class SubordinatedObservable:
     the node times of the ensemble, stacked x over p as in FdeSolution.y.
 
     mean and stderr are (nodes, 2d); node 0 is pinned to the initial data
-    with zero stderr (S(0) = 0 on every path).  A derived flow also carries
-    the (groups, nodes, 2d) group means, for batch-means error bars, and the
-    commutation report.
+    with zero stderr (S(0) = 0 on every path).  group_means is (groups,
+    nodes, 2d), for batch-means error bars; commutation is the commutation
+    report at the flow's commutation nodes.
     """
 
     mean: np.ndarray
@@ -113,8 +115,8 @@ class SubordinatedObservable:
     # perfbench/tracer.py reads m_paths, mean_x and the always-None
     # path_x/path_p (no row values outlive the flow) at each flow's return
     m_paths: int
-    group_means: np.ndarray | None = None
-    commutation: CommutationReport | None = None
+    group_means: np.ndarray
+    commutation: CommutationReport
     path_x: None = None
     path_p: None = None
 
@@ -127,7 +129,6 @@ def subordinate_flow(
     H: NaturalSystem,
     y0,
     ens: SubordinatorEnsemble | MarginalEnsemble,
-    derived: bool = False,
 ) -> SubordinatedObservable:
     """Average the classical flow over the internal-time rows of ens, at
     each node the ensemble holds.
@@ -140,9 +141,9 @@ def subordinate_flow(
     group, on every CPU the process may use (within a 16 MiB workspace);
     the blocks' sums are folded in block order, so the result is the same
     bits on any core count.
-    derived also sums, in the same pass, the means of min(16, M) row
-    groups, and dH - dH(y0) and its square at the commutation nodes, for
-    the commutation report against dH at the flow's own means.
+    The same pass sums the means of min(16, M) row groups (the last takes
+    the remainder), and dH - dH(y0) and its square at the commutation
+    nodes, for the commutation report against dH at the flow's own means.
 
     Raises:
         DegenerateSampleError: fewer than two paths.
@@ -175,9 +176,9 @@ def subordinate_flow(
     n_nodes = len(ens.t)
     sums = np.zeros((2 * d, n_nodes))
     sumsq = np.zeros((2 * d, n_nodes))
-    groups = min(_N_GROUPS, M) if derived else 0
+    groups = min(_N_GROUPS, M)
     # group g holds rows starts[g]:starts[g + 1]; the last takes the remainder
-    starts = [g * (M // groups) for g in range(groups)] + [M] if groups else [0, M]
+    starts = [g * (M // groups) for g in range(groups)] + [M]
     group_sums = np.zeros((groups, 2 * d, n_nodes))
     kept = _commutation_nodes(n_nodes - 1)
     dh_sums, dh_sumsq = np.zeros((2, len(kept), 2 * d))
@@ -189,34 +190,31 @@ def subordinate_flow(
 
     def block_moments(lo: int, hi: int):
         """Per column, the sum and sum of squares of rows lo:hi over each
-        node and, when derived, of dH - dH(y0) at the kept nodes."""
+        node, and of dH - dH(y0) at the kept nodes."""
         if not hasattr(buffers, "block"):
             buffers.block = np.empty((_FLOW_BLOCK, n_nodes))
         block = ens.rows(lo, hi, out=buffers.block[: hi - lo])
         moments = np.empty((2, 2 * d, n_nodes))
-        at_kept = np.empty((hi - lo, len(kept), 2 * d)) if derived else None
+        at_kept = np.empty((hi - lo, len(kept), 2 * d))
         # each column's values are dropped once reduced, so a worker holds
         # at most one block and one column of values
         for c, col in enumerate(cols):
             vals = np.interp(block, tau_nodes, col)
             moments[0, c] = vals.sum(axis=0)
             moments[1, c] = np.einsum("mj,mj->j", vals, vals)
-            if derived:
-                at_kept[:, :, c] = vals[:, kept]
+            at_kept[:, :, c] = vals[:, kept]
             del vals
-        if not derived:
-            return moments, None
         # kept node 0 is node 0, where every row is y0: dH - dH(y0)
         dh = _gradient(H, at_kept + y0)
         dh -= dh[0, 0].copy()
-        return moments, (dh.sum(axis=0), np.einsum("mjc,mjc->jc", dh, dh))
+        return moments, dh.sum(axis=0), np.einsum("mjc,mjc->jc", dh, dh)
 
     # imported here: at the top it would cost every command a few ms
     from concurrent.futures import ThreadPoolExecutor
 
     spans = [
         (g, lo, min(lo + _FLOW_BLOCK, starts[g + 1]))
-        for g in range(len(starts) - 1)
+        for g in range(groups)
         for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK)
     ]
     # blocks run on one thread per CPU the process may use, within the
@@ -231,21 +229,18 @@ def subordinate_flow(
             # fold the oldest block once the window is full, and all at the end
             while pending and (len(pending) == 2 * workers or k == len(spans) - 1):
                 g_done, future = pending.popleft()
-                (block_sums, block_sumsq), dh_moments = future.result()
-                sums += block_sums
-                sumsq += block_sumsq
-                if derived:
-                    group_sums[g_done] += block_sums
-                    dh_sums += dh_moments[0]
-                    dh_sumsq += dh_moments[1]
+                moments, dh_sum, dh_sq = future.result()
+                sums += moments[0]
+                sumsq += moments[1]
+                group_sums[g_done] += moments[0]
+                dh_sums += dh_sum
+                dh_sumsq += dh_sq
 
     shifted, stderr = _moments(sums.T, sumsq.T, M)
     mean = shifted + y0
     # node 0 is y0 on every path; remove the summation rounding artifact
     mean[0] = y0
     stderr[0] = 0.0
-    if not derived:
-        return SubordinatedObservable(mean, stderr, M)
     gm = (group_sums / np.diff(starts)[:, None, None]).transpose(0, 2, 1) + y0
     gm[:, 0, :] = y0
     at_mean = _gradient(H, mean[kept])
@@ -342,12 +337,12 @@ def verify_compatibility(
     Batch means over 16 path groups provide the stderr for the two
     derived identities, since fractional operators amplify node-to-node
     Monte Carlo noise in a correlated way that per-path stderr cannot
-    describe.  All three checks read one derived flow of the one sample
-    ens, which reduces the group means and the commutation gap in its pass.
+    describe.  All three checks read one flow of the one sample ens, which
+    reduces the group means and the commutation gap in its pass.
     Tables momentum_xk (p_a against m D^a x_a) and causal_el_xk (|residual|
     against 0) per component k.
     """
-    obs = subordinate_flow(L, y0, ens, derived=True)
+    obs = subordinate_flow(L, y0, ens)
     t_grid, order = ens.t_grid, ens.alpha
     mass = L.mass
     n, d = t_grid.n, L.dim

@@ -30,7 +30,7 @@ from .bridge import (
     verify_stanislavsky,
 )
 from .dynamics import solve_fde
-from .errors import ConfigError, FractimeError
+from .errors import ConfigError, FractimeError, GridError
 from .fracops import FracOrder, caputo_left, caputo_right, embed_operator
 from .grids import TimeGrid, Trajectory, write_csv, write_text
 from .special import Z_MAX, MLParams, mittag_leffler
@@ -359,23 +359,36 @@ _FUNCTIONS = {
 
 
 def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
-    if cfg.extras["function"] not in _FUNCTIONS:
+    name = cfg.extras["function"]
+    if name not in _FUNCTIONS:
+        raise ConfigError(f"function must be one of {sorted(_FUNCTIONS)}, got '{name}'")
+    fn, exact = _FUNCTIONS[name]
+    if exact is None and cfg.n < 4:
         raise ConfigError(
-            f"function must be one of {sorted(_FUNCTIONS)}, got '{cfg.extras['function']}'"
+            f"n must be at least 4 for function {name}, whose self-convergence"
+            f" check halves the grid; got {cfg.n}"
         )
-    fn, exact = _FUNCTIONS[cfg.extras["function"]]
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
+    span = f"[a, b] = [{cfg.a:g}, {cfg.b:g}]"
     with np.errstate(over="ignore"):
         values = fn(grid.nodes())
     if not np.all(np.isfinite(values)):
-        raise ConfigError(
-            f"function {cfg.extras['function']} overflows a double on"
-            f" [a, b] = [{cfg.a:g}, {cfg.b:g}]"
-        )
+        raise ConfigError(f"function {name} overflows a double on {span}")
+
+    def derivative(operator, traj: Trajectory) -> np.ndarray:
+        # the operators' history sums overflow before the samples do
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return operator(traj, order).values[:, 0]
+        except GridError:
+            raise ConfigError(
+                f"the derivative of function {name} overflows a double on {span}; lower b"
+            ) from None
+
     traj = Trajectory(grid, values)
-    left = caputo_left(traj, order).values[:, 0]
-    right = caputo_right(traj, order).values[:, 0]
+    left = derivative(caputo_left, traj)
+    right = derivative(caputo_right, traj)
     report.outputs.append(("frac_deriv.csv", ["t", "left", "right"], [grid.nodes(), left, right]))
 
     flat = float(np.abs(caputo_left(Trajectory.constant(grid, 1.0), order).values).max())
@@ -391,7 +404,7 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
         # same times (a Caputo value at t depends only on [a, t])
         end = cfg.b if cfg.n % 2 == 0 else grid.nodes()[cfg.n - 1]
         half = TimeGrid(cfg.a, end, cfg.n // 2)
-        coarse = caputo_left(Trajectory.from_callable(half, fn), order).values[:, 0]
+        coarse = derivative(caputo_left, Trajectory.from_callable(half, fn))
         wc = interior_window(cfg.n // 2)
         dev = float(
             np.abs(left[::2][wc : cfg.n // 2 + 1 - wc] - coarse[wc : cfg.n // 2 + 1 - wc]).max()
@@ -546,7 +559,7 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
 
     # its check reads only the commutation nodes, so only those are flowed
     at_nodes = ens.at(_commutation_nodes(ens.t_grid.n))
-    cg = subordinate_flow(quartic(), (1.0, 0.0), at_nodes, derived=True).commutation
+    cg = subordinate_flow(quartic(), (1.0, 0.0), at_nodes).commutation
     report.checks += [
         *crep.checks,
         Check(

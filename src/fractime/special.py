@@ -155,15 +155,19 @@ def _log_series_bound(alpha: float, beta: float, z: float) -> float:
     peaks in [u, u + 1/2], u = max(beta, z^(1/alpha)), at most log(2)/2
     above g(u) once u >= 1, and falls by at least alpha log(3/2) per term
     past x = 2u.  So the at most 2u/alpha + 1 terms below 2u and the
-    geometric tail above it bound the sum.  inf when u < 1 or z^(1/alpha)
-    passes the double range.
+    geometric tail above it bound the sum.  inf when u < 1, z^(1/alpha)
+    passes the double range, or alpha is subnormal.
     """
     rate = math.log(z) / alpha
     u = max(beta, math.exp(min(rate, _EXP_CAP)))
     if rate > _EXP_CAP or u < 1.0:
         return math.inf
     peak = (u - beta) * rate - math.lgamma(u) + 0.5 * math.log(2.0)
-    return peak + math.log(2.0 * u / alpha + 1.0 + 1.0 / (1.0 - (2.0 / 3.0) ** alpha))
+    # 1 - (2/3)^alpha, formed so that it rounds to 0 only at subnormal alpha
+    tail = -math.expm1(alpha * math.log(2.0 / 3.0))
+    if tail == 0.0:
+        return math.inf
+    return peak + math.log(2.0 * u / alpha + 1.0 + 1.0 / tail)
 
 
 def _log_space_sum(alpha: float, beta: float, z: float) -> float | None:
@@ -325,9 +329,15 @@ def _contour(alpha: float, beta: float, z: float) -> float | None:
     mu, h, n = fits[j]
     u = h * np.arange(n + 1)
     s = mu * (1.0 + 1j * u) ** 2
-    terms = np.exp(s) * s ** (alpha - beta) / (s**alpha - z) * (2.0 * mu * (1j - u))
-    terms[0] *= 0.5
     with np.errstate(over="ignore", invalid="ignore"):
+        den = s**alpha - z
+        if not den.all():
+            raise PrecisionLossError(
+                f"s^alpha - z rounds to 0 on the contour of E_({alpha},{beta})({z}):"
+                f" alpha = {alpha:g} is too small for double precision"
+            )
+        terms = np.exp(s) * s ** (alpha - beta) / den * (2.0 * mu * (1j - u))
+        terms[0] *= 0.5
         residues = poles[j:] ** (1.0 - beta) * np.exp(poles[j:]) / alpha
         return h / math.pi * float(np.sum(terms.imag)) + float(np.sum(residues.real))
 

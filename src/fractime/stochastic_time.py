@@ -55,7 +55,8 @@ __all__ = [
 # streams (keys of two entries: a path's key is its one index)
 _RENEWAL_KEY = 1
 _MARGINAL_KEY = 2
-# a path holds all its levels in memory at once; cap their expected number
+# a path holds all its levels (a renewal path its arrivals) in memory at
+# once; cap their expected number
 _MAX_LEVELS = 1e6
 # the ensemble holds M x nodes float64 values at once: 1 GiB at most
 _MAX_VALUES = 2**27
@@ -324,18 +325,27 @@ def scaling_samples(
 
     Raises:
         OutOfRangeError: c < 100, c <= scale 2^(1/alpha) (where the median
-            count is 0), M < 1000, or an exact ensemble on [0, 1] at n = 2
-            would hold more than 2^27 values (all checked before any
-            allocation).
+            count is 0), a path would draw more than 1e6 arrivals
+            ((c/scale)^alpha, the size of its first draw), M < 1000, or an
+            exact ensemble on [0, 1] at n = 2 would hold more than 2^27
+            values (all checked before any allocation).
         DegenerateSampleError: the sample median of the counts is zero.
     """
     if c < 100.0:
         raise OutOfRangeError(f"c must be at least 100, got {c}")
-    # P(N_c = 0) = (scale/c)^alpha, formed in logs: 2^(1/alpha) overflows at small alpha
-    p_zero = math.exp(law.alpha.alpha * (math.log(law.scale) - math.log(c)))
+    # P(N_c = 0) = (scale/c)^alpha, formed in logs: 2^(1/alpha) overflows at
+    # small alpha, and (c/scale)^alpha at a tiny scale
+    log_arrivals = law.alpha.alpha * (math.log(c) - math.log(law.scale))
+    p_zero = math.exp(-log_arrivals)
     if p_zero >= 0.5:
         raise OutOfRangeError(
             f"c must exceed scale * 2^(1/alpha), got c = {c:g} with P(N_c = 0) = {p_zero:.4g}"
+        )
+    if log_arrivals > math.log(_MAX_LEVELS):
+        raise OutOfRangeError(
+            f"c = {c:g} at scale = {law.scale:g} needs about"
+            f" 10^{log_arrivals / math.log(10):.3g} arrivals per path"
+            f" (at most {_MAX_LEVELS:.0e}); lower c or raise scale"
         )
     if M < 1000:
         raise OutOfRangeError(f"M must be at least 1000, got {M}")

@@ -268,7 +268,7 @@ def test_acceptance_10_compatibility_and_commutation():
         ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 2048), 10000, seed=42)
         momentum, causal, _ = verify_compatibility(harmonic(), np.array([1.0, 0.0]), ens).checks
         Hq = quartic()
-        quartic_rep = subordinate_flow(Hq, np.array([1.0, 0.0]), ens, derived=True).commutation
+        quartic_rep = subordinate_flow(Hq, np.array([1.0, 0.0]), ens).commutation
     ok = momentum.passed and causal.passed and quartic_rep.significance > 10.0
     _verdict(
         10, ok, tm.elapsed, 120.0,

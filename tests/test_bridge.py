@@ -124,7 +124,7 @@ def test_single_path_ensemble_is_refused():
     H = harmonic()
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 1.0, 16), 1, seed=3)
     with pytest.raises(DegenerateSampleError, match="two paths"):
-        subordinate_flow(H, np.array([1.0, 0.0]), ens, derived=True)
+        subordinate_flow(H, np.array([1.0, 0.0]), ens)
 
 
 @pytest.mark.parametrize("tau_step", [None, 10.0])
@@ -190,7 +190,7 @@ def test_blocked_flow_matches_per_row_reference(m_paths):
     H = quartic()
     y0 = np.array([1.0, 0.5])
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
-    obs = subordinate_flow(H, y0, ens, derived=True)
+    obs = subordinate_flow(H, y0, ens)
     mean, se, gm, gap, gap_se = _per_row_flow(H, y0, ens, min(16, m_paths))
     # only the order of summation differs: sums of <= 1000 values of size <= 2
     tol = dict(rtol=0.0, atol=1e-12)
@@ -217,23 +217,21 @@ def _flow_on(monkeypatch, workers, *args, **kw):
 
 
 @pytest.mark.parametrize("sample", [inverse_subordinator_paths, exact_marginal_ensemble])
-@pytest.mark.parametrize("m_paths, derived", [(1037, False), (1037, True), (5, True)])
-def test_flow_is_the_same_bits_on_any_worker_count(monkeypatch, sample, m_paths, derived):
-    # 1,037 rows end in a partial block of 13, and derived in a remainder
-    # group of 77 rows; 5 derived rows are five one-row groups
+@pytest.mark.parametrize("m_paths", [1037, 5])
+def test_flow_is_the_same_bits_on_any_worker_count(monkeypatch, sample, m_paths):
+    # 1,037 rows end in a partial block of 13 and a remainder group of 77
+    # rows; 5 rows are five one-row groups
     H = quartic()
     y0 = np.array([1.0, 0.5])
     ens = sample(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
     before = threading.active_count()
-    one, four = (_flow_on(monkeypatch, w, H, y0, ens, derived=derived) for w in (1, 4))
+    one, four = (_flow_on(monkeypatch, w, H, y0, ens) for w in (1, 4))
     assert threading.active_count() == before
 
     def arrays(obs):
         comm = obs.commutation
-        derived_arrays = (obs.group_means, comm.t, comm.gap, comm.stderr) if derived else ()
-        return (obs.mean, obs.stderr) + derived_arrays
+        return obs.mean, obs.stderr, obs.group_means, comm.t, comm.gap, comm.stderr
 
-    assert (one.commutation is None) == (not derived)
     for a, b in zip(arrays(one), arrays(four), strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -261,7 +259,7 @@ def test_an_error_in_a_block_propagates_and_the_pool_is_gone(monkeypatch):
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 100), 1037, seed=3)
     before = threading.active_count()
     with pytest.raises(BlockError, match="dH/dx"):
-        _flow_on(monkeypatch, 4, H, np.array([1.0, 0.5]), ens, derived=True)
+        _flow_on(monkeypatch, 4, H, np.array([1.0, 0.5]), ens)
     assert threading.active_count() == before
 
 
@@ -276,7 +274,6 @@ def test_quadratic_gradients_commute_with_averaging():
                 inverse_subordinator_paths(
                     FracOrder(alpha), TimeGrid(0.0, 2.0, 32), 2000, seed=42
                 ),
-                derived=True,
             )
             rep = obs.commutation
             assert rep.significance <= 3.0, (omega, alpha, rep.significance)
@@ -285,7 +282,7 @@ def test_quadratic_gradients_commute_with_averaging():
 def test_quartic_gradient_opens_significant_gap():
     H = quartic()
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 64), 10000, seed=42)
-    rep = subordinate_flow(H, np.array([1.0, 0.0]), ens, derived=True).commutation
+    rep = subordinate_flow(H, np.array([1.0, 0.0]), ens).commutation
     assert rep.significance > 10.0
 
 
@@ -308,7 +305,7 @@ def test_commutation_report_on_fine_grid_equals_64_step_grid_bitwise():
     reports = []
     for n in (512, 64):
         ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, n), 500, seed=42)
-        reports.append(subordinate_flow(H, y0, ens, derived=True).commutation)
+        reports.append(subordinate_flow(H, y0, ens).commutation)
     fine, coarse = reports
     assert fine.significance > 0.0
     for field in ("t", "gap", "stderr"):
@@ -322,8 +319,8 @@ def test_flow_at_the_commutation_nodes_equals_the_full_flow_there(n, m_paths):
     y0 = np.array([1.0, 0.0])
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, n), m_paths, seed=42)
     kept = _commutation_nodes(n)
-    full = subordinate_flow(H, y0, ens, derived=True)
-    part = subordinate_flow(H, y0, ens.at(kept), derived=True)
+    full = subordinate_flow(H, y0, ens)
+    part = subordinate_flow(H, y0, ens.at(kept))
     assert part.mean.shape == (len(kept), 2)
     np.testing.assert_array_equal(ens.at(kept).t, ens.t[kept])
     for name in ("mean", "stderr"):
@@ -371,7 +368,7 @@ def test_derived_flow_holds_no_row_sized_array():
     at_nodes = ens.at(_commutation_nodes(2048))
     tracemalloc.start()
     try:
-        obs = subordinate_flow(H, np.array([1.0, 0.0]), at_nodes, derived=True)
+        obs = subordinate_flow(H, np.array([1.0, 0.0]), at_nodes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -349,6 +349,56 @@ def test_frac_deriv_refuses_a_function_that_overflows(tmp_path):
     assert not out.exists()
 
 
+def test_frac_deriv_refuses_a_derivative_that_overflows(tmp_path):
+    # exp(709) = 8.2e307 is finite, but the history sums of its derivative
+    # overflow; refused naming the function and b, with no warning
+    out = tmp_path / "out"
+    res = run_cli("frac-deriv", "--function", "exp", "--b", "709", "--n", "64", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    expected = "error: the derivative of function exp overflows a double on [a, b] = [0, 709]; lower b"
+    assert res.stderr.splitlines() == [expected], res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("function, n", [("sin", 3), ("cos", 2), ("exp", 3)])
+def test_frac_deriv_self_convergence_needs_four_steps(tmp_path, capsys, function, n):
+    # the check halves the grid, which needs two steps; t and t2 have
+    # closed forms and run at n = 2
+    from fractime import cli
+
+    out = tmp_path / "out"
+    assert cli.main(["frac-deriv", "--function", function, "--n", str(n), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: n must be at least 4 for function {function}, whose"
+        f" self-convergence check halves the grid; got {n}\n"
+    )
+    assert not out.exists()
+    assert cli.main(["frac-deriv", "--function", "t2", "--n", "2", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("args", [["--scale", "1e-300"], ["--c", "1e300"]], ids=" ".join)
+def test_scaling_limit_refuses_a_renewal_law_it_cannot_draw(tmp_path, args):
+    out = tmp_path / "out"
+    res = run_cli("scaling-limit", *args, "--m-paths", "1000", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and "arrivals per path" in lines[0], res.stderr
+    assert "c = " in lines[0] and "scale = " in lines[0]
+    assert not out.exists()
+
+
+def test_ml_eval_refuses_an_alpha_below_double_resolution(tmp_path):
+    res = run_cli("ml-eval", "--alpha", "1e-17", "--z", "1", "--out", str(tmp_path / "out"))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and "alpha = 1e-17 is too small" in lines[0], res.stderr
+
+
 def test_subordinator_rejects_oversized_ensemble(tmp_path):
     # 10^7 paths on 2049 nodes would ask for 164 GB; the cap fires first
     res = run_cli("subordinator", "--m-paths", "10000000", "--out", str(tmp_path))

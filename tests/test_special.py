@@ -13,6 +13,7 @@ integer-ratio Taylor terms against Fraction arithmetic.
 import math
 import os
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +312,21 @@ def test_positive_z_series_runs_past_a_tiny_first_term():
                     assert z ** (1.0 / alpha) > math.log(np.finfo(float).max), (alpha, beta, z)
                     continue
                 assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (alpha, beta, z)
+
+
+@pytest.mark.parametrize("alpha", [1e-17, 1e-300, 5e-324])
+def test_tiny_alpha_is_a_typed_error_without_warnings(alpha):
+    # s^alpha rounds to 1 on the whole contour, so s^alpha - 1 is 0 there;
+    # refused naming alpha, where the series bound's 1 - (2/3)^alpha once
+    # rounded to 0 and raised ZeroDivisionError. |z| < 1 still converges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLossError, match=f"alpha = {alpha:g} is too small"):
+            mittag_leffler(MLParams(alpha, 1.0), 1.0)
+        # E_{alpha,1}(z) -> 1/(1 - z) as alpha -> 0
+        assert abs(mittag_leffler(MLParams(alpha, 1.0), 0.5) - 2.0) <= 1e-10
+    # the bound stays finite down to the subnormals, where it is inf
+    assert math.isfinite(special._log_series_bound(alpha, 1.0, 1.0)) == (alpha >= 1e-300)
 
 
 @pytest.mark.parametrize("alpha, beta, z", [(0.5, 200.0, 30.0), (0.5, 150.0, 30.0), (0.1, 200.0, 2.0)])

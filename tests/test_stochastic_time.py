@@ -14,6 +14,7 @@ process is involved).  Closed-form oracles:
 """
 
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -486,6 +487,31 @@ def test_scaling_samples_refuse_a_zero_median_count_by_the_law():
     # 2^(1/alpha) overflows a double here; the test runs in logs
     with pytest.raises(OutOfRangeError, match="c = 1e\\+300"):
         scaling_samples(WaitingTimeLaw(FracOrder(1e-4), 1.0), 1e300, 1000, seed=0)
+
+
+@pytest.mark.parametrize(
+    "c, scale, refused", [(1e4, 1e-300, True), (1e300, 1.0, True), (1e13, 1.0, True), (9.9e11, 1.0, False)]
+)
+def test_scaling_samples_refuse_more_arrivals_than_a_path_holds(monkeypatch, c, scale, refused):
+    # a path's first draw holds about 1.5 (c/scale)^alpha waits: 10^152,
+    # 10^150 and 10^6.5 at alpha = 1/2, refused in logs before any draw;
+    # 9.95e5 is within the 1e6 cap and goes on to draw
+    import fractime.stochastic_time as stochastic_time
+
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(stochastic_time, "_arrivals", draw)
+    law = WaitingTimeLaw(HALF, scale)
+    if refused:
+        with pytest.raises(OutOfRangeError, match=re.escape(f"c = {c:g} at scale = {scale:g} needs")):
+            scaling_samples(law, c, 1000, seed=0)
+    else:
+        with pytest.raises(Drawn):
+            scaling_samples(law, c, 1000, seed=0)
 
 
 def test_scaling_samples_report_a_zero_sample_median():
