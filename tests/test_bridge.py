@@ -205,11 +205,13 @@ def test_blocked_flow_matches_per_row_reference(m_paths):
     assert not np.any(comm.gap[0]) and not np.any(comm.stderr[0])
 
 
-def _flow_on(monkeypatch, workers, *args, **kw):
-    """subordinate_flow on a pool of the given size, threads switching often."""
+def _flow_on(monkeypatch, workers, *args, switch_often=True, **kw):
+    """subordinate_flow on a pool of the given size, its threads switching
+    every microsecond or at the interpreter's default interval."""
     monkeypatch.setattr(bridge, "_workers", lambda: workers)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    if switch_often:
+        sys.setswitchinterval(1e-6)
     try:
         return subordinate_flow(*args, **kw)
     finally:
@@ -217,15 +219,18 @@ def _flow_on(monkeypatch, workers, *args, **kw):
 
 
 @pytest.mark.parametrize("sample", [inverse_subordinator_paths, exact_marginal_ensemble])
-@pytest.mark.parametrize("m_paths", [1037, 5])
-def test_flow_is_the_same_bits_on_any_worker_count(monkeypatch, sample, m_paths):
+@pytest.mark.parametrize("m_paths, switch_often", [(1037, False), (1037, True), (5, True)])
+def test_flow_is_the_same_bits_on_any_worker_count(monkeypatch, sample, m_paths, switch_often):
     # 1,037 rows end in a partial block of 13 and a remainder group of 77
-    # rows; 5 rows are five one-row groups
+    # rows, folded at the default switch interval and at 1 us; 5 rows are
+    # five one-row groups
     H = quartic()
     y0 = np.array([1.0, 0.5])
     ens = sample(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
     before = threading.active_count()
-    one, four = (_flow_on(monkeypatch, w, H, y0, ens) for w in (1, 4))
+    one, four = (
+        _flow_on(monkeypatch, w, H, y0, ens, switch_often=switch_often) for w in (1, 4)
+    )
     assert threading.active_count() == before
 
     def arrays(obs):
