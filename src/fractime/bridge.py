@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +72,9 @@ _MAX_CLASSICAL_STEPS = 2**24
 # never straddles two batch-means groups
 _FLOW_BLOCK = 64
 # bytes of blocks and column values the flow's workers hold at once: each
-# holds two blocks, so at n = 2048 at most 7 workers run, whatever the host
+# holds one block buffer and one column of values, 2 MiB at n = 2048, so at
+# most 7 workers run, whatever the host; a finished block holds only its
+# moments (64 KiB at n = 2048, d = 1) until the fold reads it
 _FLOW_WORKSPACE = 16 << 20
 _PASS_FRACTION = 0.95
 _N_GROUPS = 16
@@ -188,9 +189,10 @@ def subordinate_flow(
     # when freed, and faulted in again for the next block
     buffers = threading.local()
 
-    def block_moments(lo: int, hi: int):
-        """Per column, the sum and sum of squares of rows lo:hi over each
-        node, and of dH - dH(y0) at the kept nodes."""
+    def block_moments(span):
+        """Per column, the sum and sum of squares of the rows lo:hi of span
+        (group, lo, hi) over each node, and of dH - dH(y0) at the kept nodes."""
+        _, lo, hi = span
         if not hasattr(buffers, "block"):
             buffers.block = np.empty((_FLOW_BLOCK, n_nodes))
         block = ens.rows(lo, hi, out=buffers.block[: hi - lo])
@@ -218,23 +220,17 @@ def subordinate_flow(
         for lo in range(starts[g], starts[g + 1], _FLOW_BLOCK)
     ]
     # blocks run on one thread per CPU the process may use, within the
-    # workspace; this thread folds their moments in block order, the
-    # additions a serial loop makes, so the result depends on neither the
-    # core count nor scheduling.  At most 2 x workers blocks are in flight
+    # workspace; map yields their moments in span order, and this thread
+    # folds them with the additions a serial loop makes, so the result
+    # depends on neither the core count nor scheduling
     workers = max(1, min(_workers(), _FLOW_WORKSPACE // (2 * _FLOW_BLOCK * n_nodes * 8)))
     with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for k, (g, lo, hi) in enumerate(spans):
-            pending.append((g, pool.submit(block_moments, lo, hi)))
-            # fold the oldest block once the window is full, and all at the end
-            while pending and (len(pending) == 2 * workers or k == len(spans) - 1):
-                g_done, future = pending.popleft()
-                moments, dh_sum, dh_sq = future.result()
-                sums += moments[0]
-                sumsq += moments[1]
-                group_sums[g_done] += moments[0]
-                dh_sums += dh_sum
-                dh_sumsq += dh_sq
+        for (g, _, _), (moments, dh_sum, dh_sq) in zip(spans, pool.map(block_moments, spans)):
+            sums += moments[0]
+            sumsq += moments[1]
+            group_sums[g] += moments[0]
+            dh_sums += dh_sum
+            dh_sumsq += dh_sq
 
     shifted, stderr = _moments(sums.T, sumsq.T, M)
     mean = shifted + y0

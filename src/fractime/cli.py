@@ -36,7 +36,6 @@ from .grids import TimeGrid, Trajectory, write_csv, write_text
 from .special import Z_MAX, MLParams, mittag_leffler
 from .stochastic_time import (
     WaitingTimeLaw,
-    _quantiles,
     ensemble_mean,
     exact_marginal_ensemble,
     inverse_subordinator_paths,
@@ -485,7 +484,7 @@ def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
         (
             "scaling_limit.csv",
             ["p", "rescaled_counts_quantile", "internal_time_quantile"],
-            [probs, _quantiles(counts / b_c, probs), _quantiles(s1, probs)],
+            [probs, np.quantile(counts / b_c, probs), np.quantile(s1, probs)],
         )
     )
     report.notes.append(f"b(c) = {b_c:.6g}, KS = {ks:.4f}")

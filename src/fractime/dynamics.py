@@ -30,6 +30,8 @@ __all__ = [
     "solve_fde_system",
 ]
 
+# a state diverges once |y| passes this many times the data's scale,
+# max(1, max |y0|), or turns non-finite
 _DIVERGENCE_CAP = 1e12
 # steps per leaf of the blocked fractional Adams history
 _FDE_LEAF = 128
@@ -63,15 +65,17 @@ def solve_classical(H: NaturalSystem, y0, grid: TimeGrid) -> Trajectory:
     """Integrate the canonical equations with the Verlet step.
 
     Raises:
-        DivergenceError: a non-finite state or |y| beyond 1e12.
+        DivergenceError: a non-finite state or |y| beyond 1e12 max(1, max |y0|).
     """
     y0 = np.asarray(y0, dtype=float)
     d = y0.size // 2
-    return Trajectory(grid, _verlet(H, y0[:d].copy(), y0[d:].copy(), grid))
+    # an overflowing force becomes an inf, which the divergence rule refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Trajectory(grid, _verlet(H, y0[:d].copy(), y0[d:].copy(), grid))
 
 
-def _check_state(y: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _DIVERGENCE_CAP:
+def _check_state(y: np.ndarray, t: float, scale: float) -> None:
+    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) / scale > _DIVERGENCE_CAP:
         raise DivergenceError(f"solution diverged near t = {t:.6g}")
 
 
@@ -81,6 +85,7 @@ def _verlet(H: NaturalSystem, x, p, grid: TimeGrid) -> np.ndarray:
     du = H.potential_grad
     values = np.empty((n + 1, 2 * x.size))
     values[0] = np.concatenate([x, p])
+    scale = float(np.abs(values[0]).max(initial=1.0))
     xs, ps = values[:, : x.size], values[:, x.size :]
     # the force at the end of one step starts the next
     force = np.asarray(du(x), dtype=float)
@@ -92,8 +97,8 @@ def _verlet(H: NaturalSystem, x, p, grid: TimeGrid) -> np.ndarray:
         xs[k] = x
         ps[k] = p
         if k % 64 == 1:
-            _check_state(values[k], grid.a + k * h)
-    _check_state(values[-1], grid.b)
+            _check_state(values[k], grid.a + k * h, scale)
+    _check_state(values[-1], grid.b, scale)
     return values
 
 
@@ -120,9 +125,11 @@ def solve_fde_system(
     history before the next call.
 
     Raises:
-        DivergenceError: state magnitude beyond 1e12 or non-finite.
+        DivergenceError: state magnitude beyond 1e12 max(1, max |y0|), or
+            non-finite.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
+    scale = float(np.abs(y0).max(initial=1.0))
     n, h, alpha = grid.n, grid.h, order.alpha
     t = grid.nodes()
     m = y0.size
@@ -162,8 +169,9 @@ def solve_fde_system(
             near = cw_rev[n - i + start : n] @ fhist[start:i]
             y[i] = y0 + h2 * ((far[i - start] + near) + fpred)
             fhist[i] = rhs(t[i], y[i])
-            # a NaN compares False, so this also catches non-finite states
-            if not all(abs(v) <= _DIVERGENCE_CAP for v in y[i].tolist()):
+            # a NaN compares False, so this also catches non-finite states;
+            # |y| is divided by the scale, as 1e12 times it may overflow to inf
+            if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in y[i].tolist()):
                 raise DivergenceError(f"fractional solution diverged near t = {t[i]:.6g}")
 
     def solve(lo: int, hi: int) -> None:
@@ -194,5 +202,7 @@ def solve_fde(H: NaturalSystem, y0, grid: TimeGrid, order: FracOrder) -> FdeSolu
         np.negative(du(y[:d]), out=dp)
         return out
 
-    y = solve_fde_system(rhs, y0, grid, order)
+    # an overflowing force becomes an inf, which the divergence rule refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = solve_fde_system(rhs, y0, grid, order)
     return FdeSolution(grid=grid, y=y, alpha=order)

@@ -13,8 +13,8 @@ Evaluation routes, tried in order:
    ``z.as_integer_ratio()`` and the factorial, and the terms are summed
    with ``math.fsum``, which removes the term-rounding error that otherwise
    dominates alternating sums such as E_1(-10).
-2. General Taylor series with compensated summation and a running error
-   bound.
+2. General Taylor series, its terms summed with ``math.fsum`` as in route
+   1, with a running error bound.
 3. Otherwise, Garrappa's optimal parabolic contour (OPC): the inverse
    Laplace transform of s^(alpha-beta)/(s^alpha - z), a trapezoid sum on a
    parabola chosen between the transform's singularities plus the residues
@@ -114,17 +114,18 @@ def _taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
 
 
 def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, bool]:
-    """Kahan-compensated Taylor series with a running error bound.
+    """Taylor series summed with math.fsum, with a running error bound.
 
     Terms are exp(k log|z| - lgamma(alpha k + beta)); the estimate charges
     each term for lgamma's relative error and for the rounding of its
-    argument, which dominates once the terms grow large.  For z > 0 the terms
-    are log-concave in k, so the stop test waits until they fall.
+    argument, which dominates once the terms grow large.  A plain running
+    sum serves the stop test.  For z > 0 the terms are log-concave in k, so
+    the stop test waits until they fall.
     """
     logz = math.log(abs(z))
     neg = z < 0.0
+    terms: list[float] = []
     s = 0.0
-    c = 0.0
     absum = 0.0
     errsum = 0.0
     for k in range(_MAX_TERMS):
@@ -135,12 +136,10 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
             return s, math.inf, False
         mag = math.exp(e)
         if k > 0 and mag < 1e-16 * (1.0 + abs(s)) and (neg or e < prev):
-            return s, _EPS * (errsum + 4.0 * absum) + mag, True
+            return math.fsum(terms), _EPS * (errsum + 4.0 * absum) + mag, True
         t = -mag if (neg and k & 1) else mag
-        yk = t - c
-        u = s + yk
-        c = (u - s) - yk
-        s = u
+        terms.append(t)
+        s += t
         absum += mag
         prev = e
         errsum += mag * (3.0 + abs(lg) + 0.5 * y * max(1.0, math.log(y)) + 0.5 * k * abs(logz))

@@ -354,7 +354,7 @@ def scaling_samples(
     counts = np.array(
         [len(_arrivals(law, c, _path_rng(seed, (_RENEWAL_KEY, i)))) for i in range(M)], float
     )
-    if _median(counts) == 0.0:
+    if np.median(counts) == 0.0:
         raise DegenerateSampleError(f"the median count is 0 at c = {c:g}; raise c")
     return counts, _marginal_scale(law.alpha.alpha, M, seed)
 
@@ -365,30 +365,7 @@ def rescale_factor(counts: np.ndarray, s1: np.ndarray) -> float:
     The limiting law fixes b(c) only up to a regularly varying factor;
     median matching avoids the unstated constant.
     """
-    return _median(counts) / _median(s1)
-
-
-def _median(a: np.ndarray) -> float:
-    """np.median of a finite 1-d array, as it forms it (the mean of the two
-    middle values of an even count), without the numpy.ma import that the
-    first np.median call makes."""
-    lo, hi = (a.size - 1) // 2, a.size // 2
-    return float(np.mean(np.partition(a, [lo, hi])[lo : hi + 1]))
-
-
-def _quantiles(a: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """np.quantile(a, probs) of a finite 1-d array, as it forms it (its
-    linear method: between the sorted values u, w either side of (n - 1) p,
-    u + (w - u) g, or w - (w - u)(1 - g) when the weight g >= 1/2), without
-    the numpy.ma import that np.quantile makes through np.unique."""
-    ordered = np.sort(a)
-    virtual = (a.size - 1) * probs
-    below = np.floor(virtual)
-    g = virtual - below
-    lo = np.minimum(below.astype(np.intp), a.size - 1)
-    u, w = ordered[lo], ordered[np.minimum(lo + 1, a.size - 1)]
-    step = w - u
-    return np.where(g >= 0.5, w - step * (1 - g), u + step * g)
+    return float(np.median(counts) / np.median(s1))
 
 
 def ks_statistic(a, b) -> float:

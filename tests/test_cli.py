@@ -1,6 +1,7 @@
 """Command-line interface: flags, config files, exit codes, artifacts."""
 
 import dataclasses
+import importlib.util
 import itertools
 import math
 import operator
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 _WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(*args, cwd=None):
@@ -729,6 +731,29 @@ def test_bridge_commands_load_no_numpy_ma(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "False"
+
+
+def test_benchmark_invocations_print_their_declared_checks(tmp_path, monkeypatch, capsys):
+    # the benchmark passes --seed to every invocation and marks a run
+    # incorrect when a report prints another number of check lines than
+    # the invocation declares; its judge reads each in-process report
+    from fractime import cli
+
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", _PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    # registered before it runs: its dataclasses look their module up there
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    for name, invocations in bench.WORKLOADS.items():
+        for i, inv in enumerate(invocations):
+            out_dir = str(tmp_path / f"{name}_{i}")
+            argv = [*inv.args, "--seed", "42", "--out", out_dir]
+            code = cli.main(argv)
+            outcome = bench.judge(inv, argv, code, capsys.readouterr().out, out_dir)
+            assert code in (0, 1), (argv, outcome.problems)
+            assert len(outcome.report.checks) == inv.checks, (argv, outcome.problems)
+            assert outcome.problems == [], argv
 
 
 def test_verify_compatibility_samples_internal_time_once(tmp_path, monkeypatch, capsys):

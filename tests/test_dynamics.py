@@ -8,6 +8,7 @@ free particle has x(t) = x0 + (p0/m) t^a / Gamma(1+a) exactly.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ def test_classical_harmonic_matches_trig_solution():
 
 
 def test_classical_verlet_reports_divergence_at_its_step():
-    # a force of 1e14 throws |p| past the 1e12 cap on the first step
+    # a force of 1e14 throws x to -5e11, whose force throws |p| past the
+    # cap of 1e12 |x0| = 1e16 on the first step
     with pytest.raises(DivergenceError, match="near t = 0.1$"):
         solve_classical(quartic(100.0), np.array([1e4, 0.0]), TimeGrid(0.0, 10.0, 100))
 
@@ -246,6 +248,49 @@ def test_stiff_quartic_divergence_keeps_its_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.strip() == "error: fractional solution diverged near t = 0.0976562"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-fde", "--system", "free-particle", "--x0", "2e12", "--n", "64"],
+        ["verify-stanislavsky", "--system", "free-particle", "--x0", "2e12", "--n", "32"],
+    ],
+    ids=["solve-fde", "verify-stanislavsky"],
+)
+def test_large_data_are_not_divergence(tmp_path, capsys, argv):
+    # x stays 2e12 on every path; the cap scales with max(1, max |y0|)
+    from fractime import cli
+
+    code = cli.main([*argv, "--m-paths", "200", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr()
+
+
+_SOLVE, _FLOW = "fractional solution diverged near t =", "solution diverged near t ="
+_QUARTIC = ["--system", "quartic", "--x0", "1e40", "--n"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-fde", *_QUARTIC, "64"], f"{_SOLVE} 0.03125"),
+        (["verify-coherence", *_QUARTIC, "64"], f"{_SOLVE} 0.03125"),
+        (["verify-stanislavsky", *_QUARTIC, "32", "--m-paths", "200"], f"{_FLOW} 0.000999961"),
+        (["verify-compatibility", *_QUARTIC, "32", "--m-paths", "200"], f"{_FLOW} 0.000999961"),
+        (["solve-fde", "--system", "quartic(100)", "--b", "50"], f"{_SOLVE} 0.0976562"),
+    ],
+    ids=["solve-fde", "verify-coherence", "verify-stanislavsky", "verify-compatibility", "stiff"],
+)
+def test_divergence_is_refused_without_a_warning(tmp_path, capsys, argv, message):
+    # from x0 = 1e40, U'(x) = x^3 overflows within the first steps; the inf
+    # it becomes is refused as divergence, and no RuntimeWarning escapes
+    from fractime import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 def test_quartic_fractional_flow_stays_finite():

@@ -15,8 +15,6 @@ process is involved).  Closed-form oracles:
 
 import math
 import re
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -34,9 +32,7 @@ from fractime.stochastic_time import (
     _arrivals,
     _d_levels,
     _first_passage,
-    _median,
     _path_rng,
-    _quantiles,
     _stable_block,
     ensemble_mean,
     exact_marginal_ensemble,
@@ -554,38 +550,6 @@ def test_rescale_factor_is_positive_median_ratio():
     b = rescale_factor(counts, s1)
     assert b > 0.0
     assert np.median(counts / b) == pytest.approx(np.median(s1), rel=1e-6)
-
-
-@pytest.mark.parametrize("size", [7, 8, 10000, 10001])
-def test_partition_median_is_np_median_bitwise(size):
-    rng = np.random.default_rng(size)
-    for a in (rng.standard_normal(size) * 37.0, np.floor(rng.pareto(0.7, size))):
-        assert _median(a) == float(np.median(a))
-
-
-@pytest.mark.parametrize("size", [1, 2, 7, 8, 101, 10000, 10001])
-def test_sorted_quantiles_are_np_quantile_bitwise(size):
-    rng = np.random.default_rng(size)
-    probs = np.concatenate([np.linspace(0.0, 1.0, 101), rng.uniform(size=50)])
-    for a in (rng.standard_normal(size) * 37.0, np.floor(rng.pareto(0.7, size))):
-        assert _quantiles(a, probs).tobytes() == np.quantile(a, probs).tobytes()
-
-
-def test_scaling_medians_leave_numpy_ma_unimported(tmp_path):
-    # the first np.median or np.quantile call imports numpy.ma, about 13 ms
-    args = ["scaling-limit", "--c", "200", "--m-paths", "1000", "--out", str(tmp_path)]
-    code = (
-        "import sys\n"
-        "from fractime.stochastic_time import WaitingTimeLaw, rescale_factor, scaling_samples\n"
-        "from fractime import FracOrder, cli\n"
-        "counts, s1 = scaling_samples(WaitingTimeLaw(FracOrder(0.5), 1.0), 200.0, 1000)\n"
-        "rescale_factor(counts, s1)\n"
-        "assert 'numpy.ma' not in sys.modules\n"
-        f"assert cli.main({args!r}) in (0, 1)\n"
-        "assert 'numpy.ma' not in sys.modules\n"
-    )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
 
 
 @settings(max_examples=15, deadline=None)
