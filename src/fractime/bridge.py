@@ -65,7 +65,7 @@ _SIGMA = 3.0
 _SCHEME_TOL = 5e-3
 _BAND_WHAT = f"interior fraction within {_SIGMA:g}*stderr + {_SCHEME_TOL:g}"
 # the classical flow is read by linear interpolation on steps of at most
-# 1e-3; it and its shifted copy hold 2 x steps x 2d floats, 512 MiB at d = 1
+# 1e-3; it and its shifted copy hold 2 x steps x 2 floats, 512 MiB
 _CLASSICAL_STEP = 1e-3
 _MAX_CLASSICAL_STEPS = 2**24
 # rows interpolated per np.interp call (one MiB at n = 2048); a block
@@ -74,7 +74,7 @@ _FLOW_BLOCK = 64
 # bytes of blocks and column values the flow's workers hold at once: each
 # holds one block buffer and one column of values, 2 MiB at n = 2048, so at
 # most 7 workers run, whatever the host; a finished block holds only its
-# moments (64 KiB at n = 2048, d = 1) until the fold reads it
+# moments (64 KiB at n = 2048) until the fold reads it
 _FLOW_WORKSPACE = 16 << 20
 _PASS_FRACTION = 0.95
 _N_GROUPS = 16
@@ -105,9 +105,9 @@ class SubordinatedObservable:
     """Ensemble means of a classical flow evaluated at internal times, at
     the node times of the ensemble, stacked x over p as in FdeSolution.y.
 
-    mean and stderr are (nodes, 2d); node 0 is pinned to the initial data
+    mean and stderr are (nodes, 2); node 0 is pinned to the initial data
     with zero stderr (S(0) = 0 on every path).  group_means is (groups,
-    nodes, 2d), for batch-means error bars; commutation is the commutation
+    nodes, 2), for batch-means error bars; commutation is the commutation
     report at the flow's commutation nodes.
     """
 
@@ -123,7 +123,7 @@ class SubordinatedObservable:
 
     @property
     def mean_x(self) -> np.ndarray:
-        return self.mean[:, : self.mean.shape[1] // 2]
+        return self.mean[:, :1]
 
 
 def subordinate_flow(
@@ -148,16 +148,11 @@ def subordinate_flow(
 
     Raises:
         DegenerateSampleError: fewer than two paths.
-        OutOfRangeError: y0 does not stack x and p for H.dim, or the
-            classical horizon would need more than 2^24 steps (checked
-            before the classical solve).
+        OutOfRangeError: y0 is not two values, or the classical horizon
+            would need more than 2^24 steps (checked before the classical
+            solve).
     """
     y0 = np.asarray(y0, dtype=float).ravel()
-    if y0.size != 2 * H.dim:
-        raise OutOfRangeError(
-            f"y0 must stack x and p ({2 * H.dim} values), got {y0.size}"
-        )
-    d = H.dim
     M = ens.m_paths
     if M < 2:
         raise DegenerateSampleError("need at least two paths for mean and stderr")
@@ -175,14 +170,14 @@ def subordinate_flow(
     cols = (classical.values - y0).T
 
     n_nodes = len(ens.t)
-    sums = np.zeros((2 * d, n_nodes))
-    sumsq = np.zeros((2 * d, n_nodes))
+    sums = np.zeros((2, n_nodes))
+    sumsq = np.zeros((2, n_nodes))
     groups = min(_N_GROUPS, M)
     # group g holds rows starts[g]:starts[g + 1]; the last takes the remainder
     starts = [g * (M // groups) for g in range(groups)] + [M]
-    group_sums = np.zeros((groups, 2 * d, n_nodes))
+    group_sums = np.zeros((groups, 2, n_nodes))
     kept = _commutation_nodes(n_nodes - 1)
-    dh_sums, dh_sumsq = np.zeros((2, len(kept), 2 * d))
+    dh_sums, dh_sumsq = np.zeros((2, len(kept), 2))
 
     # each worker forms its blocks in one buffer of its own: a 1 MiB block
     # formed afresh on a worker thread is mostly handed back to the system
@@ -196,8 +191,8 @@ def subordinate_flow(
         if not hasattr(buffers, "block"):
             buffers.block = np.empty((_FLOW_BLOCK, n_nodes))
         block = ens.rows(lo, hi, out=buffers.block[: hi - lo])
-        moments = np.empty((2, 2 * d, n_nodes))
-        at_kept = np.empty((hi - lo, len(kept), 2 * d))
+        moments = np.empty((2, 2, n_nodes))
+        at_kept = np.empty((hi - lo, len(kept), 2))
         # each column's values are dropped once reduced, so a worker holds
         # at most one block and one column of values
         for c, col in enumerate(cols):
@@ -262,9 +257,8 @@ def _moments(sums, sumsq, M: int):
 
 def _gradient(H: NaturalSystem, y) -> np.ndarray:
     """dH/dx = U'(x) and dH/dp = p/m side by side at stacked phase points
-    y (..., 2d)."""
-    x, p = y[..., : H.dim], y[..., H.dim :]
-    return np.concatenate([np.asarray(H.potential_grad(x), float), p / H.mass], -1)
+    y (..., 2)."""
+    return np.concatenate([H.potential_grad(y[..., :1]), y[..., 1:] / H.mass], -1)
 
 
 def _commutation_nodes(n: int) -> np.ndarray:
@@ -305,20 +299,18 @@ def verify_stanislavsky(
 ) -> ComparisonReport:
     """Compare subordinated means against the Caputo canonical solution.
 
-    A node agrees when every phase component is within 3*stderr + 5e-3;
-    the check passes when at least 95% of interior nodes agree.  One table
-    per phase component, x0.. then p0...
+    A node agrees when x and p are both within 3*stderr + 5e-3; the check
+    passes when at least 95% of interior nodes agree.  Tables x0 and p0.
     """
     t_grid = ens.t_grid
     obs = subordinate_flow(H, y0, ens)
-    fde = solve_fde(H, np.asarray(y0, dtype=float).ravel(), t_grid, ens.alpha).y.values
+    fde = solve_fde(H, y0, t_grid, ens.alpha).y.values
     gap = np.abs(obs.mean - fde)
     check = _band_check("MC subordination matches fractional solve", gap, obs.stderr, t_grid.n)
-    labels = [f"x{k}" for k in range(H.dim)] + [f"p{k}" for k in range(H.dim)]
     t = t_grid.nodes()
     tables = tuple(
         (label, _TABLE_HEADER, [t, obs.mean[:, k], obs.stderr[:, k], fde[:, k], gap[:, k]])
-        for k, label in enumerate(labels)
+        for k, label in enumerate(("x0", "p0"))
     )
     return ComparisonReport(checks=(check,), tables=tables)
 
@@ -335,13 +327,13 @@ def verify_compatibility(
     Monte Carlo noise in a correlated way that per-path stderr cannot
     describe.  All three checks read one flow of the one sample ens, which
     reduces the group means and the commutation gap in its pass.
-    Tables momentum_xk (p_a against m D^a x_a) and causal_el_xk (|residual|
-    against 0) per component k.
+    Tables momentum_x0 (p_a against m D^a x_a) and causal_el_x0 (|residual|
+    against 0).
     """
     obs = subordinate_flow(L, y0, ens)
     t_grid, order = ens.t_grid, ens.alpha
     mass = L.mass
-    n, d = t_grid.n, L.dim
+    n = t_grid.n
 
     def derivative_route(x_mean):
         return mass * caputo_left(Trajectory(t_grid, x_mean.copy()), order).values
@@ -349,11 +341,11 @@ def verify_compatibility(
     def causal_residual(x_mean):
         return causal_el_residual(L, Trajectory(t_grid, x_mean.copy()), order).values
 
-    deriv_route = derivative_route(obs.mean[:, :d])
-    momentum_gap = np.abs(obs.mean[:, d:] - deriv_route)
-    momentum_se = _batch_stderr([g[:, d:] - derivative_route(g[:, :d]) for g in obs.group_means])
-    causal = np.abs(causal_residual(obs.mean[:, :d]))
-    causal_se = _batch_stderr([causal_residual(g[:, :d]) for g in obs.group_means])
+    deriv_route = derivative_route(obs.mean[:, :1])
+    momentum_gap = np.abs(obs.mean[:, 1:] - deriv_route)
+    momentum_se = _batch_stderr([g[:, 1:] - derivative_route(g[:, :1]) for g in obs.group_means])
+    causal = np.abs(causal_residual(obs.mean[:, :1]))
+    causal_se = _batch_stderr([causal_residual(g[:, :1]) for g in obs.group_means])
     comm = obs.commutation
     checks = (
         _band_check("momentum identity p_a = m D^a x_a", momentum_gap, momentum_se, n),
@@ -367,11 +359,7 @@ def verify_compatibility(
         ),
     )
     t = t_grid.nodes()
-    zero = np.zeros(len(t_grid))
-    tables = []
-    for k in range(d):
-        momentum = [t, obs.mean[:, d + k], momentum_se[:, k], deriv_route[:, k], momentum_gap[:, k]]
-        residual = [t, causal[:, k], causal_se[:, k], zero, causal[:, k]]
-        tables.append((f"momentum_x{k}", _TABLE_HEADER, momentum))
-        tables.append((f"causal_el_x{k}", _TABLE_HEADER, residual))
-    return ComparisonReport(checks=checks, tables=tuple(tables))
+    momentum = [t, obs.mean[:, 1], momentum_se[:, 0], deriv_route[:, 0], momentum_gap[:, 0]]
+    residual = [t, causal[:, 0], causal_se[:, 0], np.zeros(len(t_grid)), causal[:, 0]]
+    tables = (("momentum_x0", _TABLE_HEADER, momentum), ("causal_el_x0", _TABLE_HEADER, residual))
+    return ComparisonReport(checks=checks, tables=tables)

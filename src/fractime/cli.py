@@ -295,15 +295,17 @@ def _bind(positional, named, factory) -> dict:
     return params
 
 
-def _parse_phase_point(cfg: ExperimentConfig, dim: int) -> np.ndarray:
-    def vec(key: str) -> np.ndarray:
+def _parse_phase_point(cfg: ExperimentConfig) -> np.ndarray:
+    """(x0, p0), one number each; a comma list is refused, naming its key."""
+
+    def value(key: str) -> float:
         parts = [p for p in str(cfg.extras[key]).split(",") if p.strip()]
         vals = [_to_float(key, p) for p in parts]
-        if len(vals) != dim:
-            raise ConfigError(f"{key} must have {dim} component(s), got {len(vals)}")
-        return np.asarray(vals)
+        if len(vals) != 1:
+            raise ConfigError(f"{key} must have 1 component(s), got {len(vals)}")
+        return vals[0]
 
-    return np.concatenate([vec("x0"), vec("p0")])
+    return np.array([value("x0"), value("p0")])
 
 
 def _grid(cfg: ExperimentConfig) -> TimeGrid:
@@ -417,9 +419,9 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
     H, params, form = _resolve_system(cfg.system)
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
-    y0 = _parse_phase_point(cfg, H.dim)
+    y0 = _parse_phase_point(cfg)
     sol = solve_fde(H, y0, grid, order)
-    header = ["t"] + [f"x{k}" for k in range(sol.y.dim)]
+    header = ["t", "x0", "x1"]
     meta = [
         f"alpha={cfg.alpha:.17g}",
         f"n={cfg.n}",
@@ -503,7 +505,7 @@ def _declare_comparison(report: RunReport, tables, stem: str) -> None:
 
 def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
     H = parse_system(cfg.system)
-    y0 = _parse_phase_point(cfg, H.dim)
+    y0 = _parse_phase_point(cfg)
     rep = verify_stanislavsky(H, y0, _sample(cfg))
     report.checks.extend(rep.checks)
     _declare_comparison(report, rep.tables, "stanislavsky")
@@ -513,7 +515,7 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
     L = parse_system(cfg.system)
     order = FracOrder(cfg.alpha)
     grid = _grid(cfg)
-    y0 = _parse_phase_point(cfg, L.dim)
+    y0 = _parse_phase_point(cfg)
     sol = solve_fde(L, y0, grid, order)
     x = sol.x_part()
     causal = causal_el_residual(L, x, order)
@@ -521,12 +523,8 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
     embedded = embed_operator(classical_el_operator(L), order)(x)
     embed_gap = float(np.abs(causal.values - embedded.values).max())
 
-    headers = ["t"]
-    cols = [grid.nodes()]
-    for k in range(x.dim):
-        headers += [f"causal{k}", f"general{k}"]
-        cols += [causal.values[:, k], general.values[:, k]]
-    report.outputs.append(("coherence.csv", headers, cols))
+    cols = [grid.nodes(), causal.values[:, 0], general.values[:, 0]]
+    report.outputs.append(("coherence.csv", ["t", "causal0", "general0"], cols))
 
     causal_max, general_max = interior_max(causal), interior_max(general)
     ratio = general_max / max(causal_max, 1e-300)
@@ -552,7 +550,7 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
 
 def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     L = parse_system(cfg.system)
-    y0 = _parse_phase_point(cfg, L.dim)
+    y0 = _parse_phase_point(cfg)
     ens = _sample(cfg)
     crep = verify_compatibility(L, y0, ens)
 
@@ -571,7 +569,7 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     ]
     # after the quartic check, so the summary lists it too
     _declare_comparison(report, crep.tables, "compatibility")
-    # the quartic has d = 1: column 0 is dH/dx, column 1 is dH/dp
+    # column 0 is dH/dx, column 1 is dH/dp
     header = ["t"] + [f"{name}_{part}" for part in "xp" for name in ("gap", "stderr")]
     cols = [cg.t, cg.gap[:, 0], cg.stderr[:, 0], cg.gap[:, 1], cg.stderr[:, 1]]
     report.outputs.append(("quartic_gap.csv", header, cols))
@@ -623,9 +621,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_numeric_values(argv: list) -> list:
+    """argv with each "--key value" pair whose value parses as a float
+    joined into "--key=value": argparse reads a value such as -1e3 as a flag."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_float(token):
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_numeric_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         cfg = parse_config(ns)
         report = run_experiment(cfg)

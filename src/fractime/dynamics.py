@@ -1,24 +1,23 @@
 """Classical and fractional solvers for natural canonical dynamics.
 
-The classical route integrates dx/dt = p/m, dp/dt = -U'(x) with a
-symplectic Verlet step.  The fractional route replaces d/dt by the left
-Caputo derivative and solves the resulting memory equations with an
-Adams-Bashforth-Moulton predictor-corrector (fractional Adams scheme, one
-corrector sweep), whose history sums are blocked FFT convolutions; runs
-are deterministic and byte-identical on rerun.  A fractional right-hand
-side rhs(t, y) may return the same buffer on every call, overwritten in
-place: the solver copies each result before it calls rhs again.
+The classical route integrates dx/dt = p/m, dp/dt = -U'(x), one degree of
+freedom, with a symplectic Verlet step.  The fractional route replaces
+d/dt by the left Caputo derivative and solves the resulting memory
+equations with an Adams-Bashforth-Moulton predictor-corrector (fractional
+Adams scheme, one corrector sweep), whose history sums are blocked FFT
+convolutions; runs are deterministic and byte-identical on rerun.  Both
+step on Python floats; only the history sums run in numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, OutOfRangeError
 from .fracops import FracOrder, _history_sums, _pt_corrector_weights
 from .grids import TimeGrid, Trajectory
 from .systems import NaturalSystem
@@ -41,7 +40,7 @@ _FDE_LEAF = 128
 class FdeSolution:
     """Solution of the Caputo canonical system on a grid.
 
-    y stacks position over momentum: columns 0..d-1 hold x, d..2d-1 hold p.
+    y stacks position over momentum: column 0 holds x, column 1 holds p.
     The initial node equals y0 exactly; no fractional initial data is
     needed because the Caputo formulation sees only y(a).
     """
@@ -50,60 +49,64 @@ class FdeSolution:
     y: Trajectory
     alpha: FracOrder
 
-    @property
-    def dim(self) -> int:
-        return self.y.dim // 2
-
     def x_part(self) -> Trajectory:
-        return Trajectory(self.grid, self.y.values[:, : self.dim].copy())
+        return Trajectory(self.grid, self.y.values[:, :1].copy())
 
     def p_part(self) -> Trajectory:
-        return Trajectory(self.grid, self.y.values[:, self.dim :].copy())
+        return Trajectory(self.grid, self.y.values[:, 1:].copy())
+
+
+def _phase_point(y0) -> list:
+    """y0 as the two floats [x, p]."""
+    y = np.asarray(y0, dtype=float).ravel().tolist()
+    if len(y) != 2:
+        raise OutOfRangeError(f"y0 must stack x and p (2 values), got {len(y)}")
+    return y
+
+
+def _check_state(y, t: float, scale: float, what: str = "solution") -> None:
+    """Refuse floats y that are non-finite or beyond 1e12 times the scale."""
+    # a NaN compares False, so this also catches non-finite states; |y| is
+    # divided by the scale, as 1e12 times it may overflow to inf
+    if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in y):
+        raise DivergenceError(f"{what} diverged near t = {t:.6g}")
 
 
 def solve_classical(H: NaturalSystem, y0, grid: TimeGrid) -> Trajectory:
     """Integrate the canonical equations with the Verlet step.
 
     Raises:
+        OutOfRangeError: y0 is not two values.
         DivergenceError: a non-finite state or |y| beyond 1e12 max(1, max |y0|).
     """
-    y0 = np.asarray(y0, dtype=float)
-    d = y0.size // 2
-    # an overflowing force becomes an inf, which the divergence rule refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Trajectory(grid, _verlet(H, y0[:d].copy(), y0[d:].copy(), grid))
+    return Trajectory(grid, _verlet(H, *_phase_point(y0), grid))
 
 
-def _check_state(y: np.ndarray, t: float, scale: float) -> None:
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) / scale > _DIVERGENCE_CAP:
-        raise DivergenceError(f"solution diverged near t = {t:.6g}")
-
-
-def _verlet(H: NaturalSystem, x, p, grid: TimeGrid) -> np.ndarray:
+def _verlet(H: NaturalSystem, x: float, p: float, grid: TimeGrid) -> np.ndarray:
     n, h, m = grid.n, grid.h, H.mass
     half = 0.5 * h
     du = H.potential_grad
-    values = np.empty((n + 1, 2 * x.size))
-    values[0] = np.concatenate([x, p])
-    scale = float(np.abs(values[0]).max(initial=1.0))
-    xs, ps = values[:, : x.size], values[:, x.size :]
+    scale = max(1.0, abs(x), abs(p))
+    # two lists of floats, stacked at the end, cost half as much per step
+    # as a row written into an array at every step
+    xs, ps = [x], [p]
     # the force at the end of one step starts the next
-    force = np.asarray(du(x), dtype=float)
+    force = du(x)
     for k in range(1, n + 1):
         p_half = p - half * force
         x = x + h * p_half / m
-        force = np.asarray(du(x), dtype=float)
+        force = du(x)
         p = p_half - half * force
-        xs[k] = x
-        ps[k] = p
+        xs.append(x)
+        ps.append(p)
         if k % 64 == 1:
-            _check_state(values[k], grid.a + k * h, scale)
-    _check_state(values[-1], grid.b, scale)
-    return values
+            _check_state((x, p), grid.a + k * h, scale)
+    _check_state((x, p), grid.b, scale)
+    return np.column_stack((xs, ps))
 
 
 def solve_fde_system(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, list], Sequence[float]],
     y0,
     grid: TimeGrid,
     order: FracOrder,
@@ -119,10 +122,10 @@ def solve_fde_system(
     all.  Results are deterministic, byte-identical on rerun, and match
     the direct quadratic sums to roundoff.
 
-    rhs(t, y) returns the m values of the right-hand side as an array, a
-    sequence or, for m = 1, a scalar.  It may return one buffer that it
-    overwrites on every call: the solver copies each result into its own
-    history before the next call.
+    rhs(t, y) receives the m components of the state as a list of floats
+    and returns its m values as a sequence (a list, a tuple or an array).
+    It may return one buffer that it overwrites on every call: the solver
+    reads each result before the next call.
 
     Raises:
         DivergenceError: state magnitude beyond 1e12 max(1, max |y0|), or
@@ -151,7 +154,8 @@ def solve_fde_system(
     pred_hist = np.zeros_like(y)
     corr_hist = np.zeros_like(y)
     y[0] = y0
-    fhist[0] = rhs(t[0], y0)
+    y0 = y0.tolist()
+    fhist[0] = rhs(float(t[0]), y0)
     # bw[1 : k + 1][::-1] is bw_rev[n + 1 - k : n + 1] and cw[1 : k + 1][::-1]
     # is cw_rev[n - k : n]; the near sums keep these negative-stride views,
     # since a contiguous reversed copy sends @ down a path that sums in
@@ -161,18 +165,19 @@ def solve_fde_system(
     def leaf(lo: int, hi: int) -> None:
         start = max(lo, 1)
         # the corrector sums ((a0 f0 + corr_hist) + near) + fpred; the far
-        # part is complete once the leaf starts, so it is formed for all rows
-        far = a0[start - 1 : hi - 1, None] * fhist[0] + corr_hist[start:hi]
-        for i in range(start, hi):
-            pred = y0 + h1 * (pred_hist[i] + bw_rev[n + 1 - i + lo : n + 1] @ fhist[lo:i])
-            fpred = rhs(t[i], pred)
-            near = cw_rev[n - i + start : n] @ fhist[start:i]
-            y[i] = y0 + h2 * ((far[i - start] + near) + fpred)
-            fhist[i] = rhs(t[i], y[i])
-            # a NaN compares False, so this also catches non-finite states;
-            # |y| is divided by the scale, as 1e12 times it may overflow to inf
-            if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in y[i].tolist()):
-                raise DivergenceError(f"fractional solution diverged near t = {t[i]:.6g}")
+        # part is complete once the leaf starts, so it is formed for all
+        # rows; each step's state is formed on floats, row by row
+        far = (a0[start - 1 : hi - 1, None] * fhist[0] + corr_hist[start:hi]).tolist()
+        pred_far = pred_hist[start:hi].tolist()
+        for i, ti, corr, pred_i in zip(range(start, hi), t[start:hi].tolist(), far, pred_far):
+            near_p = (bw_rev[n + 1 - i + lo : n + 1] @ fhist[lo:i]).tolist()
+            pred = [u + h1 * (f + g) for u, f, g in zip(y0, pred_i, near_p)]
+            fpred = rhs(ti, pred)
+            near_c = (cw_rev[n - i + start : n] @ fhist[start:i]).tolist()
+            yi = [u + h2 * ((f + g) + e) for u, f, g, e in zip(y0, corr, near_c, fpred)]
+            y[i] = yi
+            fhist[i] = rhs(ti, yi)
+            _check_state(yi, ti, scale, "fractional solution")
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _FDE_LEAF:
@@ -191,18 +196,13 @@ def solve_fde_system(
 
 def solve_fde(H: NaturalSystem, y0, grid: TimeGrid, order: FracOrder) -> FdeSolution:
     """Solve the Caputo canonical system D^a x = p/m, D^a p = -U'(x)."""
-    y0 = np.asarray(y0, dtype=float).ravel()
-    d = y0.size // 2
     m, du = H.mass, H.potential_grad
-    out = np.empty_like(y0)
-    dx, dp = out[:d], out[d:]
 
     def rhs(t, y):
-        np.divide(y[d:], m, out=dx)
-        np.negative(du(y[:d]), out=dp)
-        return out
+        x, p = y
+        return p / m, -du(x)
 
     # an overflowing force becomes an inf, which the divergence rule refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        y = solve_fde_system(rhs, y0, grid, order)
+        y = solve_fde_system(rhs, _phase_point(y0), grid, order)
     return FdeSolution(grid=grid, y=y, alpha=order)

@@ -43,10 +43,9 @@ _EPS = 1e-5
 
 
 def action(L: NaturalSystem, x: Trajectory, order: FracOrder) -> float:
-    """Trapezoid quadrature of L = 1/2 m |D^a_left x|^2 - U(x) over the grid."""
-    v = caputo_left(x, order).values
-    lag = 0.5 * L.mass * np.sum(np.square(v), axis=-1) - L.potential(x.values)
-    return trapezoid(lag, x.grid.h)
+    """Trapezoid quadrature of L = 1/2 m (D^a_left x)^2 - U(x) over the grid."""
+    v = caputo_left(x, order).values[:, 0]
+    return trapezoid(0.5 * L.mass * (v * v) - L.potential(x.values[:, 0]), x.grid.h)
 
 
 def directional_derivative(
@@ -64,10 +63,8 @@ def directional_derivative(
 
 def _el_parts(L: NaturalSystem, x: Trajectory, order: FracOrder):
     """dL/dx = -U'(x) per node and dL/dv = m D^a x as a Trajectory."""
-    xv = x.values
-    p1 = np.broadcast_to(np.asarray(-L.potential_grad(xv), dtype=float), xv.shape)
     p2 = L.mass * caputo_left(x, order).values
-    return p1, Trajectory(x.grid, p2)
+    return -L.potential_grad(x.values), Trajectory(x.grid, p2)
 
 
 def general_el_residual(L: NaturalSystem, x: Trajectory, order: FracOrder) -> Trajectory:
@@ -105,9 +102,8 @@ def hamiltonian_action_residual(
     is the fractional Legendre link p = m D^a_left x, divided by m.
     """
     x.same_grid(p)
-    xv, pv = x.values, p.values
-    c1 = -np.asarray(H.potential_grad(xv), dtype=float) - caputo_left(p, order).values
-    c2 = caputo_left(x, order).values - pv / H.mass
+    c1 = -H.potential_grad(x.values) - caputo_left(p, order).values
+    c2 = caputo_left(x, order).values - p.values / H.mass
     return Trajectory(x.grid, np.hstack([c1, c2]))
 
 

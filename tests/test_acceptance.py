@@ -144,7 +144,7 @@ def test_acceptance_03_integration_by_parts_residual():
 def test_acceptance_04_fde_solver_oracles():
     with _Timer() as tm:
         grid = TimeGrid(0.0, 1.0, 4096)
-        relax = solve_fde_system(lambda t, y: -y, np.array([1.0]), grid, HALF)
+        relax = solve_fde_system(lambda t, y: [-y[0]], np.array([1.0]), grid, HALF)
         dev_relax = abs(relax.values[-1, 0] - mittag_leffler(MLParams(0.5), -1.0))
 
         H = harmonic()

@@ -527,6 +527,48 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def _run_in(out: Path, capsys, argv: list) -> tuple:
+    """Exit status, report lines (but duration:, with out written as OUT),
+    stderr and the bytes of every file written into out."""
+    from fractime import cli
+
+    code = cli.main([*argv, "--out", str(out)])
+    res = capsys.readouterr()
+    report = [
+        line.replace(str(out), "OUT")
+        for line in res.out.splitlines()
+        if not line.startswith("duration:")
+    ]
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, report, res.err.replace(str(out), "OUT"), files
+
+
+@pytest.mark.parametrize(
+    "command, key, value, rest",
+    [
+        ("solve-fde", "--x0", "-1e3", ["--n", "64"]),
+        ("solve-fde", "--p0", "-2.5e-1", ["--n", "64"]),
+        ("solve-fde", "--a", "-1e0", ["--n", "64"]),
+        ("solve-fde", "--b", "-5e-1", ["--a", "-1", "--n", "64"]),
+        ("frac-deriv", "--a", "-2E0", ["--n", "64"]),
+        ("ml-eval", "--z", "-3e0", []),
+        ("verify-coherence", "--p0", "-1e-1", ["--n", "64"]),
+        ("verify-stanislavsky", "--x0", "-2.5e0", ["--n", "32", "--m-paths", "200"]),
+        ("verify-compatibility", "--x0", "-5e-1", ["--n", "32", "--m-paths", "200"]),
+        # refused, for the same reason in both forms
+        ("solve-fde", "--alpha", "-5e-1", ["--n", "64"]),
+        ("ml-eval", "--beta", "-1e0", ["--z", "1"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_negative_values_in_exponent_form_parse(tmp_path, capsys, command, key, value, rest):
+    # argparse alone reads -1e3 as a flag and exits 2 with "expected one argument"
+    spaced = _run_in(tmp_path / "spaced", capsys, [command, key, value, *rest])
+    joined = _run_in(tmp_path / "joined", capsys, [command, f"{key}={value}", *rest])
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
 def test_scaling_limit_small_run(tmp_path):
     res = run_cli(
         "scaling-limit",

@@ -21,9 +21,9 @@ from fractime import (
     mittag_leffler,
     solve_fde,
 )
-from fractime.dynamics import solve_classical, solve_fde_system
+from fractime.dynamics import _DIVERGENCE_CAP, _FDE_LEAF, solve_classical, solve_fde_system
 from fractime.errors import DivergenceError
-from fractime.fracops import _pt_corrector_weights
+from fractime.fracops import _history_sums, _pt_corrector_weights
 from fractime.systems import free_particle, quartic
 
 HALF = FracOrder(0.5)
@@ -69,14 +69,15 @@ def test_verlet_evaluates_the_force_once_per_node():
     calls = []
 
     def grad(x):
-        calls.append(x.copy())
+        calls.append(x)
         return form.potential_grad(x)
 
     H = dataclasses.replace(form, potential_grad=grad)
     grid = TimeGrid(0.0, 2.0, 100)
     sol = solve_classical(H, np.array([1.0, 0.5]), grid)
     assert len(calls) == grid.n + 1
-    np.testing.assert_array_equal(np.stack(calls), sol.values[:, :1])
+    assert all(type(x) is float for x in calls)
+    np.testing.assert_array_equal(calls, sol.values[:, 0])
     x, p, h = np.array([1.0]), np.array([0.5]), grid.h
     for k in range(grid.n):
         p_half = p - 0.5 * h * form.potential_grad(x)
@@ -87,7 +88,7 @@ def test_verlet_evaluates_the_force_once_per_node():
 
 def test_fractional_relaxation_matches_mittag_leffler():
     grid = TimeGrid(0.0, 1.0, 4096)
-    sol = solve_fde_system(lambda t, y: -y, np.array([1.0]), grid, HALF)
+    sol = solve_fde_system(lambda t, y: [-y[0]], np.array([1.0]), grid, HALF)
     at_one = sol.values[-1, 0]
     assert at_one == pytest.approx(mittag_leffler(MLParams(0.5), -1.0), abs=5e-4)
     oracle = np.array(
@@ -133,7 +134,7 @@ def test_solution_splits_into_position_and_momentum_parts():
 def test_divergent_dynamics_are_reported():
     grid = TimeGrid(0.0, 3.0, 512)
     with pytest.raises(DivergenceError):
-        solve_fde_system(lambda t, y: y * y, np.array([2.0]), grid, HALF)
+        solve_fde_system(lambda t, y: [y[0] * y[0]], np.array([2.0]), grid, HALF)
 
 
 def _direct_fde(rhs, y0, grid, order):
@@ -164,7 +165,7 @@ def _direct_fde(rhs, y0, grid, order):
 
 
 def _canonical_rhs(H):
-    return lambda t, y: np.concatenate([y[1:] / H.mass, -H.potential_grad(y[:1])])
+    return lambda t, y: [y[1] / H.mass, -H.potential_grad(y[0])]
 
 
 def _coupled_rhs(t, y):
@@ -212,12 +213,21 @@ def test_reused_rhs_buffer_gives_bitwise_the_same_solution(n, rhs, y0):
     assert fresh.tobytes() == reused.tobytes()
 
 
-def test_scalar_rhs_solves_a_one_component_system():
+def test_rhs_may_return_a_list_a_tuple_or_an_array():
+    # the state arrives as a list of floats; its m values may go back as any
+    # sequence, with the same bits
     grid = TimeGrid(0.0, 1.0, 300)
-    scalar = solve_fde_system(lambda t, y: -float(y[0]), [1.0], grid, HALF).values
-    array = solve_fde_system(lambda t, y: -y, [1.0], grid, HALF).values
-    assert scalar.shape == (301, 1)
-    assert scalar.tobytes() == array.tobytes()
+    seen = set()
+
+    def as_list(t, y):
+        seen.add((type(t), type(y), *map(type, y)))
+        return [-y[0]]
+
+    want = solve_fde_system(as_list, [1.0], grid, HALF).values
+    assert want.shape == (301, 1)
+    assert seen == {(float, list, float)}
+    for rhs in (lambda t, y: (-y[0],), lambda t, y: -np.array(y)):
+        assert solve_fde_system(rhs, [1.0], grid, HALF).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -325,3 +335,170 @@ def test_save_solution_reruns_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for fa, fb in zip(pa, pb):
         assert fa.read_bytes() == fb.read_bytes()
+
+
+# References: the array steppers that stepped on numpy rows of length 1 and
+# 2, kept verbatim (renamed, with the dimension arithmetic of their callers)
+# so that the float steppers can be held to their bits.
+
+
+def _array_check_state(y: np.ndarray, t: float, scale: float) -> None:
+    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) / scale > _DIVERGENCE_CAP:
+        raise DivergenceError(f"solution diverged near t = {t:.6g}")
+
+
+def _array_verlet(H, x, p, grid: TimeGrid) -> np.ndarray:
+    n, h, m = grid.n, grid.h, H.mass
+    half = 0.5 * h
+    du = H.potential_grad
+    values = np.empty((n + 1, 2 * x.size))
+    values[0] = np.concatenate([x, p])
+    scale = float(np.abs(values[0]).max(initial=1.0))
+    xs, ps = values[:, : x.size], values[:, x.size :]
+    # the force at the end of one step starts the next
+    force = np.asarray(du(x), dtype=float)
+    for k in range(1, n + 1):
+        p_half = p - half * force
+        x = x + h * p_half / m
+        force = np.asarray(du(x), dtype=float)
+        p = p_half - half * force
+        xs[k] = x
+        ps[k] = p
+        if k % 64 == 1:
+            _array_check_state(values[k], grid.a + k * h, scale)
+    _array_check_state(values[-1], grid.b, scale)
+    return values
+
+
+def _array_solve_classical(H, y0, grid):
+    y0 = np.asarray(y0, dtype=float)
+    d = y0.size // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _array_verlet(H, y0[:d].copy(), y0[d:].copy(), grid)
+
+
+def _array_fde_system(rhs, y0, grid, order):
+    y0 = np.asarray(y0, dtype=float).ravel()
+    scale = float(np.abs(y0).max(initial=1.0))
+    n, h, alpha = grid.n, grid.h, order.alpha
+    t = grid.nodes()
+    m = y0.size
+    h1 = h**alpha / math.gamma(alpha + 1.0)
+    h2 = h**alpha / math.gamma(alpha + 2.0)
+    idx = np.arange(n + 2, dtype=float)
+    bw = idx**alpha - np.maximum(idx - 1.0, 0.0) ** alpha
+    cw = _pt_corrector_weights(alpha, n + 1)
+    a0 = np.array(
+        [k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)]
+    )
+    y = np.empty((n + 1, m))
+    fhist = np.empty((n + 1, m))
+    pred_hist = np.zeros_like(y)
+    corr_hist = np.zeros_like(y)
+    y[0] = y0
+    fhist[0] = rhs(t[0], y0)
+    bw_rev, cw_rev = bw[::-1], cw[::-1]
+
+    def leaf(lo: int, hi: int) -> None:
+        start = max(lo, 1)
+        far = a0[start - 1 : hi - 1, None] * fhist[0] + corr_hist[start:hi]
+        for i in range(start, hi):
+            pred = y0 + h1 * (pred_hist[i] + bw_rev[n + 1 - i + lo : n + 1] @ fhist[lo:i])
+            fpred = rhs(t[i], pred)
+            near = cw_rev[n - i + start : n] @ fhist[start:i]
+            y[i] = y0 + h2 * ((far[i - start] + near) + fpred)
+            fhist[i] = rhs(t[i], y[i])
+            if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in y[i].tolist()):
+                raise DivergenceError(f"fractional solution diverged near t = {t[i]:.6g}")
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _FDE_LEAF:
+            leaf(lo, hi)
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        pred_hist[mid:hi] += _history_sums(fhist[lo:mid], bw[: hi - lo])[mid - lo :]
+        start = max(lo, 1)
+        corr_hist[mid:hi] += _history_sums(fhist[start:mid], cw[: hi - start])[mid - start :]
+        solve(mid, hi)
+
+    solve(0, n + 1)
+    return y
+
+
+def _array_solve_fde(H, y0, grid, order):
+    y0 = np.asarray(y0, dtype=float).ravel()
+    d = y0.size // 2
+    m, du = H.mass, H.potential_grad
+    out = np.empty_like(y0)
+    dx, dp = out[:d], out[d:]
+
+    def rhs(t, y):
+        np.divide(y[d:], m, out=dx)
+        np.negative(du(y[:d]), out=dp)
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _array_fde_system(rhs, y0, grid, order)
+
+
+def _outcome(solve):
+    """The solution's bytes, or the message of the divergence that refused it."""
+    try:
+        return solve().tobytes()
+    except DivergenceError as exc:
+        return str(exc)
+
+
+_SYSTEMS = pytest.mark.parametrize(
+    "H",
+    [free_particle(), harmonic(), harmonic(3.0, 0.7), quartic()],
+    ids=["free-particle", "harmonic", "harmonic(3,0.7)", "quartic"],
+)
+# the leaf holds 128 steps: 127 and 129 end just inside and just past one
+_STEPS = pytest.mark.parametrize("n", [2, 127, 129, 1000, 4096])
+_Y0 = pytest.mark.parametrize("y0", [(1.0, 0.0), (-2.5, 0.3), (1e8, 1.0)], ids=str)
+
+
+@_SYSTEMS
+@_STEPS
+@_Y0
+def test_float_verlet_equals_the_array_reference_bitwise(H, n, y0):
+    grid = TimeGrid(0.0, 8.0, n)
+    want = _outcome(lambda: _array_solve_classical(H, y0, grid))
+    assert _outcome(lambda: solve_classical(H, y0, grid).values) == want
+
+
+@_SYSTEMS
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@_STEPS
+@_Y0
+def test_float_adams_leaf_equals_the_array_reference_bitwise(H, alpha, n, y0):
+    grid, order = TimeGrid(0.0, 2.0, n), FracOrder(alpha)
+    want = _outcome(lambda: _array_solve_fde(H, y0, grid, order))
+    assert _outcome(lambda: solve_fde(H, y0, grid, order).y.values) == want
+
+
+_VERLET = (solve_classical, _array_solve_classical)
+_ADAMS = (solve_fde, _array_solve_fde)
+
+
+@pytest.mark.parametrize(
+    "solvers, H, y0, grid",
+    [
+        (_VERLET, quartic(100.0), (1e4, 0.0), TimeGrid(0.0, 10.0, 100)),
+        (_VERLET, quartic(), (1e40, 0.0), TimeGrid(0.0, 1.0, 1000)),
+        (_ADAMS, quartic(100.0), (1.0, 0.0), TimeGrid(0.0, 50.0, 2048)),
+        (_ADAMS, quartic(), (1e40, 0.0), TimeGrid(0.0, 2.0, 64)),
+        (_ADAMS, quartic(), (1e8, 1.0), TimeGrid(0.0, 2.0, 4096)),
+    ],
+    ids=["verlet-stiff", "verlet-overflow", "adams-stiff", "adams-overflow", "adams-large"],
+)
+def test_float_steppers_refuse_divergence_where_the_references_do(solvers, H, y0, grid):
+    solve, reference = solvers
+    args = (H, y0, grid) if solvers is _VERLET else (H, y0, grid, HALF)
+    want = _outcome(lambda: reference(*args))
+    assert "diverged near t =" in want
+    with pytest.raises(DivergenceError) as info:
+        solve(*args)
+    assert str(info.value) == want
