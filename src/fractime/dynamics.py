@@ -87,9 +87,10 @@ def _verlet(H: NaturalSystem, x: float, p: float, grid: TimeGrid) -> np.ndarray:
     half = 0.5 * h
     du = H.potential_grad
     scale = max(1.0, abs(x), abs(p))
-    # two lists of floats, stacked at the end, cost half as much per step
-    # as a row written into an array at every step
-    xs, ps = [x], [p]
+    out = np.empty((n + 1, 2))
+    # a store through a flat memoryview costs half a numpy row assignment
+    flat = memoryview(out.reshape(-1))
+    flat[0], flat[1] = x, p
     # the force at the end of one step starts the next
     force = du(x)
     for k in range(1, n + 1):
@@ -97,12 +98,11 @@ def _verlet(H: NaturalSystem, x: float, p: float, grid: TimeGrid) -> np.ndarray:
         x = x + h * p_half / m
         force = du(x)
         p = p_half - half * force
-        xs.append(x)
-        ps.append(p)
+        flat[2 * k], flat[2 * k + 1] = x, p
         if k % 64 == 1:
             _check_state((x, p), grid.a + k * h, scale)
     _check_state((x, p), grid.b, scale)
-    return np.column_stack((xs, ps))
+    return out
 
 
 def solve_fde_system(
@@ -128,6 +128,7 @@ def solve_fde_system(
     reads each result before the next call.
 
     Raises:
+        OutOfRangeError: the first rhs result is not a sequence of m values.
         DivergenceError: state magnitude beyond 1e12 max(1, max |y0|), or
             non-finite.
     """
@@ -144,9 +145,7 @@ def solve_fde_system(
     # weight of f_0 in the corrector of step k + 1, in scalar pow: numpy's
     # vectorised power can differ in the last bit, which the cancellation
     # between the two terms magnifies
-    a0 = np.array(
-        [k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)]
-    )
+    a0 = np.array([k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)])
     y = np.empty((n + 1, m))
     fhist = np.empty((n + 1, m))
     # far history of step i: predictor sum over bw[i - j] f_j, corrector
@@ -155,7 +154,10 @@ def solve_fde_system(
     corr_hist = np.zeros_like(y)
     y[0] = y0
     y0 = y0.tolist()
-    fhist[0] = rhs(float(t[0]), y0)
+    f0 = rhs(float(t[0]), y0)
+    if np.shape(f0) != (m,):  # the leaf's zip would drop extra values unseen
+        raise OutOfRangeError(f"rhs must return m = {m} values, got shape {np.shape(f0)}")
+    fhist[0] = f0
     # bw[1 : k + 1][::-1] is bw_rev[n + 1 - k : n + 1] and cw[1 : k + 1][::-1]
     # is cw_rev[n - k : n]; the near sums keep these negative-stride views,
     # since a contiguous reversed copy sends @ down a path that sums in

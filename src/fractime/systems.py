@@ -42,6 +42,4 @@ def quartic(lam: float = 1.0) -> NaturalSystem:
     """L = 1/2 v^2 - 1/4 lambda x^4."""
     # products, not powers: a float power calls libm pow, whose last bit may
     # differ from numpy's array power, and raises where a product gives inf
-    return NaturalSystem(
-        1.0, lambda x: 0.25 * lam * (x * x) * (x * x), lambda x: lam * (x * x * x)
-    )
+    return NaturalSystem(1.0, lambda x: 0.25 * lam * (x * x) * (x * x), lambda x: lam * (x * x * x))

@@ -22,7 +22,7 @@ from fractime import (
     solve_fde,
 )
 from fractime.dynamics import _DIVERGENCE_CAP, _FDE_LEAF, solve_classical, solve_fde_system
-from fractime.errors import DivergenceError
+from fractime.errors import DivergenceError, OutOfRangeError
 from fractime.fracops import _history_sums, _pt_corrector_weights
 from fractime.systems import free_particle, quartic
 
@@ -228,6 +228,23 @@ def test_rhs_may_return_a_list_a_tuple_or_an_array():
     assert seen == {(float, list, float)}
     for rhs in (lambda t, y: (-y[0],), lambda t, y: -np.array(y)):
         assert solve_fde_system(rhs, [1.0], grid, HALF).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rhs, shape",
+    [
+        (lambda t, y: -y[0], "()"),
+        (lambda t, y: np.float64(-y[0]), "()"),
+        (lambda t, y: [-y[0], 0.0], "(2,)"),
+        (lambda t, y: [], "(0,)"),
+        (lambda t, y: np.zeros((1, 1)), "(1, 1)"),
+    ],
+    ids=["scalar", "numpy-scalar", "too-long", "empty", "nested"],
+)
+def test_rhs_returning_other_than_m_values_is_refused(rhs, shape):
+    with pytest.raises(OutOfRangeError) as info:
+        solve_fde_system(rhs, [1.0], TimeGrid(0.0, 1.0, 300), HALF)
+    assert str(info.value) == f"rhs must return m = 1 values, got shape {shape}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
