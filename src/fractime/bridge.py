@@ -5,9 +5,8 @@ flow evaluated at the internal time S is compared against the solution of
 the Caputo canonical system on the same grid (two independent computational
 routes), and against the identities tying natural Lagrangians to their
 subordinated means: p_a = m D^a x_a and a vanishing causal Euler-Lagrange
-residual.  The
-commutation hypothesis E[dH(x(S), p(S))] = dH(x_a, p_a) holds for linear
-gradients and is probed for failure on a quartic potential.
+residual.  The commutation hypothesis E[dH(x(S), p(S))] = dH(x_a, p_a)
+holds for linear gradients and is probed for failure on a quartic potential.
 
 Sampling is the caller's: one ensemble serves every flow and check of a
 run, and the bridge only maps it through classical flows, each solved once
@@ -29,6 +28,8 @@ results do not depend on the core count.
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
 bound added linearly; stderr for derived quantities (anything passed
 through a fractional operator) comes from batch means over path groups.
+Both derived identities are evaluated once, on all curves stacked as
+columns: the flow's mean, then its group means.
 Each verification returns a ComparisonReport: its Checks, which carry the
 budgets, and the per-node tables behind them.
 """
@@ -288,10 +289,14 @@ def _band_check(name: str, gap, stderr, n: int) -> Check:
     return Check(name, float(np.mean(ok[w : n + 1 - w])), ">=", _PASS_FRACTION, _BAND_WHAT)
 
 
-def _batch_stderr(per_group: list) -> np.ndarray:
-    """Standard error from batch means over path groups."""
-    stacked = np.stack(per_group)
-    return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
+def _gap_and_stderr(curves: np.ndarray):
+    """|column 0| of curves (nodes, 1 + groups), a quantity at the flow's
+    mean, and the batch-means standard error of the group columns, each as
+    one column.  The groups are reduced as a contiguous (groups, nodes)
+    copy: a strided view would make numpy sum them in another order."""
+    groups = np.ascontiguousarray(curves[:, 1:].T)
+    stderr = groups.std(axis=0, ddof=1) / math.sqrt(len(groups))
+    return np.abs(curves[:, :1]), stderr[:, None]
 
 
 def verify_stanislavsky(
@@ -326,26 +331,21 @@ def verify_compatibility(
     derived identities, since fractional operators amplify node-to-node
     Monte Carlo noise in a correlated way that per-path stderr cannot
     describe.  All three checks read one flow of the one sample ens, which
-    reduces the group means and the commutation gap in its pass.
+    reduces the group means and the commutation gap in its pass.  Both
+    derived identities are evaluated once, on all curves stacked as
+    columns: the mean (column 0) gives each gap, the group means its stderr.
     Tables momentum_x0 (p_a against m D^a x_a) and causal_el_x0 (|residual|
     against 0).
     """
     obs = subordinate_flow(L, y0, ens)
     t_grid, order = ens.t_grid, ens.alpha
-    mass = L.mass
     n = t_grid.n
-
-    def derivative_route(x_mean):
-        return mass * caputo_left(Trajectory(t_grid, x_mean.copy()), order).values
-
-    def causal_residual(x_mean):
-        return causal_el_residual(L, Trajectory(t_grid, x_mean.copy()), order).values
-
-    deriv_route = derivative_route(obs.mean[:, :1])
-    momentum_gap = np.abs(obs.mean[:, 1:] - deriv_route)
-    momentum_se = _batch_stderr([g[:, 1:] - derivative_route(g[:, :1]) for g in obs.group_means])
-    causal = np.abs(causal_residual(obs.mean[:, :1]))
-    causal_se = _batch_stderr([causal_residual(g[:, :1]) for g in obs.group_means])
+    # column 0 is the flow's mean, columns 1.. its group means
+    xs, ps = np.concatenate([obs.mean[None], obs.group_means]).transpose(2, 1, 0).copy()
+    x = Trajectory(t_grid, xs)
+    deriv_route = L.mass * caputo_left(x, order).values
+    momentum_gap, momentum_se = _gap_and_stderr(ps - deriv_route)
+    causal, causal_se = _gap_and_stderr(causal_el_residual(L, x, order).values)
     comm = obs.commutation
     checks = (
         _band_check("momentum identity p_a = m D^a x_a", momentum_gap, momentum_se, n),
@@ -359,7 +359,7 @@ def verify_compatibility(
         ),
     )
     t = t_grid.nodes()
-    momentum = [t, obs.mean[:, 1], momentum_se[:, 0], deriv_route[:, 0], momentum_gap[:, 0]]
+    momentum = [t, ps[:, 0], momentum_se[:, 0], deriv_route[:, 0], momentum_gap[:, 0]]
     residual = [t, causal[:, 0], causal_se[:, 0], np.zeros(len(t_grid)), causal[:, 0]]
     tables = (("momentum_x0", _TABLE_HEADER, momentum), ("causal_el_x0", _TABLE_HEADER, residual))
     return ComparisonReport(checks=checks, tables=tables)

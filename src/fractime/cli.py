@@ -206,6 +206,13 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"m-paths must be at least 2, got {cfg.m_paths}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed}")
+    # out's first existing ancestor must be a directory, so the writes after
+    # the run can create the rest; nothing is created here
+    parent = cfg.out
+    while parent and not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not cfg.out or not os.path.isdir(parent or "."):
+        raise ConfigError(f"out must be a directory or a path that can be one, got '{cfg.out}'")
     return cfg
 
 
@@ -296,16 +303,8 @@ def _bind(positional, named, factory) -> dict:
 
 
 def _parse_phase_point(cfg: ExperimentConfig) -> np.ndarray:
-    """(x0, p0), one number each; a comma list is refused, naming its key."""
-
-    def value(key: str) -> float:
-        parts = [p for p in str(cfg.extras[key]).split(",") if p.strip()]
-        vals = [_to_float(key, p) for p in parts]
-        if len(vals) != 1:
-            raise ConfigError(f"{key} must have 1 component(s), got {len(vals)}")
-        return vals[0]
-
-    return np.array([value("x0"), value("p0")])
+    """(x0, p0), one number each."""
+    return np.array([_to_float(key, cfg.extras[key]) for key in ("x0", "p0")])
 
 
 def _grid(cfg: ExperimentConfig) -> TimeGrid:

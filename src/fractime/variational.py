@@ -125,7 +125,6 @@ def sample_variation(grid: TimeGrid, order: FracOrder, rng) -> Trajectory:
         c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs)
     ) + rng.uniform(-1.0, 1.0)
     h0 = window * wave
-    phi = window
-    i_h0 = rl_integral_left(Trajectory(grid, h0), comp).values[-1, 0]
-    i_phi = rl_integral_left(Trajectory(grid, phi), comp).values[-1, 0]
-    return Trajectory(grid, h0 - (i_h0 / i_phi) * phi)
+    # fracops acts column by column: each integral has its lone call's bits
+    i_h0, i_phi = rl_integral_left(Trajectory(grid, np.stack([h0, window], 1)), comp).values[-1]
+    return Trajectory(grid, h0 - (i_h0 / i_phi) * window)

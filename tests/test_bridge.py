@@ -34,10 +34,12 @@ from fractime import (
     verify_stanislavsky,
 )
 from fractime.bridge import _commutation_nodes, verify_compatibility
-from fractime import bridge
+from fractime import bridge, variational
 from fractime.errors import DegenerateSampleError, OutOfRangeError
-from fractime.grids import write_csv
+from fractime.fracops import caputo_left
+from fractime.grids import Trajectory, write_csv
 from fractime.systems import free_particle, quartic
+from fractime.variational import causal_el_residual
 
 HALF = FracOrder(0.5)
 
@@ -460,6 +462,73 @@ def test_compatibility_report_saves_expected_files(tmp_path):
         write_csv(tmp_path / f"compat_{suffix}.csv", header, cols)
         lines = (tmp_path / f"compat_{suffix}.csv").read_text().splitlines()
         assert len(lines) == 1 + 129
+
+
+def _per_curve_compatibility(L, y0, ens):
+    """Reference: both derived identities one curve at a time, on the
+    flow's mean and then on each group mean, with batch means over the
+    per-group values stacked as (groups, nodes, 1); the check values and
+    the two tables' columns after t."""
+    obs = subordinate_flow(L, y0, ens)
+    grid, order = ens.t_grid, ens.alpha
+
+    def route(x):
+        return L.mass * caputo_left(Trajectory(grid, x.copy()), order).values
+
+    def residual(x):
+        return causal_el_residual(L, Trajectory(grid, x.copy()), order).values
+
+    def batch_stderr(per_group):
+        stacked = np.stack(per_group)
+        return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
+
+    mean, groups = obs.mean, obs.group_means
+    deriv = route(mean[:, :1])
+    momentum_gap = np.abs(mean[:, 1:] - deriv)
+    momentum_se = batch_stderr([g[:, 1:] - route(g[:, :1]) for g in groups])
+    causal = np.abs(residual(mean[:, :1]))
+    causal_se = batch_stderr([residual(g[:, :1]) for g in groups])
+    values = [
+        bridge._band_check("", momentum_gap, momentum_se, grid.n).value,
+        bridge._band_check("", causal, causal_se, grid.n).value,
+        obs.commutation.significance,
+    ]
+    momentum = [mean[:, 1], momentum_se[:, 0], deriv[:, 0], momentum_gap[:, 0]]
+    residual_cols = [causal[:, 0], causal_se[:, 0], np.zeros(len(grid)), causal[:, 0]]
+    return values, (momentum, residual_cols)
+
+
+@pytest.mark.parametrize("m_paths", [2, 17, 1037])
+@pytest.mark.parametrize("system", [harmonic, quartic])
+def test_stacked_identities_match_the_per_curve_reference_bitwise(system, m_paths):
+    # 2 one-row groups; 16 groups, the last of two rows; 16 groups, the
+    # last taking the remainder of 77 rows
+    L = system()
+    y0 = np.array([1.0, 0.5])
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=7)
+    rep = verify_compatibility(L, y0, ens)
+    values, tables = _per_curve_compatibility(L, y0, ens)
+    assert [c.value for c in rep.checks] == values
+    for (_, _, cols), expected in zip(rep.tables, tables, strict=True):
+        np.testing.assert_array_equal(cols[0], ens.t_grid.nodes())
+        for col, ref in zip(cols[1:], expected, strict=True):
+            assert col.shape == ref.shape and col.tobytes() == ref.tobytes()
+
+
+def test_compatibility_applies_each_operator_once_on_all_curves(monkeypatch):
+    # the derivative route, then dL/dv and its derivative in the causal
+    # residual, each on the mean and its 16 group means at once
+    shapes = []
+
+    def counting(x, order):
+        shapes.append(x.values.shape)
+        return caputo_left(x, order)
+
+    monkeypatch.setattr(bridge, "caputo_left", counting)
+    monkeypatch.setattr(variational, "caputo_left", counting)
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 100), 1037, seed=7)
+    verify_compatibility(quartic(), np.array([1.0, 0.5]), ens)
+    assert shapes == [(101, 17)] * 3
 
 
 

@@ -316,6 +316,40 @@ def test_internal_time_checks_require_zero_origin(tmp_path, capsys, command):
     assert "a must be 0" in lines[0]
 
 
+@pytest.mark.parametrize("out", ["", "file", "file/sub"], ids=["empty", "file", "under-file"])
+def test_out_that_cannot_be_a_directory_is_refused(tmp_path, monkeypatch, capsys, out):
+    # an empty path, an existing file and a path under that file: refused
+    # naming out before the runner starts, with nothing created
+    from fractime import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    ran = []
+    runner = cli._Command(lambda cfg, report: ran.append(cfg), cli._PHASE_POINT)
+    monkeypatch.setitem(cli._COMMANDS, "solve-fde", runner)
+    assert cli.main(["solve-fde", "--n", "8", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not ran
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out must be a directory"), lines
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("key", ["x0", "p0"])
+@pytest.mark.parametrize("value", ["1,", ",1", ",", "1,2"])
+def test_phase_point_with_a_comma_is_refused_naming_its_key(tmp_path, capsys, key, value):
+    from fractime import cli
+
+    out = tmp_path / "out"
+    assert cli.main(["solve-fde", "--n", "8", f"--{key}", value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"error: {key} must be a number, got '{value}'"]
+    assert not out.exists()
+
+
 def test_subordinator_rejects_oversized_level_count(tmp_path):
     res = run_cli("subordinator", "--tau-step", "1e-9", "--out", str(tmp_path))
     assert res.returncode == 2

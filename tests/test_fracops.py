@@ -33,6 +33,8 @@ from fractime.fracops import (
 )
 from fractime.grids import Trajectory
 from fractime.reports import interior_window
+from fractime.systems import quartic
+from fractime.variational import causal_el_residual
 
 HALF = FracOrder(0.5)
 
@@ -204,6 +206,14 @@ def test_componentwise_action_on_stacked_trajectories():
     col1 = caputo_left(Trajectory(grid, (t * t).copy()), HALF).values[:, 0]
     np.testing.assert_array_equal(out.values[:, 0], col0)
     np.testing.assert_array_equal(out.values[:, 1], col1)
+    # 17 curves at n = 2048, as the compatibility check stacks a mean and 16
+    # group means, through the causal residual of the quartic (nonlinear U')
+    grid = TimeGrid(0.0, 2.0, 2048)
+    curves = np.cos(np.outer(grid.nodes(), np.linspace(0.5, 1.5, 17)))
+    stacked = causal_el_residual(quartic(), Trajectory(grid, curves), HALF).values
+    for k in range(17):
+        one = causal_el_residual(quartic(), Trajectory(grid, curves[:, k].copy()), HALF)
+        assert stacked[:, k].tobytes() == one.values[:, 0].tobytes()
 
 
 def test_embed_operator_replaces_time_derivative_with_caputo():

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractime import FracOrder, TimeGrid, harmonic, solve_fde
+from fractime import FracOrder, TimeGrid, harmonic, solve_fde, variational
 from fractime.fracops import embed_operator, rl_integral_left
 from fractime.grids import Trajectory, trapezoid
 from fractime.reports import interior_max
@@ -145,3 +145,29 @@ def test_canonical_residual_large_on_wrong_trajectory():
     p = Trajectory.from_callable(grid, lambda t: np.sin(3.0 * t))
     residual = hamiltonian_action_residual(H, x, p, HALF)
     assert interior_max(residual) > 0.1
+
+
+def test_sample_variation_integrates_both_columns_in_one_call(monkeypatch):
+    # the sample and its parabolic bump share one call, each column to the
+    # bits of a call of its own
+    grid = TimeGrid(0.0, 1.0, 256)
+    comp = FracOrder(0.5)
+    calls = []
+
+    def counting(x, order):
+        calls.append(x.values.shape)
+        return rl_integral_left(x, order)
+
+    monkeypatch.setattr(variational, "rl_integral_left", counting)
+    h = sample_variation(grid, HALF, np.random.default_rng(1000))
+    assert calls == [(257, 2)]
+
+    rng = np.random.default_rng(1000)
+    s = grid.nodes()
+    window = s * (1.0 - s)
+    coeffs = rng.uniform(-1.0, 1.0, 4)
+    wave = sum(c * np.sin((k + 1) * np.pi * s) for k, c in enumerate(coeffs))
+    h0 = window * (wave + rng.uniform(-1.0, 1.0))
+    i_h0 = rl_integral_left(Trajectory(grid, h0), comp).values[-1, 0]
+    i_phi = rl_integral_left(Trajectory(grid, window), comp).values[-1, 0]
+    assert h.values[:, 0].tobytes() == (h0 - (i_h0 / i_phi) * window).tobytes()
