@@ -5,13 +5,14 @@ flow evaluated at the internal time S is compared against the solution of
 the Caputo canonical system on the same grid (two independent computational
 routes), and against the identities tying natural Lagrangians to their
 subordinated means: p_a = m D^a x_a and a vanishing causal Euler-Lagrange
-residual.  The commutation hypothesis E[dH(x(S), p(S))] = dH(x_a, p_a)
-holds for linear gradients and is probed for failure on a quartic potential.
+residual.  The commutation hypothesis E[U'(x(S))] = U'(x_a) (dH/dp = p/m
+commutes for every natural H) holds for linear U' and is probed for
+failure on a quartic potential.
 
 Sampling is the caller's: one ensemble serves every flow and check of a
 run, and the bridge only maps it through classical flows, each solved once
-on [0, s_end], the largest S(b).  It reads an ensemble through two things
-only, a block of rows and s_end, so sampled paths
+on [0, s_end], the largest S(b).  It reads an ensemble through its node
+times t, m_paths, s_end and blocks of rows only, so sampled paths
 (inverse_subordinator_paths) and the factored rows of the exact one-time
 law (exact_marginal_ensemble, which the command line passes, since every
 check here reads one node at a time) map the same way.  A flow averages
@@ -87,8 +88,8 @@ _TABLE_HEADER = ["t", "mc_mean", "mc_stderr", "fde_value", "gap"]
 
 @dataclass(frozen=True)
 class CommutationReport:
-    """Gap between the gradient at the means and the mean of the gradient,
-    at the commutation node times t; gap and stderr stack dH/dx over dH/dp."""
+    """Gap |U'(x_a) - E[U'(x)]| and its stderr at the commutation node times
+    t; dH/dp = p/m commutes for every natural H, so U' is the whole check."""
 
     t: np.ndarray
     gap: np.ndarray
@@ -144,8 +145,8 @@ def subordinate_flow(
     the blocks' sums are folded in block order, so the result is the same
     bits on any core count.
     The same pass sums the means of min(16, M) row groups (the last takes
-    the remainder), and dH - dH(y0) and its square at the commutation
-    nodes, for the commutation report against dH at the flow's own means.
+    the remainder), and U'(x) - U'(x0) and its square at the commutation
+    nodes, against U' at the flow's mean x (dH/dp = p/m always commutes).
 
     Raises:
         DegenerateSampleError: fewer than two paths.
@@ -178,7 +179,7 @@ def subordinate_flow(
     starts = [g * (M // groups) for g in range(groups)] + [M]
     group_sums = np.zeros((groups, 2, n_nodes))
     kept = _commutation_nodes(n_nodes - 1)
-    dh_sums, dh_sumsq = np.zeros((2, len(kept), 2))
+    du_sums, du_sumsq = np.zeros((2, len(kept)))
 
     # each worker forms its blocks in one buffer of its own: a 1 MiB block
     # formed afresh on a worker thread is mostly handed back to the system
@@ -187,25 +188,25 @@ def subordinate_flow(
 
     def block_moments(span):
         """Per column, the sum and sum of squares of the rows lo:hi of span
-        (group, lo, hi) over each node, and of dH - dH(y0) at the kept nodes."""
+        (group, lo, hi) over each node, and of U'(x) - U'(x0) at the kept nodes."""
         _, lo, hi = span
         if not hasattr(buffers, "block"):
             buffers.block = np.empty((_FLOW_BLOCK, n_nodes))
         block = ens.rows(lo, hi, out=buffers.block[: hi - lo])
         moments = np.empty((2, 2, n_nodes))
-        at_kept = np.empty((hi - lo, len(kept), 2))
         # each column's values are dropped once reduced, so a worker holds
         # at most one block and one column of values
         for c, col in enumerate(cols):
             vals = np.interp(block, tau_nodes, col)
             moments[0, c] = vals.sum(axis=0)
             moments[1, c] = np.einsum("mj,mj->j", vals, vals)
-            at_kept[:, :, c] = vals[:, kept]
+            if c == 0:
+                # take keeps C order (vals[:, kept] would not): summed row by row
+                du = H.potential_grad(vals.take(kept, axis=1) + y0[0])
             del vals
-        # kept node 0 is node 0, where every row is y0: dH - dH(y0)
-        dh = _gradient(H, at_kept + y0)
-        dh -= dh[0, 0].copy()
-        return moments, dh.sum(axis=0), np.einsum("mjc,mjc->jc", dh, dh)
+        # kept node 0 is node 0, where every row is x0: U'(x) - U'(x0)
+        du -= du[0, 0]
+        return moments, du.sum(axis=0), np.einsum("mj,mj->j", du, du)
 
     # imported here: at the top it would cost every command a few ms
     from concurrent.futures import ThreadPoolExecutor
@@ -221,12 +222,12 @@ def subordinate_flow(
     # depends on neither the core count nor scheduling
     workers = max(1, min(_workers(), _FLOW_WORKSPACE // (2 * _FLOW_BLOCK * n_nodes * 8)))
     with ThreadPoolExecutor(workers) as pool:
-        for (g, _, _), (moments, dh_sum, dh_sq) in zip(spans, pool.map(block_moments, spans)):
+        for (g, _, _), (moments, du_sum, du_sq) in zip(spans, pool.map(block_moments, spans)):
             sums += moments[0]
             sumsq += moments[1]
             group_sums[g] += moments[0]
-            dh_sums += dh_sum
-            dh_sumsq += dh_sq
+            du_sums += du_sum
+            du_sumsq += du_sq
 
     shifted, stderr = _moments(sums.T, sumsq.T, M)
     mean = shifted + y0
@@ -235,10 +236,10 @@ def subordinate_flow(
     stderr[0] = 0.0
     gm = (group_sums / np.diff(starts)[:, None, None]).transpose(0, 2, 1) + y0
     gm[:, 0, :] = y0
-    at_mean = _gradient(H, mean[kept])
-    dh_mean, dh_se = _moments(dh_sums, dh_sumsq, M)
-    gap = np.abs(at_mean - at_mean[0] - dh_mean)
-    return SubordinatedObservable(mean, stderr, M, gm, CommutationReport(ens.t[kept], gap, dh_se))
+    at_mean = H.potential_grad(mean[kept, 0])
+    du_mean, du_se = _moments(du_sums, du_sumsq, M)
+    gap = np.abs(at_mean - at_mean[0] - du_mean)
+    return SubordinatedObservable(mean, stderr, M, gm, CommutationReport(ens.t[kept], gap, du_se))
 
 
 def _workers() -> int:
@@ -254,12 +255,6 @@ def _moments(sums, sumsq, M: int):
     mean = sums / M
     var = np.maximum(sumsq - M * mean * mean, 0.0) / (M - 1)
     return mean, np.sqrt(var) / math.sqrt(M)
-
-
-def _gradient(H: NaturalSystem, y) -> np.ndarray:
-    """dH/dx = U'(x) and dH/dp = p/m side by side at stacked phase points
-    y (..., 2)."""
-    return np.concatenate([H.potential_grad(y[..., :1]), y[..., 1:] / H.mass], -1)
 
 
 def _commutation_nodes(n: int) -> np.ndarray:

@@ -13,8 +13,8 @@ the left operator, and reflecting back; this equality is exact for the
 discrete schemes, so the reflection property holds bitwise.  All operators
 act componentwise through one FFT convolution primitive, so results are
 deterministic, byte-identical on rerun, do not depend on how many columns
-a caller stacks, and match direct summation to roundoff.  A constant
-input has zero differences and maps to an exact zero.
+a caller stacks (unless their sizes lie ~1e300 apart), and match direct
+summation to roundoff.  A constant has zero differences, so derivatives 0.
 """
 
 from __future__ import annotations
@@ -62,14 +62,20 @@ def _history_sums(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     cols has shape (k, d) with k <= len(w); rows past k count as zero, so
     a block of k values gives its lagged contribution to len(w) targets.
-    One zero-padded real FFT over all columns at once, O(n log n); it
-    departs from direct summation by roundoff of order eps sum|w| max|c|.
+    One zero-padded real FFT over all columns at once, O(n log n), of the
+    columns times 2^-e, max|c| in [2^(e-1), 2^e), then times 2^e: exact (bar
+    columns ~1e300 below the largest), so finite wherever the sums are.
+    It departs from direct summation by roundoff of order eps sum|w| max|c|.
     """
     n = len(w)
     size = 1 << (n + len(cols) - 2).bit_length()
-    spec = np.fft.rfft(cols, size, axis=0)
+    e = math.frexp(max(cols.max(), -cols.min()))[1]
+    spec = np.zeros((size, cols.shape[1]))
+    np.ldexp(cols, -e, out=spec[: len(cols)])
+    spec = np.fft.rfft(spec, axis=0)
     spec *= np.fft.rfft(w, size)[:, None]
-    return np.fft.irfft(spec, size, axis=0)[:n]
+    sums = np.fft.irfft(spec, size, axis=0)[:n]
+    return np.ldexp(sums, e, out=sums)
 
 
 def caputo_left(x: Trajectory, order: FracOrder) -> Trajectory:

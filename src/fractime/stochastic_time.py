@@ -139,9 +139,9 @@ class SubordinatorEnsemble:
     def __post_init__(self) -> None:
         if self.paths.ndim != 2 or self.paths.shape[1] != len(self.t_grid):
             raise GridError("paths must have one row per sample, one column per node")
-        if np.any(self.paths[:, 0] != 0.0):
-            raise GridError("S(0) must be 0 on every path")
-        if np.any(self.paths[:, 1:] < self.paths[:, :-1]):
+        if np.any(self.paths[:, 0] != 0.0) or not math.isfinite(self.s_end):
+            raise GridError("S(0) must be 0 and S(b) finite on every path")
+        if not np.all(self.paths[:, 1:] >= self.paths[:, :-1]):  # NaN fails too
             raise GridError("S(t) paths must be nondecreasing")
 
     @property
@@ -187,9 +187,9 @@ class MarginalEnsemble:
             raise GridError("need one scale per row and one profile value per node")
         if not np.all(self.scale > 0.0):
             raise GridError("every row scale must be positive")
-        if self.profile[0] != 0.0:
-            raise GridError("S(0) must be 0 on every path")
-        if np.any(self.profile[1:] < self.profile[:-1]):
+        if self.profile[0] != 0.0 or not math.isfinite(self.s_end):
+            raise GridError("S(0) must be 0 and S(b) finite on every path")
+        if not np.all(self.profile[1:] >= self.profile[:-1]):  # NaN fails too
             raise GridError("S(t) paths must be nondecreasing")
 
     @property

@@ -75,6 +75,29 @@ def test_history_sums_match_direct_convolution(n, d, alpha):
             assert np.abs(got - want).max() <= bound
 
 
+@pytest.mark.parametrize("n", [17, 4097])
+def test_history_sums_scale_exactly_by_powers_of_two(n):
+    rng = np.random.default_rng(n)
+    cols = rng.standard_normal((n, 3))
+    cols[:, 1] = 0.0
+    w = _l1_weights(0.5, n)
+    sums = _history_sums(cols, w)
+    for k in (-900, -40, 1, 40, 1000):
+        assert np.array_equal(_history_sums(np.ldexp(cols, k), w), np.ldexp(sums, k)), k
+
+
+def test_history_sums_stay_finite_where_the_sums_do():
+    # positive columns near 1e307 with sums near 4e307: the unscaled
+    # transform's spectrum times the weights' would pass the double range
+    rng = np.random.default_rng(5)
+    cols = rng.uniform(0.5e307, 1e307, size=(17, 2))
+    w = _l1_weights(0.5, 17)
+    got = _history_sums(cols, w)
+    want = _direct_history_sums(cols, w)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(w).sum() * cols.max()
+
+
 def test_left_derivative_annihilates_constants_exactly():
     grid = TimeGrid(0.0, 2.0, 64)
     out = caputo_left(Trajectory.constant(grid, 3.7), HALF)

@@ -389,6 +389,32 @@ def test_factored_ensemble_refuses_invalid_factors():
         MarginalEnsemble(grid, t, np.ones(2), profile[:-1], HALF)
 
 
+def _ensemble_with(path=None, profile=None, scale=(0.5, 2.0)):
+    grid = TimeGrid(0.0, 1.0, 4)
+    if path is not None:
+        return SubordinatorEnsemble(grid, np.array([path]), alpha=HALF, tau_step=0.1)
+    t = grid.nodes()
+    profile = np.sqrt(t) if profile is None else np.array(profile)
+    return MarginalEnsemble(grid, t, np.array(scale), profile, HALF)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # NaN compares False both ways, so a test for a decrease lets it through
+        dict(path=[0.0, 0.1, np.nan, 0.3, 0.4]),
+        dict(profile=[0.0, 0.1, np.nan, 0.3, 0.4]),
+        # inf > 0, and the flow's horizon would be inf
+        dict(scale=[0.5, np.inf]),
+        dict(path=[0.0, 0.1, 0.2, 0.3, np.inf]),
+        dict(profile=[0.0, 0.1, 0.2, 0.3, np.inf]),
+    ],
+)
+def test_ensembles_refuse_nan_and_inf(kw):
+    with pytest.raises(GridError):
+        _ensemble_with(**kw)
+
+
 def test_exact_marginal_ensemble_holds_its_factors_only():
     # the dense M x (n + 1) array alone would be 156 MiB
     grid = TimeGrid(0.0, 2.0, 2048)
