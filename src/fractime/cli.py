@@ -130,21 +130,24 @@ class RunReport:
 
 
 def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        why = "not found" if isinstance(exc, FileNotFoundError) else "not readable as UTF-8 text"
+        raise ConfigError(f"config file {why}: {path}") from None
     raw = {}
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got '{text}'")
-            key, value = text.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _ALL_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            raw[key] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got '{text}'")
+        key, value = text.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in _ALL_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        raw[key] = value.strip()
     return raw
 
 
@@ -409,7 +412,15 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
         dev = float(
             np.abs(left[::2][wc : cfg.n // 2 + 1 - wc] - coarse[wc : cfg.n // 2 + 1 - wc]).max()
         )
-        tol = 100.0 * half.h ** (2.0 - cfg.alpha)
+        try:
+            tol = 100.0 * half.h ** (2.0 - cfg.alpha)
+        except OverflowError:
+            tol = math.inf
+        if tol == math.inf:
+            raise ConfigError(
+                f"the self-convergence budget 100 h^(2 - alpha) of function {name}"
+                f" overflows a double for a = {cfg.a}, b = {cfg.b}; narrow [a, b]"
+            )
         what = "interior max |D_n - D_n/2|"
         report.checks.append(Check("self-convergence under grid refinement", dev, "<=", tol, what))
 

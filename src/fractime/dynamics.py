@@ -5,8 +5,9 @@ freedom, with a symplectic Verlet step.  The fractional route replaces
 d/dt by the left Caputo derivative and solves the resulting memory
 equations with an Adams-Bashforth-Moulton predictor-corrector (fractional
 Adams scheme, one corrector sweep), whose history sums are blocked FFT
-convolutions; runs are deterministic and byte-identical on rerun.  Both
-step on Python floats; only the history sums run in numpy.
+convolutions; runs are deterministic and byte-identical on rerun.  The
+weights and history sums are the fracops kernels; both solvers step on
+Python floats, and only the history sums run in numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, OutOfRangeError
-from .fracops import FracOrder, _history_sums, _pt_corrector_weights
+from .fracops import FracOrder, _history_sums, _power_increments, _pt_weights
 from .grids import TimeGrid, Trajectory
 from .systems import NaturalSystem
 
@@ -139,13 +140,8 @@ def solve_fde_system(
     m = y0.size
     h1 = h**alpha / math.gamma(alpha + 1.0)
     h2 = h**alpha / math.gamma(alpha + 2.0)
-    idx = np.arange(n + 2, dtype=float)
-    bw = idx**alpha - np.maximum(idx - 1.0, 0.0) ** alpha
-    cw = _pt_corrector_weights(alpha, n + 1)
-    # weight of f_0 in the corrector of step k + 1, in scalar pow: numpy's
-    # vectorised power can differ in the last bit, which the cancellation
-    # between the two terms magnifies
-    a0 = np.array([k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)])
+    bw = np.concatenate(([0.0], _power_increments(alpha, n + 1)))
+    a0, cw = _pt_weights(alpha, n + 1)
     y = np.empty((n + 1, m))
     fhist = np.empty((n + 1, m))
     # far history of step i: predictor sum over bw[i - j] f_j, corrector

@@ -17,10 +17,6 @@ class PrecisionLossError(FractimeError):
     """A series evaluation could not reach the target accuracy."""
 
 
-class UnsupportedOperatorError(FractimeError):
-    """Differential-operator term with a derivative power we do not embed."""
-
-
 class DivergenceError(FractimeError):
     """A time stepper produced non-finite or exploding state."""
 

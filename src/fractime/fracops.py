@@ -3,8 +3,9 @@
 Left and right Caputo derivatives via the L1 scheme, left and right
 Riemann-Liouville integrals via product-trapezoid quadrature, the
 integration-by-parts residual that ties them together, and the fractional
-embedding of first-order differential operators, each given as a tuple of
-terms (time derivative replaced by the left Caputo derivative).
+embedding of a differential operator (d/dt replaced by the left Caputo
+derivative); the fractional Adams solver in dynamics reads its weights and
+history sums from here, so every fractional kernel is built in this module.
 
 Conventions: the left derivative is 0 at the first node and the right
 derivative is 0 at the last node, where the defining integrals are empty.
@@ -25,12 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridError, OutOfRangeError, UnsupportedOperatorError
+from .errors import GridError, OutOfRangeError
 from .grids import Trajectory, trapezoid
 
 __all__ = [
     "FracOrder",
-    "OperatorTerm",
     "caputo_left",
     "caputo_right",
     "rl_integral_left",
@@ -52,9 +52,20 @@ class FracOrder:
             raise OutOfRangeError(f"alpha must lie in (0,1), got {a}")
 
 
-def _l1_weights(alpha: float, n: int) -> np.ndarray:
+def _power_increments(p: float, n: int) -> np.ndarray:
+    """(j+1)^p - j^p, j < n: L1 weights at p = 1 - alpha, rectangle ones at alpha."""
     j = np.arange(n, dtype=float)
-    return (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    return (j + 1.0) ** p - j**p
+
+
+def _pt_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product-trapezoid weights (a0, c) on n steps: a0[k] of the first value
+    up to node k + 1, c[j] of the value j steps back.  a0 is formed in scalar
+    pow: a last-bit change of numpy's power would grow in its cancellation."""
+    a0 = np.array([k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)])
+    m = np.arange(1, n, dtype=float)
+    c = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
+    return a0, np.concatenate(([1.0], c))
 
 
 def _history_sums(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -83,15 +94,25 @@ def caputo_left(x: Trajectory, order: FracOrder) -> Trajectory:
 
     D^a x(t_i) = h^{-a}/Gamma(2-a) * sum_j w_j (x_{i-j} - x_{i-j-1}) with
     w_j = (j+1)^{1-a} - j^{1-a}.  Exact on constants and piecewise-linear
-    data; O(h^{2-a}) on smooth trajectories.  Node t_0 maps to 0.
+    data; O(h^{2-a}) on smooth trajectories.  Node t_0 maps to 0.  A step
+    so small that h^{-a} overflows a double raises OutOfRangeError.
     """
-    grid = x.grid
-    n = grid.n
-    w = _l1_weights(order.alpha, n)
-    scale = grid.h ** (-order.alpha) / math.gamma(2.0 - order.alpha)
+    grid, alpha = x.grid, order.alpha
+    try:
+        scale = grid.h ** (-alpha) / math.gamma(2.0 - alpha)
+    except (OverflowError, ZeroDivisionError):
+        msg = f"step (b - a)/n = {grid.h:g} is too small for alpha = {alpha}: h^-alpha overflows"
+        raise OutOfRangeError(msg) from None
+    w = _power_increments(1.0 - alpha, grid.n)
     out = np.zeros_like(x.values)
     out[1:] = scale * _history_sums(np.diff(x.values, axis=0), w)
     return Trajectory(grid, out)
+
+
+def _reflect(op, x: Trajectory, order: FracOrder) -> Trajectory:
+    """op applied to x reversed in time, reversed back: the right-sided op."""
+    rev = Trajectory(x.grid, x.values[::-1].copy())
+    return Trajectory(x.grid, op(rev, order).values[::-1].copy())
 
 
 def caputo_right(x: Trajectory, order: FracOrder) -> Trajectory:
@@ -100,14 +121,7 @@ def caputo_right(x: Trajectory, order: FracOrder) -> Trajectory:
     Node t_n maps to 0.  Sign convention: the right derivative of b - t is
     positive, matching the kernel -(1/Gamma(1-a)) int_t^b (s-t)^{-a} x'(s) ds.
     """
-    rev = Trajectory(x.grid, x.values[::-1].copy())
-    return Trajectory(x.grid, caputo_left(rev, order).values[::-1].copy())
-
-
-def _pt_corrector_weights(alpha: float, n: int) -> np.ndarray:
-    m = np.arange(1, n, dtype=float)
-    c = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
-    return np.concatenate(([1.0], c))
+    return _reflect(caputo_left, x, order)
 
 
 def rl_integral_left(x: Trajectory, order: FracOrder) -> Trajectory:
@@ -117,13 +131,9 @@ def rl_integral_left(x: Trajectory, order: FracOrder) -> Trajectory:
     against the piecewise-linear interpolant of x, so the rule is exact for
     linear trajectories and O(h^2) on smooth ones.
     """
-    alpha = order.alpha
-    grid = x.grid
-    n = grid.n
+    grid, alpha = x.grid, order.alpha
     scale = grid.h ** alpha / math.gamma(alpha + 2.0)
-    i = np.arange(1, n + 1, dtype=float)
-    a0 = (i - 1.0) ** (alpha + 1.0) - (i - 1.0 - alpha) * i ** alpha
-    c = _pt_corrector_weights(alpha, n)
+    a0, c = _pt_weights(alpha, grid.n)
     out = np.zeros_like(x.values)
     out[1:] = scale * (a0[:, None] * x.values[0] + _history_sums(x.values[1:], c))
     return Trajectory(grid, out)
@@ -131,8 +141,7 @@ def rl_integral_left(x: Trajectory, order: FracOrder) -> Trajectory:
 
 def rl_integral_right(x: Trajectory, order: FracOrder) -> Trajectory:
     """Right Riemann-Liouville integral: reflection of rl_integral_left."""
-    rev = Trajectory(x.grid, x.values[::-1].copy())
-    return Trajectory(x.grid, rl_integral_left(rev, order).values[::-1].copy())
+    return _reflect(rl_integral_left, x, order)
 
 
 def ibp_residual(f: Trajectory, g: Trajectory, order: FracOrder) -> float:
@@ -157,52 +166,19 @@ def ibp_residual(f: Trajectory, g: Trajectory, order: FracOrder) -> float:
     return abs(lhs - rhs - boundary)
 
 
-# Maps receive node-aligned arrays: x and v of shape (n+1, d) and t of
-# shape (n+1,), and return an array broadcastable to (n+1, d).
-PhaseMap = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+def embed_operator(operator: Callable, order: FracOrder) -> Callable[[Trajectory], Trajectory]:
+    """Fractional embedding of a differential operator.
 
-
-@dataclass(frozen=True)
-class OperatorTerm:
-    """One term f * (d/dt)^power g of a differential operator."""
-
-    factor: PhaseMap
-    target: PhaseMap
-    power: int
-
-
-def embed_operator(
-    terms: tuple[OperatorTerm, ...], order: FracOrder
-) -> Callable[[Trajectory], Trajectory]:
-    """Fractional embedding of a first-order differential operator.
-
-    The operator is the sum of its terms; each map's middle argument
-    receives the trajectory's derivative.  Every time derivative, both
-    the applied power and that derivative slot, is replaced by the left
-    Caputo derivative.  The returned evaluator maps a Trajectory x to
-    sum_i f_i(x, D^a x, t) * (D^a_left)^{power_i} g_i(x, D^a x, t).
-    As alpha -> 1 this approaches the classical operator evaluation.
+    operator(x, d) evaluates the classical operator on node values x, of
+    shape (n+1, dim), with d the time derivative of node values.  The
+    evaluator returned maps a Trajectory x to operator(x, d) with d the left
+    Caputo derivative on x's grid: as alpha -> 1, the classical operator.
     """
-    for term in terms:
-        if term.power not in (0, 1):
-            raise UnsupportedOperatorError(
-                f"derivative power {term.power} not supported (only 0 and 1)"
-            )
 
     def evaluator(x: Trajectory) -> Trajectory:
-        t = x.grid.nodes()
-        xv = x.values
-        vv = caputo_left(x, order).values
-        acc = None
-        for term in terms:
-            gv = np.broadcast_to(
-                np.asarray(term.target(xv, vv, t), dtype=float), xv.shape
-            )
-            if term.power == 1:
-                gv = caputo_left(Trajectory(x.grid, gv.copy()), order).values
-            fv = np.asarray(term.factor(xv, vv, t), dtype=float)
-            contrib = fv * gv
-            acc = contrib if acc is None else acc + contrib
-        return Trajectory(x.grid, np.broadcast_to(acc, xv.shape).copy())
+        def d(values: np.ndarray) -> np.ndarray:
+            return caputo_left(Trajectory(x.grid, values), order).values
+
+        return Trajectory(x.grid, operator(x.values, d))
 
     return evaluator

@@ -18,13 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fracops import (
-    FracOrder,
-    OperatorTerm,
-    caputo_left,
-    caputo_right,
-    rl_integral_left,
-)
+from .fracops import FracOrder, caputo_left, caputo_right, rl_integral_left
 from .grids import TimeGrid, Trajectory, trapezoid
 from .systems import NaturalSystem
 
@@ -79,16 +73,13 @@ def causal_el_residual(L: NaturalSystem, x: Trajectory, order: FracOrder) -> Tra
     return Trajectory(x.grid, dldx - caputo_left(dldv, order).values)
 
 
-def classical_el_operator(L: NaturalSystem) -> tuple[OperatorTerm, ...]:
-    """The classical Euler-Lagrange operator dL/dx - d/dt dL/dv as its terms.
+def classical_el_operator(L: NaturalSystem):
+    """The classical Euler-Lagrange operator dL/dx - d/dt dL/dv as (x, d) -> value.
 
-    Feeding these to embed_operator reproduces causal_el_residual exactly:
+    Feeding it to embed_operator reproduces causal_el_residual exactly:
     the embedding and the restricted least-action principle commute.
     """
-    return (
-        OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: -L.potential_grad(x), 0),
-        OperatorTerm(lambda x, v, t: -1.0, lambda x, v, t: L.mass * v, 1),
-    )
+    return lambda x, d: -L.potential_grad(x) - d(L.mass * d(x))
 
 
 def hamiltonian_action_residual(

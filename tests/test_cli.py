@@ -535,6 +535,47 @@ def test_missing_config_file_is_reported(tmp_path):
     assert "config file not found" in res.stderr
 
 
+_STEP = "step (b - a)/n = 1.5625e-312 is too small for alpha = 0.99: h^-alpha overflows"
+_BUDGET = "the self-convergence budget 100 h^(2 - alpha) of function {} overflows a double"
+_UNREADABLE = "config file not readable as UTF-8 text: "
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # h^-alpha of a subnormal step overflows before any transform
+        (["frac-deriv", "--b", "1e-310", "--alpha", "0.99", "--n", "64"], _STEP),
+        (["verify-coherence", "--b", "1e-310", "--alpha", "0.99", "--n", "64"], _STEP),
+        # 100 h^(2 - alpha) of the half grid passes the double range
+        (
+            ["frac-deriv", "--function", "sin", "--b", "1e250", "--n", "64"],
+            _BUDGET.format("sin") + " for a = 0.0, b = 1e+250; narrow [a, b]",
+        ),
+        (
+            ["frac-deriv", "--function", "cos", "--a", "1e300", "--b", "1.0000001e300"]
+            + ["--n", "64"],
+            _BUDGET.format("cos") + " for a = 1e+300, b = 1.0000001e+300; narrow [a, b]",
+        ),
+        # a directory, and a file holding the byte 0xff
+        (["ml-eval", "--z", "1", "--config", "{dir}"], _UNREADABLE + "{dir}"),
+        (["ml-eval", "--z", "1", "--config", "{bad}"], _UNREADABLE + "{bad}"),
+    ],
+    ids=["step-deriv", "step-coherence", "budget-sin", "budget-cos", "config-dir", "config-0xff"],
+)
+@pytest.mark.filterwarnings("error")
+def test_input_out_of_the_double_range_or_unreadable_is_refused(tmp_path, capsys, args, message):
+    from fractime import cli
+
+    paths = {"dir": str(tmp_path), "bad": str(tmp_path / "bad.cfg")}
+    (tmp_path / "bad.cfg").write_bytes(b"alpha=0.5\n\xff\n")
+    out = tmp_path / "out"
+    assert cli.main([a.format(**paths) for a in args] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**paths)}\n"
+    assert not out.exists()
+
+
 def test_verify_coherence_defaults_pass(tmp_path):
     res = run_cli("verify-coherence", "--out", str(tmp_path))
     assert res.returncode == 0

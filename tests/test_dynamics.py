@@ -23,7 +23,7 @@ from fractime import (
 )
 from fractime.dynamics import _DIVERGENCE_CAP, _FDE_LEAF, solve_classical, solve_fde_system
 from fractime.errors import DivergenceError, OutOfRangeError
-from fractime.fracops import _history_sums, _pt_corrector_weights
+from fractime.fracops import _history_sums, _power_increments, _pt_weights
 from fractime.systems import free_particle, quartic
 
 HALF = FracOrder(0.5)
@@ -147,7 +147,7 @@ def _direct_fde(rhs, y0, grid, order):
     h2 = h**alpha / math.gamma(alpha + 2.0)
     idx = np.arange(n + 2, dtype=float)
     bw = idx**alpha - np.maximum(idx - 1.0, 0.0) ** alpha
-    cw = _pt_corrector_weights(alpha, n + 1)
+    cw = _pt_weights(alpha, n + 1)[1]
     y = np.empty((n + 1, m))
     fhist = np.empty((n + 1, m))
     y[0] = y0
@@ -191,6 +191,22 @@ def test_blocked_history_matches_direct_sums(n, rhs, y0):
     got = solve_fde_system(rhs, y0, grid, HALF).values
     want = _direct_fde(rhs, y0, grid, HALF)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 4097, 65536])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_solver_weights_from_fracops_equal_its_own_formulas_bitwise(alpha, n):
+    # the product-rectangle and product-trapezoid weights the solver formed
+    # itself before it read them from fracops
+    idx = np.arange(n + 2, dtype=float)
+    bw = idx**alpha - np.maximum(idx - 1.0, 0.0) ** alpha
+    m = np.arange(1, n + 1, dtype=float)
+    c = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
+    a0 = np.array([k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)])
+    got_a0, got_cw = _pt_weights(alpha, n + 1)
+    assert np.concatenate(([0.0], _power_increments(alpha, n + 1))).tobytes() == bw.tobytes()
+    assert got_cw.tobytes() == np.concatenate(([1.0], c)).tobytes()
+    assert got_a0[:n].tobytes() == a0.tobytes()
 
 
 def _reusing(rhs, m):
@@ -404,7 +420,7 @@ def _array_fde_system(rhs, y0, grid, order):
     h2 = h**alpha / math.gamma(alpha + 2.0)
     idx = np.arange(n + 2, dtype=float)
     bw = idx**alpha - np.maximum(idx - 1.0, 0.0) ** alpha
-    cw = _pt_corrector_weights(alpha, n + 1)
+    cw = _pt_weights(alpha, n + 1)[1]
     a0 = np.array(
         [k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)]
     )

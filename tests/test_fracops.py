@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 from fractime import FracOrder, TimeGrid
 from fractime.errors import GridError, OutOfRangeError
 from fractime.fracops import (
-    OperatorTerm,
     _history_sums,
-    _l1_weights,
-    _pt_corrector_weights,
+    _power_increments,
+    _pt_weights,
     caputo_left,
     caputo_right,
     embed_operator,
@@ -67,7 +66,7 @@ def test_history_sums_match_direct_convolution(n, d, alpha):
     # full history, and a block of the first rows feeding every target
     for k in sorted({n, max(1, n // 3)}):
         cols = rng.standard_normal((k, d))
-        for w in (_l1_weights(alpha, n), _pt_corrector_weights(alpha, n)):
+        for w in (_power_increments(1.0 - alpha, n), _pt_weights(alpha, n)[1]):
             got = _history_sums(cols, w)
             want = _direct_history_sums(cols, w)
             assert got.shape == (n, d)
@@ -80,7 +79,7 @@ def test_history_sums_scale_exactly_by_powers_of_two(n):
     rng = np.random.default_rng(n)
     cols = rng.standard_normal((n, 3))
     cols[:, 1] = 0.0
-    w = _l1_weights(0.5, n)
+    w = _power_increments(0.5, n)
     sums = _history_sums(cols, w)
     for k in (-900, -40, 1, 40, 1000):
         assert np.array_equal(_history_sums(np.ldexp(cols, k), w), np.ldexp(sums, k)), k
@@ -91,7 +90,7 @@ def test_history_sums_stay_finite_where_the_sums_do():
     # transform's spectrum times the weights' would pass the double range
     rng = np.random.default_rng(5)
     cols = rng.uniform(0.5e307, 1e307, size=(17, 2))
-    w = _l1_weights(0.5, 17)
+    w = _power_increments(0.5, 17)
     got = _history_sums(cols, w)
     want = _direct_history_sums(cols, w)
     assert np.all(np.isfinite(got))
@@ -242,22 +241,10 @@ def test_componentwise_action_on_stacked_trajectories():
 def test_embed_operator_replaces_time_derivative_with_caputo():
     # classical operator x + 2 (d/dt) x embeds to x + 2 D^a x
     grid = TimeGrid(0.0, 1.0, 256)
-    terms = (
-        OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 0),
-        OperatorTerm(lambda x, v, t: 2.0, lambda x, v, t: x, 1),
-    )
     traj = Trajectory.from_callable(grid, lambda t: t * t)
-    out = embed_operator(terms, HALF)(traj).values[:, 0]
+    out = embed_operator(lambda x, d: x + 2.0 * d(x), HALF)(traj).values[:, 0]
     manual = traj.values[:, 0] + 2.0 * caputo_left(traj, HALF).values[:, 0]
     np.testing.assert_array_equal(out, manual)
-
-
-def test_embed_operator_rejects_higher_powers():
-    from fractime.errors import UnsupportedOperatorError
-
-    terms = (OperatorTerm(lambda x, v, t: 1.0, lambda x, v, t: x, 2),)
-    with pytest.raises(UnsupportedOperatorError):
-        embed_operator(terms, HALF)
 
 
 @settings(max_examples=40, deadline=None)
