@@ -1,8 +1,9 @@
 """Command-line front end: configured experiments with CSV + text reports.
 
 Each subcommand assembles an experiment from flags, an optional flat
-key=value config file (flags win), and documented defaults; runs it; writes
-the outputs it declared atomically into --out, all at once after it
+key=value config file (flags win), and documented defaults, for the keys
+its runner names as parameters plus seed and out, refusing any other; runs
+it; writes the outputs it declared atomically into --out, all at once after it
 returns; and prints a run report echoing the config, one pass/fail line per
 check, every output file path, and the wall time.  Exit status is 0 iff all
 checks pass, 1 when a check fails, 2 on configuration or validation errors,
@@ -59,40 +60,18 @@ _MAX_N = 2**22
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand's runner, its extra keys with defaults, and its aliases."""
+    """A subcommand's runner, whose parameters after report name its keys, and its aliases."""
 
     run: Callable
-    extras: dict
     aliases: tuple = ()
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one experiment run."""
+    """Validated description of one experiment run: each key's converted value."""
 
     kind: str
-    alpha: float
-    a: float
-    b: float
-    n: int
-    m_paths: int
-    seed: int
-    system: str
-    out: str
-    extras: dict
-
-    def echo_lines(self) -> list:
-        lines = [
-            f"  alpha = {self.alpha}",
-            f"  grid: a = {self.a}, b = {self.b}, n = {self.n}",
-            f"  system = {self.system}",
-            f"  m_paths = {self.m_paths}",
-            f"  seed = {self.seed}",
-            f"  out = {self.out}",
-        ]
-        for key in sorted(self.extras):
-            lines.append(f"  {key} = {self.extras[key]}")
-        return lines
+    values: dict
 
 
 @dataclass
@@ -118,7 +97,7 @@ class RunReport:
 
     def render(self) -> str:
         lines = [f"experiment: {self.config.kind}", "config:"]
-        lines.extend(self.config.echo_lines())
+        lines.extend(f"  {key} = {value}" for key, value in self.config.values.items())
         lines.extend(self.notes)
         lines.extend(c.line() for c in self.checks)
         if self.files:
@@ -129,7 +108,7 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, kind: str, keys: list) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -145,8 +124,10 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got '{text}'")
         key, value = text.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key not in keys:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown key '{key}' for {kind}, which takes {', '.join(keys)}"
+            )
         raw[key] = value.strip()
     return raw
 
@@ -168,55 +149,76 @@ def _to_int(key: str, text: str) -> int:
         raise ConfigError(f"{key} must be an integer, got '{text}'") from None
 
 
-# the keys every subcommand takes: key -> (default, converter from text)
-_COMMON = {
+def _to_text(key: str, text: str) -> str:
+    return text
+
+
+# every key a command can take: key -> (default, converter from text); a
+# None default stays None, for the runner to refuse or fill in
+_KEYS = {
     "alpha": ("0.5", _to_float),
     "a": ("0.0", _to_float),
     "b": ("2.0", _to_float),
     "n": ("2048", _to_int),
     "m_paths": ("10000", _to_int),
     "seed": ("42", _to_int),
-    "system": ("harmonic", lambda key, text: text),
-    "out": (".", lambda key, text: text),
+    "system": ("harmonic", _to_text),
+    "out": (".", _to_text),
+    "x0": ("1", _to_float),
+    "p0": ("0", _to_float),
+    "beta": ("1.0", _to_float),
+    "z": (None, _to_float),
+    "function": ("t2", _to_text),
+    "tau_step": (None, _to_float),
+    "c": ("10000", _to_float),
+    "scale": ("1.0", _to_float),
 }
+
+
+def _reads(run: Callable) -> list:
+    """The keys a runner reads: its parameters after report."""
+    return list(inspect.signature(run).parameters)[1:]
+
+
+def _keys(kind: str) -> list:
+    """The keys a command takes: its runner's, then seed and out.  The echo
+    must list every flag the benchmark passes: perfbench/run.py passes --seed
+    to every command, and its smoke test --m-paths to the three that draw
+    nothing as well as to the two that do."""
+    unread = ["m_paths"] if kind in ("frac-deriv", "solve-fde", "verify-coherence") else []
+    return list(dict.fromkeys([*_reads(_COMMANDS[kind].run), *unread, "seed", "out"]))
 
 
 def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
     """Merge flags over config-file values over defaults and validate."""
     kind = ns.kind
-    file_values = _read_config_file(ns.config) if ns.config else {}
-
-    def pick(key: str, default):
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            return str(flag)
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    cfg = ExperimentConfig(
-        kind=kind,
-        **{key: convert(key, pick(key, default)) for key, (default, convert) in _COMMON.items()},
-        extras={key: pick(key, default) for key, default in _COMMANDS[kind].extras.items()},
-    )
-    if cfg.b <= cfg.a:
-        raise ConfigError(f"b must exceed a, got a = {cfg.a}, b = {cfg.b}")
-    if cfg.n < 2:
-        raise ConfigError(f"n must be at least 2, got {cfg.n}")
-    if cfg.n > _MAX_N:
-        raise ConfigError(f"n must be at most {_MAX_N}, got {cfg.n}")
-    if cfg.m_paths < 2:
-        raise ConfigError(f"m-paths must be at least 2, got {cfg.m_paths}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {cfg.seed}")
+    keys = _keys(kind)
+    file_values = _read_config_file(ns.config, kind, keys) if ns.config else {}
+    flags = {key: text for key, text in vars(ns).items() if key in keys and text is not None}
+    texts = {key: _KEYS[key][0] for key in keys} | file_values | flags
+    values = {k: None if text is None else _KEYS[k][1](k, text) for k, text in texts.items()}
+    # the internal-time commands take no a: their grids start at 0
+    a, b = values.get("a", 0.0), values.get("b", math.inf)
+    if b <= a:
+        why = f"exceed a, got a = {a}, b = {b}" if "a" in values else f"be positive, got b = {b}"
+        raise ConfigError(f"b must {why}")
+    n = values.get("n", 2)
+    if n < 2:
+        raise ConfigError(f"n must be at least 2, got {n}")
+    if n > _MAX_N:
+        raise ConfigError(f"n must be at most {_MAX_N}, got {n}")
+    if values.get("m_paths", 2) < 2:
+        raise ConfigError(f"m-paths must be at least 2, got {values['m_paths']}")
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {values['seed']}")
     # out's first existing ancestor must be a directory, so the writes after
     # the run can create the rest; nothing is created here
-    parent = cfg.out
+    out = parent = values["out"]
     while parent and not os.path.lexists(parent):
         parent = os.path.dirname(parent)
-    if not cfg.out or not os.path.isdir(parent or "."):
-        raise ConfigError(f"out must be a directory or a path that can be one, got '{cfg.out}'")
-    return cfg
+    if not out or not os.path.isdir(parent or "."):
+        raise ConfigError(f"out must be a directory or a path that can be one, got '{out}'")
+    return ExperimentConfig(kind, values)
 
 
 _OSCILLATOR_WHAT = f"max dev over t^2a in [0, {Z_MAX:g}]"
@@ -264,14 +266,14 @@ def _resolve_system(text: str):
     if paren and not text.endswith(")"):
         raise ConfigError(f"unbalanced parentheses in system '{text}'")
     name, args = name.strip(), args[:-1]
-    values, order = {}, []
+    named, order = [], []
     if args.strip():
         for part in args.split(","):
             part = part.strip()
             if "=" in part:
                 key, val = part.split("=", 1)
                 key = key.strip().replace("lambda", "lam")
-                values[key] = _to_float(f"system parameter {key}", val.strip())
+                named.append((key, _to_float(f"system parameter {key}", val.strip())))
             else:
                 order.append(_to_float("system parameter", part))
     if name not in _SYSTEMS:
@@ -279,7 +281,7 @@ def _resolve_system(text: str):
             f"unknown system '{name}'; expected free-particle | harmonic(m, omega) | quartic(lambda)"
         )
     factory, form = _SYSTEMS[name]
-    params = _bind(order, values, factory)
+    params = _bind(order, named, factory)
     return factory(**params), params, form
 
 
@@ -289,50 +291,42 @@ def parse_system(text: str) -> NaturalSystem:
 
 
 def _bind(positional, named, factory) -> dict:
-    """The factory's keyword defaults, overridden by position, then by name."""
+    """The factory's keyword defaults, overridden by position, then by
+    (name, value) pairs; each parameter is set at most once."""
     params = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
     names = list(params)
     if len(positional) > len(names):
         raise ConfigError(f"too many system parameters; expected at most {names}")
-    params.update(zip(names, positional))
-    for key, value in named.items():
+    given = names[: len(positional)] + [key for key, _ in named]
+    for key in given:
         if key not in names:
             raise ConfigError(f"unknown system parameter '{key}'; expected {names}")
-        params[key] = value
+        if given.count(key) > 1:
+            raise ConfigError(f"system parameter {key} is set twice")
+    params.update([*zip(names, positional), *named])
     for key, value in params.items():
         if not value > 0.0:
             raise ConfigError(f"system parameter {key} must be positive, got {value}")
     return params
 
 
-def _parse_phase_point(cfg: ExperimentConfig) -> np.ndarray:
-    """(x0, p0), one number each."""
-    return np.array([_to_float(key, cfg.extras[key]) for key in ("x0", "p0")])
-
-
-def _grid(cfg: ExperimentConfig) -> TimeGrid:
-    return TimeGrid(cfg.a, cfg.b, cfg.n)
-
-
-def _sample(cfg: ExperimentConfig):
+def _sample(alpha, b, n, m_paths, seed):
     """The run's one internal-time sample on its grid: the exact one-time
     law, since every check of the bridge reads one node at a time."""
-    return exact_marginal_ensemble(FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, seed=cfg.seed)
+    return exact_marginal_ensemble(FracOrder(alpha), TimeGrid(0.0, b, n), m_paths, seed=seed)
 
 
 # ---------------------------------------------------------------- runners
 
 
-def _run_ml(cfg: ExperimentConfig, report: RunReport) -> None:
-    if cfg.extras["z"] is None:
+def _run_ml(report, alpha, beta, z) -> None:
+    if z is None:
         raise ConfigError("z is required for ml (flag --z or config key z)")
-    z = _to_float("z", cfg.extras["z"])
-    beta = _to_float("beta", cfg.extras["beta"])
-    params = MLParams(cfg.alpha, beta)
+    params = MLParams(alpha, beta)
     value = mittag_leffler(params, z)
     report.notes.append(f"{value:.10f}")
     report.outputs.append(
-        ("ml.csv", ["alpha", "beta", "z", "value"], [[cfg.alpha], [beta], [z], [value]])
+        ("ml.csv", ["alpha", "beta", "z", "value"], [[alpha], [beta], [z], [value]])
     )
     report.checks.append(Check("evaluation finite", abs(value), "<", math.inf, "|E_a,b(z)|"))
 
@@ -361,23 +355,22 @@ _FUNCTIONS = {
 }
 
 
-def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
-    name = cfg.extras["function"]
-    if name not in _FUNCTIONS:
-        raise ConfigError(f"function must be one of {sorted(_FUNCTIONS)}, got '{name}'")
-    fn, exact = _FUNCTIONS[name]
-    if exact is None and cfg.n < 4:
+def _run_frac_deriv(report, alpha, a, b, n, function) -> None:
+    if function not in _FUNCTIONS:
+        raise ConfigError(f"function must be one of {sorted(_FUNCTIONS)}, got '{function}'")
+    fn, exact = _FUNCTIONS[function]
+    if exact is None and n < 4:
         raise ConfigError(
-            f"n must be at least 4 for function {name}, whose self-convergence"
-            f" check halves the grid; got {cfg.n}"
+            f"n must be at least 4 for function {function}, whose self-convergence"
+            f" check halves the grid; got {n}"
         )
-    order = FracOrder(cfg.alpha)
-    grid = _grid(cfg)
-    span = f"[a, b] = [{cfg.a:g}, {cfg.b:g}]"
+    order = FracOrder(alpha)
+    grid = TimeGrid(a, b, n)
+    span = f"[a, b] = [{a:g}, {b:g}]"
     with np.errstate(over="ignore"):
         values = fn(grid.nodes())
     if not np.all(np.isfinite(values)):
-        raise ConfigError(f"function {name} overflows a double on {span}")
+        raise ConfigError(f"function {function} overflows a double on {span}")
 
     def derivative(operator, traj: Trajectory) -> np.ndarray:
         # the derivative of finite samples may still exceed the largest double
@@ -386,7 +379,7 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
                 return operator(traj, order).values[:, 0]
         except GridError:
             raise ConfigError(
-                f"the derivative of function {name} overflows a double on {span}; lower b"
+                f"the derivative of function {function} overflows a double on {span}; lower b"
             ) from None
 
     traj = Trajectory(grid, values)
@@ -398,45 +391,43 @@ def _run_frac_deriv(cfg: ExperimentConfig, report: RunReport) -> None:
     report.checks.append(Check("annihilates constants", flat, "==", 0.0, "max |D^a 1|"))
 
     if exact is not None:
-        w = interior_window(cfg.n)
-        oracle, tol = exact(grid.nodes()[w : cfg.n + 1 - w] - cfg.a, cfg.a, cfg.alpha, grid.h)
-        dev = float(np.abs(left[w : cfg.n + 1 - w] - oracle).max())
+        w = interior_window(n)
+        oracle, tol = exact(grid.nodes()[w : n + 1 - w] - a, a, alpha, grid.h)
+        dev = float(np.abs(left[w : n + 1 - w] - oracle).max())
         report.checks.append(Check("matches power-rule oracle", dev, "<=", tol, "interior max dev"))
     else:
         # odd n: the coarse grid ends at fine node n - 1, so both read the
         # same times (a Caputo value at t depends only on [a, t])
-        end = cfg.b if cfg.n % 2 == 0 else grid.nodes()[cfg.n - 1]
-        half = TimeGrid(cfg.a, end, cfg.n // 2)
+        end = b if n % 2 == 0 else grid.nodes()[n - 1]
+        half = TimeGrid(a, end, n // 2)
         coarse = derivative(caputo_left, Trajectory.from_callable(half, fn))
-        wc = interior_window(cfg.n // 2)
-        dev = float(
-            np.abs(left[::2][wc : cfg.n // 2 + 1 - wc] - coarse[wc : cfg.n // 2 + 1 - wc]).max()
-        )
+        wc = interior_window(n // 2)
+        dev = float(np.abs(left[::2][wc : n // 2 + 1 - wc] - coarse[wc : n // 2 + 1 - wc]).max())
         try:
-            tol = 100.0 * half.h ** (2.0 - cfg.alpha)
+            tol = 100.0 * half.h ** (2.0 - alpha)
         except OverflowError:
             tol = math.inf
         if tol == math.inf:
             raise ConfigError(
-                f"the self-convergence budget 100 h^(2 - alpha) of function {name}"
-                f" overflows a double for a = {cfg.a}, b = {cfg.b}; narrow [a, b]"
+                f"the self-convergence budget 100 h^(2 - alpha) of function {function}"
+                f" overflows a double for a = {a}, b = {b}; narrow [a, b]"
             )
         what = "interior max |D_n - D_n/2|"
         report.checks.append(Check("self-convergence under grid refinement", dev, "<=", tol, what))
 
 
-def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
-    H, params, form = _resolve_system(cfg.system)
-    order = FracOrder(cfg.alpha)
-    grid = _grid(cfg)
-    y0 = _parse_phase_point(cfg)
+def _run_solve_fde(report, alpha, a, b, n, system, x0, p0) -> None:
+    H, params, form = _resolve_system(system)
+    order = FracOrder(alpha)
+    grid = TimeGrid(a, b, n)
+    y0 = (x0, p0)
     sol = solve_fde(H, y0, grid, order)
     header = ["t", "x0", "x1"]
     meta = [
-        f"alpha={cfg.alpha:.17g}",
-        f"n={cfg.n}",
-        f"a={cfg.a:.17g}",
-        f"b={cfg.b:.17g}",
+        f"alpha={alpha:.17g}",
+        f"n={n}",
+        f"a={a:.17g}",
+        f"b={b:.17g}",
         "scheme=fractional-adams",
     ]
     report.outputs += [
@@ -449,11 +440,9 @@ def _run_solve_fde(cfg: ExperimentConfig, report: RunReport) -> None:
         report.checks += form(sol, y0, **params)
 
 
-def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
-    text = cfg.extras["tau_step"]
-    tau_step = None if text is None else _to_float("tau_step", text)
+def _run_subordinator(report, alpha, b, n, m_paths, tau_step, seed) -> None:
     ens = inverse_subordinator_paths(
-        FracOrder(cfg.alpha), _grid(cfg), cfg.m_paths, tau_step=tau_step, seed=cfg.seed
+        FracOrder(alpha), TimeGrid(0.0, b, n), m_paths, tau_step=tau_step, seed=seed
     )
     stats = ensemble_mean(ens)
     t = ens.t_grid.nodes()
@@ -468,7 +457,7 @@ def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
     s0 = float(np.abs(ens.paths[:, 0]).max())
     # row by row: an ensemble-sized np.diff would double the peak memory
     min_step = min(float(np.diff(row).min()) for row in ens.paths)
-    oracle = cfg.b**cfg.alpha / math.gamma(1.0 + cfg.alpha)
+    oracle = b**alpha / math.gamma(1.0 + alpha)
     dev = float(abs(stats.mean[-1] - oracle))
     budget = float(3.0 * stats.stderr[-1] + ens.tau_step)
     report.checks += [
@@ -484,11 +473,9 @@ def _run_subordinator(cfg: ExperimentConfig, report: RunReport) -> None:
     ]
 
 
-def _run_scaling_limit(cfg: ExperimentConfig, report: RunReport) -> None:
-    order = FracOrder(cfg.alpha)
-    law = WaitingTimeLaw(order, _to_float("scale", cfg.extras["scale"]))
-    c = _to_float("c", cfg.extras["c"])
-    counts, s1 = scaling_samples(law, c, cfg.m_paths, seed=cfg.seed)
+def _run_scaling_limit(report, alpha, m_paths, c, scale, seed) -> None:
+    law = WaitingTimeLaw(FracOrder(alpha), scale)
+    counts, s1 = scaling_samples(law, c, m_paths, seed=seed)
     b_c = rescale_factor(counts, s1)
     ks = ks_statistic(counts / b_c, s1)
     probs = np.linspace(0.0, 1.0, 101)
@@ -513,20 +500,20 @@ def _declare_comparison(report: RunReport, tables, stem: str) -> None:
     report.outputs.append((f"{stem}_summary.txt", lines))
 
 
-def _run_verify_stanislavsky(cfg: ExperimentConfig, report: RunReport) -> None:
-    H = parse_system(cfg.system)
-    y0 = _parse_phase_point(cfg)
-    rep = verify_stanislavsky(H, y0, _sample(cfg))
+def _run_verify_stanislavsky(report, alpha, b, n, m_paths, system, x0, p0, seed) -> None:
+    rep = verify_stanislavsky(parse_system(system), (x0, p0), _sample(alpha, b, n, m_paths, seed))
     report.checks.extend(rep.checks)
     _declare_comparison(report, rep.tables, "stanislavsky")
 
 
-def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
-    L = parse_system(cfg.system)
-    order = FracOrder(cfg.alpha)
-    grid = _grid(cfg)
-    y0 = _parse_phase_point(cfg)
-    sol = solve_fde(L, y0, grid, order)
+def _run_verify_coherence(report, alpha, a, b, n, system, x0, p0) -> None:
+    L = parse_system(system)
+    if p0 == 0.0 and L.potential_grad(x0) == 0.0:
+        what = "its solution is constant, so no residual separates causal from general"
+        raise ConfigError(f"x0 = {x0}, p0 = {p0} is an equilibrium of {system}: {what}")
+    order = FracOrder(alpha)
+    grid = TimeGrid(a, b, n)
+    sol = solve_fde(L, (x0, p0), grid, order)
     x = sol.x_part()
     causal = causal_el_residual(L, x, order)
     general = general_el_residual(L, x, order)
@@ -558,11 +545,9 @@ def _run_verify_coherence(cfg: ExperimentConfig, report: RunReport) -> None:
     ]
 
 
-def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
-    L = parse_system(cfg.system)
-    y0 = _parse_phase_point(cfg)
-    ens = _sample(cfg)
-    crep = verify_compatibility(L, y0, ens)
+def _run_verify_compatibility(report, alpha, b, n, m_paths, system, x0, p0, seed) -> None:
+    ens = _sample(alpha, b, n, m_paths, seed)
+    crep = verify_compatibility(parse_system(system), (x0, p0), ens)
 
     # its check reads only the commutation nodes, so only those are flowed
     at_nodes = ens.at(_commutation_nodes(ens.t_grid.n))
@@ -583,29 +568,29 @@ def _run_verify_compatibility(cfg: ExperimentConfig, report: RunReport) -> None:
     report.outputs.append(("quartic_gap.csv", ["t", "gap_x", "stderr_x"], cols))
 
 
-_PHASE_POINT = {"x0": "1", "p0": "0"}
 _COMMANDS = {
-    "ml-eval": _Command(_run_ml, {"beta": "1.0", "z": None}, aliases=("ml",)),
-    "frac-deriv": _Command(_run_frac_deriv, {"function": "t2"}),
-    "solve-fde": _Command(_run_solve_fde, _PHASE_POINT),
-    "subordinator": _Command(_run_subordinator, {"tau_step": None}),
-    "scaling-limit": _Command(_run_scaling_limit, {"c": "10000", "scale": "1.0"}),
-    "verify-stanislavsky": _Command(_run_verify_stanislavsky, _PHASE_POINT),
-    "verify-coherence": _Command(_run_verify_coherence, _PHASE_POINT),
-    "verify-compatibility": _Command(_run_verify_compatibility, _PHASE_POINT),
+    "ml-eval": _Command(_run_ml, aliases=("ml",)),
+    "frac-deriv": _Command(_run_frac_deriv),
+    "solve-fde": _Command(_run_solve_fde),
+    "subordinator": _Command(_run_subordinator),
+    "scaling-limit": _Command(_run_scaling_limit),
+    "verify-stanislavsky": _Command(_run_verify_stanislavsky),
+    "verify-coherence": _Command(_run_verify_coherence),
+    "verify-compatibility": _Command(_run_verify_compatibility),
 }
-_ALL_KEYS = set(_COMMON) | {k for c in _COMMANDS.values() for k in c.extras}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run a validated config; returns the report (raises FractimeError)."""
     report = RunReport(config=cfg)
     start = time.perf_counter()
-    _COMMANDS[cfg.kind].run(cfg, report)
+    run = _COMMANDS[cfg.kind].run
+    run(report, **{key: cfg.values[key] for key in _reads(run)})
     # only a runner that returned writes, and the writes count in duration
-    os.makedirs(cfg.out, exist_ok=True)
+    out = cfg.values["out"]
+    os.makedirs(out, exist_ok=True)
     for name, *body in report.outputs:
-        path = os.path.join(cfg.out, name)
+        path = os.path.join(out, name)
         (write_csv if len(body) == 2 else write_text)(path, *body)
         report.files.append(path)
     report.duration = time.perf_counter() - start
@@ -619,13 +604,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for kind, command in _COMMANDS.items():
-        p = sub.add_parser(kind, aliases=list(command.aliases))
+        # no abbreviations: ml-eval would read --a as --alpha
+        p = sub.add_parser(kind, aliases=list(command.aliases), allow_abbrev=False)
         p.set_defaults(kind=kind)
-        for key in _COMMON:
+        for key in _keys(kind):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key)
         p.add_argument("--config")
-        for key in command.extras:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key)
     return parser
 
 

@@ -299,21 +299,23 @@ def test_subordinator_writes_paths_and_stats(tmp_path):
 
 
 def test_subordinator_requires_zero_origin(tmp_path):
+    # its grid starts at 0, so it takes no a
     res = run_cli("subordinator", "--a", "0.5", "--out", str(tmp_path))
     assert res.returncode == 2
-    assert "a must be 0" in res.stderr
+    assert res.stderr.splitlines()[-1] == "fractime: error: unrecognized arguments: --a=0.5"
 
 
 @pytest.mark.parametrize("command", ["verify-stanislavsky", "verify-compatibility"])
 def test_internal_time_checks_require_zero_origin(tmp_path, capsys, command):
     from fractime import cli
 
-    assert cli.main([command, "--a", "0.5", "--out", str(tmp_path)]) == 2
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--a", "0.5", "--out", str(tmp_path)])
+    assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "a must be 0" in lines[0]
+    assert captured.err.splitlines()[-1] == "fractime: error: unrecognized arguments: --a=0.5"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("out", ["", "file", "file/sub"], ids=["empty", "file", "under-file"])
@@ -325,7 +327,7 @@ def test_out_that_cannot_be_a_directory_is_refused(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("kept\n")
     ran = []
-    runner = cli._Command(lambda cfg, report: ran.append(cfg), cli._PHASE_POINT)
+    runner = cli._Command(lambda report, n: ran.append(n))
     monkeypatch.setitem(cli._COMMANDS, "solve-fde", runner)
     assert cli.main(["solve-fde", "--n", "8", "--out", out]) == 2
     captured = capsys.readouterr()
@@ -480,7 +482,7 @@ def test_largest_grid_is_accepted():
     from fractime import cli
 
     ns = cli._build_parser().parse_args(["frac-deriv", "--n", str(2**22)])
-    assert cli.parse_config(ns).n == 2**22
+    assert cli.parse_config(ns).values["n"] == 2**22
 
 
 @pytest.mark.parametrize("command", ["verify-stanislavsky", "verify-compatibility"])
@@ -497,7 +499,7 @@ def test_oversized_classical_horizon_is_refused(tmp_path, command):
 def test_unexpected_exception_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
     from fractime import cli
 
-    def broken(cfg, report):
+    def broken(report, z):
         raise RuntimeError("runner broke")
 
     monkeypatch.setitem(
@@ -526,7 +528,161 @@ def test_unknown_config_key_is_rejected(tmp_path):
     cfg.write_text("bogus=1\n")
     res = run_cli("ml", "--z", "1", "--config", str(cfg), "--out", str(tmp_path))
     assert res.returncode == 2
-    assert "unknown key 'bogus'" in res.stderr
+    assert res.stderr == (
+        f"error: {cfg}:1: unknown key 'bogus' for ml-eval, which takes alpha, beta, z, seed, out\n"
+    )
+
+
+# the keys each command reads, in the order its report echoes them; every
+# command takes seed and out as well, and the three benchmark commands that
+# draw nothing take m_paths, since the benchmark's smoke test passes
+# --m-paths to every command it runs
+_TAKES = {
+    "ml-eval": ["alpha", "beta", "z"],
+    "frac-deriv": ["alpha", "a", "b", "n", "function"],
+    "solve-fde": ["alpha", "a", "b", "n", "system", "x0", "p0"],
+    "subordinator": ["alpha", "b", "n", "m_paths", "tau_step", "seed"],
+    "scaling-limit": ["alpha", "m_paths", "c", "scale", "seed"],
+    "verify-stanislavsky": ["alpha", "b", "n", "m_paths", "system", "x0", "p0", "seed"],
+    "verify-coherence": ["alpha", "a", "b", "n", "system", "x0", "p0"],
+    "verify-compatibility": ["alpha", "b", "n", "m_paths", "system", "x0", "p0", "seed"],
+}
+_TAKEN_UNREAD = ("frac-deriv", "solve-fde", "verify-coherence")
+_EVERY_KEY = sorted({key for keys in _TAKES.values() for key in keys} | {"out"})
+
+
+def _taken(command):
+    unread = ["m_paths"] if command in _TAKEN_UNREAD else []
+    return list(dict.fromkeys(_TAKES[command] + unread + ["seed", "out"]))
+
+
+_UNREAD = [(command, key) for command in _TAKES for key in _EVERY_KEY if key not in _taken(command)]
+
+
+@pytest.mark.parametrize("command, key", _UNREAD, ids=[" ".join(case) for case in _UNREAD])
+def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, key):
+    # as a flag, and as a config-file key
+    from fractime import cli
+
+    flag = f"--{key.replace('_', '-')}"
+    value = {"m_paths": "7", "n": "3"}.get(key, "1")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, flag, value, "--out", str(out)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"fractime: error: unrecognized arguments: {flag}={value}"
+    )
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# {key} is not read\n{key}={value}\n")
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    takes = ", ".join(_taken(command))
+    assert captured.err == (
+        f"error: {config}:2: unknown key '{key}' for {command}, which takes {takes}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ml-eval", "--z", "1"],
+        ["frac-deriv", "--n", "8"],
+        ["solve-fde", "--n", "8"],
+        ["subordinator", "--n", "4", "--m-paths", "20"],
+        ["scaling-limit", "--c", "200", "--m-paths", "1000"],
+        ["verify-stanislavsky", "--n", "8", "--m-paths", "20"],
+        ["verify-coherence", "--n", "8"],
+        ["verify-compatibility", "--n", "8", "--m-paths", "20"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_echo_lists_the_keys_read_then_seed_and_out(tmp_path, capsys, args):
+    from fractime import cli
+
+    assert cli.main([*args, "--out", str(tmp_path)]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("config:") + 1
+    echo = list(itertools.takewhile(lambda line: line.startswith("  "), lines[start:]))
+    keys = [line.strip().split(" = ", 1)[0] for line in echo]
+    assert keys == _taken(args[0])
+    # values print converted
+    assert f"  out = {tmp_path}" in echo and "  alpha = 0.5" in echo
+    assert ("  x0 = 1.0" in echo) == ("x0" in keys)
+
+
+@pytest.mark.parametrize("command", _TAKEN_UNREAD)
+def test_benchmark_commands_echo_m_paths_and_ignore_it(tmp_path, capsys, command):
+    # the benchmark's smoke test passes --m-paths 200 and reads it back
+    from fractime import cli
+
+    runs = {}
+    for extra in ([], ["--m-paths", "200"]):
+        out = tmp_path / str(len(extra))
+        assert cli.main([command, "--n", "8", *extra, "--out", str(out)]) in (0, 1)
+        report = capsys.readouterr().out
+        assert ("  m_paths = 200\n" in report) == bool(extra)
+        runs[len(extra)] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs[0] == runs[2]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["subordinator", "--b", "-1"], "b must be positive, got b = -1.0"),
+        (["verify-compatibility", "--b", "0"], "b must be positive, got b = 0.0"),
+        (["solve-fde", "--a", "1", "--b", "1"], "b must exceed a, got a = 1.0, b = 1.0"),
+    ],
+    ids=["subordinator", "verify-compatibility", "solve-fde"],
+)
+def test_b_is_checked_against_a_only_where_a_is_taken(tmp_path, capsys, args, message):
+    from fractime import cli
+
+    assert cli.main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_CONSTANT = "its solution is constant, so no residual separates causal from general"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve-fde", "--system", "harmonic(1,m=2)"], "system parameter m is set twice"),
+        (["solve-fde", "--system", "harmonic(m=2,m=1)"], "system parameter m is set twice"),
+        (["solve-fde", "--system", "quartic(2, lambda=1)"], "system parameter lam is set twice"),
+        (
+            ["verify-coherence", "--system", "free-particle"],
+            f"x0 = 1.0, p0 = 0.0 is an equilibrium of free-particle: {_CONSTANT}",
+        ),
+        (
+            ["verify-coherence", "--system", "harmonic", "--x0", "0"],
+            f"x0 = 0.0, p0 = 0.0 is an equilibrium of harmonic: {_CONSTANT}",
+        ),
+        (
+            ["verify-coherence", "--system", "quartic", "--x0", "0"],
+            f"x0 = 0.0, p0 = 0.0 is an equilibrium of quartic: {_CONSTANT}",
+        ),
+    ],
+    ids=["twice-by-position", "twice-by-name", "twice-lambda", "equilibrium-free",
+         "equilibrium-harmonic", "equilibrium-quartic"],
+)
+@pytest.mark.filterwarnings("error")
+def test_system_set_twice_or_an_equilibrium_to_verify_is_refused(tmp_path, capsys, args, message):
+    # a parameter given twice was overwritten; at an equilibrium both
+    # residuals are 0, so the coherence checks FAILed on working code
+    from fractime import cli
+
+    out = tmp_path / "out"
+    assert cli.main([*args, "--n", "64", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_missing_config_file_is_reported(tmp_path):
