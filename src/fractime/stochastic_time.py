@@ -10,8 +10,9 @@ standard positive stable W (Meerschaert & Scheffler, J. Appl. Probab. 41,
 so a MarginalEnsemble keeps the M factors V and the node factors t^alpha
 and forms rows only when they are read.  Both ensemble forms are read the
 same way: a block of rows at a time, and the largest S(b).  Heavy-tailed
-renewal counting processes provide the pre-limit picture, and the
-scaling-limit check compares the rescaled counting distribution against
+renewal counting processes provide the pre-limit picture: Pareto waits of
+unit scale (waits of scale s count N_{c/s}, so c alone sets the law), and
+the scaling-limit check compares the rescaled counting distribution against
 exact S(1) = W^-alpha by a two-sample Kolmogorov-Smirnov statistic.  One loop
 draws subordinator levels and renewal arrivals: partial sums past a horizon.
 
@@ -39,7 +40,6 @@ from .fracops import FracOrder
 from .grids import TimeGrid
 
 __all__ = [
-    "WaitingTimeLaw",
     "SubordinatorEnsemble",
     "MarginalEnsemble",
     "EnsembleStats",
@@ -62,22 +62,6 @@ _MAX_LEVELS = 1e6
 _MAX_VALUES = 2**27
 # rows formed at once when an ensemble is read whole
 _MEAN_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class WaitingTimeLaw:
-    """Pareto waiting times: density alpha scale^alpha / t^(1+alpha), t >= scale."""
-
-    alpha: FracOrder
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise OutOfRangeError(f"scale must be positive, got {self.scale}")
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        u = rng.random(size)
-        return self.scale * (1.0 - u) ** (-1.0 / self.alpha.alpha)
 
 
 def _stable_block(alpha: float, size: int, rng) -> np.ndarray:
@@ -309,54 +293,56 @@ def exact_marginal_ensemble(
     return MarginalEnsemble(t_grid=t_grid, t=t, scale=v, profile=t**order.alpha, alpha=order)
 
 
-def _arrivals(law: WaitingTimeLaw, horizon: float, rng) -> np.ndarray:
-    """Renewal arrival times T(n) <= horizon; waits are at least law.scale,
-    so this stops after at most horizon/scale arrivals."""
-    first = max(32, int(1.5 * max(1.0, horizon**law.alpha.alpha / law.scale**law.alpha.alpha)) + 1)
-    return _first_passage(lambda size: law.sample(rng, size), first, horizon)[:-1]
+def _arrivals(alpha: float, horizon: float, rng) -> np.ndarray:
+    """Renewal arrival times T(n) <= horizon of Pareto waits of unit scale,
+    density alpha / t^(1+alpha) on t >= 1, so at most horizon arrivals."""
+    first = max(32, int(1.5 * max(1.0, horizon**alpha)) + 1)
+    return _first_passage(
+        lambda size: (1.0 - rng.random(size)) ** (-1.0 / alpha), first, horizon
+    )[:-1]
 
 
 def scaling_samples(
-    law: WaitingTimeLaw, c: float, M: int, seed: int = 0
+    order: FracOrder, c: float, M: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """M counting samples N_c and M independent exact S(1) = W^-alpha
-    samples: the row scales of an exact one-time-law ensemble, where the
-    profile is 1.0 ** alpha == 1.0, drawn as it draws them.
+    """M counting samples N_c of unit-scale Pareto waits and M independent
+    exact S(1) = W^-alpha samples: the row scales of an exact one-time-law
+    ensemble, where the profile is 1.0 ** alpha == 1.0, drawn as it draws
+    them.  Waits of scale s count N_{c/s}, so c alone sets the law.
 
     Raises:
-        OutOfRangeError: c < 100, c <= scale 2^(1/alpha) (where the median
-            count is 0), a path would draw more than 1e6 arrivals
-            ((c/scale)^alpha, the size of its first draw), M < 1000, or an
-            exact ensemble on [0, 1] at n = 2 would hold more than 2^27
-            values (all checked before any allocation).
+        OutOfRangeError: c < 100, c <= 2^(1/alpha) (where the median count
+            is 0), a path would draw more than 1e6 arrivals (c^alpha, the
+            size of its first draw), M < 1000, or an exact ensemble on
+            [0, 1] at n = 2 would hold more than 2^27 values (all checked
+            before any allocation).
         DegenerateSampleError: the sample median of the counts is zero.
     """
+    alpha = order.alpha
     if c < 100.0:
         raise OutOfRangeError(f"c must be at least 100, got {c}")
-    # P(N_c = 0) = (scale/c)^alpha, formed in logs: 2^(1/alpha) overflows at
-    # small alpha, and (c/scale)^alpha at a tiny scale
-    log_arrivals = law.alpha.alpha * (math.log(c) - math.log(law.scale))
+    # P(N_c = 0) = c^-alpha, formed in logs: 2^(1/alpha) overflows at small alpha
+    log_arrivals = alpha * math.log(c)
     p_zero = math.exp(-log_arrivals)
     if p_zero >= 0.5:
         raise OutOfRangeError(
-            f"c must exceed scale * 2^(1/alpha), got c = {c:g} with P(N_c = 0) = {p_zero:.4g}"
+            f"c must exceed 2^(1/alpha), got c = {c:g} with P(N_c = 0) = {p_zero:.4g}"
         )
     if log_arrivals > math.log(_MAX_LEVELS):
         raise OutOfRangeError(
-            f"c = {c:g} at scale = {law.scale:g} needs about"
-            f" 10^{log_arrivals / math.log(10):.3g} arrivals per path"
-            f" (at most {_MAX_LEVELS:.0e}); lower c or raise scale"
+            f"c = {c:g} needs about 10^{log_arrivals / math.log(10):.3g} arrivals"
+            f" per path (at most {_MAX_LEVELS:.0e}); lower c"
         )
     if M < 1000:
         raise OutOfRangeError(f"M must be at least 1000, got {M}")
     # its S(1) grid is fixed, so only m_paths moves the cap
     _check_ensemble(TimeGrid(0.0, 1.0, 2), M, lower="m_paths")
     counts = np.array(
-        [len(_arrivals(law, c, _path_rng(seed, (_RENEWAL_KEY, i)))) for i in range(M)], float
+        [len(_arrivals(alpha, c, _path_rng(seed, (_RENEWAL_KEY, i)))) for i in range(M)], float
     )
     if np.median(counts) == 0.0:
         raise DegenerateSampleError(f"the median count is 0 at c = {c:g}; raise c")
-    return counts, _marginal_scale(law.alpha.alpha, M, seed)
+    return counts, _marginal_scale(alpha, M, seed)
 
 
 def rescale_factor(counts: np.ndarray, s1: np.ndarray) -> float:

@@ -16,6 +16,7 @@ import pytest
 
 _WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, cwd=None):
@@ -247,8 +248,6 @@ def test_oscillator_oracle_reads_exact_parameters(tmp_path, monkeypatch, capsys,
     "args, oracle",
     [
         (["--system", "free-particle(2)", "--x0", "0.5", "--p0", "1"], True),
-        # the closed form starts at the origin of time
-        (["--system", "free-particle", "--a", "0.5", "--b", "1.5"], False),
     ],
 )
 def test_power_law_drift_oracle_reads_mass_and_initial_data(
@@ -272,7 +271,7 @@ def test_scaling_limit_refuses_a_zero_median_count_before_sampling(tmp_path):
     res = run_cli("scaling-limit", "--alpha", "0.05", "--m-paths", "1000", "--out", str(out))
     assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr.startswith("error: c must exceed scale * 2^(1/alpha)"), res.stderr
+    assert res.stderr.startswith("error: c must exceed 2^(1/alpha)"), res.stderr
     assert len(res.stderr.splitlines()) == 1 and "Warning" not in res.stderr
     assert not out.exists()
 
@@ -419,15 +418,19 @@ def test_frac_deriv_self_convergence_needs_four_steps(tmp_path, capsys, function
     assert cli.main(["frac-deriv", "--function", "t2", "--n", "2", "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("args", [["--scale", "1e-300"], ["--c", "1e300"]], ids=" ".join)
-def test_scaling_limit_refuses_a_renewal_law_it_cannot_draw(tmp_path, args):
+@pytest.mark.parametrize(
+    "c, arrivals",
+    [("1e300", "10^150"), ("1e13", "10^6.5")],
+    ids=["--c 1e300", "--c 1e13"],
+)
+def test_scaling_limit_refuses_a_renewal_law_it_cannot_draw(tmp_path, c, arrivals):
     out = tmp_path / "out"
-    res = run_cli("scaling-limit", *args, "--m-paths", "1000", "--out", str(out))
+    res = run_cli("scaling-limit", "--c", c, "--m-paths", "1000", "--out", str(out))
     assert res.returncode == 2
     assert res.stdout == ""
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1 and "arrivals per path" in lines[0], res.stderr
-    assert "c = " in lines[0] and "scale = " in lines[0]
+    assert res.stderr == (
+        f"error: c = {float(c):g} needs about {arrivals} arrivals per path (at most 1e+06); lower c\n"
+    )
     assert not out.exists()
 
 
@@ -540,15 +543,18 @@ def test_unknown_config_key_is_rejected(tmp_path):
 _TAKES = {
     "ml-eval": ["alpha", "beta", "z"],
     "frac-deriv": ["alpha", "a", "b", "n", "function"],
-    "solve-fde": ["alpha", "a", "b", "n", "system", "x0", "p0"],
+    "solve-fde": ["alpha", "b", "n", "system", "x0", "p0"],
     "subordinator": ["alpha", "b", "n", "m_paths", "tau_step", "seed"],
-    "scaling-limit": ["alpha", "m_paths", "c", "scale", "seed"],
+    "scaling-limit": ["alpha", "m_paths", "c", "seed"],
     "verify-stanislavsky": ["alpha", "b", "n", "m_paths", "system", "x0", "p0", "seed"],
-    "verify-coherence": ["alpha", "a", "b", "n", "system", "x0", "p0"],
+    "verify-coherence": ["alpha", "b", "n", "system", "x0", "p0"],
     "verify-compatibility": ["alpha", "b", "n", "m_paths", "system", "x0", "p0", "seed"],
 }
 _TAKEN_UNREAD = ("frac-deriv", "solve-fde", "verify-coherence")
-_EVERY_KEY = sorted({key for keys in _TAKES.values() for key in keys} | {"out"})
+# scale, the waiting-time scale, is no command's key: waits of scale s count
+# N_{c/s}, so c alone sets the renewal law, and every command refuses it
+_RETIRED = {"scale"}
+_EVERY_KEY = sorted({key for keys in _TAKES.values() for key in keys} | {"out"} | _RETIRED)
 
 
 def _taken(command):
@@ -585,6 +591,19 @@ def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, k
         f"error: {config}:2: unknown key '{key}' for {command}, which takes {takes}\n"
     )
     assert not out.exists()
+
+
+def test_readme_command_table_lists_the_keys_each_runner_reads():
+    from fractime import cli
+
+    rows = {}
+    for line in _README.read_text().splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`") and "`--" in cells[2]:
+            command = cells[1].split("`")[1]
+            flags = cells[2].strip().strip("`").split()
+            rows[command] = [flag[2:].replace("-", "_") for flag in flags]
+    assert rows == {kind: cli._reads(command.run) for kind, command in cli._COMMANDS.items()}
 
 
 @pytest.mark.parametrize(
@@ -635,9 +654,10 @@ def test_benchmark_commands_echo_m_paths_and_ignore_it(tmp_path, capsys, command
     [
         (["subordinator", "--b", "-1"], "b must be positive, got b = -1.0"),
         (["verify-compatibility", "--b", "0"], "b must be positive, got b = 0.0"),
-        (["solve-fde", "--a", "1", "--b", "1"], "b must exceed a, got a = 1.0, b = 1.0"),
+        (["solve-fde", "--b", "0"], "b must be positive, got b = 0.0"),
+        (["frac-deriv", "--a", "1", "--b", "1"], "b must exceed a, got a = 1.0, b = 1.0"),
     ],
-    ids=["subordinator", "verify-compatibility", "solve-fde"],
+    ids=["subordinator", "verify-compatibility", "solve-fde", "frac-deriv"],
 )
 def test_b_is_checked_against_a_only_where_a_is_taken(tmp_path, capsys, args, message):
     from fractime import cli
@@ -781,8 +801,8 @@ def _run_in(out: Path, capsys, argv: list) -> tuple:
     [
         ("solve-fde", "--x0", "-1e3", ["--n", "64"]),
         ("solve-fde", "--p0", "-2.5e-1", ["--n", "64"]),
-        ("solve-fde", "--a", "-1e0", ["--n", "64"]),
-        ("solve-fde", "--b", "-5e-1", ["--a", "-1", "--n", "64"]),
+        ("frac-deriv", "--a", "-1e0", ["--function", "sin", "--n", "64"]),
+        ("frac-deriv", "--b", "-5e-1", ["--a", "-1", "--n", "64"]),
         ("frac-deriv", "--a", "-2E0", ["--n", "64"]),
         ("ml-eval", "--z", "-3e0", []),
         ("verify-coherence", "--p0", "-1e-1", ["--n", "64"]),

@@ -28,7 +28,6 @@ from fractime.stochastic_time import (
     _MARGINAL_KEY,
     MarginalEnsemble,
     SubordinatorEnsemble,
-    WaitingTimeLaw,
     _arrivals,
     _d_levels,
     _first_passage,
@@ -441,83 +440,71 @@ def test_sampled_paths_match_the_exact_one_time_law():
         assert ks_statistic(paths, exact) < 1.63 * math.sqrt(2.0 / 10000)
 
 
-def test_waiting_time_law_validates_inputs():
-    with pytest.raises(OutOfRangeError):
-        WaitingTimeLaw(HALF, 0.0)
-    law = WaitingTimeLaw(HALF, 2.0)
-    samples = law.sample(np.random.default_rng(0), 1000)
-    assert np.all(samples >= 2.0)
-
-
-def test_waiting_time_quantiles_match_pareto_inverse_cdf():
-    law = WaitingTimeLaw(HALF, 1.0)
-    samples = law.sample(np.random.default_rng(42), 200000)
+def test_renewal_waits_are_unit_pareto():
+    # the gaps of a long renewal path: at least 1, with the quantiles of
+    # the inverse CDF (1 - q)^(-1/alpha)
+    times = _arrivals(0.5, 1e11, np.random.default_rng(42))
+    waits = np.diff(times, prepend=0.0)
+    assert waits.size > 100000 and np.all(waits >= 1.0)
     for q in (0.25, 0.5, 0.75):
-        oracle = (1.0 - q) ** (-2.0)
-        got = np.quantile(samples, q)
-        assert got == pytest.approx(oracle, rel=0.05)
+        assert np.quantile(waits, q) == pytest.approx((1.0 - q) ** (-2.0), rel=0.05)
 
 
 def test_renewal_process_with_long_waits_never_jumps():
-    law = WaitingTimeLaw(HALF, 10.0)
-    assert _arrivals(law, 1.0, np.random.default_rng(0)).size == 0
+    assert _arrivals(0.5, 0.1, np.random.default_rng(0)).size == 0
 
 
 def test_renewal_counts_are_monotone_in_time():
-    law = WaitingTimeLaw(HALF, 0.05)
-    times = _arrivals(law, 50.0, np.random.default_rng(4))
+    times = _arrivals(0.5, 1000.0, np.random.default_rng(4))
     assert np.all(np.diff(times) > 0.0)
-    assert 0.05 <= times[0] and times[-1] <= 50.0
-    counts = np.searchsorted(times, np.linspace(0.0, 50.0, 21), side="right")
+    assert 1.0 <= times[0] and times[-1] <= 1000.0
+    counts = np.searchsorted(times, np.linspace(0.0, 1000.0, 21), side="right")
     assert np.all(np.diff(counts) >= 0)
     assert counts[-1] > 0
 
 
 def test_scaling_samples_validate_ranges():
-    law = WaitingTimeLaw(HALF, 1.0)
     with pytest.raises(OutOfRangeError):
-        scaling_samples(law, 50.0, 2000, seed=0)
+        scaling_samples(HALF, 50.0, 2000, seed=0)
     with pytest.raises(OutOfRangeError):
-        scaling_samples(law, 1000.0, 10, seed=0)
+        scaling_samples(HALF, 1000.0, 10, seed=0)
     # its S(1) grid is fixed, so the cap names m_paths alone
     with pytest.raises(OutOfRangeError, match="lower m_paths$"):
-        scaling_samples(law, 1000.0, 2 * 10**9, seed=0)
+        scaling_samples(HALF, 1000.0, 2 * 10**9, seed=0)
 
 
 def test_scaling_samples_draw_s1_as_the_exact_ensemble_draws_its_scales():
-    law = WaitingTimeLaw(FracOrder(0.7), 1.0)
-    _, s1 = scaling_samples(law, 1000.0, 1000, seed=3)
-    ens = exact_marginal_ensemble(law.alpha, TimeGrid(0.0, 1.0, 2), 1000, seed=3)
+    order = FracOrder(0.7)
+    _, s1 = scaling_samples(order, 1000.0, 1000, seed=3)
+    ens = exact_marginal_ensemble(order, TimeGrid(0.0, 1.0, 2), 1000, seed=3)
     np.testing.assert_array_equal(s1, ens.scale)
     np.testing.assert_array_equal(s1, ens.rows(0, 1000)[:, -1])
 
 
 def test_scaling_samples_report_degenerate_counts():
-    # waits far beyond the horizon leave every count at zero; the law says
-    # so before any sampling
-    law = WaitingTimeLaw(HALF, 1e9)
-    with pytest.raises(OutOfRangeError, match="c must exceed scale"):
-        scaling_samples(law, 100.0, 1000, seed=0)
+    # at alpha = 0.1 most waits pass c = 100 (P(N_c = 0) = 0.63): most
+    # counts are zero, and the law says so before any sampling
+    with pytest.raises(OutOfRangeError, match=re.escape("c must exceed 2^(1/alpha)")):
+        scaling_samples(FracOrder(0.1), 100.0, 1000, seed=0)
 
 
 def test_scaling_samples_refuse_a_zero_median_count_by_the_law():
-    # P(N_c = 0) = (scale/c)^alpha >= 1/2 exactly when c <= scale 2^(1/alpha)
-    with pytest.raises(OutOfRangeError, match="c = 399 with P"):
-        scaling_samples(WaitingTimeLaw(HALF, 100.0), 399.0, 1000, seed=0)
-    counts, _ = scaling_samples(WaitingTimeLaw(HALF, 100.0), 1000.0, 1000, seed=0)
+    # P(N_c = 0) = c^-alpha >= 1/2 exactly when c <= 2^(1/alpha), 256 here
+    eighth = FracOrder(0.125)
+    with pytest.raises(OutOfRangeError, match="c = 255 with P"):
+        scaling_samples(eighth, 255.0, 1000, seed=0)
+    counts, _ = scaling_samples(eighth, 1000.0, 1000, seed=0)
     assert np.median(counts) > 0
     # 2^(1/alpha) overflows a double here; the test runs in logs
     with pytest.raises(OutOfRangeError, match="c = 1e\\+300"):
-        scaling_samples(WaitingTimeLaw(FracOrder(1e-4), 1.0), 1e300, 1000, seed=0)
+        scaling_samples(FracOrder(1e-4), 1e300, 1000, seed=0)
 
 
-@pytest.mark.parametrize(
-    "c, scale, refused", [(1e4, 1e-300, True), (1e300, 1.0, True), (1e13, 1.0, True), (9.9e11, 1.0, False)]
-)
-def test_scaling_samples_refuse_more_arrivals_than_a_path_holds(monkeypatch, c, scale, refused):
-    # a path's first draw holds about 1.5 (c/scale)^alpha waits: 10^152,
-    # 10^150 and 10^6.5 at alpha = 1/2, refused in logs before any draw;
-    # 9.95e5 is within the 1e6 cap and goes on to draw
+@pytest.mark.parametrize("c, refused", [(1e300, True), (1e13, True), (9.9e11, False)])
+def test_scaling_samples_refuse_more_arrivals_than_a_path_holds(monkeypatch, c, refused):
+    # a path's first draw holds about 1.5 c^alpha waits: 10^150 and 10^6.5
+    # at alpha = 1/2, refused in logs before any draw; 9.95e5 is within the
+    # 1e6 cap and goes on to draw
     import fractime.stochastic_time as stochastic_time
 
     class Drawn(Exception):
@@ -527,21 +514,20 @@ def test_scaling_samples_refuse_more_arrivals_than_a_path_holds(monkeypatch, c, 
         raise Drawn
 
     monkeypatch.setattr(stochastic_time, "_arrivals", draw)
-    law = WaitingTimeLaw(HALF, scale)
     if refused:
-        with pytest.raises(OutOfRangeError, match=re.escape(f"c = {c:g} at scale = {scale:g} needs")):
-            scaling_samples(law, c, 1000, seed=0)
+        with pytest.raises(OutOfRangeError, match=re.escape(f"c = {c:g} needs")):
+            scaling_samples(HALF, c, 1000, seed=0)
     else:
         with pytest.raises(Drawn):
-            scaling_samples(law, c, 1000, seed=0)
+            scaling_samples(HALF, c, 1000, seed=0)
 
 
 def test_scaling_samples_report_a_zero_sample_median():
-    # P(N_c = 0) = (25/101)^0.5 = 0.4975 < 1/2 passes the law's test, and
-    # at this seed 523 of the 1000 counts are still zero
-    law = WaitingTimeLaw(HALF, 25.0)
+    # alpha = 0.151 lies just above log 2 / log 101 = 0.1502, so
+    # P(N_c = 0) = 101^-0.151 = 0.4981 < 1/2 passes the law's test, and at
+    # this seed 501 of the 1000 counts are still zero
     with pytest.raises(DegenerateSampleError, match="median count is 0"):
-        scaling_samples(law, 101.0, 1000, seed=5)
+        scaling_samples(FracOrder(0.151), 101.0, 1000, seed=1)
 
 
 def test_scaling_samples_read_exact_s1_not_sampled_paths(monkeypatch):
@@ -554,25 +540,23 @@ def test_scaling_samples_read_exact_s1_not_sampled_paths(monkeypatch):
         return inverse_subordinator_paths(*args, **kwargs)
 
     monkeypatch.setattr(stochastic_time, "inverse_subordinator_paths", spy)
-    law = WaitingTimeLaw(FracOrder(0.7), 1.0)
-    counts, s1 = scaling_samples(law, 1000.0, 2000, seed=9)
+    order = FracOrder(0.7)
+    counts, s1 = scaling_samples(order, 1000.0, 2000, seed=9)
     assert calls == []
     # S(1) is the scale of the exact ensemble on [0, 1], the same bits as
     # its rows at t = 1, where the profile is 1.0 ** alpha == 1.0
-    ens = exact_marginal_ensemble(law.alpha, TimeGrid(0.0, 1.0, 2), 2000, seed=9)
+    ens = exact_marginal_ensemble(order, TimeGrid(0.0, 1.0, 2), 2000, seed=9)
     assert s1.tobytes() == ens.scale.tobytes()
     assert s1.tobytes() == ens.rows(0, 2000)[:, -1].tobytes()
 
 
 def test_rescaled_counts_converge_to_internal_time_law():
-    law = WaitingTimeLaw(HALF, 1.0)
-    counts, s1 = scaling_samples(law, 10000.0, 10000, seed=42)
+    counts, s1 = scaling_samples(HALF, 10000.0, 10000, seed=42)
     assert ks_statistic(counts / rescale_factor(counts, s1), s1) < 0.05
 
 
 def test_rescale_factor_is_positive_median_ratio():
-    law = WaitingTimeLaw(HALF, 1.0)
-    counts, s1 = scaling_samples(law, 2000.0, 2000, seed=1)
+    counts, s1 = scaling_samples(HALF, 2000.0, 2000, seed=1)
     b = rescale_factor(counts, s1)
     assert b > 0.0
     assert np.median(counts / b) == pytest.approx(np.median(s1), rel=1e-6)
@@ -612,8 +596,7 @@ def test_ks_statistic_equals_scipy_on_scaling_limit_samples():
     from scipy.stats import ks_2samp
 
     for alpha in (0.5, 0.8):
-        law = WaitingTimeLaw(FracOrder(alpha), 1.0)
-        counts, s1 = scaling_samples(law, 1e4, 10000, seed=42)
+        counts, s1 = scaling_samples(FracOrder(alpha), 1e4, 10000, seed=42)
         rescaled = counts / rescale_factor(counts, s1)
         assert ks_statistic(rescaled, s1) == ks_2samp(rescaled, s1).statistic
 
