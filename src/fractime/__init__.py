@@ -24,7 +24,7 @@ from .dynamics import solve_fde
 from .errors import FractimeError
 from .fracops import FracOrder
 from .grids import TimeGrid
-from .special import MLParams, mittag_leffler
+from .special import MLParams, mittag_leffler, mittag_leffler_array
 from .stochastic_time import exact_marginal_ensemble, inverse_subordinator_paths
 from .systems import harmonic
 
@@ -35,6 +35,7 @@ __all__ = [
     "TimeGrid",
     "MLParams",
     "mittag_leffler",
+    "mittag_leffler_array",
     "harmonic",
     "solve_fde",
     "inverse_subordinator_paths",

@@ -23,11 +23,18 @@ Evaluation routes, tried in order:
    inversion to a smaller beta.
 
 The Taylor routes return only when their error estimate clears the target;
-the contour route raises PrecisionLossError when its optimal parameters
-cannot reach it or the value overflows, unless z > 0 and the largest term
+route 2 hands a negative z to the contour at once when its term magnitudes
+provably rise past the double range or past its last term.  The contour
+route raises PrecisionLossError when its optimal parameters cannot reach
+the target or the value overflows, unless z > 0 and the largest term
 bounds the whole series below the target: then its positive terms are summed
 in log space past their peak, to full relative accuracy, or, past 50,000
 terms, the Taylor partial sum is returned, which is within the target.
+
+``mittag_leffler_array`` takes a 1-D array of z for one (alpha, beta).  It
+sums route 2 on all the values at once, term by term, in compensated
+(Neumaier) sums with route 2's running error bound per value; each value
+whose bound misses the target is evaluated as a float, by the routes above.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, PrecisionLossError
 
-__all__ = ["MLParams", "Z_MAX", "mittag_leffler"]
+__all__ = ["MLParams", "Z_MAX", "mittag_leffler", "mittag_leffler_array"]
 
 Z_MAX = 50.0
 
@@ -51,6 +58,10 @@ _MAX_LOG_TERMS = 50_000
 # exp() overflows just above 709; stay clear of it
 _EXP_CAP = 705.0
 _LOG_EPS = math.log(_EPS)
+# a rise of a term exponent that no rounding of route 2 can reverse, and a
+# term size past which its stop test cannot fire while the terms rise
+_RISE = 1e-6
+_LOG_SMALL_TERM = math.log(1e-15)
 # contour targets: 1e-15, loosened by factors of 10 down to _TOL
 _OPC_TOLS = [10.0**-d for d in range(15, 9, -1)]
 _OPC_MAX_NODES = 200
@@ -124,6 +135,8 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
     """
     logz = math.log(abs(z))
     neg = z < 0.0
+    if neg and _rises_out_of_reach(alpha, beta, logz):
+        return math.nan, math.inf, False
     terms: list[float] = []
     s = 0.0
     absum = 0.0
@@ -142,8 +155,37 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
         s += t
         absum += mag
         prev = e
-        errsum += mag * (3.0 + abs(lg) + 0.5 * y * max(1.0, math.log(y)) + 0.5 * k * abs(logz))
+        errsum += mag * (_charge(y, lg) + 0.5 * k * abs(logz))
     return s, math.inf, False
+
+
+def _charge(y: float, lg: float) -> float:
+    """Route 2's error charge for a term, in eps of its size, for the
+    relative error of lg = lgamma(y) and the rounding of y; the rounding
+    of the power adds 0.5 k |log z|."""
+    return 3.0 + abs(lg) + 0.5 * y * max(1.0, math.log(y))
+
+
+def _rises_out_of_reach(alpha: float, beta: float, logz: float) -> bool:
+    """True when route 2 provably cannot converge for a negative z.
+
+    With x = alpha k + beta, the exponent k logz - lgamma(x) of term k
+    exceeds that of term k - 1 by logz - alpha psi(x') for some x' < x,
+    so by more than _RISE, far above its rounding, while x <= u =
+    exp((logz - _RISE) / alpha), since psi(x) < log(x).  While the term
+    magnitudes rise, the alternating partial sum stays below the last of
+    them, so once term 1 exceeds 1e-15 the stop test cannot fire: the
+    route runs until an exponent passes _EXP_CAP, which the exponent at
+    the last rising k, computed as route 2 computes it, decides, or until
+    _MAX_TERMS runs out.
+    """
+    last = (math.exp(min((logz - _RISE) / alpha, _EXP_CAP)) - beta) / alpha
+    if last < 1.0 or logz - math.lgamma(alpha + beta) < _LOG_SMALL_TERM:
+        return False
+    if last >= _MAX_TERMS - 1:
+        return True
+    k = math.floor(last)
+    return k * logz - math.lgamma(alpha * k + beta) > _EXP_CAP
 
 
 def _log_series_bound(alpha: float, beta: float, z: float) -> float:
@@ -370,6 +412,75 @@ def _opc(alpha: float, beta: float, z: float) -> float:
     return value
 
 
+def _refuse_outside(p: MLParams, z: float) -> None:
+    """Raise OutOfRangeError for alpha > 2 or a z that is not finite or
+    exceeds Z_MAX in magnitude."""
+    if not math.isfinite(z):
+        raise OutOfRangeError(f"z must be finite, got {z}")
+    if p.alpha > 2.0:
+        raise OutOfRangeError(f"alpha must lie in (0, 2], got {p.alpha}")
+    if abs(z) > Z_MAX:
+        raise OutOfRangeError(f"|z| = {abs(z)} exceeds the validated range {Z_MAX}")
+
+
+def _taylor_array(alpha: float, beta: float, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Route 2 on every nonzero node of z at once, into out; returns the
+    nodes whose error bound misses the target.
+
+    Each step adds term k to the nodes still summing: its exponent and
+    lgamma are route 2's, and its stop test and error bound are route 2's
+    per node, with the terms summed in Neumaier's compensated sum (the
+    running sum s, its rounding errors taken exactly by TwoSum into c)
+    instead of fsum, which adds eps |value| and a k^2 eps^2 share of the
+    term sum to the bound.  A node leaves the working arrays once it stops
+    or its exponent passes _EXP_CAP, so they stay at most len(z) long.
+    """
+    live = np.flatnonzero(z)
+    logz = np.log(np.abs(z[live]))
+    neg = z[live] < 0.0
+    s, c, err = (np.zeros(live.size) for _ in range(3))
+    missed = []
+    for k in range(_MAX_TERMS):
+        if not live.size:
+            break
+        y = alpha * k + beta
+        lg = math.lgamma(y)
+        e = logz * k - lg
+        gone = e > _EXP_CAP
+        missed.append(live[gone])
+        mag = np.exp(e)
+        if k > 0:
+            stop = (mag < 1e-16 * (1.0 + np.abs(s))) & (neg | (e < prev)) & ~gone
+            value = s[stop] + c[stop]
+            bound = _EPS * (err[stop] * (1.0 + k * k * _EPS) + np.abs(value)) + mag[stop]
+            ok = np.isfinite(value) & (bound <= _TOL * (1.0 + np.abs(value)))
+            out[live[stop][ok]] = value[ok]
+            missed.append(live[stop][~ok])
+            gone |= stop
+        prev = e
+        if gone.any():
+            # one array at a time, so that no two copies of the state coexist
+            keep = ~gone
+            live, neg = live[keep], neg[keep]
+            logz = logz[keep]
+            s = s[keep]
+            c = c[keep]
+            err = err[keep]
+            prev = prev[keep]
+            mag = mag[keep]
+        # route 2's charge for term k, its 4 absum folded in as 4 mag
+        err += mag * (np.abs(logz) * (0.5 * k) + (4.0 + _charge(y, lg)))
+        if k & 1:
+            np.negative(mag, out=mag, where=neg)
+        # TwoSum: the rounding error of s + mag, exactly
+        total = s + mag
+        b = total - s
+        c += (s - (total - b)) + (mag - b)
+        s = total
+    missed.append(live)
+    return np.concatenate(missed)
+
+
 def mittag_leffler(p: MLParams, z: float) -> float:
     """E_{alpha,beta}(z) for real z with |z| <= Z_MAX and alpha in (0, 2].
 
@@ -380,12 +491,7 @@ def mittag_leffler(p: MLParams, z: float) -> float:
             meets it).
     """
     z = float(z)
-    if not math.isfinite(z):
-        raise OutOfRangeError(f"z must be finite, got {z}")
-    if p.alpha > 2.0:
-        raise OutOfRangeError(f"alpha must lie in (0, 2], got {p.alpha}")
-    if abs(z) > Z_MAX:
-        raise OutOfRangeError(f"|z| = {abs(z)} exceeds the validated range {Z_MAX}")
+    _refuse_outside(p, z)
     alpha, beta = p.alpha, p.beta
     if z == 0.0:
         return _rgamma(beta)
@@ -407,3 +513,27 @@ def mittag_leffler(p: MLParams, z: float) -> float:
             total = _log_space_sum(alpha, beta, z)
             return val if total is None else total
         raise
+
+
+def mittag_leffler_array(p: MLParams, z) -> np.ndarray:
+    """mittag_leffler on each value of a 1-D array z: route 2 on all of them
+    at once, and the float routes on the values it cannot certify.
+
+    Raises:
+        OutOfRangeError: as mittag_leffler, naming a non-finite value before
+            the largest; or z is not 1-D.
+        PrecisionLossError: as mittag_leffler, for an uncertified value.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise OutOfRangeError(f"z must be a 1-D array, got {z.ndim} dimensions")
+    # the value the float routes would refuse first: a non-finite one, else
+    # the largest in magnitude
+    worst = z[np.where(np.isfinite(z), np.abs(z), np.inf).argmax()] if z.size else 0.0
+    _refuse_outside(p, float(worst))
+    out = np.full(z.shape, _rgamma(p.beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        missed = _taylor_array(p.alpha, p.beta, z, out)
+    for i in missed:
+        out[i] = mittag_leffler(p, float(z[i]))
+    return out

@@ -13,6 +13,7 @@ integer-ratio Taylor terms against Fraction arithmetic.
 import math
 import os
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fractime.special as special
-from fractime import MLParams, TimeGrid, mittag_leffler
+from fractime import MLParams, TimeGrid, mittag_leffler, mittag_leffler_array
 from fractime.special import Z_MAX
 from fractime.errors import FractimeError, OutOfRangeError, PrecisionLossError
 
@@ -161,16 +162,27 @@ def test_runtime_budget_for_oracle_suite(monkeypatch):
 
     # the 2049-node oracle of `solve-fde --alpha 0.4 --b 10`,
     # E_0.8(-t^0.8) on [0, 10], which crosses into the contour route
-    contour_calls = []
+    z = _oracle_grid(0.4, 10.0, 2048)
+    params = MLParams(0.8)
+    contour_calls, float_calls = [], []
     route = special._opc
     monkeypatch.setattr(
-        special, "_opc", lambda a, b, z: contour_calls.append(z) or route(a, b, z)
+        special, "_opc", lambda a, b, v: contour_calls.append(v) or route(a, b, v)
     )
     start = time.perf_counter()
-    for t in TimeGrid(0.0, 10.0, 2048).nodes():
-        mittag_leffler(MLParams(2.0 * 0.4), -(t ** (2.0 * 0.4)))
+    for v in z:
+        mittag_leffler(params, float(v))
     assert time.perf_counter() - start < 1.5
-    assert len(contour_calls) > 100
+    contour_nodes = len(contour_calls)
+    assert contour_nodes > 100
+    # the array form hands no more nodes to the float routes than the float
+    # loop hands to the contour (186 each)
+    evaluate = special.mittag_leffler
+    monkeypatch.setattr(
+        special, "mittag_leffler", lambda p, v: float_calls.append(v) or evaluate(p, v)
+    )
+    special.mittag_leffler_array(params, z)
+    assert 100 < len(float_calls) <= contour_nodes
 
 
 def _mpmath_spectral_neg(alpha: float, x: float) -> float:
@@ -405,6 +417,127 @@ def test_former_fallback_corners_are_fast_and_accurate():
     for alpha, beta, z, ref in FALLBACK_CORNERS:
         assert mittag_leffler(MLParams(alpha, beta), z) == pytest.approx(ref, abs=1e-12)
     assert time.perf_counter() - start < 0.05
+
+
+def test_route_two_hands_rising_terms_to_the_contour_without_summing(monkeypatch):
+    # at each former fallback corner the terms rise past the last of the
+    # 400 route 2 may sum, so it returns before the first; the value keeps
+    # its bits, since the full sum would not have converged either
+    for alpha, beta, z, _ in FALLBACK_CORNERS:
+        assert special._rises_out_of_reach(alpha, beta, math.log(-z))
+        assert special._taylor_general(alpha, beta, z)[1:] == (math.inf, False)
+    fast = [mittag_leffler(MLParams(a, b), z).hex() for a, b, z, _ in FALLBACK_CORNERS]
+    monkeypatch.setattr(special, "_rises_out_of_reach", lambda *args: False)
+    for alpha, beta, z, _ in FALLBACK_CORNERS:
+        assert not special._taylor_general(alpha, beta, z)[2]
+    assert [mittag_leffler(MLParams(a, b), z).hex() for a, b, z, _ in FALLBACK_CORNERS] == fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(0.01, 2.0),
+    beta=st.one_of(st.floats(0.01, 30.0), st.floats(1e-300, 1e-3)),
+    x=st.floats(0.01, Z_MAX),
+)
+def test_early_exit_fires_only_where_route_two_cannot_converge(alpha, beta, x):
+    if special._rises_out_of_reach(alpha, beta, math.log(x)):
+        rises = special._rises_out_of_reach
+        try:
+            special._rises_out_of_reach = lambda *args: False
+            assert not special._taylor_general(alpha, beta, -x)[2]
+        finally:
+            special._rises_out_of_reach = rises
+
+
+def _oracle_grid(alpha: float, b: float, n: int) -> np.ndarray:
+    """-t^2a on the n + 1 nodes of [0, b], cut at Z_MAX: the oracle of
+    `solve-fde --alpha alpha --b b --n n`."""
+    z = -(TimeGrid(0.0, b, n).nodes() ** (2.0 * alpha))
+    return z[z >= -Z_MAX]
+
+
+def test_array_form_matches_float_calls_on_oracle_grids():
+    worst = 0.0
+    for alpha in np.linspace(0.1, 0.9, 9):
+        params = MLParams(2.0 * float(alpha))
+        for b in (2.0, 10.0, 100.0):
+            z = _oracle_grid(float(alpha), b, 512)
+            values = mittag_leffler_array(params, z)
+            assert values.shape == z.shape and values.dtype == float
+            floats = np.array([mittag_leffler(params, float(v)) for v in z])
+            worst = max(worst, float((np.abs(values - floats) / (1.0 + np.abs(floats))).max()))
+    assert worst <= 1e-10
+
+
+def test_array_form_matches_mpmath_spectral_reference():
+    # each alpha's 50 x-values of the table as one array
+    table = np.array(_spectral_table())
+    for alpha in np.unique(table[:, 0]):
+        rows = table[table[:, 0] == alpha]
+        values = mittag_leffler_array(MLParams(float(alpha)), -rows[:, 1])
+        assert np.all(np.abs(values - rows[:, 2]) <= 1e-10 * (1.0 + np.abs(rows[:, 2]))), alpha
+
+
+def test_array_form_matches_float_calls_on_both_signs():
+    # positive z take route 2's wait for falling terms; points the float
+    # routes refuse are left out
+    rng = np.random.default_rng(7)
+    for alpha in (0.05, 0.3, 0.75, 1.0, 1.5, 2.0):
+        for beta in (0.5, 1.0, 1.7, 3.0, 20.0):
+            params = MLParams(alpha, beta)
+            z, floats = [], []
+            for v in rng.uniform(-Z_MAX, Z_MAX, 40):
+                try:
+                    floats.append(mittag_leffler(params, float(v)))
+                except PrecisionLossError:
+                    continue
+                z.append(v)
+            values = mittag_leffler_array(params, z)
+            assert np.all(np.abs(values - floats) <= 1e-10 * (1.0 + np.abs(floats))), (alpha, beta)
+
+
+def test_array_form_gives_the_float_refusals():
+    params = MLParams(0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfRangeError, match="z must be finite"):
+            mittag_leffler_array(params, np.array([-1.0, bad, 51.0]))
+    with pytest.raises(OutOfRangeError, match=f"exceeds the validated range {Z_MAX}"):
+        mittag_leffler_array(params, np.array([0.0, -1.0, -51.0]))
+    with pytest.raises(OutOfRangeError, match="alpha must lie in"):
+        mittag_leffler_array(MLParams(2.5), np.array([1.0]))
+    with pytest.raises(OutOfRangeError, match="alpha must lie in"):
+        mittag_leffler_array(MLParams(2.5), np.array([]))
+    with pytest.raises(PrecisionLossError):
+        mittag_leffler_array(params, np.array([1.0, 49.0]))
+    with pytest.raises(OutOfRangeError, match="1-D array, got 2 dimensions"):
+        mittag_leffler_array(params, np.zeros((2, 2)))
+
+
+def test_array_form_of_empty_and_zero_arguments():
+    empty = mittag_leffler_array(MLParams(0.5), [])
+    assert empty.shape == (0,) and empty.dtype == float
+    for beta in (0.5, 1.0, 3.5, 200.0):
+        values = mittag_leffler_array(MLParams(0.7, beta), [0.0, -0.0, 0.0])
+        assert values.tolist() == [mittag_leffler(MLParams(0.7, beta), 0.0)] * 3
+    # integers are read as floats
+    assert mittag_leffler_array(MLParams(1.0), np.array([0, -1])).tolist() == pytest.approx(
+        [1.0, math.exp(-1.0)], abs=1e-15
+    )
+
+
+@pytest.mark.parametrize("alpha, b", [(0.4, 10.0), (0.5, 2.0)])
+def test_array_form_memory_is_linear_in_the_nodes(alpha, b):
+    # the working arrays are a few node-length rows, never nodes x terms:
+    # on 16,385 nodes the peak stays below 16 float arrays of their length
+    z = _oracle_grid(alpha, b, 16384)
+    assert z.size == 16385
+    tracemalloc.start()
+    try:
+        mittag_leffler_array(MLParams(2.0 * alpha), z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * z.nbytes
 
 
 def test_contour_route_raises_when_node_cap_is_too_small(monkeypatch):
