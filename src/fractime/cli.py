@@ -58,14 +58,6 @@ _MAX_N = 2**22
 
 
 @dataclass(frozen=True)
-class _Command:
-    """A subcommand's runner, whose parameters after report name its keys, and its aliases."""
-
-    run: Callable
-    aliases: tuple = ()
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated description of one experiment run: each key's converted value."""
 
@@ -184,7 +176,7 @@ def _keys(kind: str) -> list:
     to every command, and its smoke test --m-paths to the three that draw
     nothing as well as to the two that do."""
     unread = ["m_paths"] if kind in ("frac-deriv", "solve-fde", "verify-coherence") else []
-    return list(dict.fromkeys([*_reads(_COMMANDS[kind].run), *unread, "seed", "out"]))
+    return list(dict.fromkeys([*_reads(_COMMANDS[kind]), *unread, "seed", "out"]))
 
 
 def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
@@ -255,55 +247,35 @@ _SYSTEMS = {
 
 
 def _resolve_system(text: str):
-    """(system, its bound parameters, its closed form) of a system string:
-    free-particle | harmonic(m, omega) | quartic(lambda)."""
+    """(system, its parameters by name, its closed form) of a system string:
+    free-particle | harmonic(m, omega) | quartic(lambda), each parameter
+    positive and given by position, the factory's defaults filling the rest."""
     text = text.strip()
     name, paren, args = text.partition("(")
     if paren and not text.endswith(")"):
         raise ConfigError(f"unbalanced parentheses in system '{text}'")
     name, args = name.strip(), args[:-1]
-    named, order = [], []
-    if args.strip():
-        for part in args.split(","):
-            part = part.strip()
-            if "=" in part:
-                key, val = part.split("=", 1)
-                key = key.strip().replace("lambda", "lam")
-                named.append((key, _to_float(f"system parameter {key}", val.strip())))
-            else:
-                order.append(_to_float("system parameter", part))
+    parts = args.split(",") if args.strip() else []
+    given = [_to_float("system parameter", part.strip()) for part in parts]
     if name not in _SYSTEMS:
         raise ConfigError(
             f"unknown system '{name}'; expected free-particle | harmonic(m, omega) | quartic(lambda)"
         )
     factory, form = _SYSTEMS[name]
-    params = _bind(order, named, factory)
+    params = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
+    names = list(params)
+    if len(given) > len(names):
+        raise ConfigError(f"too many system parameters; expected at most {names}")
+    params.update(zip(names, given))
+    for key, value in params.items():
+        if not value > 0.0:
+            raise ConfigError(f"system parameter {key} must be positive, got {value}")
     return factory(**params), params, form
 
 
 def parse_system(text: str) -> NaturalSystem:
     """Named built-ins: free-particle | harmonic(m, omega) | quartic(lambda)."""
     return _resolve_system(text)[0]
-
-
-def _bind(positional, named, factory) -> dict:
-    """The factory's keyword defaults, overridden by position, then by
-    (name, value) pairs; each parameter is set at most once."""
-    params = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
-    names = list(params)
-    if len(positional) > len(names):
-        raise ConfigError(f"too many system parameters; expected at most {names}")
-    given = names[: len(positional)] + [key for key, _ in named]
-    for key in given:
-        if key not in names:
-            raise ConfigError(f"unknown system parameter '{key}'; expected {names}")
-        if given.count(key) > 1:
-            raise ConfigError(f"system parameter {key} is set twice")
-    params.update([*zip(names, positional), *named])
-    for key, value in params.items():
-        if not value > 0.0:
-            raise ConfigError(f"system parameter {key} must be positive, got {value}")
-    return params
 
 
 def _sample(alpha, b, n, m_paths, seed):
@@ -317,7 +289,7 @@ def _sample(alpha, b, n, m_paths, seed):
 
 def _run_ml(report, alpha, beta, z) -> None:
     if z is None:
-        raise ConfigError("z is required for ml (flag --z or config key z)")
+        raise ConfigError("z is required for ml-eval (flag --z or config key z)")
     params = MLParams(alpha, beta)
     value = mittag_leffler(params, z)
     report.notes.append(f"{value:.10f}")
@@ -553,15 +525,16 @@ def _run_verify_compatibility(report, alpha, b, n, m_paths, system, x0, p0, seed
     report.outputs.append(("quartic_gap.csv", ["t", "gap_x", "stderr_x"], cols))
 
 
+# command name -> its runner, whose parameters after report name its keys
 _COMMANDS = {
-    "ml-eval": _Command(_run_ml, aliases=("ml",)),
-    "frac-deriv": _Command(_run_frac_deriv),
-    "solve-fde": _Command(_run_solve_fde),
-    "subordinator": _Command(_run_subordinator),
-    "scaling-limit": _Command(_run_scaling_limit),
-    "verify-stanislavsky": _Command(_run_verify_stanislavsky),
-    "verify-coherence": _Command(_run_verify_coherence),
-    "verify-compatibility": _Command(_run_verify_compatibility),
+    "ml-eval": _run_ml,
+    "frac-deriv": _run_frac_deriv,
+    "solve-fde": _run_solve_fde,
+    "subordinator": _run_subordinator,
+    "scaling-limit": _run_scaling_limit,
+    "verify-stanislavsky": _run_verify_stanislavsky,
+    "verify-coherence": _run_verify_coherence,
+    "verify-compatibility": _run_verify_compatibility,
 }
 
 
@@ -569,7 +542,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run a validated config; returns the report (raises FractimeError)."""
     report = RunReport(config=cfg)
     start = time.perf_counter()
-    run = _COMMANDS[cfg.kind].run
+    run = _COMMANDS[cfg.kind]
     run(report, **{key: cfg.values[key] for key in _reads(run)})
     # only a runner that returned writes, and the writes count in duration
     out = cfg.values["out"]
@@ -588,9 +561,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractional dynamics driven by stochastic internal time.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind, command in _COMMANDS.items():
+    for kind in _COMMANDS:
         # no abbreviations: ml-eval would read --a as --alpha
-        p = sub.add_parser(kind, aliases=list(command.aliases), allow_abbrev=False)
+        p = sub.add_parser(kind, allow_abbrev=False)
         p.set_defaults(kind=kind)
         for key in _keys(kind):
             p.add_argument(f"--{key.replace('_', '-')}", dest=key)

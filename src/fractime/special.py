@@ -8,22 +8,17 @@ once |E| exceeds 1.
 
 Evaluation routes, tried in order:
 
-1. Exact Taylor series, when alpha and beta are small integers.  Each term
-   is one correctly rounded ratio of exact integers, from
-   ``z.as_integer_ratio()`` and the factorial, and the terms are summed
-   with ``math.fsum``, which removes the term-rounding error that otherwise
-   dominates alternating sums such as E_1(-10).
-2. General Taylor series, its terms summed with ``math.fsum`` as in route
-   1, with a running error bound.
-3. Otherwise, Garrappa's optimal parabolic contour (OPC): the inverse
+1. Taylor series, its terms summed with ``math.fsum``, with a running
+   error bound.
+2. Otherwise, Garrappa's optimal parabolic contour (OPC): the inverse
    Laplace transform of s^(alpha-beta)/(s^alpha - z), a trapezoid sum on a
    parabola chosen between the transform's singularities plus the residues
    of the poles right of it, for every alpha in (0, 2] and beta > 0.  When
    beta is too large for any parabola, the recurrence in beta moves the
    inversion to a smaller beta.
 
-The Taylor routes return only when their error estimate clears the target;
-route 2 hands a negative z to the contour at once when its term magnitudes
+The Taylor route returns only when its error estimate clears the target,
+and hands a negative z to the contour at once when its term magnitudes
 provably rise past the double range or past its last term.  The contour
 route raises PrecisionLossError when its optimal parameters cannot reach
 the target or the value overflows, unless z > 0 and the largest term
@@ -32,8 +27,8 @@ in log space past their peak, to full relative accuracy, or, past 50,000
 terms, the Taylor partial sum is returned, which is within the target.
 
 ``mittag_leffler_array`` takes a 1-D array of z for one (alpha, beta).  It
-sums route 2 on all the values at once, term by term, in compensated
-(Neumaier) sums with route 2's running error bound per value; each value
+sums route 1 on all the values at once, term by term, in compensated
+(Neumaier) sums with route 1's running error bound per value; each value
 whose bound misses the target is evaluated as a float, by the routes above.
 """
 
@@ -58,7 +53,7 @@ _MAX_LOG_TERMS = 50_000
 # exp() overflows just above 709; stay clear of it
 _EXP_CAP = 705.0
 _LOG_EPS = math.log(_EPS)
-# a rise of a term exponent that no rounding of route 2 can reverse, and a
+# a rise of a term exponent that no rounding of route 1 can reverse, and a
 # term size past which its stop test cannot fire while the terms rise
 _RISE = 1e-6
 _LOG_SMALL_TERM = math.log(1e-15)
@@ -91,40 +86,7 @@ def _rgamma(x: float) -> float:
         return 0.0
 
 
-def _taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
-    """Taylor route for integer (alpha, beta): exact terms, fsum total.
-
-    With z = n/d exactly, each term z^k/(ia k + ib - 1)! is the integer
-    ratio n^k / (d^k (ia k + ib - 1)!), rounded once to double by Python's
-    correctly rounded int/int division, so term error is half an ulp and
-    the only other error is the final fsum rounding.  For z > 0 the stop
-    test waits until the terms fall.  Returns (value, error, converged).
-    """
-    n, d = z.as_integer_ratio()
-    num = 1
-    den = math.factorial(ib - 1)
-    m = ib - 1
-    terms: list[float] = []
-    s = 0.0
-    absum = 0.0
-    for k in range(_MAX_TERMS):
-        try:
-            t = num / den
-        except OverflowError:
-            return s, math.inf, False
-        if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)) and (z < 0.0 or t < terms[-1]):
-            value = math.fsum(terms)
-            return value, _EPS * (0.5 * absum + abs(value) + abs(t)), True
-        terms.append(t)
-        s += t
-        absum += abs(t)
-        num *= n
-        m += ia
-        den *= d * math.perm(m, ia)
-    return s, math.inf, False
-
-
-def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, bool]:
+def _taylor(alpha: float, beta: float, z: float) -> tuple[float, float, bool]:
     """Taylor series summed with math.fsum, with a running error bound.
 
     Terms are exp(k log|z| - lgamma(alpha k + beta)); the estimate charges
@@ -160,14 +122,14 @@ def _taylor_general(alpha: float, beta: float, z: float) -> tuple[float, float, 
 
 
 def _charge(y: float, lg: float) -> float:
-    """Route 2's error charge for a term, in eps of its size, for the
+    """Route 1's error charge for a term, in eps of its size, for the
     relative error of lg = lgamma(y) and the rounding of y; the rounding
     of the power adds 0.5 k |log z|."""
     return 3.0 + abs(lg) + 0.5 * y * max(1.0, math.log(y))
 
 
 def _rises_out_of_reach(alpha: float, beta: float, logz: float) -> bool:
-    """True when route 2 provably cannot converge for a negative z.
+    """True when route 1 provably cannot converge for a negative z.
 
     With x = alpha k + beta, the exponent k logz - lgamma(x) of term k
     exceeds that of term k - 1 by logz - alpha psi(x') for some x' < x,
@@ -176,7 +138,7 @@ def _rises_out_of_reach(alpha: float, beta: float, logz: float) -> bool:
     magnitudes rise, the alternating partial sum stays below the last of
     them, so once term 1 exceeds 1e-15 the stop test cannot fire: the
     route runs until an exponent passes _EXP_CAP, which the exponent at
-    the last rising k, computed as route 2 computes it, decides, or until
+    the last rising k, computed as route 1 computes it, decides, or until
     _MAX_TERMS runs out.
     """
     last = (math.exp(min((logz - _RISE) / alpha, _EXP_CAP)) - beta) / alpha
@@ -424,11 +386,11 @@ def _refuse_outside(p: MLParams, z: float) -> None:
 
 
 def _taylor_array(alpha: float, beta: float, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Route 2 on every nonzero node of z at once, into out; returns the
+    """Route 1 on every nonzero node of z at once, into out; returns the
     nodes whose error bound misses the target.
 
     Each step adds term k to the nodes still summing: its exponent and
-    lgamma are route 2's, and its stop test and error bound are route 2's
+    lgamma are route 1's, and its stop test and error bound are route 1's
     per node, with the terms summed in Neumaier's compensated sum (the
     running sum s, its rounding errors taken exactly by TwoSum into c)
     instead of fsum, which adds eps |value| and a k^2 eps^2 share of the
@@ -468,7 +430,7 @@ def _taylor_array(alpha: float, beta: float, z: np.ndarray, out: np.ndarray) -> 
             err = err[keep]
             prev = prev[keep]
             mag = mag[keep]
-        # route 2's charge for term k, its 4 absum folded in as 4 mag
+        # route 1's charge for term k, its 4 absum folded in as 4 mag
         err += mag * (np.abs(logz) * (0.5 * k) + (4.0 + _charge(y, lg)))
         if k & 1:
             np.negative(mag, out=mag, where=neg)
@@ -496,11 +458,7 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     if z == 0.0:
         return _rgamma(beta)
 
-    exact_ok = alpha in (1.0, 2.0) and beta == round(beta) and beta <= 100.0
-    if exact_ok:
-        val, est, converged = _taylor_exact(int(alpha), int(round(beta)), z)
-    else:
-        val, est, converged = _taylor_general(alpha, beta, z)
+    val, est, converged = _taylor(alpha, beta, z)
     if converged and math.isfinite(val) and est <= _TOL * (1.0 + abs(val)):
         return val
 
@@ -516,7 +474,7 @@ def mittag_leffler(p: MLParams, z: float) -> float:
 
 
 def mittag_leffler_array(p: MLParams, z) -> np.ndarray:
-    """mittag_leffler on each value of a 1-D array z: route 2 on all of them
+    """mittag_leffler on each value of a 1-D array z: route 1 on all of them
     at once, and the float routes on the values it cannot certify.
 
     Raises:

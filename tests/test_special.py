@@ -1,13 +1,13 @@
 """Mittag-Leffler evaluation against independent classical oracles.
 
-Every tolerance here is absolute.  The closed forms used as references
-(exp, cos, cosh, erfc, the geometric series at alpha = beta = 1 shortcut)
+Every tolerance here is absolute, or, where it is scaled by 1 + |E|,
+absolute relaxing to relative.  The closed forms used as references (exp,
+expm1, cos, cosh, erfc, the geometric series at alpha = beta = 1 shortcut)
 are computed with the standard library, not with the code under test.
-Two internal routes are also held against slow references kept here: the
-contour route against 40-digit mpmath, by quadrature of the spectral
-integral for beta = 1 (a checked-in table of its values, a few of them
-recomputed live) and by the Taylor series elsewhere, and the
-integer-ratio Taylor terms against Fraction arithmetic.
+The contour route is also held against slow references kept here:
+40-digit mpmath, by quadrature of the spectral integral for beta = 1 (a
+checked-in table of its values, a few of them recomputed live) and by the
+Taylor series elsewhere.
 """
 
 import math
@@ -15,7 +15,6 @@ import os
 import time
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,11 +30,25 @@ from fractime.errors import FractimeError, OutOfRangeError, PrecisionLossError
 ERFC_ORACLE = math.exp(1.0) * math.erfc(1.0)
 
 
+# integer orders take the same series as every other order, whose error
+# bound certifies E_1 through |z| ~ 20 to 1e-11 relative to 1 + |E|
+CLOSED_FORM_GRID = np.linspace(-20.0, 5.0, 251)
+
+
+def _assert_order_one_closed_form(beta: float, oracle) -> None:
+    """E_{1,beta} on CLOSED_FORM_GRID, as floats and as one array, within
+    1e-11 (1 + |E|) of oracle, 1/Gamma(beta) at z = 0."""
+    params = MLParams(1.0, beta)
+    zs = CLOSED_FORM_GRID.tolist()
+    ref = np.array([oracle(z) if z else 1.0 / math.gamma(beta) for z in zs])
+    floats = np.array([mittag_leffler(params, z) for z in zs])
+    values = mittag_leffler_array(params, CLOSED_FORM_GRID)
+    for got in (floats, values):
+        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-11
+
+
 def test_exponential_special_case_on_wide_interval():
-    for z in np.linspace(-10.0, 5.0, 151):
-        assert mittag_leffler(MLParams(1.0), float(z)) == pytest.approx(
-            math.exp(z), abs=1e-10
-        )
+    _assert_order_one_closed_form(1.0, math.exp)
 
 
 def test_cosine_special_case():
@@ -68,10 +81,13 @@ def test_half_order_matches_scaled_erfc_on_negative_axis():
 
 def test_beta_two_is_shifted_exponential():
     # E_{1,2}(z) = (e^z - 1)/z
-    for z in (-5.0, -1.0, -0.1, 0.3, 2.0):
-        assert mittag_leffler(MLParams(1.0, 2.0), z) == pytest.approx(
-            math.expm1(z) / z, abs=1e-10
-        )
+    _assert_order_one_closed_form(2.0, lambda z: math.expm1(z) / z)
+
+
+def test_beta_three_is_twice_shifted_exponential():
+    # E_{1,3}(z) = (e^z - 1 - z)/z^2, cancelling to eps/|z| at the grid's
+    # smallest nonzero |z| = 0.1
+    _assert_order_one_closed_form(3.0, lambda z: (math.expm1(z) - z) / (z * z))
 
 
 def test_beta_two_order_two_is_sinh_ratio():
@@ -400,8 +416,8 @@ def test_huge_beta_sweep_returns_a_value_or_a_typed_error():
         assert math.isfinite(value), (alpha, beta, z)
 
 
-# (alpha, beta, z, value by _mpmath_taylor) where neither Taylor route
-# certifies the target: a high-precision series once took seconds on the
+# (alpha, beta, z, value by _mpmath_taylor) where the Taylor route does
+# not certify the target: a high-precision series once took seconds on the
 # first two, the third (about 0.128397569276213) raised
 # PrecisionLossError, and the fourth went to an asymptotic series
 FALLBACK_CORNERS = [
@@ -419,17 +435,18 @@ def test_former_fallback_corners_are_fast_and_accurate():
     assert time.perf_counter() - start < 0.05
 
 
-def test_route_two_hands_rising_terms_to_the_contour_without_summing(monkeypatch):
+def test_taylor_route_hands_rising_terms_to_the_contour_without_summing(monkeypatch):
     # at each former fallback corner the terms rise past the last of the
-    # 400 route 2 may sum, so it returns before the first; the value keeps
-    # its bits, since the full sum would not have converged either
+    # 400 the Taylor route may sum, so it returns before the first; the
+    # value keeps its bits, since the full sum would not have converged
+    # either
     for alpha, beta, z, _ in FALLBACK_CORNERS:
         assert special._rises_out_of_reach(alpha, beta, math.log(-z))
-        assert special._taylor_general(alpha, beta, z)[1:] == (math.inf, False)
+        assert special._taylor(alpha, beta, z)[1:] == (math.inf, False)
     fast = [mittag_leffler(MLParams(a, b), z).hex() for a, b, z, _ in FALLBACK_CORNERS]
     monkeypatch.setattr(special, "_rises_out_of_reach", lambda *args: False)
     for alpha, beta, z, _ in FALLBACK_CORNERS:
-        assert not special._taylor_general(alpha, beta, z)[2]
+        assert not special._taylor(alpha, beta, z)[2]
     assert [mittag_leffler(MLParams(a, b), z).hex() for a, b, z, _ in FALLBACK_CORNERS] == fast
 
 
@@ -439,12 +456,12 @@ def test_route_two_hands_rising_terms_to_the_contour_without_summing(monkeypatch
     beta=st.one_of(st.floats(0.01, 30.0), st.floats(1e-300, 1e-3)),
     x=st.floats(0.01, Z_MAX),
 )
-def test_early_exit_fires_only_where_route_two_cannot_converge(alpha, beta, x):
+def test_early_exit_fires_only_where_the_taylor_route_cannot_converge(alpha, beta, x):
     if special._rises_out_of_reach(alpha, beta, math.log(x)):
         rises = special._rises_out_of_reach
         try:
             special._rises_out_of_reach = lambda *args: False
-            assert not special._taylor_general(alpha, beta, -x)[2]
+            assert not special._taylor(alpha, beta, -x)[2]
         finally:
             special._rises_out_of_reach = rises
 
@@ -479,7 +496,7 @@ def test_array_form_matches_mpmath_spectral_reference():
 
 
 def test_array_form_matches_float_calls_on_both_signs():
-    # positive z take route 2's wait for falling terms; points the float
+    # positive z take the Taylor route's wait for falling terms; points the float
     # routes refuse are left out
     rng = np.random.default_rng(7)
     for alpha in (0.05, 0.3, 0.75, 1.0, 1.5, 2.0):
@@ -547,44 +564,6 @@ def test_contour_route_raises_when_node_cap_is_too_small(monkeypatch):
         special._opc(0.9, 1.0, -10.0)
     with pytest.raises(PrecisionLossError):
         mittag_leffler(MLParams(0.9), -10.0)
-
-
-def _fraction_taylor_exact(ia: int, ib: int, z: float) -> tuple[float, float, bool]:
-    """Reference: the integer-order Taylor route with Fraction terms."""
-    eps = 2.220446049250313e-16
-    zq = Fraction(z)
-    num = Fraction(1)
-    terms = []
-    s = 0.0
-    absum = 0.0
-    for k in range(400):
-        try:
-            t = float(num / math.factorial(ia * k + ib - 1))
-        except OverflowError:
-            return s, math.inf, False
-        if k > 0 and abs(t) < 1e-16 * (1.0 + abs(s)) and (z < 0.0 or t < terms[-1]):
-            value = math.fsum(terms)
-            return value, eps * (0.5 * absum + abs(value) + abs(t)), True
-        terms.append(t)
-        s += t
-        absum += abs(t)
-        num *= zq
-    return s, math.inf, False
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    ia=st.sampled_from([1, 2]),
-    # 20 and 30 put 1/Gamma(beta) below the stop threshold
-    ib=st.one_of(st.integers(1, 5), st.sampled_from([20, 30])),
-    z=st.floats(-Z_MAX, Z_MAX),
-)
-def test_integer_ratio_taylor_terms_are_bitwise_fraction_terms(ia, ib, z):
-    value, est, converged = special._taylor_exact(ia, ib, z)
-    ref_value, ref_est, ref_converged = _fraction_taylor_exact(ia, ib, z)
-    assert value.hex() == ref_value.hex()
-    assert est.hex() == ref_est.hex()
-    assert converged is ref_converged
 
 
 if __name__ == "__main__":
