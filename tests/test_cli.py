@@ -47,6 +47,19 @@ def test_ml_eval_sums_positive_z_past_a_tiny_first_term(tmp_path):
     assert float(row.split(",")[-1]) == pytest.approx(537623.428363227, rel=1e-10)
 
 
+def test_ml_is_not_a_command(tmp_path, capsys):
+    # ml-eval is the only name of the Mittag-Leffler command
+    from fractime import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.main(["ml", "--z", "1", "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'ml'" in captured.err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+
+
 def test_ml_requires_z(tmp_path):
     res = run_cli("ml-eval", "--out", str(tmp_path))
     assert res.returncode == 2
@@ -660,6 +673,14 @@ _CONSTANT = "its solution is constant, so no residual separates causal from gene
             "system parameter must be a number, got 'm=2'",
         ),
         (
+            ["solve-fde", "--system", "harmonic(m=2)"],
+            "system parameter must be a number, got 'm=2'",
+        ),
+        (
+            ["solve-fde", "--system", "quartic(lambda=2)"],
+            "system parameter must be a number, got 'lambda=2'",
+        ),
+        (
             ["verify-coherence", "--system", "free-particle"],
             f"x0 = 1.0, p0 = 0.0 is an equilibrium of free-particle: {_CONSTANT}",
         ),
@@ -672,7 +693,14 @@ _CONSTANT = "its solution is constant, so no residual separates causal from gene
             f"x0 = 0.0, p0 = 0.0 is an equilibrium of quartic: {_CONSTANT}",
         ),
     ],
-    ids=["by-name", "equilibrium-free", "equilibrium-harmonic", "equilibrium-quartic"],
+    ids=[
+        "by-name",
+        "by-name-alone",
+        "by-name-lambda",
+        "equilibrium-free",
+        "equilibrium-harmonic",
+        "equilibrium-quartic",
+    ],
 )
 @pytest.mark.filterwarnings("error")
 def test_named_system_parameter_or_an_equilibrium_to_verify_is_refused(

@@ -35,20 +35,27 @@ ERFC_ORACLE = math.exp(1.0) * math.erfc(1.0)
 CLOSED_FORM_GRID = np.linspace(-20.0, 5.0, 251)
 
 
-def _assert_order_one_closed_form(beta: float, oracle) -> None:
-    """E_{1,beta} on CLOSED_FORM_GRID, as floats and as one array, within
+# the scalar form, one float call per z, and the array form, one call
+_FORMS = {
+    "float": lambda params, z: np.array([mittag_leffler(params, x) for x in z.tolist()]),
+    "array": mittag_leffler_array,
+}
+
+
+def _assert_order_one_closed_form(form: str, beta: float, oracle) -> None:
+    """E_{1,beta} on CLOSED_FORM_GRID, in the given form, within
     1e-11 (1 + |E|) of oracle, 1/Gamma(beta) at z = 0."""
     params = MLParams(1.0, beta)
-    zs = CLOSED_FORM_GRID.tolist()
-    ref = np.array([oracle(z) if z else 1.0 / math.gamma(beta) for z in zs])
-    floats = np.array([mittag_leffler(params, z) for z in zs])
-    values = mittag_leffler_array(params, CLOSED_FORM_GRID)
-    for got in (floats, values):
-        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-11
+    ref = np.array(
+        [oracle(z) if z else 1.0 / math.gamma(beta) for z in CLOSED_FORM_GRID.tolist()]
+    )
+    got = _FORMS[form](params, CLOSED_FORM_GRID)
+    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-11
 
 
-def test_exponential_special_case_on_wide_interval():
-    _assert_order_one_closed_form(1.0, math.exp)
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_exponential_special_case_on_wide_interval(form):
+    _assert_order_one_closed_form(form, 1.0, math.exp)
 
 
 def test_cosine_special_case():
@@ -79,15 +86,17 @@ def test_half_order_matches_scaled_erfc_on_negative_axis():
         assert mittag_leffler(MLParams(0.5), -x) == pytest.approx(oracle, abs=1e-9)
 
 
-def test_beta_two_is_shifted_exponential():
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_beta_two_is_shifted_exponential(form):
     # E_{1,2}(z) = (e^z - 1)/z
-    _assert_order_one_closed_form(2.0, lambda z: math.expm1(z) / z)
+    _assert_order_one_closed_form(form, 2.0, lambda z: math.expm1(z) / z)
 
 
-def test_beta_three_is_twice_shifted_exponential():
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_beta_three_is_twice_shifted_exponential(form):
     # E_{1,3}(z) = (e^z - 1 - z)/z^2, cancelling to eps/|z| at the grid's
     # smallest nonzero |z| = 0.1
-    _assert_order_one_closed_form(3.0, lambda z: (math.expm1(z) - z) / (z * z))
+    _assert_order_one_closed_form(form, 3.0, lambda z: (math.expm1(z) - z) / (z * z))
 
 
 def test_beta_two_order_two_is_sinh_ratio():
