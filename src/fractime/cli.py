@@ -237,19 +237,22 @@ def _drift(sol, y0, m: float) -> list:
     return [Check("matches power-law drift solution", dev, "<=", 1e-10, "max dev")]
 
 
-# system name -> (factory, the checks of its solve-fde closed form or None);
-# a form reads the solution, y0 and every bound parameter, defaults included
+# system name -> (factory, its parameters as written in a system string, in
+# the factory's order, the checks of its solve-fde closed form or None); a
+# form reads the solution, y0 and every parameter, defaults included
 _SYSTEMS = {
-    "free-particle": (free_particle, _drift),
-    "harmonic": (harmonic, _oscillator),
-    "quartic": (quartic, None),
+    "free-particle": (free_particle, ("m",), _drift),
+    "harmonic": (harmonic, ("m", "omega"), _oscillator),
+    "quartic": (quartic, ("lambda",), None),
 }
+# each system as a system string writes it, every parameter named
+_WRITTEN = {name: f"{name}({', '.join(entry[1])})" for name, entry in _SYSTEMS.items()}
 
 
 def _resolve_system(text: str):
-    """(system, its parameters by name, its closed form) of a system string:
-    free-particle | harmonic(m, omega) | quartic(lambda), each parameter
-    positive and given by position, the factory's defaults filling the rest."""
+    """(system, its parameter values, its closed form) of a system string in
+    a _WRITTEN form, each parameter positive and given by position, the
+    factory's defaults filling the rest."""
     text = text.strip()
     name, paren, args = text.partition("(")
     if paren and not text.endswith(")"):
@@ -258,23 +261,20 @@ def _resolve_system(text: str):
     parts = args.split(",") if args.strip() else []
     given = [_to_float("system parameter", part.strip()) for part in parts]
     if name not in _SYSTEMS:
-        raise ConfigError(
-            f"unknown system '{name}'; expected free-particle | harmonic(m, omega) | quartic(lambda)"
-        )
-    factory, form = _SYSTEMS[name]
-    params = {k: p.default for k, p in inspect.signature(factory).parameters.items()}
-    names = list(params)
-    if len(given) > len(names):
-        raise ConfigError(f"too many system parameters; expected at most {names}")
-    params.update(zip(names, given))
-    for key, value in params.items():
+        raise ConfigError(f"unknown system '{name}'; expected {' | '.join(_WRITTEN.values())}")
+    factory, spelled, form = _SYSTEMS[name]
+    if len(given) > len(spelled):
+        raise ConfigError(f"too many system parameters; expected {_WRITTEN[name]}")
+    defaults = [p.default for p in inspect.signature(factory).parameters.values()]
+    values = given + defaults[len(given) :]
+    for key, value in zip(spelled, values):
         if not value > 0.0:
             raise ConfigError(f"system parameter {key} must be positive, got {value}")
-    return factory(**params), params, form
+    return factory(*values), values, form
 
 
 def parse_system(text: str) -> NaturalSystem:
-    """Named built-ins: free-particle | harmonic(m, omega) | quartic(lambda)."""
+    """A named built-in of a _WRITTEN form."""
     return _resolve_system(text)[0]
 
 
@@ -292,7 +292,7 @@ def _run_ml(report, alpha, beta, z) -> None:
         raise ConfigError("z is required for ml-eval (flag --z or config key z)")
     params = MLParams(alpha, beta)
     value = mittag_leffler(params, z)
-    report.notes.append(f"{value:.10f}")
+    report.notes.append(f"{value:.11g}")
     report.outputs.append(
         ("ml.csv", ["alpha", "beta", "z", "value"], [[alpha], [beta], [z], [value]])
     )
@@ -385,7 +385,7 @@ def _run_frac_deriv(report, alpha, a, b, n, function) -> None:
 
 
 def _run_solve_fde(report, alpha, b, n, system, x0, p0) -> None:
-    H, params, form = _resolve_system(system)
+    H, values, form = _resolve_system(system)
     order = FracOrder(alpha)
     grid = TimeGrid(0.0, b, n)
     y0 = (x0, p0)
@@ -405,7 +405,7 @@ def _run_solve_fde(report, alpha, b, n, system, x0, p0) -> None:
     peak = float(np.abs(sol.y.values).max())
     report.checks.append(Check("solution finite", peak, "<", math.inf, "max |y|"))
     if form is not None:
-        report.checks += form(sol, y0, **params)
+        report.checks += form(sol, y0, *values)
 
 
 def _run_subordinator(report, alpha, b, n, m_paths, tau_step, seed) -> None:

@@ -6,30 +6,26 @@ oracle for most of this package.  Evaluation is real-only and restricted to
 |z| <= Z_MAX; the accuracy target is 1e-10 absolute, relaxing to relative
 once |E| exceeds 1.
 
-Evaluation routes, tried in order:
+Evaluation routes, tried in order, each at most once per value:
 
 1. Taylor series, its terms summed with ``math.fsum``, with a running
-   error bound.
-2. Otherwise, Garrappa's optimal parabolic contour (OPC): the inverse
-   Laplace transform of s^(alpha-beta)/(s^alpha - z), a trapezoid sum on a
+   error bound; it returns only when that bound clears the target.
+2. Garrappa's optimal parabolic contour (OPC): the inverse Laplace
+   transform of s^(alpha-beta)/(s^alpha - z), a trapezoid sum on a
    parabola chosen between the transform's singularities plus the residues
    of the poles right of it, for every alpha in (0, 2] and beta > 0.  When
    beta is too large for any parabola, the recurrence in beta moves the
    inversion to a smaller beta.
-
-The Taylor route returns only when its error estimate clears the target,
-and hands a negative z to the contour at once when its term magnitudes
-provably rise past the double range or past its last term.  The contour
-route raises PrecisionLossError when its optimal parameters cannot reach
-the target or the value overflows, unless z > 0 and the largest term
-bounds the whole series below the target: then its positive terms are summed
-in log space past their peak, to full relative accuracy, or, past 50,000
-terms, the Taylor partial sum is returned, which is within the target.
+3. When the contour's optimal parameters cannot reach the target or the
+   value overflows, and z > 0 and the largest term bounds the whole series
+   below the target: its positive terms summed in log space past their
+   peak, to full relative accuracy, or, past 50,000 terms, their partial
+   sum, which is within the target.  Otherwise PrecisionLossError.
 
 ``mittag_leffler_array`` takes a 1-D array of z for one (alpha, beta).  It
 sums route 1 on all the values at once, term by term, in compensated
 (Neumaier) sums with route 1's running error bound per value; each value
-whose bound misses the target is evaluated as a float, by the routes above.
+whose bound misses the target takes routes 2 and 3 as a float.
 """
 
 from __future__ import annotations
@@ -53,10 +49,6 @@ _MAX_LOG_TERMS = 50_000
 # exp() overflows just above 709; stay clear of it
 _EXP_CAP = 705.0
 _LOG_EPS = math.log(_EPS)
-# a rise of a term exponent that no rounding of route 1 can reverse, and a
-# term size past which its stop test cannot fire while the terms rise
-_RISE = 1e-6
-_LOG_SMALL_TERM = math.log(1e-15)
 # contour targets: 1e-15, loosened by factors of 10 down to _TOL
 _OPC_TOLS = [10.0**-d for d in range(15, 9, -1)]
 _OPC_MAX_NODES = 200
@@ -86,8 +78,9 @@ def _rgamma(x: float) -> float:
         return 0.0
 
 
-def _taylor(alpha: float, beta: float, z: float) -> tuple[float, float, bool]:
-    """Taylor series summed with math.fsum, with a running error bound.
+def _taylor(alpha: float, beta: float, z: float) -> float | None:
+    """Taylor series summed with math.fsum, or None when its running error
+    bound misses the target.
 
     Terms are exp(k log|z| - lgamma(alpha k + beta)); the estimate charges
     each term for lgamma's relative error and for the rounding of its
@@ -97,8 +90,6 @@ def _taylor(alpha: float, beta: float, z: float) -> tuple[float, float, bool]:
     """
     logz = math.log(abs(z))
     neg = z < 0.0
-    if neg and _rises_out_of_reach(alpha, beta, logz):
-        return math.nan, math.inf, False
     terms: list[float] = []
     s = 0.0
     absum = 0.0
@@ -108,17 +99,19 @@ def _taylor(alpha: float, beta: float, z: float) -> tuple[float, float, bool]:
         lg = math.lgamma(y)
         e = k * logz - lg
         if e > _EXP_CAP:
-            return s, math.inf, False
+            return None
         mag = math.exp(e)
         if k > 0 and mag < 1e-16 * (1.0 + abs(s)) and (neg or e < prev):
-            return math.fsum(terms), _EPS * (errsum + 4.0 * absum) + mag, True
+            value = math.fsum(terms)
+            est = _EPS * (errsum + 4.0 * absum) + mag
+            return value if est <= _TOL * (1.0 + abs(value)) else None
         t = -mag if (neg and k & 1) else mag
         terms.append(t)
         s += t
         absum += mag
         prev = e
         errsum += mag * (_charge(y, lg) + 0.5 * k * abs(logz))
-    return s, math.inf, False
+    return None
 
 
 def _charge(y: float, lg: float) -> float:
@@ -126,28 +119,6 @@ def _charge(y: float, lg: float) -> float:
     relative error of lg = lgamma(y) and the rounding of y; the rounding
     of the power adds 0.5 k |log z|."""
     return 3.0 + abs(lg) + 0.5 * y * max(1.0, math.log(y))
-
-
-def _rises_out_of_reach(alpha: float, beta: float, logz: float) -> bool:
-    """True when route 1 provably cannot converge for a negative z.
-
-    With x = alpha k + beta, the exponent k logz - lgamma(x) of term k
-    exceeds that of term k - 1 by logz - alpha psi(x') for some x' < x,
-    so by more than _RISE, far above its rounding, while x <= u =
-    exp((logz - _RISE) / alpha), since psi(x) < log(x).  While the term
-    magnitudes rise, the alternating partial sum stays below the last of
-    them, so once term 1 exceeds 1e-15 the stop test cannot fire: the
-    route runs until an exponent passes _EXP_CAP, which the exponent at
-    the last rising k, computed as route 1 computes it, decides, or until
-    _MAX_TERMS runs out.
-    """
-    last = (math.exp(min((logz - _RISE) / alpha, _EXP_CAP)) - beta) / alpha
-    if last < 1.0 or logz - math.lgamma(alpha + beta) < _LOG_SMALL_TERM:
-        return False
-    if last >= _MAX_TERMS - 1:
-        return True
-    k = math.floor(last)
-    return k * logz - math.lgamma(alpha * k + beta) > _EXP_CAP
 
 
 def _log_series_bound(alpha: float, beta: float, z: float) -> float:
@@ -173,14 +144,14 @@ def _log_series_bound(alpha: float, beta: float, z: float) -> float:
     return peak + math.log(2.0 * u / alpha + 1.0 + 1.0 / tail)
 
 
-def _log_space_sum(alpha: float, beta: float, z: float) -> float | None:
+def _log_space_sum(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) for z > 0 as exp(e_max) sum_k exp(e_k - e_max),
     with e_k = k log z - lgamma(alpha k + beta).
 
     The terms are log-concave in k, so once they fall past the peak and
     below 1e-16 of the largest, the rest is below 1e-16 of the sum; scaling
     by the largest keeps every digit of values far below the double range
-    of the terms themselves.  None past _MAX_LOG_TERMS terms.
+    of the terms themselves.  Past _MAX_LOG_TERMS terms the partial sum.
     """
     logz = math.log(z)
     exps: list[float] = []
@@ -188,10 +159,10 @@ def _log_space_sum(alpha: float, beta: float, z: float) -> float | None:
     for k in range(_MAX_LOG_TERMS):
         e = k * logz - math.lgamma(alpha * k + beta)
         if exps and e < exps[-1] and e < top + _LOG_EPS:
-            return math.exp(top) * math.fsum(math.exp(x - top) for x in exps)
+            break
         exps.append(e)
         top = max(top, e)
-    return None
+    return math.exp(top) * math.fsum(math.exp(x - top) for x in exps)
 
 
 def _bounded_fit(phi_l: float, phi_r: float, p: float, log_tol: float):
@@ -374,6 +345,23 @@ def _opc(alpha: float, beta: float, z: float) -> float:
     return value
 
 
+def _past_series(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) for a nonzero z route 1 cannot certify: route 2,
+    else, for z > 0 whose largest term bounds the whole series below the
+    target, route 3, the log-space sum of its positive terms, since any
+    partial sum of them is within the target.
+
+    Raises:
+        PrecisionLossError: as _opc, when route 3 does not apply.
+    """
+    try:
+        return _opc(alpha, beta, z)
+    except PrecisionLossError:
+        if z > 0.0 and _log_series_bound(alpha, beta, z) <= math.log(_TOL):
+            return _log_space_sum(alpha, beta, z)
+        raise
+
+
 def _refuse_outside(p: MLParams, z: float) -> None:
     """Raise OutOfRangeError for alpha > 2 or a z that is not finite or
     exceeds Z_MAX in magnitude."""
@@ -458,24 +446,13 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     if z == 0.0:
         return _rgamma(beta)
 
-    val, est, converged = _taylor(alpha, beta, z)
-    if converged and math.isfinite(val) and est <= _TOL * (1.0 + abs(val)):
-        return val
-
-    try:
-        return _opc(alpha, beta, z)
-    except PrecisionLossError:
-        # for z > 0 every term is positive: the partial sum is within the
-        # sum, and so within the target when it is too long to complete
-        if z > 0.0 and _log_series_bound(alpha, beta, z) <= math.log(_TOL):
-            total = _log_space_sum(alpha, beta, z)
-            return val if total is None else total
-        raise
+    value = _taylor(alpha, beta, z)
+    return _past_series(alpha, beta, z) if value is None else value
 
 
 def mittag_leffler_array(p: MLParams, z) -> np.ndarray:
     """mittag_leffler on each value of a 1-D array z: route 1 on all of them
-    at once, and the float routes on the values it cannot certify.
+    at once, and routes 2 and 3 on each value it cannot certify.
 
     Raises:
         OutOfRangeError: as mittag_leffler, naming a non-finite value before
@@ -493,5 +470,5 @@ def mittag_leffler_array(p: MLParams, z) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         missed = _taylor_array(p.alpha, p.beta, z, out)
     for i in missed:
-        out[i] = mittag_leffler(p, float(z[i]))
+        out[i] = _past_series(p.alpha, p.beta, float(z[i]))
     return out

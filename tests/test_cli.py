@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +34,20 @@ def test_ml_eval_prints_euler_number(tmp_path):
     assert res.returncode == 0
     assert "2.7182818285" in res.stdout
     assert (tmp_path / "ml.csv").exists()
+
+
+def test_ml_eval_prints_significant_digits_of_a_small_value(tmp_path, capsys):
+    # the note carries 11 significant digits of the value ml.csv holds, not
+    # 10 decimals, which read 0 below 5e-11; E_1(-50) = e^-50 ~ 1.9e-22 is
+    # met to the absolute target 1e-10, not relative to its size
+    from fractime import cli
+
+    assert cli.main(["ml-eval", "--alpha", "1", "--z", "-50", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    value = float((tmp_path / "ml.csv").read_text().splitlines()[1].split(",")[-1])
+    note = lines[lines.index(f"  out = {tmp_path}") + 1]
+    assert note == f"{value:.11g}" and float(note) != 0.0
+    assert abs(float(note) - math.exp(-50.0)) <= 1e-10
 
 
 def test_ml_eval_sums_positive_z_past_a_tiny_first_term(tmp_path):
@@ -214,8 +229,18 @@ def test_system_parsing_accepts_parameters(tmp_path):
         parsed = parse_system(text)
         assert parsed.mass == system.mass, text
         assert np.array_equal(parsed.potential_grad(probe), system.potential_grad(probe)), text
-    for text in ("free-particle(1, 2)", "harmonic(1, 2, 3)", "quartic(1, 2)"):
-        with pytest.raises(ConfigError, match="too many system parameters"):
+    # each refusal spells the system and its parameters as README does
+    for text, message in (
+        ("free-particle(1, 2)", "too many system parameters; expected free-particle(m)"),
+        ("harmonic(1, 2, 3)", "too many system parameters; expected harmonic(m, omega)"),
+        ("quartic(1, 2)", "too many system parameters; expected quartic(lambda)"),
+        ("free-particle(-1)", "system parameter m must be positive, got -1.0"),
+        ("harmonic(1, 0)", "system parameter omega must be positive, got 0.0"),
+        ("quartic(0)", "system parameter lambda must be positive, got 0.0"),
+        ("cubic", "unknown system 'cubic'; expected free-particle(m) | harmonic(m, omega)"
+         " | quartic(lambda)"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_system(text)
 
 

@@ -189,7 +189,7 @@ def test_runtime_budget_for_oracle_suite(monkeypatch):
     # E_0.8(-t^0.8) on [0, 10], which crosses into the contour route
     z = _oracle_grid(0.4, 10.0, 2048)
     params = MLParams(0.8)
-    contour_calls, float_calls = [], []
+    contour_calls, past_calls = [], []
     route = special._opc
     monkeypatch.setattr(
         special, "_opc", lambda a, b, v: contour_calls.append(v) or route(a, b, v)
@@ -200,14 +200,14 @@ def test_runtime_budget_for_oracle_suite(monkeypatch):
     assert time.perf_counter() - start < 1.5
     contour_nodes = len(contour_calls)
     assert contour_nodes > 100
-    # the array form hands no more nodes to the float routes than the float
+    # the array form hands no more values past its series than the float
     # loop hands to the contour (186 each)
-    evaluate = special.mittag_leffler
+    past = special._past_series
     monkeypatch.setattr(
-        special, "mittag_leffler", lambda p, v: float_calls.append(v) or evaluate(p, v)
+        special, "_past_series", lambda a, b, v: past_calls.append(v) or past(a, b, v)
     )
     special.mittag_leffler_array(params, z)
-    assert 100 < len(float_calls) <= contour_nodes
+    assert 100 < len(past_calls) <= contour_nodes
 
 
 def _mpmath_spectral_neg(alpha: float, x: float) -> float:
@@ -385,8 +385,8 @@ def test_positive_z_series_below_the_target_returns_within_it(alpha, beta, z):
 def test_positive_z_series_peaking_past_the_log_sum_cap_returns_its_partial_sum():
     # the terms of E_{0.1,2e6}(5) peak near k = 7.8e7, past the 50,000 terms
     # the log-space sum may take; the whole series is below e^-2.2e7, so the
-    # 400-term partial sum is within the target
-    assert special._log_space_sum(0.1, 2e6, 5.0) is None
+    # 50,000-term partial sum is within the target
+    assert special._log_space_sum(0.1, 2e6, 5.0) == 0.0
     assert special._log_series_bound(0.1, 2e6, 5.0) < -2e7
     assert mittag_leffler(MLParams(0.1, 2e6), 5.0) == 0.0
 
@@ -444,37 +444,6 @@ def test_former_fallback_corners_are_fast_and_accurate():
     assert time.perf_counter() - start < 0.05
 
 
-def test_taylor_route_hands_rising_terms_to_the_contour_without_summing(monkeypatch):
-    # at each former fallback corner the terms rise past the last of the
-    # 400 the Taylor route may sum, so it returns before the first; the
-    # value keeps its bits, since the full sum would not have converged
-    # either
-    for alpha, beta, z, _ in FALLBACK_CORNERS:
-        assert special._rises_out_of_reach(alpha, beta, math.log(-z))
-        assert special._taylor(alpha, beta, z)[1:] == (math.inf, False)
-    fast = [mittag_leffler(MLParams(a, b), z).hex() for a, b, z, _ in FALLBACK_CORNERS]
-    monkeypatch.setattr(special, "_rises_out_of_reach", lambda *args: False)
-    for alpha, beta, z, _ in FALLBACK_CORNERS:
-        assert not special._taylor(alpha, beta, z)[2]
-    assert [mittag_leffler(MLParams(a, b), z).hex() for a, b, z, _ in FALLBACK_CORNERS] == fast
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    alpha=st.floats(0.01, 2.0),
-    beta=st.one_of(st.floats(0.01, 30.0), st.floats(1e-300, 1e-3)),
-    x=st.floats(0.01, Z_MAX),
-)
-def test_early_exit_fires_only_where_the_taylor_route_cannot_converge(alpha, beta, x):
-    if special._rises_out_of_reach(alpha, beta, math.log(x)):
-        rises = special._rises_out_of_reach
-        try:
-            special._rises_out_of_reach = lambda *args: False
-            assert not special._taylor(alpha, beta, -x)[2]
-        finally:
-            special._rises_out_of_reach = rises
-
-
 def _oracle_grid(alpha: float, b: float, n: int) -> np.ndarray:
     """-t^2a on the n + 1 nodes of [0, b], cut at Z_MAX: the oracle of
     `solve-fde --alpha alpha --b b --n n`."""
@@ -493,6 +462,20 @@ def test_array_form_matches_float_calls_on_oracle_grids():
             floats = np.array([mittag_leffler(params, float(v)) for v in z])
             worst = max(worst, float((np.abs(values - floats) / (1.0 + np.abs(floats))).max()))
     assert worst <= 1e-10
+
+
+def test_array_form_takes_no_second_series(monkeypatch):
+    # the values the array's series cannot certify go straight to the
+    # contour: with the float series gone, every value keeps its bits
+    z = _oracle_grid(0.4, 10.0, 2048)
+    params = MLParams(0.8)
+    values = mittag_leffler_array(params, z)
+
+    def no_series(*args):
+        raise AssertionError("the float series ran")
+
+    monkeypatch.setattr(special, "_taylor", no_series)
+    assert mittag_leffler_array(params, z).tobytes() == values.tobytes()
 
 
 def test_array_form_matches_mpmath_spectral_reference():
