@@ -14,33 +14,37 @@ Three layers:
 
 The top level re-exports the names of the README's library tour and the
 base error; everything else is imported from its module, e.g.
-``from fractime.bridge import verify_compatibility``.
+``from fractime.bridge import verify_compatibility``.  Each re-export loads
+its module on first use, so ``import fractime`` alone loads no numpy: the
+command line sets its BLAS thread count before numpy starts (see cli).
 """
 
 from __future__ import annotations
 
-from .bridge import subordinate_flow, verify_stanislavsky
-from .dynamics import solve_fde
-from .errors import FractimeError
-from .fracops import FracOrder
-from .grids import TimeGrid
-from .special import MLParams, mittag_leffler, mittag_leffler_array
-from .stochastic_time import exact_marginal_ensemble, inverse_subordinator_paths
-from .systems import harmonic
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FracOrder",
-    "TimeGrid",
-    "MLParams",
-    "mittag_leffler",
-    "mittag_leffler_array",
-    "harmonic",
-    "solve_fde",
-    "inverse_subordinator_paths",
-    "exact_marginal_ensemble",
-    "subordinate_flow",
-    "verify_stanislavsky",
-    "FractimeError",
-]
+# each re-exported name -> the module that defines it
+_SOURCES = {
+    "FracOrder": "fracops",
+    "TimeGrid": "grids",
+    "MLParams": "special",
+    "mittag_leffler": "special",
+    "mittag_leffler_array": "special",
+    "harmonic": "systems",
+    "solve_fde": "dynamics",
+    "inverse_subordinator_paths": "stochastic_time",
+    "exact_marginal_ensemble": "stochastic_time",
+    "subordinate_flow": "bridge",
+    "verify_stanislavsky": "bridge",
+    "FractimeError": "errors",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SOURCES[name]}", __name__), name)

@@ -22,6 +22,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+# One OpenBLAS thread: fractime's BLAS calls are small, and numpy's default
+# pool busy-waits on a second core for work that never comes.  OpenBLAS reads
+# the variable when numpy first loads, so this has effect only before then;
+# a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .bridge import (

@@ -68,24 +68,40 @@ def _pt_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a0, np.concatenate(([1.0], c))
 
 
+# columns per transform in _history_sums, which holds one chunk's spectra
+# beside the result (the weights' too, transformed again for each chunk); the
+# solver's 2-column blocks stay one chunk
+_CHUNK = 4
+
+
 def _history_sums(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per column c, the history sums sum_{j<=i} w_j c_{i-j} for i < len(w).
 
     cols has shape (k, d) with k <= len(w); rows past k count as zero, so
     a block of k values gives its lagged contribution to len(w) targets.
-    One zero-padded real FFT over all columns at once, O(n log n), of the
-    columns times 2^-e, max|c| in [2^(e-1), 2^e), then times 2^e: exact (bar
-    columns ~1e300 below the largest), so finite wherever the sums are.
+    Zero-padded real FFTs, O(n log n), of _CHUNK columns at a time, of the
+    columns times 2^-e, max|c| in [2^(e-1), 2^e) over all columns, then times
+    2^e: exact (bar columns ~1e300 below the largest), so finite wherever the
+    sums are.  Each column's transform is its own, so the chunks move no bit.
     It departs from direct summation by roundoff of order eps sum|w| max|c|.
     """
-    n = len(w)
-    size = 1 << (n + len(cols) - 2).bit_length()
+    n, k, d = len(w), len(cols), cols.shape[1]
+    size = 1 << (n + k - 2).bit_length()
     e = math.frexp(max(cols.max(), -cols.min()))[1]
-    spec = np.zeros((size, cols.shape[1]))
-    np.ldexp(cols, -e, out=spec[: len(cols)])
-    spec = np.fft.rfft(spec, axis=0)
-    spec *= np.fft.rfft(w, size)[:, None]
-    sums = np.fft.irfft(spec, size, axis=0)[:n]
+
+    def chunk_sums(j: int) -> np.ndarray:
+        spec = np.zeros((size, min(_CHUNK, d - j)))
+        np.ldexp(cols[:, j : j + _CHUNK], -e, out=spec[:k])
+        spec = np.fft.rfft(spec, axis=0)
+        spec *= np.fft.rfft(w, size)[:, None]
+        return np.fft.irfft(spec, size, axis=0)[:n]
+
+    if d <= _CHUNK:  # one chunk: its output is the result, with no copy
+        sums = chunk_sums(0)
+    else:
+        sums = np.empty((n, d))
+        for j in range(0, d, _CHUNK):
+            sums[:, j : j + _CHUNK] = chunk_sums(j)
     return np.ldexp(sums, e, out=sums)
 
 

@@ -1053,6 +1053,89 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def _env_without_blas_threads(**extra):
+    # this process may have imported fractime.cli, which sets the variable
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return env | extra
+
+
+def _python(code, env=None):
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_env_without_blas_threads() if env is None else env,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    # the re-exports load their modules on first use, so the CLI can set
+    # numpy's BLAS threads before numpy loads
+    assert _python("import sys, fractime; print('numpy' in sys.modules)") == "False"
+
+
+def test_package_reexports_are_their_modules_objects():
+    import fractime
+
+    for name in fractime.__all__:
+        value = getattr(fractime, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert value.__module__.startswith("fractime."), name
+    namespace = {}
+    exec("from fractime import *", namespace)
+    assert all(namespace[name] is getattr(fractime, name) for name in fractime.__all__)
+
+
+def test_package_refuses_an_unknown_attribute():
+    import fractime
+
+    with pytest.raises(AttributeError, match="module 'fractime' has no attribute 'nope'"):
+        fractime.nope
+    assert not hasattr(fractime, "mittag_lefler")
+
+
+def test_cli_import_sets_one_blas_thread_unless_the_user_set_one():
+    code = "import os, fractime.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(code) == "1"
+    assert _python(code, _env_without_blas_threads(OPENBLAS_NUM_THREADS="3")) == "3"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_thread():
+    # numpy's BLAS would start one idle worker per further core on import
+    code = (
+        "import os; before = len(os.listdir('/proc/self/task')); import fractime.cli; "
+        "print(before, len(os.listdir('/proc/self/task')))"
+    )
+    before, after = _python(code).split()
+    assert after == before
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("solve-fde", "--n", "1000"), ("verify-compatibility", "--n", "128", "--m-paths", "200")],
+)
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, args):
+    written = {}
+    for threads in (None, "2"):
+        out = tmp_path / str(threads)
+        preset = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        env = _env_without_blas_threads(**preset)
+        res = subprocess.run(
+            [sys.executable, "-m", "fractime.cli", *args, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert res.returncode in (0, 1), res.stderr
+        written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert written[None] and written[None] == written["2"]
+
+
 def test_bridge_commands_load_no_numpy_ma(tmp_path):
     # the commutation nodes are built without np.unique, whose first call
     # imports numpy.ma

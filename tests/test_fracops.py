@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from fractime import FracOrder, TimeGrid
 from fractime.errors import GridError, OutOfRangeError
 from fractime.fracops import (
+    _CHUNK,
     _history_sums,
     _power_increments,
     _pt_weights,
@@ -83,6 +84,21 @@ def test_history_sums_scale_exactly_by_powers_of_two(n):
     sums = _history_sums(cols, w)
     for k in (-900, -40, 1, 40, 1000):
         assert np.array_equal(_history_sums(np.ldexp(cols, k), w), np.ldexp(sums, k)), k
+
+
+@pytest.mark.parametrize("n", [2048, 3001])
+def test_stacked_history_sums_are_bitwise_one_call_per_column(n):
+    # 17 columns, as verify-compatibility stacks them, span several chunks
+    # of _CHUNK columns; sizes from 1e-3 to 1e3 share the exponent of the
+    # largest, which scales each transform by a power of two only
+    assert _CHUNK < 17
+    rng = np.random.default_rng(n)
+    cols = rng.standard_normal((n, 17)) * np.logspace(-3, 3, 17)
+    w = _power_increments(0.5, n)
+    for k in (n, n // 3):
+        stacked = _history_sums(cols[:k], w)
+        alone = np.stack([_history_sums(cols[:k, j : j + 1], w)[:, 0] for j in range(17)], 1)
+        assert stacked.tobytes() == alone.tobytes(), k
 
 
 def test_history_sums_stay_finite_where_the_sums_do():
