@@ -21,10 +21,10 @@ nodes (MarginalEnsemble.at) flows only those.  Fewer than two rows are
 refused, since they have no standard error.  Every flow reduces all a
 check reads in one pass over blocks of rows: the means and stderr, the
 means of 16 path groups and the commutation moments, so no M-row array
-outlives a block.
-The blocks run on a thread pool with one worker per CPU the process may
-use (as many as fit a 16 MiB workspace), and are folded in block order, so
-results do not depend on the core count.
+outlives a block; one np.interp on the complex column x + i p reads a
+block.  The blocks run on a thread pool with one worker per CPU the
+process may use (as many as fit a 16 MiB workspace), and are folded in
+block order, so results do not depend on the core count.
 
 Error budgets combine Monte Carlo noise (3 stderr) with a flat scheme
 bound added linearly; stderr for derived quantities (anything passed
@@ -70,13 +70,15 @@ _BAND_WHAT = f"interior fraction within {_SIGMA:g}*stderr + {_SCHEME_TOL:g}"
 # 1e-3; it and its shifted copy hold 2 x steps x 2 floats, 512 MiB
 _CLASSICAL_STEP = 1e-3
 _MAX_CLASSICAL_STEPS = 2**24
-# rows interpolated per np.interp call (one MiB at n = 2048); a block
-# never straddles two batch-means groups
-_FLOW_BLOCK = 64
-# bytes of blocks and column values the flow's workers hold at once: each
-# holds one block buffer and one column of values, 2 MiB at n = 2048, so at
-# most 7 workers run, whatever the host; a finished block holds only its
-# moments (64 KiB at n = 2048) until the fold reads it
+# rows per block; a block never straddles two batch-means groups, and its
+# size does not depend on the node count, so a flow thinned to some nodes
+# sums the same rows in the same order as the full flow there
+_FLOW_BLOCK = 42
+# bytes of blocks and values the flow's workers hold at once: each holds one
+# block buffer of internal times (8 B per value) and its complex values
+# (16 B), 2 MiB at n = 2048, so at most 8 workers run, whatever the host; a
+# finished block holds only its moments (64 KiB at n = 2048) until the fold
+# reads it
 _FLOW_WORKSPACE = 16 << 20
 _PASS_FRACTION = 0.95
 _N_GROUPS = 16
@@ -140,10 +142,12 @@ def subordinate_flow(
     so every sampled time lies on it; the solution is evaluated at those
     times by linear interpolation with a classical step of at most 1e-3, so
     the interpolation error stays well below Monte Carlo noise.  Rows are
-    formed and interpolated in blocks of 64, each inside one batch-means
-    group, on every CPU the process may use (within a 16 MiB workspace);
-    the blocks' sums are folded in block order, so the result is the same
-    bits on any core count.
+    formed in blocks of 42, each inside one batch-means group, and each
+    block is read by one np.interp call on the complex column
+    (x - x0) + i (p - p0), which searches the classical grid once per value
+    for both components.  The blocks run on every CPU the process may use
+    (within a 16 MiB workspace), and their sums are folded in block order,
+    so the result is the same bits on any core count.
     The same pass sums the means of min(16, M) row groups (the last takes
     the remainder), and U'(x) - U'(x0) and its square at the commutation
     nodes, against U' at the flow's mean x (dH/dp = p/m always commutes).
@@ -168,44 +172,47 @@ def subordinate_flow(
     classical = solve_classical(H, y0, TimeGrid(0.0, tau_max, n_classical))
     tau_nodes = classical.grid.nodes()
     # accumulate in coordinates shifted by y0 (exact at node 0), so the
-    # one-pass variance does not cancel away when |y0| >> the spread
-    cols = (classical.values - y0).T
+    # one-pass variance does not cancel away when |y0| >> the spread; each
+    # (x, p) row of the shifted values is one complex value x + i p
+    zcol = (classical.values - y0).view(complex).ravel()
 
     n_nodes = len(ens.t)
-    sums = np.zeros((2, n_nodes))
-    sumsq = np.zeros((2, n_nodes))
+    sums = np.zeros((n_nodes, 2))
+    sumsq = np.zeros((n_nodes, 2))
     groups = min(_N_GROUPS, M)
     # group g holds rows starts[g]:starts[g + 1]; the last takes the remainder
     starts = [g * (M // groups) for g in range(groups)] + [M]
-    group_sums = np.zeros((groups, 2, n_nodes))
+    group_sums = np.zeros((groups, n_nodes, 2))
     kept = _commutation_nodes(n_nodes - 1)
     du_sums, du_sumsq = np.zeros((2, len(kept)))
 
-    # each worker forms its blocks in one buffer of its own: a 1 MiB block
-    # formed afresh on a worker thread is mostly handed back to the system
-    # when freed, and faulted in again for the next block
+    # each worker forms its blocks in one buffer of its own: a block formed
+    # afresh on a worker thread is mostly handed back to the system when
+    # freed, and faulted in again for the next block
     buffers = threading.local()
 
     def block_moments(span):
-        """Per column, the sum and sum of squares of the rows lo:hi of span
-        (group, lo, hi) over each node, and of U'(x) - U'(x0) at the kept nodes."""
+        """Per node and component, the sum and sum of squares of the rows
+        lo:hi of span (group, lo, hi), and those of U'(x) - U'(x0) at the
+        kept nodes."""
         _, lo, hi = span
         if not hasattr(buffers, "block"):
             buffers.block = np.empty((_FLOW_BLOCK, n_nodes))
         block = ens.rows(lo, hi, out=buffers.block[: hi - lo])
-        moments = np.empty((2, 2, n_nodes))
-        # each column's values are dropped once reduced, so a worker holds
-        # at most one block and one column of values
-        for c, col in enumerate(cols):
-            vals = np.interp(block, tau_nodes, col)
-            moments[0, c] = vals.sum(axis=0)
-            moments[1, c] = np.einsum("mj,mj->j", vals, vals)
-            if c == 0:
-                # take keeps C order (vals[:, kept] would not): summed row by row
-                du = H.potential_grad(vals.take(kept, axis=1) + y0[0])
-            del vals
+        # the moments are allocated before the values, so that the space the
+        # values free is whole again for the next block's
+        moments = np.empty((2, n_nodes, 2))
+        # one search of the classical grid per value reads x and p at once;
+        # the float view (rows, nodes, 2) is read in place
+        vals = np.interp(block, tau_nodes, zcol).view(float).reshape(hi - lo, n_nodes, 2)
+        # take keeps C order (vals[:, kept] would not), so du is summed row by
+        # row; taken from the contiguous values, it copies only the kept nodes
+        du = H.potential_grad(vals.take(kept, axis=1)[:, :, 0] + y0[0])
         # kept node 0 is node 0, where every row is x0: U'(x) - U'(x0)
         du -= du[0, 0]
+        vals.sum(axis=0, out=moments[0])
+        np.square(vals, out=vals)
+        vals.sum(axis=0, out=moments[1])
         return moments, du.sum(axis=0), np.einsum("mj,mj->j", du, du)
 
     # imported here: at the top it would cost every command a few ms
@@ -220,7 +227,7 @@ def subordinate_flow(
     # workspace; map yields their moments in span order, and this thread
     # folds them with the additions a serial loop makes, so the result
     # depends on neither the core count nor scheduling
-    workers = max(1, min(_workers(), _FLOW_WORKSPACE // (2 * _FLOW_BLOCK * n_nodes * 8)))
+    workers = max(1, min(_workers(), _FLOW_WORKSPACE // (_FLOW_BLOCK * n_nodes * 24)))
     with ThreadPoolExecutor(workers) as pool:
         for (g, _, _), (moments, du_sum, du_sq) in zip(spans, pool.map(block_moments, spans)):
             sums += moments[0]
@@ -229,12 +236,12 @@ def subordinate_flow(
             du_sums += du_sum
             du_sumsq += du_sq
 
-    shifted, stderr = _moments(sums.T, sumsq.T, M)
+    shifted, stderr = _moments(sums, sumsq, M)
     mean = shifted + y0
     # node 0 is y0 on every path; remove the summation rounding artifact
     mean[0] = y0
     stderr[0] = 0.0
-    gm = (group_sums / np.diff(starts)[:, None, None]).transpose(0, 2, 1) + y0
+    gm = group_sums / np.diff(starts)[:, None, None] + y0
     gm[:, 0, :] = y0
     at_mean = H.potential_grad(mean[kept, 0])
     du_mean, du_se = _moments(du_sums, du_sumsq, M)

@@ -83,22 +83,27 @@ def solve_classical(H: NaturalSystem, y0, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid, _verlet(H, *_phase_point(y0), grid))
 
 
-def _verlet(H: NaturalSystem, x: float, p: float, grid: TimeGrid) -> np.ndarray:
+def _verlet(H: NaturalSystem, x0: float, p0: float, grid: TimeGrid) -> np.ndarray:
+    """Verlet steps of the offsets u = x - x0 and v = p - p0, so that each
+    step's increment is not rounded to the ulp of a large x0 or p0."""
     n, h, m = grid.n, grid.h, H.mass
     half = 0.5 * h
     du = H.potential_grad
-    scale = max(1.0, abs(x), abs(p))
+    scale = max(1.0, abs(x0), abs(p0))
     out = np.empty((n + 1, 2))
     # a store through a flat memoryview costs half a numpy row assignment
     flat = memoryview(out.reshape(-1))
-    flat[0], flat[1] = x, p
+    flat[0], flat[1] = x0, p0
+    u = v = 0.0
     # the force at the end of one step starts the next
-    force = du(x)
+    force = du(x0)
     for k in range(1, n + 1):
-        p_half = p - half * force
-        x = x + h * p_half / m
+        v_half = v - half * force
+        u = u + h * (p0 + v_half) / m
+        x = x0 + u
         force = du(x)
-        p = p_half - half * force
+        v = v_half - half * force
+        p = p0 + v
         flat[2 * k], flat[2 * k + 1] = x, p
         if k % 64 == 1:
             _check_state((x, p), grid.a + k * h, scale)

@@ -186,7 +186,7 @@ def _per_row_flow(H, y0, ens, n_groups):
 
 @pytest.mark.parametrize("m_paths", [1000, 130, 10])
 def test_blocked_flow_matches_per_row_reference(m_paths):
-    # groups of 62, 8 and 1 rows: blocks of 64 end inside and at group ends
+    # groups of 62, 8 and 1 rows: blocks of 42 end inside and at group ends
     H = quartic()
     y0 = np.array([1.0, 0.5])
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
@@ -222,9 +222,9 @@ def _flow_on(monkeypatch, workers, *args, switch_often=True, **kw):
 @pytest.mark.parametrize("sample", [inverse_subordinator_paths, exact_marginal_ensemble])
 @pytest.mark.parametrize("m_paths, switch_often", [(1037, False), (1037, True), (5, True)])
 def test_flow_is_the_same_bits_on_any_worker_count(monkeypatch, sample, m_paths, switch_often):
-    # 1,037 rows end in a partial block of 13 and a remainder group of 77
-    # rows, folded at the default switch interval and at 1 us; 5 rows are
-    # five one-row groups
+    # 1,037 rows are groups of 64 rows (blocks of 42 and 22) and a
+    # remainder group of 77 (42 and 35), folded at the default switch
+    # interval and at 1 us; 5 rows are five one-row groups
     H = quartic()
     y0 = np.array([1.0, 0.5])
     ens = sample(HALF, TimeGrid(0.0, 2.0, 100), m_paths, seed=3)
@@ -337,6 +337,30 @@ def test_flow_at_the_commutation_nodes_equals_the_full_flow_there(n, m_paths):
     assert a.significance == b.significance
 
 
+@pytest.mark.parametrize("thinned", [False, True], ids=["full", "thinned"])
+def test_flow_interpolates_each_block_once(monkeypatch, thinned):
+    # one np.interp per block of rows reads x and p as one complex column;
+    # 1,037 rows are 15 groups of 64 and one of 77
+    calls = []
+    interp = np.interp
+
+    def counting(x, xp, fp, *args, **kw):
+        calls.append((x.shape, fp.dtype))
+        return interp(x, xp, fp, *args, **kw)
+
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 100), 1037, seed=3)
+    if thinned:
+        ens = ens.at(_commutation_nodes(100)[::3])
+    monkeypatch.setattr(bridge.np, "interp", counting)
+    subordinate_flow(quartic(), np.array([1.0, 0.5]), ens)
+    sizes = [64] * 15 + [77]
+    block = bridge._FLOW_BLOCK
+    rows = sorted(r for size in sizes for r in [block] * (size // block) + [size % block] if r)
+    assert sorted(shape[0] for shape, _ in calls) == rows
+    assert all(shape == (shape[0], len(ens.t)) for shape, _ in calls)
+    assert {dtype for _, dtype in calls} == {np.dtype(complex)}
+
+
 def test_stanislavsky_check_never_holds_the_dense_ensemble():
     # the dense M x (n + 1) internal times alone would be 156 MiB
     H = harmonic()
@@ -352,8 +376,8 @@ def test_stanislavsky_check_never_holds_the_dense_ensemble():
 
 
 def test_flow_workspace_is_bounded_whatever_the_core_count(monkeypatch):
-    # a worker holds a block and a column of values, 2 MiB at n = 2048, so
-    # 64 workers would hold 128 MiB; the flow runs at most 7 here
+    # a worker holds a block and its complex values, 2 MiB at n = 2048, so
+    # 64 workers would hold 128 MiB; the flow runs at most 8 here
     monkeypatch.setattr(bridge, "_workers", lambda: 64)
     H = harmonic()
     ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
@@ -414,9 +438,7 @@ def test_equivalence_report_serializes_and_reruns_identically(tmp_path):
 def test_free_particle_statistics_are_translation_invariant():
     # A one-pass variance about 0 cancels away at x0 = 1e8 and clamps the
     # stderr to 0; shifted by y0 it matches x0 = 0.  What is left is the
-    # classical solve's own rounding at 1e8: each Verlet step adds h
-    # rounded to a multiple of ulp(1e8) = 1.5e-8, a relative velocity
-    # error of up to 7.5e-9/h (7.5e-6 at h = 1e-3; 1.8e-7 on this sample).
+    # rounding of each stored x0 + (x - x0) to a multiple of ulp(1e8).
     H = free_particle()
     ens = inverse_subordinator_paths(HALF, TimeGrid(0.0, 2.0, 256), 4000, seed=42)
     near = subordinate_flow(H, np.array([0.0, 1.0]), ens)
@@ -427,6 +449,17 @@ def test_free_particle_statistics_are_translation_invariant():
     for x0 in (0.0, 1e8):
         (band,) = verify_stanislavsky(H, np.array([x0, 1.0]), ens).checks
         assert band.passed
+
+
+def test_flow_from_a_large_offset_loses_no_digits_to_it():
+    # the classical flow steps x - x0 and p - p0, so each step's increment
+    # is not rounded to ulp(1e8) = 1.5e-8: the means from x0 = 1e8, shifted
+    # back, match those from 0 to within one rounding of 1e8 + x
+    H = free_particle()
+    ens = exact_marginal_ensemble(HALF, TimeGrid(0.0, 2.0, 2048), 10**4, seed=42)
+    near = subordinate_flow(H, np.array([0.0, 1.0]), ens)
+    far = subordinate_flow(H, np.array([1e8, 1.0]), ens)
+    assert np.abs(far.mean[:, 0] - 1e8 - near.mean[:, 0]).max() <= np.spacing(1e8)
 
 
 def test_near_unit_order_collapses_to_classical_flow():

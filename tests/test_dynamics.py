@@ -79,12 +79,14 @@ def test_verlet_evaluates_the_force_once_per_node():
     assert len(calls) == grid.n + 1
     assert all(type(x) is float for x in calls)
     np.testing.assert_array_equal(calls, sol.values[:, 0])
-    x, p, h = np.array([1.0]), np.array([0.5]), grid.h
+    # the reference steps the offsets u = x - x0 and v = p - p0, as _verlet does
+    x0, p0, h = 1.0, 0.5, grid.h
+    u, v = np.array([0.0]), np.array([0.0])
     for k in range(grid.n):
-        p_half = p - 0.5 * h * form.potential_grad(x)
-        x = x + h * p_half / form.mass
-        p = p_half - 0.5 * h * form.potential_grad(x)
-        np.testing.assert_array_equal(sol.values[k + 1], np.concatenate([x, p]))
+        v_half = v - 0.5 * h * form.potential_grad(x0 + u)
+        u = u + h * (p0 + v_half) / form.mass
+        v = v_half - 0.5 * h * form.potential_grad(x0 + u)
+        np.testing.assert_array_equal(sol.values[k + 1], np.concatenate([x0 + u, p0 + v]))
 
 
 def test_fractional_relaxation_matches_mittag_leffler():
@@ -380,23 +382,25 @@ def _array_check_state(y: np.ndarray, t: float, scale: float) -> None:
         raise DivergenceError(f"solution diverged near t = {t:.6g}")
 
 
-def _array_verlet(H, x, p, grid: TimeGrid) -> np.ndarray:
+def _array_verlet(H, x0, p0, grid: TimeGrid) -> np.ndarray:
     n, h, m = grid.n, grid.h, H.mass
     half = 0.5 * h
     du = H.potential_grad
-    values = np.empty((n + 1, 2 * x.size))
-    values[0] = np.concatenate([x, p])
+    values = np.empty((n + 1, 2 * x0.size))
+    values[0] = np.concatenate([x0, p0])
     scale = float(np.abs(values[0]).max(initial=1.0))
-    xs, ps = values[:, : x.size], values[:, x.size :]
-    # the force at the end of one step starts the next
-    force = np.asarray(du(x), dtype=float)
+    xs, ps = values[:, : x0.size], values[:, x0.size :]
+    # steps the offsets u = x - x0 and v = p - p0; the force at the end of
+    # one step starts the next
+    u, v = np.zeros_like(x0), np.zeros_like(p0)
+    force = np.asarray(du(x0), dtype=float)
     for k in range(1, n + 1):
-        p_half = p - half * force
-        x = x + h * p_half / m
-        force = np.asarray(du(x), dtype=float)
-        p = p_half - half * force
-        xs[k] = x
-        ps[k] = p
+        v_half = v - half * force
+        u = u + h * (p0 + v_half) / m
+        force = np.asarray(du(x0 + u), dtype=float)
+        v = v_half - half * force
+        xs[k] = x0 + u
+        ps[k] = p0 + v
         if k % 64 == 1:
             _array_check_state(values[k], grid.a + k * h, scale)
     _array_check_state(values[-1], grid.b, scale)
