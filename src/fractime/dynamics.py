@@ -6,8 +6,11 @@ d/dt by the left Caputo derivative and solves the resulting memory
 equations with an Adams-Bashforth-Moulton predictor-corrector (fractional
 Adams scheme, one corrector sweep), whose history sums are blocked FFT
 convolutions; runs are deterministic and byte-identical on rerun.  The
-weights and history sums are the fracops kernels; both solvers step on
-Python floats, and only the history sums run in numpy.
+weights and history sums are the fracops kernels.  Both solvers step on
+Python floats; only the history sums run in numpy, the near ones of both
+Adams kernels as one small product per step.  solve_fde steps x and p as
+two floats and checks each leaf of steps once; solve_fde_system steps any
+number of components and checks every step, with the same bits.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ __all__ = [
 # a state diverges once |y| passes this many times the data's scale,
 # max(1, max |y0|), or turns non-finite
 _DIVERGENCE_CAP = 1e12
-# steps per leaf of the blocked fractional Adams history
+# steps per leaf of the blocked fractional Adams history: a leaf sums its
+# near history directly, one product per step, and solve_fde checks its
+# states for divergence once, when it is done
 _FDE_LEAF = 128
 
 
@@ -65,12 +70,20 @@ def _phase_point(y0) -> list:
     return y
 
 
-def _check_state(y, t: float, scale: float, what: str = "solution") -> None:
+def _check_state(y, t: float, scale: float) -> None:
     """Refuse floats y that are non-finite or beyond 1e12 times the scale."""
     # a NaN compares False, so this also catches non-finite states; |y| is
     # divided by the scale, as 1e12 times it may overflow to inf
     if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in y):
-        raise DivergenceError(f"{what} diverged near t = {t:.6g}")
+        raise DivergenceError(f"solution diverged near t = {t:.6g}")
+
+
+def _check_rows(y: np.ndarray, t: np.ndarray, scale: float) -> None:
+    """Refuse the first row of y that is non-finite or beyond 1e12 times the
+    scale, naming its node in t."""
+    ok = (np.abs(y) / scale <= _DIVERGENCE_CAP).all(axis=1)
+    if not ok.all():
+        raise DivergenceError(f"fractional solution diverged near t = {t[ok.argmin()]:.6g}")
 
 
 def solve_classical(H: NaturalSystem, y0, grid: TimeGrid) -> Trajectory:
@@ -111,6 +124,47 @@ def _verlet(H: NaturalSystem, x0: float, p0: float, grid: TimeGrid) -> np.ndarra
     return out
 
 
+def _adams_history(fhist: np.ndarray, grid: TimeGrid, order: FracOrder):
+    """The fractional Adams scheme's weights and blocked history sums.
+
+    fhist[0] holds f(t_0, y_0); the caller fills fhist[i] = f(t_i, y_i) leaf
+    by leaf.  Returns (h1, h2, w, far, leaves): w[0] and w[1] hold the
+    predictor's and the corrector's weights reversed, so w[:, n - k] weighs
+    the value k steps back; far[i, 0] and far[i, 1] hold their sums for step
+    i over all values below its leaf; leaves yields each leaf (s, hi) in
+    order, whose near sums over s <= j < i come from w[:, n - i + s : n]
+    times fhist[s:i].  Once the caller has filled a left half, the next item
+    adds its lagged sums to the right half's far history, one FFT
+    convolution per kernel (Hairer-Lubich-Schlichte).
+    """
+    n, h, alpha = grid.n, grid.h, order.alpha
+    h1 = h**alpha / math.gamma(alpha + 1.0)
+    h2 = h**alpha / math.gamma(alpha + 2.0)
+    w = np.empty((2, n + 1))
+    bw, cw = w[0, ::-1], w[1, ::-1]
+    bw[0] = 0.0
+    bw[1:] = _power_increments(alpha, n)
+    a0, c = _pt_weights(alpha, n + 1)
+    cw[:] = c
+    # f_0's terms seed the far history, so both near sums start at step 1
+    far = np.empty((n + 1, 2, fhist.shape[1]))
+    far[1:, 0] = bw[1:, None] * fhist[0]
+    far[1:, 1] = a0[:n, None] * fhist[0]
+
+    def leaves(lo: int, hi: int):
+        s = max(lo, 1)
+        if hi - lo <= _FDE_LEAF:
+            yield s, hi
+            return
+        mid = (lo + hi) // 2
+        yield from leaves(lo, mid)
+        far[mid:hi, 0] += _history_sums(fhist[s:mid], bw[: hi - s])[mid - s :]
+        far[mid:hi, 1] += _history_sums(fhist[s:mid], cw[: hi - s])[mid - s :]
+        yield from leaves(mid, hi)
+
+    return h1, h2, w, far, leaves(0, n + 1)
+
+
 def solve_fde_system(
     rhs: Callable[[float, list], Sequence[float]],
     y0,
@@ -123,15 +177,17 @@ def solve_fde_system(
     uses product-trapezoid weights; accuracy O(h^{1+a}) for smooth
     right-hand sides.  The history sums split the steps in halves
     (Hairer-Lubich-Schlichte): leaves of _FDE_LEAF steps sum their near
-    history directly, and each solved left half adds its contribution to
-    the right half with one FFT convolution per kernel, O(n log^2 n) in
-    all.  Results are deterministic, byte-identical on rerun, and match
-    the direct quadratic sums to roundoff.
+    history directly, both kernels in one product per step, and each
+    solved left half adds its contribution to the right half with one FFT
+    convolution per kernel, O(n log^2 n) in all.  Results are
+    deterministic, byte-identical on rerun, and match the direct quadratic
+    sums to roundoff.
 
     rhs(t, y) receives the m components of the state as a list of floats
     and returns its m values as a sequence (a list, a tuple or an array).
     It may return one buffer that it overwrites on every call: the solver
-    reads each result before the next call.
+    reads each result before the next call.  Each step's state is checked
+    before the next step starts.
 
     Raises:
         OutOfRangeError: the first rhs result is not a sequence of m values.
@@ -140,72 +196,67 @@ def solve_fde_system(
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     scale = float(np.abs(y0).max(initial=1.0))
-    n, h, alpha = grid.n, grid.h, order.alpha
-    t = grid.nodes()
-    m = y0.size
-    h1 = h**alpha / math.gamma(alpha + 1.0)
-    h2 = h**alpha / math.gamma(alpha + 2.0)
-    bw = np.concatenate(([0.0], _power_increments(alpha, n + 1)))
-    a0, cw = _pt_weights(alpha, n + 1)
+    n, m, t = grid.n, y0.size, grid.nodes()
     y = np.empty((n + 1, m))
     fhist = np.empty((n + 1, m))
-    # far history of step i: predictor sum over bw[i - j] f_j, corrector
-    # sum over cw[i - j] f_j for j >= 1; filled in as halves are solved
-    pred_hist = np.zeros_like(y)
-    corr_hist = np.zeros_like(y)
     y[0] = y0
     y0 = y0.tolist()
     f0 = rhs(float(t[0]), y0)
     if np.shape(f0) != (m,):  # the leaf's zip would drop extra values unseen
         raise OutOfRangeError(f"rhs must return m = {m} values, got shape {np.shape(f0)}")
     fhist[0] = f0
-    # bw[1 : k + 1][::-1] is bw_rev[n + 1 - k : n + 1] and cw[1 : k + 1][::-1]
-    # is cw_rev[n - k : n]; the near sums keep these negative-stride views,
-    # since a contiguous reversed copy sends @ down a path that sums in
-    # another order
-    bw_rev, cw_rev = bw[::-1], cw[::-1]
-
-    def leaf(lo: int, hi: int) -> None:
-        start = max(lo, 1)
-        # the corrector sums ((a0 f0 + corr_hist) + near) + fpred; the far
-        # part is complete once the leaf starts, so it is formed for all
-        # rows; each step's state is formed on floats, row by row
-        far = (a0[start - 1 : hi - 1, None] * fhist[0] + corr_hist[start:hi]).tolist()
-        pred_far = pred_hist[start:hi].tolist()
-        for i, ti, corr, pred_i in zip(range(start, hi), t[start:hi].tolist(), far, pred_far):
-            near_p = (bw_rev[n + 1 - i + lo : n + 1] @ fhist[lo:i]).tolist()
-            pred = [u + h1 * (f + g) for u, f, g in zip(y0, pred_i, near_p)]
+    h1, h2, w, far, leaves = _adams_history(fhist, grid, order)
+    for s, hi in leaves:
+        rows = zip(range(s, hi), t[s:hi].tolist(), far[s:hi].tolist())
+        for i, ti, (pred_far, corr_far) in rows:
+            pred_near, corr_near = w[:, n - i + s : n].dot(fhist[s:i]).tolist()
+            pred = [u + h1 * (f + g) for u, f, g in zip(y0, pred_far, pred_near)]
             fpred = rhs(ti, pred)
-            near_c = (cw_rev[n - i + start : n] @ fhist[start:i]).tolist()
-            yi = [u + h2 * ((f + g) + e) for u, f, g, e in zip(y0, corr, near_c, fpred)]
+            yi = [u + h2 * ((f + g) + e) for u, f, g, e in zip(y0, corr_far, corr_near, fpred)]
             y[i] = yi
             fhist[i] = rhs(ti, yi)
-            _check_state(yi, ti, scale, "fractional solution")
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= _FDE_LEAF:
-            leaf(lo, hi)
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        pred_hist[mid:hi] += _history_sums(fhist[lo:mid], bw[: hi - lo])[mid - lo :]
-        start = max(lo, 1)
-        corr_hist[mid:hi] += _history_sums(fhist[start:mid], cw[: hi - start])[mid - start :]
-        solve(mid, hi)
-
-    solve(0, n + 1)
+            # the test on floats costs a quarter of the one on a numpy row,
+            # which then words the refusal
+            if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in yi):
+                _check_rows(y[i : i + 1], t[i : i + 1], scale)
     return Trajectory(grid, y)
 
 
 def solve_fde(H: NaturalSystem, y0, grid: TimeGrid, order: FracOrder) -> FdeSolution:
-    """Solve the Caputo canonical system D^a x = p/m, D^a p = -U'(x)."""
+    """Solve the Caputo canonical system D^a x = p/m, D^a p = -U'(x).
+
+    The fractional Adams scheme of solve_fde_system on the canonical
+    right-hand side, with the same bits, stepped on the two floats x and
+    p.  Each leaf's states are checked once it is done, naming the first
+    that diverged, so U' must take non-finite floats, as a product does.
+
+    Raises:
+        OutOfRangeError: y0 is not two values.
+        DivergenceError: a non-finite state or |y| beyond 1e12 max(1, max |y0|).
+    """
+    x0, p0 = _phase_point(y0)
     m, du = H.mass, H.potential_grad
-
-    def rhs(t, y):
-        x, p = y
-        return p / m, -du(x)
-
+    scale = max(1.0, abs(x0), abs(p0))
+    n, t = grid.n, grid.nodes()
+    y = np.empty((n + 1, 2))
+    fhist = np.empty((n + 1, 2))
+    # stores through flat memoryviews cost half a numpy row assignment
+    ys, fs = memoryview(y.reshape(-1)), memoryview(fhist.reshape(-1))
     # an overflowing force becomes an inf, which the divergence rule refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        y = solve_fde_system(rhs, _phase_point(y0), grid, order)
-    return FdeSolution(grid=grid, y=y, alpha=order)
+        ys[0], ys[1] = x0, p0
+        fs[0], fs[1] = p0 / m, -du(x0)
+        h1, h2, w, far, leaves = _adams_history(fhist, grid, order)
+        for s, hi in leaves:
+            # far sums f and near sums a of the predictor (xp, pp), g and b
+            # of the corrector, each an (x, p) pair
+            for i, ((fx, fp), (gx, gp)) in zip(range(s, hi), far[s:hi].tolist()):
+                (ax, ap), (bx, bp) = w[:, n - i + s : n].dot(fhist[s:i]).tolist()
+                xp = x0 + h1 * (fx + ax)
+                pp = p0 + h1 * (fp + ap)
+                x = x0 + h2 * ((gx + bx) + pp / m)
+                p = p0 + h2 * ((gp + bp) + -du(xp))
+                ys[2 * i], ys[2 * i + 1] = x, p
+                fs[2 * i], fs[2 * i + 1] = p / m, -du(x)
+            _check_rows(y[s:hi], t[s:hi], scale)
+    return FdeSolution(grid=grid, y=Trajectory(grid, y), alpha=order)

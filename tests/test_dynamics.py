@@ -7,7 +7,9 @@ free particle has x(t) = x0 + (p0/m) t^a / Gamma(1+a) exactly.
 """
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +27,7 @@ from fractime import (
 from fractime.dynamics import _DIVERGENCE_CAP, _FDE_LEAF, solve_classical, solve_fde_system
 from fractime.errors import DivergenceError, OutOfRangeError
 from fractime.fracops import _history_sums, _power_increments, _pt_weights
-from fractime.systems import free_particle, quartic
+from fractime.systems import NaturalSystem, free_particle, quartic
 
 HALF = FracOrder(0.5)
 
@@ -373,8 +375,9 @@ def test_save_solution_reruns_byte_identical(tmp_path, capsys):
 
 
 # References: the array steppers that stepped on numpy rows of length 1 and
-# 2, kept verbatim (renamed, with the dimension arithmetic of their callers)
-# so that the float steppers can be held to their bits.
+# 2, kept (renamed, with the dimension arithmetic of their callers) so that
+# the float steppers can be held to their bits; the Adams one is restated in
+# the solver's order of sums, and the direct sums above guard it.
 
 
 def _array_check_state(y: np.ndarray, t: float, scale: float) -> None:
@@ -415,6 +418,8 @@ def _array_solve_classical(H, y0, grid):
 
 
 def _array_fde_system(rhs, y0, grid, order):
+    # f_0's terms seed both far histories, and one stacked product gives
+    # both near sums over [max(lo, 1), i)
     y0 = np.asarray(y0, dtype=float).ravel()
     scale = float(np.abs(y0).max(initial=1.0))
     n, h, alpha = grid.n, grid.h, order.alpha
@@ -428,22 +433,23 @@ def _array_fde_system(rhs, y0, grid, order):
     a0 = np.array(
         [k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)]
     )
+    w = np.stack([bw[: n + 1][::-1], cw[::-1]])
     y = np.empty((n + 1, m))
     fhist = np.empty((n + 1, m))
-    pred_hist = np.zeros_like(y)
-    corr_hist = np.zeros_like(y)
     y[0] = y0
     fhist[0] = rhs(t[0], y0)
-    bw_rev, cw_rev = bw[::-1], cw[::-1]
+    pred_hist = np.zeros_like(y)
+    corr_hist = np.zeros_like(y)
+    pred_hist[1:] = bw[1 : n + 1, None] * fhist[0]
+    corr_hist[1:] = a0[:, None] * fhist[0]
 
     def leaf(lo: int, hi: int) -> None:
         start = max(lo, 1)
-        far = a0[start - 1 : hi - 1, None] * fhist[0] + corr_hist[start:hi]
         for i in range(start, hi):
-            pred = y0 + h1 * (pred_hist[i] + bw_rev[n + 1 - i + lo : n + 1] @ fhist[lo:i])
+            near = w[:, n - i + start : n] @ fhist[start:i]
+            pred = y0 + h1 * (pred_hist[i] + near[0])
             fpred = rhs(t[i], pred)
-            near = cw_rev[n - i + start : n] @ fhist[start:i]
-            y[i] = y0 + h2 * ((far[i - start] + near) + fpred)
+            y[i] = y0 + h2 * ((corr_hist[i] + near[1]) + fpred)
             fhist[i] = rhs(t[i], y[i])
             if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in y[i].tolist()):
                 raise DivergenceError(f"fractional solution diverged near t = {t[i]:.6g}")
@@ -454,8 +460,8 @@ def _array_fde_system(rhs, y0, grid, order):
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
-        pred_hist[mid:hi] += _history_sums(fhist[lo:mid], bw[: hi - lo])[mid - lo :]
         start = max(lo, 1)
+        pred_hist[mid:hi] += _history_sums(fhist[start:mid], bw[: hi - start])[mid - start :]
         corr_hist[mid:hi] += _history_sums(fhist[start:mid], cw[: hi - start])[mid - start :]
         solve(mid, hi)
 
@@ -539,3 +545,59 @@ def test_float_steppers_refuse_divergence_where_the_references_do(solvers, H, y0
     with pytest.raises(DivergenceError) as info:
         solve(*args)
     assert str(info.value) == want
+
+
+# the leaf holds 128 steps: 127 and 129 end just inside and just past one,
+# 128 fills it
+@_SYSTEMS
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 1000, 4096])
+@_Y0
+def test_float_leaf_equals_the_generic_leaf_bitwise(H, alpha, n, y0):
+    grid, order = TimeGrid(0.0, 2.0, n), FracOrder(alpha)
+    want = _outcome(lambda: solve_fde_system(_canonical_rhs(H), y0, grid, order).values)
+    assert _outcome(lambda: solve_fde(H, y0, grid, order).y.values) == want
+
+
+@pytest.mark.parametrize(
+    "H, y0, grid",
+    [
+        (quartic(100.0), (1.0, 0.0), TimeGrid(0.0, 50.0, 2048)),
+        (quartic(), (1e40, 0.0), TimeGrid(0.0, 2.0, 64)),
+    ],
+    ids=["adams-stiff", "adams-overflow"],
+)
+def test_float_leaf_refuses_divergence_where_the_generic_leaf_does(H, y0, grid):
+    want = _outcome(lambda: solve_fde_system(_canonical_rhs(H), y0, grid, HALF).values)
+    assert "diverged near t =" in want
+    assert _outcome(lambda: solve_fde(H, y0, grid, HALF).y.values) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", [1, 127, 128, 129, 200, 4000])
+def test_leaf_check_names_the_step_that_diverged(bad, k):
+    # U' is called once for f_0, then twice per step, the predictor's call
+    # first: from call 2k on it returns bad, which spoils step k's state.
+    # The leaves at n = 4096 hold steps 1..127, 128..255, ...: 127 ends
+    # one, 128 starts the next, 129, 200 and 4000 lie inside leaves
+    calls = itertools.count(1)
+    H = NaturalSystem(1.0, harmonic().potential, lambda x: x if next(calls) < 2 * k else bad)
+    grid = TimeGrid(0.0, 2.0, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            solve_fde(H, (1.0, 0.0), grid, HALF)
+    assert str(info.value) == f"fractional solution diverged near t = {grid.nodes()[k]:.6g}"
+
+
+def test_long_solve_peaks_under_6_mib():
+    # the history sums and weights at n = 32768 peak near 5.1 MB; holding
+    # the weights' spectra across levels would add about 5 MB
+    grid = TimeGrid(0.0, 10.0, 32768)
+    tracemalloc.start()
+    try:
+        solve_fde(harmonic(), (1.0, 0.0), grid, HALF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
