@@ -6,11 +6,11 @@ d/dt by the left Caputo derivative and solves the resulting memory
 equations with an Adams-Bashforth-Moulton predictor-corrector (fractional
 Adams scheme, one corrector sweep), whose history sums are blocked FFT
 convolutions; runs are deterministic and byte-identical on rerun.  The
-weights and history sums are the fracops kernels.  Both solvers step on
-Python floats; only the history sums run in numpy, the near ones of both
-Adams kernels as one small product per step.  solve_fde steps x and p as
-two floats and checks each leaf of steps once; solve_fde_system steps any
-number of components and checks every step, with the same bits.
+weights and history sums are the fracops kernels; both Adams leaves take
+the near sums of both kernels from one small product per step.  Verlet and
+solve_fde step on Python floats, solve_fde checking each leaf of steps
+once; solve_fde_system steps numpy rows of any number of components and
+checks every step, with the same bits.
 """
 
 from __future__ import annotations
@@ -183,11 +183,10 @@ def solve_fde_system(
     deterministic, byte-identical on rerun, and match the direct quadratic
     sums to roundoff.
 
-    rhs(t, y) receives the m components of the state as a list of floats
-    and returns its m values as a sequence (a list, a tuple or an array).
-    It may return one buffer that it overwrites on every call: the solver
-    reads each result before the next call.  Each step's state is checked
-    before the next step starts.
+    rhs(t, y) receives the state's m components as a list of floats and
+    returns m values as a list, tuple or array, which may be one buffer it
+    overwrites per call.  Steps run on numpy rows, which round as Python
+    floats do, and each step's state is checked before the next starts.
 
     Raises:
         OutOfRangeError: the first rhs result is not a sequence of m values.
@@ -200,24 +199,19 @@ def solve_fde_system(
     y = np.empty((n + 1, m))
     fhist = np.empty((n + 1, m))
     y[0] = y0
-    y0 = y0.tolist()
-    f0 = rhs(float(t[0]), y0)
-    if np.shape(f0) != (m,):  # the leaf's zip would drop extra values unseen
+    f0 = rhs(float(t[0]), y0.tolist())
+    if np.shape(f0) != (m,):  # a row would broadcast one value unseen
         raise OutOfRangeError(f"rhs must return m = {m} values, got shape {np.shape(f0)}")
     fhist[0] = f0
     h1, h2, w, far, leaves = _adams_history(fhist, grid, order)
-    for s, hi in leaves:
-        rows = zip(range(s, hi), t[s:hi].tolist(), far[s:hi].tolist())
-        for i, ti, (pred_far, corr_far) in rows:
-            pred_near, corr_near = w[:, n - i + s : n].dot(fhist[s:i]).tolist()
-            pred = [u + h1 * (f + g) for u, f, g in zip(y0, pred_far, pred_near)]
-            fpred = rhs(ti, pred)
-            yi = [u + h2 * ((f + g) + e) for u, f, g, e in zip(y0, corr_far, corr_near, fpred)]
-            y[i] = yi
-            fhist[i] = rhs(ti, yi)
-            # the test on floats costs a quarter of the one on a numpy row,
-            # which then words the refusal
-            if not all(abs(v) / scale <= _DIVERGENCE_CAP for v in yi):
+    # an overflow becomes an inf, which the divergence rule refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, hi in leaves:
+            for i, ti in zip(range(s, hi), t[s:hi].tolist()):
+                pred_near, corr_near = w[:, n - i + s : n].dot(fhist[s:i])
+                pred = y0 + h1 * (far[i, 0] + pred_near)
+                y[i] = y0 + h2 * ((far[i, 1] + corr_near) + rhs(ti, pred.tolist()))
+                fhist[i] = rhs(ti, y[i].tolist())
                 _check_rows(y[i : i + 1], t[i : i + 1], scale)
     return Trajectory(grid, y)
 

@@ -61,10 +61,14 @@ def _power_increments(p: float, n: int) -> np.ndarray:
 def _pt_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-trapezoid weights (a0, c) on n steps: a0[k] of the first value
     up to node k + 1, c[j] of the value j steps back.  a0 is formed in scalar
-    pow: a last-bit change of numpy's power would grow in its cancellation."""
-    a0 = np.array([k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)])
+    pow: a last-bit change of numpy's power would grow in its cancellation.
+    Its values stream into its array once c's temporaries are freed, so no
+    list of n floats is built."""
     m = np.arange(1, n, dtype=float)
     c = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
+    a0 = np.fromiter(
+        (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha for k in range(n)), float, n
+    )
     return a0, np.concatenate(([1.0], c))
 
 

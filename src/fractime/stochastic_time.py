@@ -7,7 +7,8 @@ zero (documented, not corrected).  Checks that read S one time at a time
 draw its exact one-time law instead: S(t) has the law of (t/W)^alpha for a
 standard positive stable W (Meerschaert & Scheffler, J. Appl. Probab. 41,
 2004), one W per row.  Such a row is rank one, V t^alpha with V = W^-alpha,
-so a MarginalEnsemble keeps the M factors V and the node factors t^alpha
+drawn in a form with no 1/alpha power, so finite at every alpha in (0, 1);
+a MarginalEnsemble keeps the M factors V and the node factors t^alpha
 and forms rows only when they are read.  Both ensemble forms are read the
 same way: a block of rows at a time, and the largest S(b).  Heavy-tailed
 renewal counting processes provide the pre-limit picture: Pareto waits of
@@ -58,16 +59,21 @@ _MARGINAL_KEY = 2
 # a path holds all its levels (a renewal path its arrivals) in memory at
 # once; cap their expected number
 _MAX_LEVELS = 1e6
-# the ensemble holds M x nodes float64 values at once: 1 GiB at most
+# M x nodes float64 values, 1 GiB: sampled paths hold them all at once; an
+# exact ensemble holds M + nodes, and the cap bounds what each flow reads
 _MAX_VALUES = 2**27
 # rows formed at once when an ensemble is read whole
 _MEAN_BLOCK = 64
 
 
+def _stable_draws(size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The stable map's inputs: size uniform u on (-pi/2, pi/2), then size e ~ Exp(1)."""
+    return rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size), rng.exponential(1.0, size)
+
+
 def _stable_block(alpha: float, size: int, rng) -> np.ndarray:
     """Standard positive alpha-stable samples, E[exp(-l W)] = exp(-l^alpha)."""
-    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
-    e = rng.exponential(1.0, size)
+    u, e = _stable_draws(size, rng)
     shifted = alpha * (u + 0.5 * np.pi)
     return (np.sin(shifted) / np.cos(u) ** (1.0 / alpha)) * (
         np.cos(u - shifted) / e
@@ -223,10 +229,18 @@ def _check_ensemble(t_grid: TimeGrid, M: int, lower: str = "m_paths or n") -> No
         )
 
 
+def _marginal_v(alpha: float, u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """W^-alpha of the stable map's draws (u, e) with no 1/alpha power, so
+    finite at every alpha in (0, 1) (Kanter, Ann. Probab. 3, 1975):
+    V = cos u sin(alpha (u + pi/2))^-alpha (e / cos(u - alpha (u + pi/2)))^(1 - alpha)."""
+    shifted = alpha * (u + 0.5 * np.pi)
+    return np.cos(u) * np.sin(shifted) ** -alpha * (e / np.cos(u - shifted)) ** (1.0 - alpha)
+
+
 def _marginal_scale(alpha: float, M: int, seed: int) -> np.ndarray:
     """V = W^-alpha for M standard positive stable W, in row order from
     the one stream (seed, _MARGINAL_KEY, 0)."""
-    return _stable_block(alpha, M, _path_rng(seed, (_MARGINAL_KEY, 0))) ** -alpha
+    return _marginal_v(alpha, *_stable_draws(M, _path_rng(seed, (_MARGINAL_KEY, 0))))
 
 
 def inverse_subordinator_paths(
@@ -284,8 +298,8 @@ def exact_marginal_ensemble(
 
     Raises:
         GridError: t_grid does not start at 0.
-        OutOfRangeError: M < 1, or the ensemble would hold more than 2^27
-            values, as for sampled paths (checked before any allocation).
+        OutOfRangeError: M < 1, or M x nodes, the values each flow reads,
+            passes 2^27 (checked before any allocation).
     """
     _check_ensemble(t_grid, M)
     v = _marginal_scale(order.alpha, M, seed)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,19 @@ def test_subordinator_refuses_alpha_too_small_for_the_stable_map(tmp_path, alpha
     assert len(lines) == 1 and lines[0].startswith(f"error: alpha = {alpha}"), res.stderr
     assert "Warning" not in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify-stanislavsky", "verify-compatibility"])
+@pytest.mark.parametrize("alpha", ["0.01", "0.001"])
+def test_exact_ensembles_run_at_small_alpha_with_no_warning(tmp_path, command, alpha):
+    # the exact one-time law draws V with no 1/alpha power, so no stable
+    # draw overflows however small alpha is; a verdict is exit 0 or 1
+    from fractime import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--alpha", alpha, "--n", "32", "--out", str(tmp_path)])
+    assert code in (0, 1)
 
 
 def test_frac_deriv_refuses_a_function_that_overflows(tmp_path):

@@ -11,6 +11,7 @@ smoother inputs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,22 @@ def test_history_sums_match_direct_convolution(n, d, alpha):
             assert got.shape == (n, d)
             bound = 1e-13 * np.abs(w).sum() * np.abs(cols).max()
             assert np.abs(got - want).max() <= bound
+
+
+def test_pt_weights_build_no_list_of_floats():
+    # at n = 2^18, c's temporaries peak at 8 MiB; a list of the n scalar-pow
+    # values of a0 would take 8 MiB of its own beside a0's 2 MiB array,
+    # 10.2 MiB in all
+    n = 2**18
+    _pt_weights(0.5, 2)
+    tracemalloc.start()
+    try:
+        a0, c = _pt_weights(0.5, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a0.shape == c.shape == (n,)
+    assert peak < 9 << 20, peak
 
 
 @pytest.mark.parametrize("n", [17, 4097])

@@ -16,6 +16,7 @@ process is involved).  Closed-form oracles:
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,10 @@ from fractime.stochastic_time import (
     _arrivals,
     _d_levels,
     _first_passage,
+    _marginal_v,
     _path_rng,
     _stable_block,
+    _stable_draws,
     ensemble_mean,
     exact_marginal_ensemble,
     inverse_subordinator_paths,
@@ -318,7 +321,7 @@ def test_exact_marginal_refuses_before_allocating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the ensemble was allocated")
 
-    monkeypatch.setattr(stochastic_time, "_stable_block", no_allocation)
+    monkeypatch.setattr(stochastic_time, "_stable_draws", no_allocation)
     monkeypatch.setattr(stochastic_time.np, "outer", no_allocation)
     with pytest.raises(GridError, match="a must be 0"):
         exact_marginal_ensemble(HALF, TimeGrid(0.5, 1.0, 4), 8, seed=0)
@@ -337,9 +340,30 @@ def test_exact_marginal_refuses_before_allocating(monkeypatch):
 
 def _dense_exact_rows(alpha, grid, M, seed):
     """Reference: the exact ensemble as one M x (n + 1) array, drawn from
-    the same stream, as np.outer(W^-alpha, t^alpha)."""
-    w = _stable_block(alpha, M, _path_rng(seed, (_MARGINAL_KEY, 0)))
-    return np.outer(w**-alpha, grid.nodes() ** alpha)
+    the same stream, as np.outer(V, t^alpha)."""
+    v = _marginal_v(alpha, *_stable_draws(M, _path_rng(seed, (_MARGINAL_KEY, 0))))
+    return np.outer(v, grid.nodes() ** alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_marginal_v_is_w_to_the_minus_alpha(alpha):
+    # V's form and W^-alpha of the stable map, from the same draws
+    u, e = _stable_draws(200_000, np.random.default_rng(7))
+    v = _marginal_v(alpha, u, e)
+    w = _stable_block(alpha, 200_000, np.random.default_rng(7))
+    assert np.abs(v / w**-alpha - 1.0).max() <= 2e-15
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01])
+def test_marginal_v_is_finite_and_positive_at_small_alpha(alpha):
+    # W overflows here for most draws; V tends to the exponential e as
+    # alpha -> 0, and E[V] = 1 / Gamma(1 + alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = _marginal_v(alpha, *_stable_draws(100_000, np.random.default_rng(7)))
+    assert np.all(np.isfinite(v)) and np.all(v > 0.0)
+    mean, err = _mean_stderr(v)
+    assert abs(mean - 1.0 / math.gamma(1.0 + alpha)) <= 3.0 * err
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
